@@ -189,19 +189,23 @@ _SUITES = {
 def _exact_model(loaded):
     """Rebuild a model from its stored parameters when possible: derivative-
     sensitive suites need the ODE-backed evaluators, not the interpolated
-    arrays of a deserialized file."""
+    arrays of a deserialized file. Returns the model and which evaluator it
+    is, "exact" or "deserialised"; metadata the builders reject (a ValueError
+    such as an out-of-range parameter, a TypeError for a non-numeric one, or
+    the RuntimeError of a failed quadrature check) keeps the deserialised
+    model."""
     from .steady_state import king_model, polytrope_model
 
     meta = loaded.meta or {}
     n_r = loaded.grid.n
     try:
         if loaded.profile.kind == "king" and "W0" in meta:
-            return king_model(meta["W0"], n_r=n_r)
+            return king_model(meta["W0"], n_r=n_r), "exact"
         if loaded.profile.kind == "polytrope" and "q" in meta and "depth" in meta:
-            return polytrope_model(meta["q"], meta["depth"], n_r=n_r)
-    except Exception:
+            return polytrope_model(meta["q"], meta["depth"], n_r=n_r), "exact"
+    except (ValueError, TypeError, RuntimeError):
         pass
-    return loaded
+    return loaded, "deserialised"
 
 
 def cmd_check(args):
@@ -210,11 +214,12 @@ def cmd_check(args):
     cfg, digest = _resolved_config(
         args, ["model", "suite", "seeds", "seed", "n_r_phase", "n_u_phase", "out"]
     )
-    model = _exact_model(SteadyStateModel.load(args.model))
+    model, source = _exact_model(SteadyStateModel.load(args.model))
     report, passed = _SUITES[args.suite](model, args)
     doc = {
         "suite": args.suite,
         "model": args.model,
+        "model_source": source,
         "config_digest": digest,
         "version": __version__,
         "passed": bool(passed),
@@ -317,7 +322,7 @@ def cmd_shift(args):
         pot = PotentialX.from_callable(
             grid,
             lambda x: np.where(x < r[-1], interp(np.clip(x, r[0], r[-1])), -M / (4 * np.pi * np.clip(x, 1e-300, None))),
-            lambda x: np.where(x < r[-1], dinterp(np.clip(x, r[0], r[-1])), M / (4 * np.pi * np.clip(x, 1e-300, None)) ** 2),
+            lambda x: np.where(x < r[-1], dinterp(np.clip(x, r[0], r[-1])), M / (4 * np.pi * np.clip(x, 1e-300, None) ** 2)),
             M,
         )
     field = RadialField3D.of(pot, center)

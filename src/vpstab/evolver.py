@@ -4,10 +4,19 @@ Characteristics (r, v_r) with the squared angular momentum l = |x ^ v|^2 as a
 per-particle invariant are pushed with a time-reversible splitting: gravity
 kicks -phi'(r) dt/2 around an exact free-flight drift (a straight 3D line in
 radial variables), so the centrifugal l/r^3 term carries no step-size
-restriction. In self-consistent mode the field is rebuilt every step from the
-cloud-in-cell binned radial density, optionally averaged over a trailing
-window as particle-mesh noise control; in frozen mode the steady-state field
-(or a supplied external force) is used.
+restriction. In frozen mode the steady-state field (or a supplied external
+force) is used.
+
+In self-consistent mode the field is rebuilt every step on a uniform radial
+mesh of spacing h, a spherical-shell particle-mesh scheme (Henon 1971,
+Ap&SS 13, 284). The mesh is indexed by arithmetic on s = r / h, never by a
+search: the cloud-in-cell deposit takes node floor(s - 1/2) and adds the two
+node shares with np.bincount; the density, optionally averaged over a
+trailing window as particle-mesh noise control, is solved straight into its
+edge-cumulative cell moments (poisson.CellMoments); and the force at each
+particle is m(r) / (4 pi r^2) read in cell floor(s), with the exact monopole
+exterior. A full PotentialX is built only at record steps, where the field
+energy and the potential distance need it.
 
 The carried density value f0 is constant along characteristics, which makes
 every Casimir integral sum(mu_p G(f0_p)) exactly conserved by construction;
@@ -23,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import InvalidArgumentError, make_1d_grid
-from .poisson import DegenerateInputError, field_energy, solve_poisson_radial
+from .poisson import CellMoments, DegenerateInputError, field_energy, grad_distance2, solve_poisson_radial
 
 CHECKPOINT_MAGIC = b"VPSTABE1"
 
@@ -148,23 +157,38 @@ def sample_particles(f, n_particles, seed, value_fn=None):
 
 
 class _Binner:
-    """Cloud-in-cell deposit of particle mass onto a radial grid, normalized
-    by the exact shell volumes."""
+    """The uniform field mesh, indexed by arithmetic on s = r / h: the
+    cloud-in-cell deposit of particle mass onto its nodes, normalized by the
+    exact shell volumes, and the force of a cells density at the particles."""
 
     def __init__(self, grid):
         self.grid = grid
         self.volumes = 4.0 * np.pi * grid.sq_moments
+        self.inv_h = grid.n / grid.x_max
 
     def density(self, ens):
-        nodes = self.grid.nodes
-        idx = np.clip(np.searchsorted(nodes, ens.r) - 1, 0, nodes.size - 2)
-        r0 = nodes[idx]
-        r1 = nodes[idx + 1]
-        t = np.clip((ens.r - r0) / (r1 - r0), 0.0, 1.0)
-        rho = np.zeros(nodes.size)
-        np.add.at(rho, idx, ens.weight * (1.0 - t))
-        np.add.at(rho, idx + 1, ens.weight * t)
+        n = self.grid.n
+        # node k sits at x = k; clipping before the cast makes truncation
+        # the floor, and sends particles past either end node to it whole
+        x = ens.r * self.inv_h - 0.5
+        idx = np.clip(x, 0.0, n - 2).astype(np.intp)
+        t = np.clip(x - idx, 0.0, 1.0)
+        rho = np.bincount(idx, ens.weight * (1.0 - t), minlength=n)
+        rho += np.bincount(idx + 1, ens.weight * t, minlength=n)
         return rho / self.volumes
+
+    def dphi(self, cells, r):
+        """phi'(r) = m(r) / (4 pi r^2) of a cells density at radii r, zero
+        below 1e-12 x_max. Past the mesh the radius is clipped to x_max, where
+        m = M: the exact monopole exterior M / (4 pi r^2)."""
+        x_max = self.grid.x_max
+        tiny = 1e-12 * x_max
+        rs = np.clip(r, tiny, x_max)
+        i = np.minimum((rs * self.inv_h).astype(np.intp), self.grid.n - 1)
+        out = cells.cum_sq(rs, i)
+        out /= np.maximum(r, tiny) ** 2
+        out[r < tiny] = 0.0
+        return out
 
 
 @dataclass
@@ -254,27 +278,25 @@ def evolve(
     grid = make_1d_grid(field_factor * model.R_Q, field_n)
     binner = _Binner(grid)
     ref_pot = model.potential()
+    frozen_dphi = model.dphi_fn if external_dphi is None else external_dphi
     diag = TrajectoryDiagnostics()
     rho_buf = deque()
     rho_sum = np.zeros(field_n)
 
     def field_state():
+        """Cell moments of the field at the current positions (None when
+        frozen) and the gravitational acceleration there; the centrifugal
+        term is integrated exactly in the drift."""
         nonlocal rho_sum
-        if self_consistent:
-            rho = binner.density(ens)
-            rho_buf.append(rho)
-            rho_sum = rho_sum + rho
-            if len(rho_buf) > field_average:
-                rho_sum = rho_sum - rho_buf.popleft()
-            pot = solve_poisson_radial(grid, rho_sum / len(rho_buf), method="cells")
-            return pot, pot.dphi_fn
-        if external_dphi is not None:
-            return None, external_dphi
-        return ref_pot, model.dphi_fn
-
-    def accel(dphi_fn):
-        # gravity only: the centrifugal term is integrated exactly in the drift
-        return -dphi_fn(ens.r)
+        if not self_consistent:
+            return None, -frozen_dphi(ens.r)
+        rho = binner.density(ens)
+        rho_buf.append(rho)
+        rho_sum = rho_sum + rho
+        if len(rho_buf) > field_average:
+            rho_sum = rho_sum - rho_buf.popleft()
+        cells = CellMoments.of(grid, rho_sum / len(rho_buf))
+        return cells, -binner.dphi(cells, ens.r)
 
     def free_drift(tau):
         # exact straight-line flight in 3D expressed radially: never reaches
@@ -286,19 +308,18 @@ def evolve(
         ens.v_r = (b + speed2 * tau) / r1
         ens.r = r1
 
-    def record(t, pot):
-        if pot is None:
+    def record(t, cells):
+        if self_consistent:
+            pot = solve_poisson_radial(grid, cells.rho, method="cells")
+            ham = ens.kinetic() - field_energy(pot)
+            pdist = float(np.sqrt(grad_distance2(pot, ref_pot, n=field_n)))
+        elif external_dphi is not None:
             ham = ens.kinetic()  # external force only: no potential available
             pdist = 0.0
-        elif not self_consistent:
+        else:
             # frozen field: the flow conserves the summed one-particle energies
             ham = ens.kinetic() + float(np.dot(ens.weight, model.phi_fn(ens.r)))
             pdist = 0.0
-        else:
-            ham = ens.kinetic() - field_energy(pot)
-            from .poisson import grad_distance2
-
-            pdist = float(np.sqrt(grad_distance2(pot, ref_pot, n=field_n)))
         diag.times.append(t)
         diag.hamiltonian.append(ham)
         diag.mass.append(ens.mass())
@@ -309,11 +330,10 @@ def evolve(
         diag.potential_dist.append(pdist)
         diag.shift.append((0.0, 0.0, 0.0))
 
-    pot, dphi_fn = field_state()
-    record(0.0, pot)
+    cells, a = field_state()
+    record(0.0, cells)
     h0 = diag.hamiltonian[0]
     n_steps = int(round(t_end / dt))
-    a = accel(dphi_fn)
     for step in range(1, n_steps + 1):
         ens.v_r += 0.5 * dt * a
         free_drift(dt)
@@ -322,11 +342,10 @@ def evolve(
             diag.reflections += int(above.sum())
             ens.r[above] = 2.0 * grid.x_max - ens.r[above]
             ens.v_r[above] *= -1.0
-        pot, dphi_fn = field_state()
-        a = accel(dphi_fn)
+        cells, a = field_state()
         ens.v_r += 0.5 * dt * a
         if step % cadence == 0 or step == n_steps:
-            record(step * dt, pot)
+            record(step * dt, cells)
             # external-force runs report kinetic energy only; no abort there
             meaningful = self_consistent or external_dphi is None
             if meaningful and abs(diag.hamiltonian[-1] - h0) > abort_energy_jump * max(abs(h0), 1e-300):

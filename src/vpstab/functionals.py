@@ -17,6 +17,7 @@ from .poisson import (
     DegenerateInputError,
     field_energy,
     grad_distance2,
+    potential_distance,
     solve_poisson_radial,
 )
 from .rearrangement import (
@@ -250,20 +251,12 @@ def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift=None, delta0=No
     if shift is None:
         shift, _res = modulation_shift(pot_f, model)
     shift = np.asarray(shift, dtype=float)
-    if np.linalg.norm(shift) < 1e-9 * model.R_Q:
-        dist2 = grad_distance2(pot_f, model.potential())
-        d_inf = None
-    else:
-        from .poisson import potential_distance
-
-        d_inf, d_grad = potential_distance(pot_f, model.potential(), shift)
-        dist2 = d_grad**2
-    rhs = c0 * dist2
+    # a shift below 1e-9 R_Q is zero: the aligned radial quadrature applies
+    z = shift if np.linalg.norm(shift) >= 1e-9 * model.R_Q else np.zeros(3)
+    d_inf, d_grad = potential_distance(pot_f, model.potential(), z)
+    rhs = c0 * d_grad**2
 
     if delta0 is None:
         delta0 = 0.5 * abs(model.phi_center)
-    from .poisson import potential_distance as _pd
-
-    di, dg = _pd(pot_f, model.potential(), shift)
-    reliable = bool(di + dg < delta0)
+    reliable = bool(d_inf + d_grad < delta0)
     return LowerBoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, shift=shift, reliable=reliable)

@@ -119,6 +119,54 @@ class PotentialX:
         )
 
 
+def _checked_density(grid, rho):
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != grid.nodes.shape:
+        raise InvalidArgumentError("density shape does not match grid")
+    if np.any(rho < -1e-12 * max(rho.max(initial=0.0), 1.0)):
+        raise InvalidArgumentError("density must be nonnegative")
+    return np.clip(rho, 0.0, None)
+
+
+def _checked_mass(M):
+    if M <= 0:
+        raise DegenerateInputError("zero total mass: potential not in the admissible class")
+    return M
+
+
+@dataclass(frozen=True)
+class CellMoments:
+    """A nonnegative density constant on each cell of a radial grid, with its
+    moments accumulated to every edge e_k: edge_cum_sq[k] = int_0^e_k rho s^2 ds
+    and edge_cum_lin[k] = int_0^e_k rho s ds. M is the total mass."""
+
+    grid: Grid1D
+    rho: np.ndarray
+    edge_cum_sq: np.ndarray
+    edge_cum_lin: np.ndarray
+    M: float
+
+    @staticmethod
+    def of(grid, rho):
+        rho = _checked_density(grid, rho)
+        edges = grid.edges
+        edge_cum_sq = np.concatenate([[0.0], np.cumsum(rho * grid.sq_moments)])
+        lin_moments = rho * 0.5 * (edges[1:] ** 2 - edges[:-1] ** 2)
+        edge_cum_lin = np.concatenate([[0.0], np.cumsum(lin_moments)])
+        M = _checked_mass(FOUR_PI * float(edge_cum_sq[-1]))
+        return CellMoments(grid, rho, edge_cum_sq, edge_cum_lin, M)
+
+    def cum_sq(self, r, i):
+        """int_0^r rho s^2 ds for radii r lying in cells i."""
+        a = self.grid.edges.take(i)
+        return self.edge_cum_sq.take(i) + self.rho.take(i) * (r * r * r - a * a * a) / 3.0
+
+    def cum_lin(self, r, i):
+        """int_0^r rho s ds for radii r lying in cells i."""
+        a = self.grid.edges.take(i)
+        return self.edge_cum_lin.take(i) + self.rho.take(i) * 0.5 * (r * r - a * a)
+
+
 def solve_poisson_radial(grid, rho, method="spline"):
     """Potential of a nonnegative compactly supported radial density.
 
@@ -126,16 +174,10 @@ def solve_poisson_radial(grid, rho, method="spline"):
     exact monopole continuation outside the grid. method="spline" integrates a
     monotone cubic interpolant of the density (4th order); method="cells"
     treats the density as constant per cell (exact for piecewise-constant
-    input).
+    input, see CellMoments).
     """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != grid.nodes.shape:
-        raise InvalidArgumentError("density shape does not match grid")
-    if np.any(rho < -1e-12 * max(rho.max(initial=0.0), 1.0)):
-        raise InvalidArgumentError("density must be nonnegative")
-    rho = np.clip(rho, 0.0, None)
-
     if method == "spline":
+        rho = _checked_density(grid, rho)
         # interpolate rho itself, then integrate the interpolant against the
         # exact polynomial weights s^2 and s per piece (no weighting error)
         rho0 = _center_value(grid.nodes, rho)
@@ -152,30 +194,26 @@ def solve_poisson_radial(grid, rho, method="spline"):
         def tail_lin(r):
             return tot1 - p1(np.clip(r, 0.0, grid.x_max))
 
+        M = _checked_mass(FOUR_PI * float(np.asarray(cum_sq(np.array([grid.x_max])))[0]))
+
     elif method == "cells":
-        edge_cum_sq = np.concatenate([[0.0], np.cumsum(rho * grid.sq_moments)])
-        lin_moments = rho * 0.5 * (grid.edges[1:] ** 2 - grid.edges[:-1] ** 2)
-        edge_cum_lin = np.concatenate([[0.0], np.cumsum(lin_moments)])
-        tot1 = float(edge_cum_lin[-1])
+        cells = CellMoments.of(grid, rho)
+        tot1 = float(cells.edge_cum_lin[-1])
+        M = cells.M
+
+        def cell_of(r):
+            return np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
 
         def cum_sq(r):
             r = np.clip(r, 0.0, grid.x_max)
-            i = np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
-            a = grid.edges[i]
-            return edge_cum_sq[i] + rho[i] * (r**3 - a**3) / 3.0
+            return cells.cum_sq(r, cell_of(r))
 
         def tail_lin(r):
             r = np.clip(r, 0.0, grid.x_max)
-            i = np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
-            a = grid.edges[i]
-            return tot1 - (edge_cum_lin[i] + rho[i] * 0.5 * (r**2 - a**2))
+            return tot1 - cells.cum_lin(r, cell_of(r))
 
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
-
-    M = FOUR_PI * float(np.asarray(cum_sq(np.array([grid.x_max])))[0])
-    if M <= 0:
-        raise DegenerateInputError("zero total mass: potential not in the admissible class")
 
     def phi_fn(r):
         r = np.asarray(r, dtype=float)

@@ -52,6 +52,7 @@ def test_check_fixedpoint(model_file, tmp_path):
     with open(out) as fh:
         doc = json.load(fh)
     assert doc["passed"]
+    assert doc["model_source"] == "exact"
     assert doc["report"]["l1_error"] <= 1e-3
 
 
@@ -156,3 +157,43 @@ def test_config_file_overrides(model_file, tmp_path):
     assert code == 0
     resolved = json.loads((tmp_path / "rep.json.config.json").read_text())
     assert resolved["n_r_phase"] == 300
+
+
+def test_shift_on_tabulated_potential(model_file, tmp_path):
+    # the exact model potential, serialised as a table and centred off the
+    # origin: the recovered shift depends on the tabulated exterior gradient
+    from vpstab.steady_state import SteadyStateModel
+
+    model = SteadyStateModel.load(model_file)
+    r = np.asarray(model.grid.nodes)
+    pot_file = tmp_path / "table.json"
+    pot_file.write_text(json.dumps({
+        "r": r.tolist(), "phi": model.phi_fn(r).tolist(), "M": model.M, "center": [0.1, 0.0, 0.0],
+    }))
+    out = tmp_path / "shift.json"
+    code = main(["shift", "--model", str(model_file), "--potential", str(pot_file), "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert np.linalg.norm(np.array(doc["z"]) - [0.1, 0, 0]) <= 1e-4
+
+
+def test_check_records_deserialised_fallback(model_file, tmp_path):
+    # a King depth the builder rejects: the check runs on the stored tables
+    doc = json.loads(model_file.read_text())
+    doc["meta"]["W0"] = -1.0
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "fp.json"
+    main(["check", "--model", str(path), "--suite", "fixedpoint", "--out", str(out)])
+    assert json.loads(out.read_text())["model_source"] == "deserialised"
+
+
+def test_check_rebuild_propagates_other_errors(model_file, tmp_path, monkeypatch):
+    import vpstab.steady_state
+
+    def broken(*args, **kwargs):
+        raise LookupError("not a rebuild failure")
+
+    monkeypatch.setattr(vpstab.steady_state, "king_model", broken)
+    with pytest.raises(LookupError):
+        main(["check", "--model", str(model_file), "--suite", "fixedpoint", "--out", str(tmp_path / "fp.json")])

@@ -3,12 +3,14 @@ import pytest
 
 from vpstab.evolver import (
     ParticleEnsemble,
+    _Binner,
     conservation_report,
     evolve,
     orbital_distance,
     sample_particles,
 )
-from vpstab.poisson import DegenerateInputError
+from vpstab.numerics import make_1d_grid
+from vpstab.poisson import CellMoments, DegenerateInputError, solve_poisson_radial
 from vpstab.steady_state import phase_space_density
 
 
@@ -169,3 +171,62 @@ def test_diagnostics_csv(tmp_path, king, king_f):
     assert text.startswith("# config deadbeef")
     assert "hamiltonian" in text.splitlines()[1]
     assert len(text.splitlines()) >= 4
+
+
+def _mesh_cloud(grid, rng):
+    """Radii covering the whole field mesh: a random cloud, every edge and
+    node exactly, points below the first node and above the last one, the
+    outer boundary and a little past it."""
+    x_max = grid.x_max
+    r = np.concatenate([
+        rng.uniform(0.0, x_max, 5000),
+        grid.edges,
+        grid.nodes,
+        rng.uniform(0.0, grid.nodes[0], 20),
+        rng.uniform(grid.nodes[-1], x_max, 20),
+        [0.0, 1e-13 * x_max, x_max, (1.0 + 1e-9) * x_max],
+    ])
+    return ParticleEnsemble(
+        r=r, v_r=np.zeros_like(r), ell=np.zeros_like(r), weight=rng.uniform(0.5, 2.0, r.size),
+        f0=np.ones_like(r), volume=np.ones_like(r),
+    )
+
+
+def _reference_deposit(grid, ens):
+    # cloud-in-cell by search: node pair bracketing each radius
+    nodes = grid.nodes
+    idx = np.clip(np.searchsorted(nodes, ens.r) - 1, 0, nodes.size - 2)
+    t = np.clip((ens.r - nodes[idx]) / (nodes[idx + 1] - nodes[idx]), 0.0, 1.0)
+    mass = np.zeros(nodes.size)
+    np.add.at(mass, idx, ens.weight * (1.0 - t))
+    np.add.at(mass, idx + 1, ens.weight * t)
+    return mass / (4.0 * np.pi * grid.sq_moments)
+
+
+def test_binner_density_matches_searchsorted_deposit(rng):
+    grid = make_1d_grid(2.7, 256)
+    ens = _mesh_cloud(grid, rng)
+    rho = _Binner(grid).density(ens)
+    ref = _reference_deposit(grid, ens)
+    np.testing.assert_allclose(rho, ref, rtol=1e-13, atol=0.0)
+    volumes = 4.0 * np.pi * grid.sq_moments
+    total = ens.weight.sum()
+    assert abs(np.dot(rho, volumes) - total) <= 1e-14 * total
+    assert abs(np.dot(rho, volumes) - np.dot(ref, volumes)) <= 1e-14 * total
+
+
+def test_binner_force_matches_cells_potential(rng):
+    grid = make_1d_grid(2.7, 256)
+    binner = _Binner(grid)
+    rho = binner.density(_mesh_cloud(grid, rng))
+    x_max = grid.x_max
+    r = np.concatenate([
+        rng.uniform(0.0, 1.2 * x_max, 5000),
+        grid.edges,
+        grid.nodes,
+        [0.0, 1e-14 * x_max, 0.999e-12 * x_max, 1e-12 * x_max, x_max, 1.5 * x_max, 40.0 * x_max],
+    ])
+    force = binner.dphi(CellMoments.of(grid, rho), r)
+    ref = solve_poisson_radial(grid, rho, method="cells").dphi_fn(r)
+    np.testing.assert_allclose(force, ref, rtol=1e-13, atol=0.0)
+    assert np.all(force[r < 1e-12 * x_max] == 0.0)

@@ -217,3 +217,38 @@ def test_stability_lower_bound_perturbations(king, rng):
         rep = stability_lower_bound(f, king, c0, shift=np.zeros(3))
         assert rep.slack >= -1e-3 * abs(king.hamiltonian)
         assert rep.reliable
+
+
+@pytest.mark.parametrize("shift", [np.zeros(3), np.array([0.02, 0.0, 0.0])])
+def test_stability_lower_bound_one_potential_distance(king, monkeypatch, shift):
+    import vpstab.functionals as functionals
+    from vpstab.poisson import grad_distance2, potential_distance
+    from vpstab.spectral import coercivity_constant
+
+    c0 = coercivity_constant(king)
+    f = bump_perturbation(padded_phase_density(king, n_r=150, n_u=80), 0.01, 7)
+    calls = {"potential_distance": 0, "grad_distance2": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(functionals, "potential_distance", counted(potential_distance))
+    monkeypatch.setattr(functionals, "grad_distance2", counted(grad_distance2))
+    rep = stability_lower_bound(f, king, c0, shift=shift)
+    # one distance call, and no separate gradient distance beside it
+    assert calls == {"potential_distance": 1, "grad_distance2": 0}
+
+    # the two separate distance evaluations this call replaces
+    pot_f = hamiltonian(f).pot
+    if np.any(shift):
+        dist2 = potential_distance(pot_f, king.potential(), shift)[1] ** 2
+    else:
+        dist2 = grad_distance2(pot_f, king.potential())
+    d_inf, d_grad = potential_distance(pot_f, king.potential(), shift)
+    assert rep.rhs == pytest.approx(c0 * dist2, rel=1e-12)
+    assert rep.slack == pytest.approx(rep.lhs - c0 * dist2, rel=1e-12, abs=1e-15 * abs(rep.lhs))
+    assert rep.reliable == bool(d_inf + d_grad < 0.5 * abs(king.phi_center))
