@@ -3,8 +3,10 @@
 Subcommands: build, check, evolve, rearrange, shift. Every run writes its
 fully resolved configuration (defaults included) next to the outputs, and all
 emitted files carry the configuration digest so runs are reproducible byte
-for byte under a fixed seed. Exit codes: 0 pass, 1 assertion failure,
-2 usage or input error.
+for byte under a fixed seed. Every subcommand that reads a model file runs on
+the model rebuilt from its stored parameters when the builder accepts them,
+and records which one it used as `model_source` (see _exact_model). Exit
+codes: 0 pass, 1 assertion failure, 2 usage or input error.
 """
 
 import argparse
@@ -35,8 +37,10 @@ def _resolved_config(args, names):
     return cfg, digest
 
 
-def _emit_config(cfg, digest, path):
-    doc = dict(cfg)
+def _emit_config(cfg, digest, path, **record):
+    """Write the resolved configuration; `record` adds facts of the run
+    (such as the model source) that the digest does not cover."""
+    doc = dict(cfg, **record)
     doc["digest"] = digest
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -94,12 +98,17 @@ def _check_monotonicity(model, args):
 
 
 def _check_spectrum(model, args):
-    from .spectral import coercivity_constant, harmonic_operator_spectrum
+    import dataclasses
 
-    rep1 = harmonic_operator_spectrum(model, 1, n_eigs=2)
-    rep0 = harmonic_operator_spectrum(model, 0, n_eigs=2)
-    rep2 = harmonic_operator_spectrum(model, 2, n_eigs=2)
-    c0 = coercivity_constant(model)
+    from .spectral import _SectorMatrices, coercivity_ladder, harmonic_operator_spectrum
+
+    # one sector set, and with it one energy mesh, for every sector and rung
+    sm = _SectorMatrices(model)
+    rep1 = harmonic_operator_spectrum(model, 1, n_eigs=2, sector=sm)
+    rep0 = harmonic_operator_spectrum(model, 0, n_eigs=2, sector=sm)
+    rep2 = harmonic_operator_spectrum(model, 2, n_eigs=2, sector=sm)
+    ladder = coercivity_ladder(sm)
+    c0 = ladder.c0[0]
     vmax = float(model.vq_fn(np.array([0.0]))[0])
     ok = (
         abs(rep1.eigenvalues[0]) <= 1e-3 * vmax
@@ -114,6 +123,7 @@ def _check_spectrum(model, args):
         "k0_lowest": float(rep0.eigenvalues[0]),
         "k2_lowest": float(rep2.eigenvalues[0]),
         "c0": c0,
+        "ladder": dataclasses.asdict(ladder),
         "V_max": vmax,
     }, ok
 
@@ -186,16 +196,17 @@ _SUITES = {
 }
 
 
-def _exact_model(loaded):
-    """Rebuild a model from its stored parameters when possible: derivative-
-    sensitive suites need the ODE-backed evaluators, not the interpolated
-    arrays of a deserialized file. Returns the model and which evaluator it
-    is, "exact" or "deserialised"; metadata the builders reject (a ValueError
-    such as an out-of-range parameter, a TypeError for a non-numeric one, or
-    the RuntimeError of a failed quadrature check) keeps the deserialised
-    model."""
-    from .steady_state import king_model, polytrope_model
+def _exact_model(path):
+    """Load a model file and rebuild the model from its stored parameters
+    when possible, so that every subcommand runs on the ODE-backed
+    evaluators rather than the interpolated arrays of a deserialized file.
+    Returns the model and which evaluator it is, "exact" or "deserialised";
+    metadata the builders reject (a ValueError such as an out-of-range
+    parameter, a TypeError for a non-numeric one, or the RuntimeError of a
+    failed quadrature check) keeps the deserialised model."""
+    from .steady_state import SteadyStateModel, king_model, polytrope_model
 
+    loaded = SteadyStateModel.load(path)
     meta = loaded.meta or {}
     n_r = loaded.grid.n
     try:
@@ -209,12 +220,10 @@ def _exact_model(loaded):
 
 
 def cmd_check(args):
-    from .steady_state import SteadyStateModel
-
     cfg, digest = _resolved_config(
         args, ["model", "suite", "seeds", "seed", "n_r_phase", "n_u_phase", "out"]
     )
-    model, source = _exact_model(SteadyStateModel.load(args.model))
+    model, source = _exact_model(args.model)
     report, passed = _SUITES[args.suite](model, args)
     doc = {
         "suite": args.suite,
@@ -228,7 +237,7 @@ def cmd_check(args):
     out = args.out or f"check_{args.suite}.json"
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1, default=float)
-    _emit_config(cfg, digest, out + ".config.json")
+    _emit_config(cfg, digest, out + ".config.json", model_source=source)
     print(f"{args.suite}: {'PASS' if passed else 'FAIL'} (report: {out})")
     return 0 if passed else 1
 
@@ -236,13 +245,13 @@ def cmd_check(args):
 def cmd_evolve(args):
     from .evolver import conservation_report, evolve, sample_particles
     from .perturbations import bump_field
-    from .steady_state import SteadyStateModel, phase_space_density
+    from .steady_state import phase_space_density
 
     cfg, digest = _resolved_config(
         args,
         ["model", "eta", "t_dyn", "dt_frac", "n", "seed", "field_average", "out_prefix"],
     )
-    model = SteadyStateModel.load(args.model)
+    model, source = _exact_model(args.model)
     f0 = phase_space_density(model, n_r=400, n_u=200)
     u_esc = float(model.u_escape(np.array([0.0]))[0])
     chi = bump_field(model.R_Q, u_esc, args.seed)
@@ -267,7 +276,7 @@ def cmd_evolve(args):
     series = args.out_prefix + "_series.csv"
     diag.write_csv(series, header_lines=[f"config {digest}", f"vpstab {__version__}"])
     ens.save(args.out_prefix + "_final.ckpt", time=args.t_dyn * model.dynamical_time)
-    _emit_config(cfg, digest, args.out_prefix + "_config.json")
+    _emit_config(cfg, digest, args.out_prefix + "_config.json", model_source=source)
     print(
         f"evolve eta={args.eta}: mass drift {rep.mass_drift:.2e}, "
         f"H drift {rep.hamiltonian_drift:.2e}, max distance {rep.max_orbital:.4g}"
@@ -282,16 +291,16 @@ def cmd_rearrange(args):
         jacobian_a,
         schwarz_rearrangement,
     )
-    from .steady_state import SteadyStateModel, phase_space_density
+    from .steady_state import phase_space_density
 
     cfg, digest = _resolved_config(args, ["model", "out_prefix", "n_r_phase", "n_u_phase"])
-    model = SteadyStateModel.load(args.model)
+    model, source = _exact_model(args.model)
     f = phase_space_density(model, n_r=args.n_r_phase, n_u=args.n_u_phase)
     mu = distribution_function(f)
     fstar = schwarz_rearrangement(mu)
     jac = jacobian_a(model.potential())
     paths = export_tables(args.out_prefix, mu=mu, fstar=fstar, jac=jac)
-    _emit_config(cfg, digest, args.out_prefix + "_config.json")
+    _emit_config(cfg, digest, args.out_prefix + "_config.json", model_source=source)
     print("wrote " + ", ".join(paths.values()))
     return 0
 
@@ -299,11 +308,10 @@ def cmd_rearrange(args):
 def cmd_shift(args):
     from .poisson import PotentialX, RadialField3D
     from .spectral import modulation_shift
-    from .steady_state import SteadyStateModel
     from .numerics import Grid1D
 
     cfg, digest = _resolved_config(args, ["model", "potential", "out"])
-    model = SteadyStateModel.load(args.model)
+    model, source = _exact_model(args.model)
     with open(args.potential) as fh:
         doc = json.load(fh)
     center = np.asarray(doc.get("center", [0.0, 0.0, 0.0]), dtype=float)
@@ -336,7 +344,7 @@ def cmd_shift(args):
     out = args.out or "shift.json"
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1)
-    _emit_config(cfg, digest, out + ".config.json")
+    _emit_config(cfg, digest, out + ".config.json", model_source=source)
     print(f"shift z = {z} (residuals {resid})")
     return 0
 

@@ -7,7 +7,7 @@ evaluation of ODE output.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import linalg, special
@@ -86,9 +86,6 @@ class PhaseSpaceGrid:
     def cell_measure(self):
         """2D array of exact cell measures."""
         return 16.0 * np.pi**2 * np.outer(self.radial.sq_moments, self.speeds.sq_moments)
-
-    def weight(self, i, j):
-        return float(self.cell_measure[i, j])
 
     def total_measure(self):
         return float(self.cell_measure.sum())
@@ -260,49 +257,66 @@ def exterior_power_tail(mass, e, r_start, p):
     return float(r_e**3 * (-e) ** p * rem)
 
 
+# power-form coefficients, in t = (x - x0) / h, of the two-point Hermite
+# basis: row j multiplies t^j; the columns take the data (y0, y1 - y0,
+# h y0', h y1') for the cubic and (y0, y1 - y0, h y0', h y1', h^2 y0'',
+# h^2 y1'') for the quintic. Differencing y once keeps the O(y) terms from
+# cancelling in the higher coefficients.
+_CUBIC = np.array([
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.0, 3.0, -2.0, -1.0],
+    [0.0, -2.0, 1.0, 1.0],
+])
+_QUINTIC = np.array([
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.5, 0.0],
+    [0.0, 10.0, -6.0, -4.0, -1.5, 0.5],
+    [0.0, -15.0, 8.0, 7.0, 1.5, -1.0],
+    [0.0, 6.0, -3.0, -3.0, -0.5, 0.5],
+])
+
+
+def hermite_coefficients(x_nodes, y, yp, ypp=None):
+    """Per-interval power-form coefficients of the piecewise Hermite
+    interpolant: row j multiplies t^j on each interval. Cubic when only
+    (y, y') are known at the nodes, quintic when y'' is also available."""
+    h = np.diff(x_nodes)
+    data = [y[:-1], np.diff(y), yp[:-1] * h, yp[1:] * h]
+    if ypp is None:
+        return _CUBIC @ np.stack(data)
+    return _QUINTIC @ np.stack(data + [ypp[:-1] * h * h, ypp[1:] * h * h])
+
+
+def power_eval(x_nodes, coef, x, derivative=False):
+    """Value (or x-derivative) of the piecewise polynomial with power-form
+    coefficients `coef` (from hermite_coefficients) at x, by Horner."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    idx = np.clip(np.searchsorted(x_nodes, x) - 1, 0, len(x_nodes) - 2)
+    x0 = x_nodes[idx]
+    h = x_nodes[idx + 1] - x0
+    t = (x - x0) / h
+    deg = coef.shape[0] - 1
+    if not derivative:
+        out = coef[deg][idx]
+        for j in range(deg - 1, -1, -1):
+            out = out * t + coef[j][idx]
+        return out
+    out = deg * coef[deg][idx]
+    for j in range(deg - 1, 0, -1):
+        out = out * t + j * coef[j][idx]
+    return out / h
+
+
 def hermite_eval(x_nodes, y, yp, x, ypp=None):
     """Piecewise Hermite evaluation of dense ODE output.
 
     Cubic when only (y, y') are known at the nodes, quintic when y'' is also
     available. Returns (value, derivative) arrays.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = np.clip(np.searchsorted(x_nodes, x) - 1, 0, len(x_nodes) - 2)
-    x0, x1 = x_nodes[idx], x_nodes[idx + 1]
-    h = x1 - x0
-    t = (x - x0) / h
-    y0, y1 = y[idx], y[idx + 1]
-    d0, d1 = yp[idx] * h, yp[idx + 1] * h
-    if ypp is None:
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t**2 * (3 - 2 * t)
-        h11 = t**2 * (t - 1)
-        val = h00 * y0 + h10 * d0 + h01 * y1 + h11 * d1
-        dh00 = 6 * t * (t - 1)
-        dh10 = (1 - t) * (1 - 3 * t)
-        dh01 = -dh00
-        dh11 = t * (3 * t - 2)
-        der = (dh00 * y0 + dh10 * d0 + dh01 * y1 + dh11 * d1) / h
-        return val, der
-    a0, a1 = ypp[idx] * h * h, ypp[idx + 1] * h * h
-    t2, t3, t4, t5 = t**2, t**3, t**4, t**5
-    # two-point quintic Hermite basis
-    b0 = 1 - 10 * t3 + 15 * t4 - 6 * t5
-    b1 = t - 6 * t3 + 8 * t4 - 3 * t5
-    b2 = 0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5
-    c0 = 10 * t3 - 15 * t4 + 6 * t5
-    c1 = -4 * t3 + 7 * t4 - 3 * t5
-    c2 = 0.5 * t3 - t4 + 0.5 * t5
-    val = b0 * y0 + b1 * d0 + b2 * a0 + c0 * y1 + c1 * d1 + c2 * a1
-    db0 = -30 * t2 + 60 * t3 - 30 * t4
-    db1 = 1 - 18 * t2 + 32 * t3 - 15 * t4
-    db2 = t - 4.5 * t2 + 6 * t3 - 2.5 * t4
-    dc0 = -db0
-    dc1 = -12 * t2 + 28 * t3 - 15 * t4
-    dc2 = 1.5 * t2 - 4 * t3 + 2.5 * t4
-    der = (db0 * y0 + db1 * d0 + db2 * a0 + dc0 * y1 + dc1 * d1 + dc2 * a1) / h
-    return val, der
+    coef = hermite_coefficients(x_nodes, y, yp, ypp)
+    return power_eval(x_nodes, coef, x), power_eval(x_nodes, coef, x, derivative=True)
 
 
 @dataclass(frozen=True)
@@ -317,13 +331,15 @@ class RadialOdeSolution:
     r_zero: float
     yp_zero: float
 
+    @cached_property
+    def _coef(self):
+        return hermite_coefficients(self.r, self.y, self.yp, self.ypp)
+
     def __call__(self, x):
-        val, _ = hermite_eval(self.r, self.y, self.yp, x, self.ypp)
-        return val
+        return power_eval(self.r, self._coef, x)
 
     def derivative(self, x):
-        _, der = hermite_eval(self.r, self.y, self.yp, x, self.ypp)
-        return der
+        return power_eval(self.r, self._coef, x, derivative=True)
 
 
 def solve_profile_ode(source, y0, h, max_steps=2_000_000):

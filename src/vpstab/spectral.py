@@ -13,13 +13,23 @@ a positive low-rank correction on an energy mesh:
 with V(r) = int |F'(e)| dv. The translation modes phi_Q'(r) span the kernel
 (they sit in k = 1); everything else is strictly positive, and the coercivity
 constant is the smallest Dirichlet-normalized eigenvalue away from them.
+
+On the uniform grid in w = r h every sector is a tridiagonal pencil, and the
+k = 0 projector term is kept as a factor U with at most n_e columns, so no
+dense n x n matrix enters a solve. The lowest eigenvalues come from
+shift-invert Lanczos: one sparse LU of the shifted tridiagonal, plus the
+Woodbury identity for U U^T. Shift-invert finds the eigenvalues nearest the
+shift; a Sylvester inertia count (the LDL^T pivots of the tridiagonal, and for
+k = 0 Haynsworth's count over the capacitance matrix) certifies that none lies
+below it, and CoercivityError is raised otherwise.
 """
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg, optimize, sparse
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, splu
 
 from .numerics import (
     InvalidArgumentError,
@@ -199,11 +209,17 @@ class SpectralReport:
 
 
 class _SectorMatrices:
-    """Discretized quadratic forms on a uniform Dirichlet grid in w = r h."""
+    """Discretized quadratic forms on a uniform Dirichlet grid in w = r h.
+
+    Sector k pairs the Hessian form A_k = T_k - diag(V) with the Dirichlet
+    form N_k = T_k, where T_k is the tridiagonal -d^2/dr^2 + k(k+1)/r^2; the
+    radial sector adds the projector term U U^T to A_0.
+    """
 
     def __init__(self, model, n=800, r_max_factor=6.0, mesh=None):
         self.model = model
         self.n = n
+        self.r_max_factor = r_max_factor
         self.r_max = r_max_factor * model.R_Q
         self.dr = self.r_max / (n + 1)
         self.r = self.dr * np.arange(1, n + 1)
@@ -215,65 +231,162 @@ class _SectorMatrices:
         e = np.full(self.n - 1, -1.0) / self.dr**2
         return d, e
 
-    def sector_tridiag(self, k):
-        lam = k * (k + 1)
+    def dirichlet_tridiag(self, k):
         d, e = self.laplacian_tridiag()
-        return d + lam / self.r**2 - self.V, e
+        return d + k * (k + 1) / self.r**2, e
+
+    def sector_tridiag(self, k):
+        d, e = self.dirichlet_tridiag(k)
+        return d - self.V, e
 
     def dirichlet_matrix(self, k):
-        lam = k * (k + 1)
-        d, e = self.laplacian_tridiag()
-        N = np.diag(d + lam / self.r**2)
-        N += np.diag(e, 1) + np.diag(e, -1)
-        return N
+        d, e = self.dirichlet_tridiag(k)
+        return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+    def projector_factor(self):
+        """U (n x n_e) with U U^T the energy-average term in w variables,
+        normalized like the L2(dr) operator matrices: column m holds the
+        linear interpolation of the grid onto energy m's radial quadrature,
+        scaled by sqrt(omega_m) / r."""
+        mesh = self.mesh
+        n_e = mesh.e.size
+        rq = mesh.r_nodes
+        wq = mesh.r_weights / mesh.denom[:, None]
+        idx = np.clip(np.searchsorted(self.r, rq) - 1, 0, self.n - 2)
+        r0, r1 = self.r[idx], self.r[idx + 1]
+        t = np.clip((rq - r0) / (r1 - r0), 0.0, 1.0)
+        # one bincount over (energy, grid node): per energy the lower-node
+        # shares, then the upper-node shares
+        rows = (self.n * np.arange(n_e))[:, None]
+        cells = np.concatenate([rows + idx, rows + idx + 1], axis=1)
+        shares = np.concatenate([wq * (1 - t), wq * t], axis=1)
+        b = np.bincount(cells.ravel(), weights=shares.ravel(), minlength=n_e * self.n)
+        omega = mesh.w_fprime * mesh.a_prime
+        return (b.reshape(n_e, self.n).T * np.sqrt(omega)) / (self.r[:, None] * np.sqrt(FOUR_PI * self.dr))
 
     def projector_correction(self):
-        """Dense positive-semidefinite matrix of the energy-average term in w
-        variables, normalized like the L2(dr) operator matrices."""
-        mesh = self.mesh
-        # interpolate grid h-values onto the mesh's radial quadrature points
-        b = np.zeros((mesh.e.size, self.n))
-        for m in range(mesh.e.size):
-            rq = mesh.r_nodes[m]
-            wq = mesh.r_weights[m] / mesh.denom[m]
-            idx = np.clip(np.searchsorted(self.r, rq) - 1, 0, self.n - 2)
-            r0, r1 = self.r[idx], self.r[idx + 1]
-            t = np.clip((rq - r0) / (r1 - r0), 0.0, 1.0)
-            row = np.zeros(self.n)
-            np.add.at(row, idx, wq * (1 - t))
-            np.add.at(row, idx + 1, wq * t)
-            b[m] = row
-        omega = mesh.w_fprime * mesh.a_prime
-        c = (b * omega[:, None]).T @ b
-        dinv = 1.0 / self.r
-        return (c * dinv[None, :]) * dinv[:, None] / (FOUR_PI * self.dr)
+        """Dense positive-semidefinite matrix U U^T of the energy-average term."""
+        u = self.projector_factor()
+        return u @ u.T
 
-    def radial_dense(self):
-        d, e = self.laplacian_tridiag()
-        A = np.diag(d - self.V) + np.diag(e, 1) + np.diag(e, -1)
-        return A + self.projector_correction()
+    def dirichlet_eigenvalues(self, k, n_eigs):
+        """Lowest n_eigs eigenvalues of the pencil A_k x = lambda N_k x. The
+        shift is -1: a stable model's Dirichlet-normalized spectrum lies
+        above 0 except for the translation mode near 0."""
+        return self._shift_invert(k, n_eigs, -1.0, dirichlet=True)[0]
+
+    def radial_eigenpairs(self, n_eigs):
+        """Lowest eigenpairs of A_0 = T_0 - diag(V) + U U^T. The shift lies 1
+        below the lowest eigenvalue of the tridiagonal T_0 - diag(V), hence
+        below the spectrum, as U U^T is positive; a shift as close as that
+        keeps the Lanczos iteration short."""
+        floor = eig_tridiag(*self.sector_tridiag(0), 1)[0][0]
+        return self._shift_invert(0, n_eigs, floor - 1.0, dirichlet=False)
+
+    def _shift_invert(self, k, n_eigs, sigma, dirichlet):
+        """Eigenpairs of sector k nearest sigma by shift-invert Lanczos, with
+        a Sylvester inertia certificate that no eigenvalue lies below sigma,
+        so they are the lowest ones (CoercivityError otherwise).
+
+        K = A_k - sigma N (N = T_k, or the identity for the standard problem)
+        is tridiagonal and factored once. For k = 0 the shifted operator is
+        K + U U^T: its inverse is applied by the Woodbury identity over the
+        capacitance C = I + U^T K^{-1} U, and its negative count is
+        neg(K) - neg(C) by Haynsworth's inertia additivity. C is symmetric
+        but indefinite when K is, so one Bunch-Kaufman LDL^T serves both its
+        solve and its count.
+        """
+        dn, e = self.dirichlet_tridiag(k)
+        da = dn - self.V
+        if dirichlet:
+            dk, ek = da - sigma * dn, (1.0 - sigma) * e
+            mass = _tridiag(dn, e)
+        else:
+            dk, ek = da - sigma, e
+            mass = None
+        lu = splu(_tridiag(dk, ek))
+        below = _negative_pivots(dk, ek)
+        a = _tridiag(da, e)
+        if k == 0:
+            u = self.projector_factor()
+            z = lu.solve(u)
+            ldl, ipiv, neg = _ldl_factor(np.eye(u.shape[1]) + u.T @ z, k, sigma)
+            below -= neg
+
+            def solve(x):
+                y = lu.solve(x)
+                return y - z @ linalg.lapack.dsytrs(ldl, ipiv, u.T @ y, lower=1)[0]
+
+            a = aslinearoperator(a) + aslinearoperator(u) @ aslinearoperator(u.T)
+        else:
+            solve = lu.solve
+        if below:
+            raise CoercivityError(
+                f"sector k={k}: {below} eigenvalue(s) below the shift {sigma}, out of reach of the shift-invert solve"
+            )
+        op = LinearOperator((self.n, self.n), matvec=solve, dtype=float)
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, self.n)
+        vals, vecs = eigsh(a, k=n_eigs, M=mass, sigma=sigma, OPinv=op, v0=v0)
+        order = np.argsort(vals)
+        return vals[order], vecs[:, order]
+
+
+def _tridiag(d, e):
+    return sparse.diags([e, d, e], [-1, 0, 1], format="csc")
+
+
+def _negative_pivots(d, e):
+    """Negative pivots in the LDL^T factorization of the symmetric tridiagonal
+    (d, e): by Sylvester's law, its number of negative eigenvalues. A zero
+    pivot counts as negative."""
+    count = 0
+    p = 1.0
+    for di, e2 in zip(d.tolist(), [0.0] + (e * e).tolist()):
+        p = di - e2 / p
+        if p <= 0.0:
+            count += 1
+            p = p or -np.finfo(float).tiny
+    return count
+
+
+def _ldl_factor(c, k, sigma):
+    """Bunch-Kaufman LDL^T of the dense symmetric capacitance matrix (LAPACK
+    dsytrf, lower): the factor and pivots for dsytrs, and the number of
+    negative eigenvalues, read from the 1x1 and 2x2 blocks of D."""
+    # the blocked factorization, with the workspace LAPACK asks for: the
+    # unblocked default stalls for up to ~0.4 s in threaded level-2 BLAS
+    lwork = int(linalg.lapack.dsytrf_lwork(c.shape[0], lower=1)[0])
+    ldl, ipiv, info = linalg.lapack.dsytrf(c, lower=1, lwork=lwork)
+    if info != 0:
+        raise CoercivityError(f"sector k={k}: the shift {sigma} is an eigenvalue")
+    diag, sub = np.diagonal(ldl), np.diagonal(ldl, -1)
+    count, i = 0, 0
+    while i < diag.size:
+        if ipiv[i] < 0:  # a 2x2 block in rows i, i + 1
+            det = diag[i] * diag[i + 1] - sub[i] ** 2
+            count += 1 if det < 0 else 2 * int(diag[i] < 0)
+            i += 2
+        else:
+            count += int(diag[i] < 0)
+            i += 1
+    return ldl, ipiv, count
 
 
 def harmonic_operator_spectrum(model, k, n_eigs=6, n=800, r_max_factor=6.0, mesh=None, sector=None):
     """Lowest eigenpairs of the harmonic-k sector of the Hessian operator.
 
     k >= 1 reduces to a symmetric tridiagonal problem via w = r h; the radial
-    sector (k = 0) carries the dense projector correction. Also reports the
+    sector (k = 0) adds the low-rank projector term and is solved by
+    shift-invert with the Woodbury identity. Also reports the
     Dirichlet-normalized generalized spectrum used for the coercivity
     constant, and for k = 1 the alignment of the ground state with r phi'.
     """
     sm = sector if sector is not None else _SectorMatrices(model, n=n, r_max_factor=r_max_factor, mesh=mesh)
     if k == 0:
-        A = sm.radial_dense()
-        vals, vecs = linalg.eigh(A, subset_by_index=(0, n_eigs - 1))
-        Nmat = sm.dirichlet_matrix(0)
-        gvals = linalg.eigh(A, Nmat, eigvals_only=True, subset_by_index=(0, n_eigs - 1))
+        vals, vecs = sm.radial_eigenpairs(n_eigs)
     else:
-        d, e = sm.sector_tridiag(k)
-        vals, vecs = eig_tridiag(d, e, n_eigs)
-        A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        Nmat = sm.dirichlet_matrix(k)
-        gvals = linalg.eigh(A, Nmat, eigvals_only=True, subset_by_index=(0, n_eigs - 1))
+        vals, vecs = eig_tridiag(*sm.sector_tridiag(k), n_eigs)
+    gvals = sm.dirichlet_eigenvalues(k, n_eigs)
     kernel_residual = np.nan
     if k == 1:
         # alignment with the translation mode r phi' inside the working window
@@ -298,16 +411,54 @@ def coercivity_constant(model, n=800, r_max_factor=6.0, mesh=None):
     """Smallest Dirichlet-normalized eigenvalue of the Hessian away from the
     translation kernel: min over the radial sector, the second k=1 mode, and
     the k=2 sector (higher k only gain centrifugal energy)."""
-    sm = _SectorMatrices(model, n=n, r_max_factor=r_max_factor, mesh=mesh)
-    rep0 = harmonic_operator_spectrum(model, 0, n_eigs=2, sector=sm)
-    rep1 = harmonic_operator_spectrum(model, 1, n_eigs=3, sector=sm)
-    rep2 = harmonic_operator_spectrum(model, 2, n_eigs=2, sector=sm)
-    c0 = float(min(rep0.dirichlet_eigenvalues[0], rep1.dirichlet_eigenvalues[1], rep2.dirichlet_eigenvalues[0]))
+    return _sector_coercivity(_SectorMatrices(model, n=n, r_max_factor=r_max_factor, mesh=mesh))
+
+
+def _sector_coercivity(sm):
+    c0 = float(
+        min(sm.dirichlet_eigenvalues(0, 1)[0], sm.dirichlet_eigenvalues(1, 2)[1], sm.dirichlet_eigenvalues(2, 1)[0])
+    )
     if c0 <= 0:
         raise CoercivityError(
             f"nonpositive Dirichlet-normalized gap {c0}: discretization too coarse"
         )
     return c0
+
+
+@dataclass(frozen=True)
+class CoercivityLadder:
+    n: tuple
+    c0: tuple
+    order: float  # observed order log2(delta_1 / delta_2)
+    richardson: float  # extrapolation at the observed order
+    error_estimate: float  # |richardson - c0 on the finest rung|
+
+
+def coercivity_ladder(sector):
+    """c0 on the sector's grid n and on 2n and 4n, all on the sector's energy
+    mesh, with the observed order of the three rungs and the Richardson
+    extrapolation at that order.
+
+    The fixed energy mesh (n_e = 256, n_q = 96) sets a floor: for King W0 = 3
+    the steps shrink by 4 from 800 to 3200 (order 1.99), by 6 from 3200 to
+    6400, and from 6400 to 12800 c0 turns back, so the ladder stops at 4n.
+    When the rungs are not monotone the order and extrapolation are nan.
+    """
+    sms = [sector] + [
+        _SectorMatrices(sector.model, n=f * sector.n, r_max_factor=sector.r_max_factor, mesh=sector.mesh)
+        for f in (2, 4)
+    ]
+    c0 = tuple(_sector_coercivity(sm) for sm in sms)
+    d1, d2 = c0[1] - c0[0], c0[2] - c0[1]
+    order = float(np.log2(d1 / d2))
+    richardson = c0[2] + d2 / (2.0**order - 1.0)
+    return CoercivityLadder(
+        n=tuple(sm.n for sm in sms),
+        c0=c0,
+        order=order,
+        richardson=float(richardson),
+        error_estimate=float(abs(richardson - c0[2])),
+    )
 
 
 def compactness_ratio(model, n=400, r_max_factor=6.0, n_modes=20):

@@ -396,10 +396,6 @@ def _finish_model(profile, interior, grid, R_Q, M, meta):
     return replace(model, hamiltonian=ham)
 
 
-def _ode_step(extent_guess, n_steps):
-    return extent_guess / n_steps
-
-
 def build_polytrope(q, central_potential_depth, grid, n_steps=6000):
     """Polytrope steady state with given cutoff depth psi(0) = e0 - phi(0).
 
@@ -414,7 +410,7 @@ def build_polytrope(q, central_potential_depth, grid, n_steps=6000):
     n_index = q + 1.5
     source = lambda y: np.clip(y, 0.0, None) ** n_index
     coarse = solve_profile_ode(source, 1.0, 0.02)
-    ode = solve_profile_ode(source, 1.0, _ode_step(coarse.r_zero, n_steps))
+    ode = solve_profile_ode(source, 1.0, coarse.r_zero / n_steps)
     xi1, dtheta1 = ode.r_zero, ode.yp_zero
 
     psi0 = central_potential_depth
@@ -444,7 +440,7 @@ def build_king(W0, grid, n_steps=6000):
     stub = KingProfile(e0=-1.0, amplitude=1.0)
     source = lambda y: stub.rho_kernel(y)
     coarse = solve_profile_ode(source, W0, 0.02)
-    ode = solve_profile_ode(source, W0, _ode_step(coarse.r_zero, n_steps))
+    ode = solve_profile_ode(source, W0, coarse.r_zero / n_steps)
     R_Q, dW1 = ode.r_zero, ode.yp_zero
     e0 = R_Q * dW1
     M = -4.0 * np.pi * R_Q**2 * dW1
@@ -522,10 +518,6 @@ class PhaseSpaceDensity:
 
     def kinetic(self):
         return float(np.sum(self.measure * self.values * 0.5 * self.grid.speeds.nodes**2))
-
-    def weighted_l1(self):
-        """Norm of (1 + |v|^2) f."""
-        return float(np.sum(self.measure * self.values * (1.0 + self.grid.speeds.nodes**2)))
 
     def rho(self):
         """Radial density profile: 4 pi int f u^2 du per radial node."""

@@ -74,6 +74,12 @@ def test_check_spectrum(model_file, tmp_path):
         doc = json.load(fh)
     assert doc["report"]["c0"] > 0
     assert abs(doc["report"]["k1_lowest"]) <= 1e-3 * doc["report"]["V_max"]
+    ladder = doc["report"]["ladder"]
+    assert ladder["n"] == [800, 1600, 3200]
+    assert ladder["c0"][0] == doc["report"]["c0"]
+    assert 1.5 <= ladder["order"] <= 2.5
+    assert abs(ladder["richardson"] - ladder["c0"][-1]) == pytest.approx(ladder["error_estimate"])
+    assert ladder["error_estimate"] <= abs(ladder["c0"][-1] - ladder["c0"][-2])
 
 
 def test_evolve_short_run_outputs(model_file, tmp_path):
@@ -86,6 +92,7 @@ def test_evolve_short_run_outputs(model_file, tmp_path):
     assert (tmp_path / "run_final.ckpt").exists()
     cfg = json.loads((tmp_path / "run_config.json").read_text())
     assert cfg["eta"] == 0.01
+    assert cfg["model_source"] == "exact"
 
 
 def test_evolve_determinism(model_file, tmp_path):
@@ -135,6 +142,7 @@ def test_rearrange_tables(model_file, tmp_path):
     assert code == 0
     for suffix in ("_mu.csv", "_fstar.csv", "_jacobian.csv"):
         assert (tmp_path / ("tables" + suffix)).exists()
+    assert json.loads((tmp_path / "tables_config.json").read_text())["model_source"] == "exact"
 
 
 def test_shift_on_model_potential(model_file, tmp_path):
@@ -146,6 +154,7 @@ def test_shift_on_model_potential(model_file, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert np.linalg.norm(np.array(doc["z"]) - [0.05, 0, 0]) <= 1e-4
+    assert json.loads((tmp_path / "shift.json.config.json").read_text())["model_source"] == "exact"
 
 
 def test_config_file_overrides(model_file, tmp_path):
@@ -197,3 +206,16 @@ def test_check_rebuild_propagates_other_errors(model_file, tmp_path, monkeypatch
     monkeypatch.setattr(vpstab.steady_state, "king_model", broken)
     with pytest.raises(LookupError):
         main(["check", "--model", str(model_file), "--suite", "fixedpoint", "--out", str(tmp_path / "fp.json")])
+
+
+def test_evolve_records_deserialised_fallback(model_file, tmp_path):
+    # evolve loads its model by the same rule as check
+    doc = json.loads(model_file.read_text())
+    doc["meta"]["W0"] = -1.0
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    prefix = str(tmp_path / "run")
+    code = main(["evolve", "--model", str(path), "--eta", "0", "--t-dyn", "0.2", "--n", "2000",
+                 "--out-prefix", prefix])
+    assert code == 0
+    assert json.loads((tmp_path / "run_config.json").read_text())["model_source"] == "deserialised"

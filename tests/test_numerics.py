@@ -164,6 +164,55 @@ def test_hermite_eval_reproduces_polynomials():
     assert np.allclose(der5, 5 * x**4, rtol=1e-10)
 
 
+def _basis_hermite(x_nodes, y, yp, x, ypp=None):
+    # reference: the two-point Hermite basis functions, summed term by term
+    idx = np.clip(np.searchsorted(x_nodes, x) - 1, 0, len(x_nodes) - 2)
+    x0, x1 = x_nodes[idx], x_nodes[idx + 1]
+    h = x1 - x0
+    t = (x - x0) / h
+    y0, y1 = y[idx], y[idx + 1]
+    d0, d1 = yp[idx] * h, yp[idx + 1] * h
+    if ypp is None:
+        val = (1 + 2 * t) * (1 - t) ** 2 * y0 + t * (1 - t) ** 2 * d0 + t**2 * (3 - 2 * t) * y1 + t**2 * (t - 1) * d1
+        der = (6 * t * (t - 1) * (y0 - y1) + (1 - t) * (1 - 3 * t) * d0 + t * (3 * t - 2) * d1) / h
+        return val, der
+    a0, a1 = ypp[idx] * h * h, ypp[idx + 1] * h * h
+    t2, t3, t4, t5 = t**2, t**3, t**4, t**5
+    val = (
+        (1 - 10 * t3 + 15 * t4 - 6 * t5) * y0
+        + (t - 6 * t3 + 8 * t4 - 3 * t5) * d0
+        + (0.5 * t2 - 1.5 * t3 + 1.5 * t4 - 0.5 * t5) * a0
+        + (10 * t3 - 15 * t4 + 6 * t5) * y1
+        + (-4 * t3 + 7 * t4 - 3 * t5) * d1
+        + (0.5 * t3 - t4 + 0.5 * t5) * a1
+    )
+    db0 = -30 * t2 + 60 * t3 - 30 * t4
+    der = (
+        db0 * y0
+        + (1 - 18 * t2 + 32 * t3 - 15 * t4) * d0
+        + (t - 4.5 * t2 + 6 * t3 - 2.5 * t4) * a0
+        - db0 * y1
+        + (-12 * t2 + 28 * t3 - 15 * t4) * d1
+        + (1.5 * t2 - 4 * t3 + 2.5 * t4) * a1
+    ) / h
+    return val, der
+
+
+def test_power_form_hermite_matches_basis_formula(king):
+    # the profile ODE's dense output, at random points and on every node
+    ode = king.interior.ode
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(0.0, ode.r[-1], 20000), ode.r])
+    val, der = _basis_hermite(ode.r, ode.y, ode.yp, x, ode.ypp)
+    for got_val, got_der in ((ode(x), ode.derivative(x)), hermite_eval(ode.r, ode.y, ode.yp, x, ypp=ode.ypp)):
+        assert np.all(np.abs(got_val - val) <= 1e-13 * np.abs(val))
+        assert np.max(np.abs(got_der - der)) <= 1e-11 * np.max(np.abs(der))
+    val3, der3 = _basis_hermite(ode.r, ode.y, ode.yp, x)
+    got3, gotd3 = hermite_eval(ode.r, ode.y, ode.yp, x)
+    assert np.all(np.abs(got3 - val3) <= 1e-13 * np.abs(val3))
+    assert np.max(np.abs(gotd3 - der3)) <= 1e-11 * np.max(np.abs(der3))
+
+
 def test_turning_point_integral_vs_quad():
     phi = lambda r: -1.0 / (1.0 + np.asarray(r))
     e = -0.5

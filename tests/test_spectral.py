@@ -366,3 +366,85 @@ def test_modulation_translate_plus_bump(king):
     assert errs[0] <= 0.05 * king.R_Q
     # linear response: error scales roughly with the amplitude
     assert errs[1] / errs[0] == pytest.approx(amps[1] / amps[0], rel=0.6)
+
+
+def _dense_sector(sm, k, projector):
+    d, e = sm.sector_tridiag(k)
+    A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    if k == 0:
+        A = A + projector
+    return A, sm.dirichlet_matrix(k)
+
+
+def _loop_projector(sm):
+    # reference: the interpolation rows built one energy at a time
+    mesh = sm.mesh
+    b = np.zeros((mesh.e.size, sm.n))
+    for m in range(mesh.e.size):
+        rq = mesh.r_nodes[m]
+        wq = mesh.r_weights[m] / mesh.denom[m]
+        idx = np.clip(np.searchsorted(sm.r, rq) - 1, 0, sm.n - 2)
+        r0, r1 = sm.r[idx], sm.r[idx + 1]
+        t = np.clip((rq - r0) / (r1 - r0), 0.0, 1.0)
+        np.add.at(b[m], idx, wq * (1 - t))
+        np.add.at(b[m], idx + 1, wq * t)
+    omega = mesh.w_fprime * mesh.a_prime
+    c = (b * omega[:, None]).T @ b
+    dinv = 1.0 / sm.r
+    return (c * dinv[None, :]) * dinv[:, None] / (4 * np.pi * sm.dr)
+
+
+@pytest.mark.parametrize("n", [400, 800])
+@pytest.mark.parametrize("which", ["king", "poly"])
+def test_structured_solves_match_dense_eigh(which, n, request):
+    from scipy import linalg
+
+    from vpstab.spectral import _SectorMatrices
+
+    model = request.getfixturevalue(which)
+    sm = _SectorMatrices(model, n=n)
+    u = sm.projector_factor()
+    ref = _loop_projector(sm)
+    assert np.max(np.abs(u @ u.T - ref)) <= 1e-14 * np.max(np.abs(ref))
+    lows = {}
+    for k in range(4):
+        A, N = _dense_sector(sm, k, ref)
+        rep = harmonic_operator_spectrum(model, k, n_eigs=3, sector=sm)
+        gvals = linalg.eigh(A, N, eigvals_only=True, subset_by_index=(0, 2))
+        # the k = 1 translation eigenvalue is O(1e-4), at the rounding floor
+        # of both solvers in absolute terms
+        np.testing.assert_allclose(rep.dirichlet_eigenvalues, gvals, rtol=1e-10, atol=1e-13)
+        lows[k] = gvals
+        if k == 0:
+            vals, vecs = linalg.eigh(A, subset_by_index=(0, 2))
+            np.testing.assert_allclose(rep.eigenvalues, vals, rtol=1e-10)
+            signs = np.sign(np.sum(rep.eigenvectors * vecs, axis=0))
+            np.testing.assert_allclose(rep.eigenvectors * signs, vecs, rtol=0, atol=1e-8)
+    c0 = coercivity_constant(model, n=n, mesh=sm.mesh)
+    assert c0 == pytest.approx(min(lows[0][0], lows[1][1], lows[2][0]), rel=1e-10)
+
+
+def test_inertia_certificate_rejects_a_shift_above_the_lowest_eigenvalue(king):
+    from vpstab.spectral import CoercivityError, _SectorMatrices
+
+    sm = _SectorMatrices(king, n=400)
+    for k in (0, 1, 2):
+        lows = sm.dirichlet_eigenvalues(k, 3)
+        # just below the lowest eigenvalue the certificate holds
+        sm._shift_invert(k, 1, lows[0] - 1e-3, dirichlet=True)
+        for count, sigma in ((1, 0.5 * (lows[0] + lows[1])), (2, 0.5 * (lows[1] + lows[2]))):
+            with pytest.raises(CoercivityError, match=f"{count} eigenvalue"):
+                sm._shift_invert(k, 1, sigma, dirichlet=True)
+
+
+def test_ldl_inertia_count_matches_eigenvalues():
+    # symmetric indefinite matrices whose factorization takes 2x2 pivots
+    from vpstab.spectral import _ldl_factor
+
+    rng = np.random.default_rng(11)
+    for size in (5, 40, 256):
+        a = rng.standard_normal((size, size))
+        a = a + a.T
+        _, ipiv, neg = _ldl_factor(a, 0, 0.0)
+        assert neg == int(np.sum(np.linalg.eigvalsh(a) < 0))
+        assert np.any(ipiv < 0)
