@@ -2,14 +2,19 @@
 
 1D quadrature grids whose node/weight pairs integrate r^2 dr exactly per cell,
 tensor phase-space grids, Gauss rules for endpoint-singular integrands,
-monotone-function inversion, symmetric tridiagonal eigensolves, and Hermite
-evaluation of ODE output.
+monotone-function inversion, symmetric tridiagonal eigensolves, Hermite
+evaluation of ODE output, and a scope that runs BLAS on one thread.
 """
 
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy
 from scipy import linalg, special
 from scipy.optimize import brentq
 
@@ -184,6 +189,50 @@ def eig_tridiag(diag, offdiag, k):
         raise InvalidArgumentError("k out of range")
     vals, vecs = linalg.eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, k - 1))
     return vals, vecs
+
+
+@lru_cache(maxsize=1)
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of the OpenBLAS libraries bundled
+    with the numpy and scipy Linux wheels (`numpy.libs/`, `scipy.libs/`);
+    empty for any other BLAS, which then keeps its own thread count."""
+    controls = []
+    for package in (np, scipy):
+        libs = os.path.dirname(package.__file__) + ".libs"
+        for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path)  # the copy already loaded: dlopen matches the file
+            except OSError:
+                continue
+            for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+@contextmanager
+def serial_blas():
+    """Run the block with every bundled OpenBLAS on one thread, then restore
+    the thread counts it had.
+
+    For many small BLAS calls, such as the level-2 calls of a Lanczos
+    iteration on a few thousand unknowns, a second thread costs more than it
+    saves: each call waits for the helper, which stalls for milliseconds
+    whenever that thread is descheduled. Not for concurrent use from several
+    Python threads, since the count is per process."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
 
 
 @lru_cache(maxsize=128)

@@ -35,6 +35,7 @@ from .numerics import (
     InvalidArgumentError,
     eig_tridiag,
     gl_points,
+    serial_blas,
 )
 from .poisson import (
     PotentialX,
@@ -294,41 +295,43 @@ class _SectorMatrices:
         capacitance C = I + U^T K^{-1} U, and its negative count is
         neg(K) - neg(C) by Haynsworth's inertia additivity. C is symmetric
         but indefinite when K is, so one Bunch-Kaufman LDL^T serves both its
-        solve and its count.
+        solve and its count. The solve runs on one BLAS thread: its BLAS calls
+        are many and small (ARPACK's level-2 updates, the capacitance solves).
         """
-        dn, e = self.dirichlet_tridiag(k)
-        da = dn - self.V
-        if dirichlet:
-            dk, ek = da - sigma * dn, (1.0 - sigma) * e
-            mass = _tridiag(dn, e)
-        else:
-            dk, ek = da - sigma, e
-            mass = None
-        lu = splu(_tridiag(dk, ek))
-        below = _negative_pivots(dk, ek)
-        a = _tridiag(da, e)
-        if k == 0:
-            u = self.projector_factor()
-            z = lu.solve(u)
-            ldl, ipiv, neg = _ldl_factor(np.eye(u.shape[1]) + u.T @ z, k, sigma)
-            below -= neg
+        with serial_blas():
+            dn, e = self.dirichlet_tridiag(k)
+            da = dn - self.V
+            if dirichlet:
+                dk, ek = da - sigma * dn, (1.0 - sigma) * e
+                mass = _tridiag(dn, e)
+            else:
+                dk, ek = da - sigma, e
+                mass = None
+            lu = splu(_tridiag(dk, ek))
+            below = _negative_pivots(dk, ek)
+            a = _tridiag(da, e)
+            if k == 0:
+                u = self.projector_factor()
+                z = lu.solve(u)
+                ldl, ipiv, neg = _ldl_factor(np.eye(u.shape[1]) + u.T @ z, k, sigma)
+                below -= neg
 
-            def solve(x):
-                y = lu.solve(x)
-                return y - z @ linalg.lapack.dsytrs(ldl, ipiv, u.T @ y, lower=1)[0]
+                def solve(x):
+                    y = lu.solve(x)
+                    return y - z @ linalg.lapack.dsytrs(ldl, ipiv, u.T @ y, lower=1)[0]
 
-            a = aslinearoperator(a) + aslinearoperator(u) @ aslinearoperator(u.T)
-        else:
-            solve = lu.solve
-        if below:
-            raise CoercivityError(
-                f"sector k={k}: {below} eigenvalue(s) below the shift {sigma}, out of reach of the shift-invert solve"
-            )
-        op = LinearOperator((self.n, self.n), matvec=solve, dtype=float)
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, self.n)
-        vals, vecs = eigsh(a, k=n_eigs, M=mass, sigma=sigma, OPinv=op, v0=v0)
-        order = np.argsort(vals)
-        return vals[order], vecs[:, order]
+                a = aslinearoperator(a) + aslinearoperator(u) @ aslinearoperator(u.T)
+            else:
+                solve = lu.solve
+            if below:
+                raise CoercivityError(
+                    f"sector k={k}: {below} eigenvalue(s) below the shift {sigma}, out of reach of the shift-invert solve"
+                )
+            op = LinearOperator((self.n, self.n), matvec=solve, dtype=float)
+            v0 = np.random.default_rng(0).uniform(-1.0, 1.0, self.n)
+            vals, vecs = eigsh(a, k=n_eigs, M=mass, sigma=sigma, OPinv=op, v0=v0)
+            order = np.argsort(vals)
+            return vals[order], vecs[:, order]
 
 
 def _tridiag(d, e):

@@ -13,9 +13,11 @@ from vpstab.numerics import (
     invert_monotone,
     make_1d_grid,
     make_grids,
+    serial_blas,
     solve_profile_ode,
     turning_point_integral,
 )
+from vpstab.numerics import _openblas_thread_controls
 
 
 def test_uniform_grid_basics():
@@ -147,6 +149,18 @@ def test_eig_tridiag_harmonic_oscillator():
 def test_eig_tridiag_validation():
     with pytest.raises(InvalidArgumentError):
         eig_tridiag([1.0, 2.0], [0.1, 0.2], 1)
+
+
+def test_serial_blas_runs_one_thread_and_restores_the_count():
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy do not bundle OpenBLAS here")
+    before = [get() for get, _ in controls]
+    with pytest.raises(RuntimeError):
+        with serial_blas():
+            assert [get() for get, _ in controls] == [1] * len(controls)
+            raise RuntimeError
+    assert [get() for get, _ in controls] == before
 
 
 def test_hermite_eval_reproduces_polynomials():
