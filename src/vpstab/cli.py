@@ -72,13 +72,12 @@ def cmd_build(args):
 
 
 def _check_fixedpoint(model, args):
-    from .rearrangement import distribution_function, generalized_rearrangement, jacobian_a, schwarz_rearrangement
+    from .rearrangement import distribution_function, generalized_rearrangement, schwarz_rearrangement
     from .steady_state import phase_space_density
 
     f = phase_space_density(model, n_r=args.n_r_phase, n_u=args.n_u_phase)
     fstar = schwarz_rearrangement(distribution_function(f))
-    pot = model.potential()
-    fhat = generalized_rearrangement(fstar, pot, f.grid, jac=jacobian_a(pot))
+    fhat = generalized_rearrangement(fstar, model.potential(), f.grid, jac=model.rearrangement.jac)
     err = fhat.l1_distance(f) / f.mass()
     return {"l1_error": err, "tolerance": 1e-3}, err <= 1e-3
 
@@ -285,12 +284,7 @@ def cmd_evolve(args):
 
 
 def cmd_rearrange(args):
-    from .rearrangement import (
-        distribution_function,
-        export_tables,
-        jacobian_a,
-        schwarz_rearrangement,
-    )
+    from .rearrangement import distribution_function, export_tables, schwarz_rearrangement
     from .steady_state import phase_space_density
 
     cfg, digest = _resolved_config(args, ["model", "out_prefix", "n_r_phase", "n_u_phase"])
@@ -298,8 +292,7 @@ def cmd_rearrange(args):
     f = phase_space_density(model, n_r=args.n_r_phase, n_u=args.n_u_phase)
     mu = distribution_function(f)
     fstar = schwarz_rearrangement(mu)
-    jac = jacobian_a(model.potential())
-    paths = export_tables(args.out_prefix, mu=mu, fstar=fstar, jac=jac)
+    paths = export_tables(args.out_prefix, mu=mu, fstar=fstar, jac=model.rearrangement.jac)
     _emit_config(cfg, digest, args.out_prefix + "_config.json", model_source=source)
     print("wrote " + ", ".join(paths.values()))
     return 0

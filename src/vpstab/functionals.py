@@ -26,6 +26,7 @@ from .rearrangement import (
     jacobian_a,
     schwarz_rearrangement,
 )
+from .spectral import modulation_shift
 from .steady_state import PhaseSpaceDensity
 
 
@@ -228,25 +229,20 @@ def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift=None, delta0=No
     """Quantitative bound H(f) - H(Q) + ||phi_f||_inf ||f* - Q*||_L1
     >= c0 || grad phi_f - grad phi_Q(.-z) ||^2 with z the modulation shift.
 
-    Outside the trust neighbourhood the numbers are still returned but flagged
-    unreliable.
+    Q* (`model.rearrangement`), phi_Q (`model.potential()`) and H(Q) on the
+    grid of f (`model.reference_hamiltonian`) depend only on the model and
+    that grid, so they are built on the first call and reused after.
+    Outside the trust neighbourhood the numbers are still returned but
+    flagged unreliable.
     """
-    from .rearrangement import ModelRearrangement
-    from .spectral import modulation_shift
-
     rep_f = hamiltonian(f)
     pot_f = rep_f.pot
-    mu = distribution_function(f)
-    fstar = schwarz_rearrangement(mu)
-    qstar = ModelRearrangement(model)
-    l1_star = qstar.l1_distance(fstar)
+    fstar = schwarz_rearrangement(distribution_function(f))
+    l1_star = model.rearrangement.l1_distance(fstar)
     sup_phi = abs(pot_f.min_phi)
     # reference Hamiltonian through the same grid quadrature, so the bound is
     # not polluted by the builder-vs-grid discretization offset
-    from .steady_state import phase_space_density
-
-    h_ref = hamiltonian(phase_space_density(model, grid=f.grid)).hamiltonian
-    lhs = rep_f.hamiltonian - h_ref + sup_phi * l1_star
+    lhs = rep_f.hamiltonian - model.reference_hamiltonian(f.grid) + sup_phi * l1_star
 
     if shift is None:
         shift, _res = modulation_shift(pot_f, model)

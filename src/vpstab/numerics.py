@@ -268,42 +268,46 @@ def jacobi_integral(g, lo, hi, alpha, beta, n=80):
     return float(half ** (alpha + beta + 1.0) * np.dot(w, g(e)))
 
 
-def turning_point_integral(phi, e, r_turn, p, n_main=48, n_edge=32, r_lo=0.0):
-    """Integral over [r_lo, r_turn] of (e - phi(r))_+^p r^2 dr where
-    e - phi vanishes at r_turn.
+def turning_point_rule(r_turn, n_main, n_edge):
+    """Nodes and weights on [0, r_turn] for an integrand with a power-law
+    edge at r_turn, along a new last axis for an array of r_turn:
+    Gauss-Legendre on [0, 0.75 r_turn] (n_main points), and on the last
+    quarter in s = sqrt(r_turn - r) (n_edge points), which removes the edge
+    behaviour."""
+    r_turn = np.asarray(r_turn, dtype=float)[..., None]
+    x, w = gl_points(0.0, 1.0, n_main)
+    xs, ws = gl_points(0.0, 1.0, n_edge)
+    s_hi = np.sqrt(0.25 * r_turn)
+    s = s_hi * xs
+    nodes = np.concatenate([0.75 * r_turn * x, r_turn - s**2], axis=-1)
+    return nodes, np.concatenate([0.75 * r_turn * w, 2.0 * s * s_hi * ws], axis=-1)
 
-    The last quarter is integrated in s = sqrt(r_turn - r), which removes the
-    p-power endpoint behaviour.
-    """
-    if r_turn <= r_lo:
+
+def turning_point_integral(phi, e, r_turn, p, n_main=48, n_edge=32):
+    """Integral over [0, r_turn] of (e - phi(r))_+^p r^2 dr where e - phi
+    vanishes at r_turn, by turning_point_rule."""
+    if r_turn <= 0:
         return 0.0
-    r_split = r_lo + 0.75 * (r_turn - r_lo)
-    r1, w1 = gl_points(r_lo, r_split, n_main)
-    v1 = np.clip(e - phi(r1), 0.0, None) ** p * r1**2
-    s_hi = np.sqrt(r_turn - r_split)
-    s, ws = gl_points(0.0, s_hi, n_edge)
-    r2 = r_turn - s**2
-    v2 = 2.0 * s * np.clip(e - phi(r2), 0.0, None) ** p * r2**2
-    return float(np.dot(w1, v1) + np.dot(ws, v2))
+    r, w = turning_point_rule(r_turn, n_main, n_edge)
+    return float(np.dot(w, np.clip(e - phi(r), 0.0, None) ** p * r**2))
 
 
 def exterior_power_tail(mass, e, r_start, p):
     """Integral over [r_start, r_e] of (e + mass/(4 pi r))^p r^2 dr for e < 0,
-    with r_e = mass / (4 pi |e|) the exterior turning radius.
+    with r_e = mass / (4 pi |e|) the exterior turning radius; elementwise
+    for an array of e, and 0 where r_e <= r_start.
 
     Substituting r = r_e t turns the integrand into an incomplete Beta kernel.
     """
-    if e >= 0:
+    e = np.asarray(e, dtype=float)
+    if np.any(e >= 0):
         raise InvalidArgumentError("tail defined for e < 0")
-    beta_m = mass / (4.0 * np.pi)
-    r_e = beta_m / (-e)
-    if r_e <= r_start:
-        return 0.0
-    t0 = r_start / r_e
+    r_e = mass / (4.0 * np.pi) / (-e)
+    t0 = np.minimum(r_start / r_e, 1.0)
     a, b = 3.0 - p, p + 1.0  # integrand t^(2-p) (1-t)^p after factoring |e|^p
-    full = special.beta(a, b)
-    rem = full * (1.0 - special.betainc(a, b, t0))
-    return float(r_e**3 * (-e) ** p * rem)
+    rem = special.beta(a, b) * (1.0 - special.betainc(a, b, t0))
+    out = r_e**3 * (-e) ** p * rem
+    return float(out) if out.ndim == 0 else out
 
 
 # power-form coefficients, in t = (x - x0) / h, of the two-point Hermite
@@ -330,7 +334,14 @@ _QUINTIC = np.array([
 def hermite_coefficients(x_nodes, y, yp, ypp=None):
     """Per-interval power-form coefficients of the piecewise Hermite
     interpolant: row j multiplies t^j on each interval. Cubic when only
-    (y, y') are known at the nodes, quintic when y'' is also available."""
+    (y, y') are known at the nodes, quintic when y'' is also available.
+
+    The nodes must be uniform (to 1e-6 of a step; InvalidArgumentError
+    otherwise), because power_eval finds the interval by arithmetic."""
+    n = x_nodes.size
+    step = (x_nodes[-1] - x_nodes[0]) / (n - 1)
+    if not np.all(np.abs(x_nodes - (x_nodes[0] + step * np.arange(n))) <= 1e-6 * step):
+        raise InvalidArgumentError("Hermite nodes must be uniform")
     h = np.diff(x_nodes)
     data = [y[:-1], np.diff(y), yp[:-1] * h, yp[1:] * h]
     if ypp is None:
@@ -340,9 +351,20 @@ def hermite_coefficients(x_nodes, y, yp, ypp=None):
 
 def power_eval(x_nodes, coef, x, derivative=False):
     """Value (or x-derivative) of the piecewise polynomial with power-form
-    coefficients `coef` (from hermite_coefficients) at x, by Horner."""
+    coefficients `coef` (from hermite_coefficients) at x, by Horner.
+
+    The interval is floor((x - x_0) / h), clipped to the table, then moved
+    by one step where the true node values disagree: nodes made by repeated
+    r += h sit a few ulps off x_0 + i h. A point on a node may so take
+    either neighbouring interval; the interpolant is continuous there (C^2
+    for the quintic), so the value agrees to rounding. Points outside the
+    nodes extrapolate the end intervals."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    idx = np.clip(np.searchsorted(x_nodes, x) - 1, 0, len(x_nodes) - 2)
+    last = x_nodes.size - 2
+    s = (x - x_nodes[0]) * ((last + 1) / (x_nodes[-1] - x_nodes[0]))
+    idx = np.fmin(np.fmax(s, 0.0), last).astype(np.intp)  # fmax sends nan to 0
+    idx -= (x < x_nodes[idx]) & (idx > 0)
+    idx += (x >= x_nodes[idx + 1]) & (idx < last)
     x0 = x_nodes[idx]
     h = x_nodes[idx + 1] - x0
     t = (x - x0) / h

@@ -15,12 +15,15 @@ import csv
 from dataclasses import dataclass
 import numpy as np
 from scipy import special
+from scipy.interpolate import PchipInterpolator
 
 from .numerics import (
     InvalidArgumentError,
     OutOfRangeError,
-    gl_points,
+    exterior_power_tail,
+    turning_point_rule,
 )
+from .poisson import check_X_membership
 from .steady_state import PhaseSpaceDensity, DomainError
 
 EIGHT_PI_SQRT2_3 = 8.0 * np.pi * np.sqrt(2.0) / 3.0
@@ -153,6 +156,7 @@ class ModelRearrangement:
 
     Backed by the model's Jacobian instead of cell sorting; used where the
     step-function granularity would pollute derivative-based diagnostics.
+    Its arrays are read-only: `model.rearrangement` is shared.
     """
 
     def __init__(self, model, jac=None, n_table=2048):
@@ -165,8 +169,8 @@ class ModelRearrangement:
         vals[0] = model.profile.evaluate(np.array([model.phi_center]))[0]
         self._t = t
         self._v = np.clip(vals, 0.0, None)
-        from scipy.interpolate import PchipInterpolator
-
+        for arr in (self._t, self._v):
+            arr.setflags(write=False)
         self._interp = PchipInterpolator(t, self._v)
         self._G = self._interp.antiderivative()
         self._Gtot = float(self._G(model.L0))
@@ -199,11 +203,6 @@ class ModelRearrangement:
         return float(np.dot(np.diff(t), np.abs(self.value(mids) - other.value(mids))))
 
 
-def _dense_potential_table(pot, n=8192):
-    r = np.linspace(0.0, pot.r_max, n)
-    return r, pot.phi_fn(r)
-
-
 class JacobianMap:
     """Tabulated phase-volume map e -> a(e) with derivative and inverse.
 
@@ -212,29 +211,28 @@ class JacobianMap:
     inverse covers all of [0, infinity).
     """
 
-    def __init__(self, pot, n_table=512, n_main=48, n_edge=32):
-        from .poisson import check_X_membership
-
+    def __init__(self, pot, n_table=512, n_main=48):
         ok, m_phi = check_X_membership(pot)
         if not ok:
             raise InvalidArgumentError("potential is not in the admissible decay class")
         self.pot = pot
         self.min_phi = pot.min_phi
         self.n_main = n_main
-        self.n_edge = n_edge
-        self._r_dense, self._phi_dense = _dense_potential_table(pot)
+        self._r_dense = np.linspace(0.0, pot.r_max, 8192)
+        self._phi_dense = pot.phi_fn(self._r_dense)
         lo = self.min_phi
         hi = -1e-5 * abs(self.min_phi)
         t = np.linspace(0.0, 1.0, n_table)
         mesh = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * t))
-        a_vals = self.a_direct(mesh)
-        ap_vals = self.a_prime_direct(mesh)
+        i_a, i_ap = self._sublevel_integral(mesh, 1.5, 0.5)
+        a_vals = EIGHT_PI_SQRT2_3 * FOUR_PI * i_a
+        ap_vals = FOUR_PI_SQRT2 * FOUR_PI * i_ap
         keep = np.concatenate([[True], np.diff(a_vals) > 0])
         self._e_tab = mesh[keep]
         self._a_tab = a_vals[keep]
         self._ap_tab = ap_vals[keep]
-        from scipy.interpolate import PchipInterpolator
-
+        for arr in (self._r_dense, self._phi_dense, self._e_tab, self._a_tab, self._ap_tab):
+            arr.setflags(write=False)
         self._a_interp = PchipInterpolator(self._e_tab, self._a_tab)
         self._ap_interp = PchipInterpolator(self._e_tab, self._ap_tab)
 
@@ -252,63 +250,48 @@ class JacobianMap:
         r_ext = beta_m / np.clip(-e, 1e-300, None)
         return np.where(e < self._phi_dense[-1], r_int, r_ext)
 
-    def _sublevel_integral(self, e, p):
-        """int_0^{r_e} (e - phi)_+^p r^2 dr for an array of e < 0."""
+    def _sublevel_integral(self, e, *powers):
+        """int_0^{r_e} (e - phi)_+^p r^2 dr for an array of e < 0, one array
+        per power p; the powers share the turning radii and potential values."""
         e = np.atleast_1d(np.asarray(e, dtype=float))
-        out = np.zeros_like(e)
+        outs = [np.zeros_like(e) for _ in powers]
         active = e > self.min_phi
         if not np.any(active):
-            return out
+            return outs
         ea = e[active]
         r_e = self._turning_radius(ea)
-        r_cap = np.minimum(r_e, self.pot.r_max)
-        # main piece: GL on [0, 0.75 r_cap]
-        x, w = gl_points(0.0, 1.0, self.n_main)
-        r1 = 0.75 * r_cap[:, None] * x[None, :]
-        v1 = np.clip(ea[:, None] - self.pot.phi_fn(r1), 0.0, None) ** p * r1**2
-        main = 0.75 * r_cap * (v1 @ w)
-        # edge piece in s = sqrt(r_cap - r): smooth through the turning point
-        s_hi = np.sqrt(0.25 * r_cap)
-        s = s_hi[:, None] * x[None, :]
-        r2 = r_cap[:, None] - s**2
-        v2 = 2.0 * s * np.clip(ea[:, None] - self.pot.phi_fn(r2), 0.0, None) ** p * r2**2
-        edge = s_hi * (v2 @ w)
-        total = main + edge
-        # exterior tail where the turning radius leaves the grid
-        ext = r_e > self.pot.r_max
-        if np.any(ext):
-            t0 = self.pot.r_max / r_e[ext]
-            aa, bb = 3.0 - p, p + 1.0
-            rem = special.beta(aa, bb) * (1.0 - special.betainc(aa, bb, t0))
-            total[ext] += r_e[ext] ** 3 * (-ea[ext]) ** p * rem
-        out[active] = total
-        return out
+        r, w = turning_point_rule(np.minimum(r_e, self.pot.r_max), self.n_main, self.n_main)
+        gap, wr2 = np.clip(ea[:, None] - self.pot.phi_fn(r), 0.0, None), w * r**2
+        ext = r_e > self.pot.r_max  # exterior tail where the turning radius leaves the grid
+        for out, p in zip(outs, powers):
+            total = np.sum(gap**p * wr2, axis=1)
+            if np.any(ext):
+                total[ext] += exterior_power_tail(self.pot.M, ea[ext], self.pot.r_max, p)
+            out[active] = total
+        return outs
 
     def a_direct(self, e):
-        return EIGHT_PI_SQRT2_3 * FOUR_PI * self._sublevel_integral(e, 1.5)
+        return EIGHT_PI_SQRT2_3 * FOUR_PI * self._sublevel_integral(e, 1.5)[0]
 
     def a_prime_direct(self, e):
-        return FOUR_PI_SQRT2 * FOUR_PI * self._sublevel_integral(e, 0.5)
+        return FOUR_PI_SQRT2 * FOUR_PI * self._sublevel_integral(e, 0.5)[0]
 
     # --- tabulated evaluation ----------------------------------------------
     def a(self, e):
-        e = np.asarray(e, dtype=float)
-        inside = (e > self._e_tab[0]) & (e <= self._e_tab[-1])
-        out = np.zeros(e.shape)
-        out[inside] = self._a_interp(e[inside])
-        beyond = e > self._e_tab[-1]
-        if np.any(beyond):
-            out[beyond] = self.a_direct(np.clip(e[beyond], None, -1e-300))
-        return out
+        return self._tabulated(e, self._a_interp, self.a_direct)
 
     def a_prime(self, e):
+        return self._tabulated(e, self._ap_interp, self.a_prime_direct)
+
+    def _tabulated(self, e, interp, direct):
+        """interp on the table, 0 below it, direct quadrature above it."""
         e = np.asarray(e, dtype=float)
         inside = (e > self._e_tab[0]) & (e <= self._e_tab[-1])
         out = np.zeros(e.shape)
-        out[inside] = self._ap_interp(e[inside])
+        out[inside] = interp(e[inside])
         beyond = e > self._e_tab[-1]
         if np.any(beyond):
-            out[beyond] = self.a_prime_direct(np.clip(e[beyond], None, -1e-300))
+            out[beyond] = direct(np.clip(e[beyond], None, -1e-300))
         return out
 
     def a_inv(self, s):
@@ -442,14 +425,8 @@ def path_derivative_a(pot, pot_tilde, lam, e, n_main=64):
         interior_cap = r_max
         exterior = True
 
-    x, w = gl_points(0.0, 1.0, n_main)
-    r1 = 0.75 * interior_cap * x
-    v1 = np.clip(e - phi_lam(r1), 0.0, None) ** 0.5 * h_fn(r1) * r1**2
-    s_hi = np.sqrt(0.25 * interior_cap)
-    s = s_hi * x
-    r2 = interior_cap - s**2
-    v2 = 2.0 * s * np.clip(e - phi_lam(r2), 0.0, None) ** 0.5 * h_fn(r2) * r2**2
-    integral = 0.75 * interior_cap * np.dot(w, v1) + s_hi * np.dot(w, v2)
+    r, w = turning_point_rule(interior_cap, n_main, n_main)
+    integral = np.dot(w, np.clip(e - phi_lam(r), 0.0, None) ** 0.5 * h_fn(r) * r**2)
     if exterior:
         # both exterior laws are monopoles: h = -dM/(4 pi r) out there
         beta_lam = M_lam / FOUR_PI

@@ -26,6 +26,7 @@ below it, and CoercivityError is raised otherwise.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg, optimize, sparse
@@ -36,14 +37,16 @@ from .numerics import (
     eig_tridiag,
     gl_points,
     serial_blas,
+    turning_point_rule,
 )
 from .poisson import (
     PotentialX,
     RadialField3D,
     _cube_rule,
+    check_X_membership,
     grad_distance2_shifted,
 )
-from .rearrangement import ModelRearrangement, jacobian_a
+from .rearrangement import ModelRearrangement
 
 FOUR_PI = 4.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -77,6 +80,10 @@ class EnergyMesh:
     denom: np.ndarray  # per-energy normalization int (e-phi)^{1/2} r^2 dr
     r_turn: np.ndarray
 
+    def __post_init__(self):  # read-only, as model.energy_mesh is shared
+        for arr in (self.e, self.w_fprime, self.r_nodes, self.r_weights, self.denom, self.r_turn):
+            arr.setflags(write=False)
+
     @property
     def a_prime(self):
         # a'(e) = 4 pi sqrt(2) int (e - phi)^{1/2} dx
@@ -84,6 +91,7 @@ class EnergyMesh:
 
 
 def energy_mesh(model, n_e=256, n_q=96):
+    """Energy mesh of the projector; `model.energy_mesh` keeps the default."""
     from scipy.special import roots_jacobi
 
     profile = model.profile
@@ -96,16 +104,7 @@ def energy_mesh(model, n_e=256, n_q=96):
 
     # turning radius per energy node
     r_turn = np.interp(e, model.phi_fn(np.linspace(0, model.R_Q, 4096)), np.linspace(0, model.R_Q, 4096))
-    # radial rule per energy: plain GL on [0, 0.75 r_e] plus sqrt substitution
-    xg, wg = gl_points(0.0, 1.0, n_q // 2)
-    r_main = 0.75 * r_turn[:, None] * xg[None, :]
-    w_main = 0.75 * r_turn[:, None] * wg[None, :]
-    s_hi = np.sqrt(0.25 * r_turn)
-    s = s_hi[:, None] * xg[None, :]
-    r_edge = r_turn[:, None] - s**2
-    w_edge = 2.0 * s * s_hi[:, None] * wg[None, :]
-    r_nodes = np.concatenate([r_main, r_edge], axis=1)
-    w_geom = np.concatenate([w_main, w_edge], axis=1)
+    r_nodes, w_geom = turning_point_rule(r_turn, n_q // 2, n_q // 2)
     phi_at = model.phi_fn(r_nodes.ravel()).reshape(r_nodes.shape)
     half_pow = np.sqrt(np.clip(e[:, None] - phi_at, 0.0, None))
     r_weights = w_geom * half_pow * r_nodes**2
@@ -122,7 +121,7 @@ def project_energy(h_fn, model, mesh=None):
     Returns (mesh, values); constants are reproduced exactly.
     """
     if mesh is None:
-        mesh = energy_mesh(model)
+        mesh = model.energy_mesh
     hv = h_fn(mesh.r_nodes.ravel()).reshape(mesh.r_nodes.shape)
     vals = (mesh.r_weights * hv).sum(axis=1) / mesh.denom
     return mesh, vals
@@ -190,7 +189,7 @@ def hessian_form(direction: Direction, model, mesh=None):
     """Second variation of the reduced functional at phi_Q for a radial
     direction: 4 pi int (h'^2 - V h^2) r^2 dr + int |F'| (P h)^2 a'(e) de."""
     if mesh is None:
-        mesh = energy_mesh(model)
+        mesh = model.energy_mesh
     grad = FOUR_PI * _radial_quad(lambda r: direction.dh(r) ** 2 * r**2, direction.extent)
     vterm = FOUR_PI * _radial_quad(lambda r: model.vq_fn(r) * direction.h(r) ** 2 * r**2, model.R_Q)
     _, ph = project_energy(direction.h, model, mesh)
@@ -225,7 +224,7 @@ class _SectorMatrices:
         self.dr = self.r_max / (n + 1)
         self.r = self.dr * np.arange(1, n + 1)
         self.V = model.vq_fn(self.r)
-        self.mesh = mesh if mesh is not None else energy_mesh(model)
+        self.mesh = mesh if mesh is not None else model.energy_mesh
 
     def laplacian_tridiag(self):
         d = np.full(self.n, 2.0) / self.dr**2
@@ -248,7 +247,11 @@ class _SectorMatrices:
         """U (n x n_e) with U U^T the energy-average term in w variables,
         normalized like the L2(dr) operator matrices: column m holds the
         linear interpolation of the grid onto energy m's radial quadrature,
-        scaled by sqrt(omega_m) / r."""
+        scaled by sqrt(omega_m) / r. Built once per sector set (read-only)."""
+        return self._projector_factor
+
+    @cached_property
+    def _projector_factor(self):
         mesh = self.mesh
         n_e = mesh.e.size
         rq = mesh.r_nodes
@@ -263,7 +266,9 @@ class _SectorMatrices:
         shares = np.concatenate([wq * (1 - t), wq * t], axis=1)
         b = np.bincount(cells.ravel(), weights=shares.ravel(), minlength=n_e * self.n)
         omega = mesh.w_fprime * mesh.a_prime
-        return (b.reshape(n_e, self.n).T * np.sqrt(omega)) / (self.r[:, None] * np.sqrt(FOUR_PI * self.dr))
+        u = (b.reshape(n_e, self.n).T * np.sqrt(omega)) / (self.r[:, None] * np.sqrt(FOUR_PI * self.dr))
+        u.setflags(write=False)
+        return u
 
     def projector_correction(self):
         """Dense positive-semidefinite matrix U U^T of the energy-average term."""
@@ -573,8 +578,6 @@ def taylor_remainder(model, direction: Direction, epsilons, qstar=None, jac=None
     common energy mesh for every eps, so the quadrature bias cancels in the
     differences. Validates that phi + eps h stays admissible.
     """
-    from .poisson import check_X_membership
-
     pot = model.potential()
     eps_arr = np.asarray(list(epsilons), dtype=float)
     for eps in (eps_arr.max(), -eps_arr.max()):
@@ -588,10 +591,10 @@ def taylor_remainder(model, direction: Direction, epsilons, qstar=None, jac=None
         if not ok:
             raise InvalidArgumentError(f"perturbed potential leaves the admissible class at eps={eps}")
 
-    if jac is None:
-        jac = jacobian_a(pot)
     if qstar is None:
-        qstar = ModelRearrangement(model, jac=jac)
+        qstar = model.rearrangement if jac is None else ModelRearrangement(model, jac=jac)
+    if jac is None:
+        jac = qstar.jac
     cross = FOUR_PI * _radial_quad(
         lambda r: pot.dphi_fn(r) * direction.dh(r) * r**2, direction.extent, n_panels=96
     )
@@ -599,18 +602,9 @@ def taylor_remainder(model, direction: Direction, epsilons, qstar=None, jac=None
     d2j = hessian_form(direction, model)
 
     # common energy mesh for the J0 differences
-    n_pan, n_gl = 96, 8
     lo = model.phi_center - abs(eps_arr).max() * 1.5 * np.max(np.abs(direction.h(np.linspace(0, direction.extent, 512))))
-    t = np.linspace(0.0, 1.0, n_pan + 1)
-    bounds = lo + (0.0 - lo) * 0.5 * (1.0 - np.cos(np.pi * t))
-    e_nodes = []
-    e_weights = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        x, w = gl_points(a, b, n_gl)
-        e_nodes.append(x)
-        e_weights.append(w)
-    e_nodes = np.concatenate(e_nodes)
-    e_weights = np.concatenate(e_weights)
+    units, unit_weights = _unit_panel_rule(96, 8)
+    e_nodes, e_weights = lo - lo * units, -lo * unit_weights
     a_base = jac.a(np.clip(e_nodes, None, -1e-300))
 
     def delta_j(eps):
@@ -651,7 +645,7 @@ def hardy_check(model, direction: Direction, margin=0.02, mesh=None):
     Returns (lhs, rhs).
     """
     if mesh is None:
-        mesh = energy_mesh(model)
+        mesh = model.energy_mesh
     lo, hi = model.phi_center, model.e0
     band = hi - lo
     chi = (mesh.e > lo + margin * band) & (mesh.e < hi - margin * band)

@@ -280,10 +280,42 @@ class SteadyStateModel:
         rho0 = float(self.rho_fn(np.array([0.0]))[0])
         return 2.0 * np.pi * np.sqrt(3.0 / rho0)
 
+    # Objects that depend only on the model are built on first use and then
+    # shared, so their arrays are read-only.
     def potential(self):
+        return self._potential
+
+    @cached_property
+    def _potential(self):
         from .poisson import PotentialX
 
         return PotentialX.from_model(self)
+
+    @cached_property
+    def rearrangement(self):
+        """Q* as a ModelRearrangement; `.jac` is the potential's JacobianMap."""
+        from .rearrangement import ModelRearrangement
+
+        return ModelRearrangement(self)
+
+    @cached_property
+    def energy_mesh(self):
+        """The default spectral.energy_mesh."""
+        from .spectral import energy_mesh
+
+        return energy_mesh(self)
+
+    def reference_hamiltonian(self, grid):
+        """hamiltonian(phase_space_density(self, grid)), kept for the last
+        grid object: a PhaseSpaceGrid cannot change (frozen, read-only
+        arrays), and a lower-bound run compares many densities on one grid."""
+        from .functionals import hamiltonian
+
+        memo = self.__dict__.get("_reference_hamiltonian")
+        if memo is None or memo[0] is not grid:
+            memo = (grid, hamiltonian(phase_space_density(self, grid=grid)).hamiltonian)
+            object.__setattr__(self, "_reference_hamiltonian", memo)
+        return memo[1]
 
     def to_json(self):
         doc = {
@@ -361,20 +393,9 @@ def _finish_model(profile, interior, grid, R_Q, M, meta):
     psi = np.clip(e0 - phi, 0.0, None)
     rho = profile.rho_kernel(np.where(grid.nodes < R_Q, psi, 0.0))
 
-    def phi_eval(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(
-            r < R_Q,
-            e0 - np.clip(interior.psi(np.clip(r, 0.0, R_Q)), 0.0, None),
-            -M / (4.0 * np.pi * np.clip(r, 1e-300, None)),
-        )
-
-    L0 = (
-        (8.0 * np.pi * np.sqrt(2.0) / 3.0)
-        * 4.0
-        * np.pi
-        * turning_point_integral(phi_eval, e0, R_Q, 1.5, n_main=96, n_edge=48)
-    )
+    # the rule's nodes lie inside (0, R_Q), where phi = e0 - psi
+    phi_inside = lambda r: e0 - np.clip(interior.psi(r), 0.0, None)
+    L0 = (8.0 * np.pi * np.sqrt(2.0) / 3.0) * 4.0 * np.pi * turning_point_integral(phi_inside, e0, R_Q, 1.5, 96, 48)
     kin_density = profile.kin_kernel(np.where(grid.nodes < R_Q, psi, 0.0))
     kinetic = 4.0 * np.pi * grid.integrate_sq(kin_density)
 
@@ -403,9 +424,15 @@ def build_polytrope(q, central_potential_depth, grid, n_steps=6000):
     finite radius for q < 7/2), then dimensionalized; the cutoff energy follows
     from matching to the exterior -M/(4 pi r) law.
     """
+    return _polytrope(q, central_potential_depth, n_steps, lambda _r: grid)
+
+
+def _polytrope(q, psi0, n_steps, grid_for):
+    """build_polytrope on the grid grid_for(R), with R the support radius of
+    a coarse (h = 0.02) solve, which also sets the step of the fine one."""
     if not 0.0 < q < 3.5:
         raise InvalidArgumentError(f"polytrope exponent q={q} outside (0, 7/2): infinite extent")
-    if central_potential_depth <= 0:
+    if psi0 <= 0:
         raise InvalidArgumentError("depth must be positive")
     n_index = q + 1.5
     source = lambda y: np.clip(y, 0.0, None) ** n_index
@@ -413,7 +440,6 @@ def build_polytrope(q, central_potential_depth, grid, n_steps=6000):
     ode = solve_profile_ode(source, 1.0, coarse.r_zero / n_steps)
     xi1, dtheta1 = ode.r_zero, ode.yp_zero
 
-    psi0 = central_potential_depth
     c_q = FOUR_PI_SQRT2 * special.beta(q + 1.0, 1.5)
     alpha = 1.0 / np.sqrt(c_q * psi0 ** (n_index - 1.0))
     R_Q = alpha * xi1
@@ -422,9 +448,10 @@ def build_polytrope(q, central_potential_depth, grid, n_steps=6000):
 
     profile = PolytropeProfile(q=q, e0=e0, amplitude=1.0)
     interior = InteriorSolution(ode=ode, r_scale=alpha, y_scale=psi0)
+    grid = grid_for(alpha * coarse.r_zero)
     if grid.x_max < R_Q:
         raise InvalidArgumentError(f"grid extent {grid.x_max} smaller than support radius {R_Q}")
-    meta = {"q": q, "depth": central_potential_depth, "xi1": xi1}
+    meta = {"q": q, "depth": psi0, "xi1": xi1}
     return _finish_model(profile, interior, grid, R_Q, M, meta)
 
 
@@ -435,10 +462,15 @@ def build_king(W0, grid, n_steps=6000):
     cutoff energy is recovered from the continuous and differentiable match to
     the exterior law, e0 = R_Q W'(R_Q).
     """
+    return _king(W0, n_steps, lambda _r: grid)
+
+
+def _king(W0, n_steps, grid_for):
+    """build_king on the grid grid_for(R), with R the support radius of a
+    coarse (h = 0.02) solve, which also sets the step of the fine one."""
     if W0 <= 0:
         raise InvalidArgumentError("King depth W0 must be positive")
-    stub = KingProfile(e0=-1.0, amplitude=1.0)
-    source = lambda y: stub.rho_kernel(y)
+    source = KingProfile(e0=-1.0, amplitude=1.0).rho_kernel
     coarse = solve_profile_ode(source, W0, 0.02)
     ode = solve_profile_ode(source, W0, coarse.r_zero / n_steps)
     R_Q, dW1 = ode.r_zero, ode.yp_zero
@@ -446,36 +478,21 @@ def build_king(W0, grid, n_steps=6000):
     M = -4.0 * np.pi * R_Q**2 * dW1
     profile = KingProfile(e0=e0, amplitude=1.0)
     interior = InteriorSolution(ode=ode)
+    grid = grid_for(coarse.r_zero)
     if grid.x_max < R_Q:
         raise InvalidArgumentError(f"grid extent {grid.x_max} smaller than support radius {R_Q}")
     meta = {"W0": W0}
     return _finish_model(profile, interior, grid, R_Q, M, meta)
 
 
-def _support_radius_polytrope(q, depth, n_steps=2000):
-    if not 0.0 < q < 3.5:
-        raise InvalidArgumentError(f"polytrope exponent q={q} outside (0, 7/2): infinite extent")
-    n_index = q + 1.5
-    source = lambda y: np.clip(y, 0.0, None) ** n_index
-    coarse = solve_profile_ode(source, 1.0, 0.02)
-    c_q = FOUR_PI_SQRT2 * special.beta(q + 1.0, 1.5)
-    alpha = 1.0 / np.sqrt(c_q * depth ** (n_index - 1.0))
-    return alpha * coarse.r_zero
-
-
 def polytrope_model(q, depth=1.0, n_r=400, extent_factor=3.0, spacing="uniform"):
     """Build a polytrope on a grid reaching extent_factor times the support radius."""
-    R_guess = _support_radius_polytrope(q, depth)
-    grid = make_1d_grid(extent_factor * R_guess * 1.0001, n_r, spacing=spacing)
-    return build_polytrope(q, depth, grid)
+    return _polytrope(q, depth, 6000, lambda r: make_1d_grid(extent_factor * r * 1.0001, n_r, spacing=spacing))
 
 
 def king_model(W0=3.0, n_r=400, extent_factor=3.0, spacing="uniform"):
     """Build a King model on a grid reaching extent_factor times the support radius."""
-    stub = KingProfile(e0=-1.0, amplitude=1.0)
-    coarse = solve_profile_ode(lambda y: stub.rho_kernel(y), W0, 0.02)
-    grid = make_1d_grid(extent_factor * coarse.r_zero * 1.0001, n_r, spacing=spacing)
-    return build_king(W0, grid)
+    return _king(W0, 6000, lambda r: make_1d_grid(extent_factor * r * 1.0001, n_r, spacing=spacing))
 
 
 def radial_laplacian(r, phi):

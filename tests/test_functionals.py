@@ -252,3 +252,31 @@ def test_stability_lower_bound_one_potential_distance(king, monkeypatch, shift):
     assert rep.rhs == pytest.approx(c0 * dist2, rel=1e-12)
     assert rep.slack == pytest.approx(rep.lhs - c0 * dist2, rel=1e-12, abs=1e-15 * abs(rep.lhs))
     assert rep.reliable == bool(d_inf + d_grad < 0.5 * abs(king.phi_center))
+
+
+@pytest.mark.parametrize("shift", [np.zeros(3), np.array([0.02, 0.0, 0.0])])
+def test_stability_lower_bound_matches_fresh_objects(king, shift):
+    import dataclasses
+
+    from vpstab.poisson import PotentialX, potential_distance
+    from vpstab.spectral import coercivity_constant
+
+    model = dataclasses.replace(king)
+    c0 = coercivity_constant(model)
+    base = padded_phase_density(model, n_r=150, n_u=80)
+    f = bump_perturbation(base, 0.01, 11)
+    # reference: every model-scoped object built afresh for this one call
+    rep_f = hamiltonian(f)
+    pot_q = PotentialX.from_model(model)
+    qstar = ModelRearrangement(model, jac=jacobian_a(pot_q))
+    fstar = schwarz_rearrangement(distribution_function(f))
+    h_ref = hamiltonian(phase_space_density(model, grid=f.grid)).hamiltonian
+    lhs = rep_f.hamiltonian - h_ref + abs(rep_f.pot.min_phi) * qstar.l1_distance(fstar)
+    d_inf, d_grad = potential_distance(rep_f.pot, pot_q, shift)
+    rhs = c0 * d_grad**2
+    reliable = bool(d_inf + d_grad < 0.5 * abs(model.phi_center))
+    # the first call builds the caches, the later ones reuse them; another
+    # density on the same grid in between must not leak into the next report
+    for g in (f, bump_perturbation(base, 0.02, 12), f):
+        rep = stability_lower_bound(g, model, c0, shift=shift)
+    assert (rep.lhs, rep.rhs, rep.slack, rep.reliable) == (lhs, rhs, lhs - rhs, reliable)

@@ -9,6 +9,7 @@ from vpstab.numerics import (
     OutOfRangeError,
     eig_tridiag,
     exterior_power_tail,
+    hermite_coefficients,
     hermite_eval,
     invert_monotone,
     make_1d_grid,
@@ -227,6 +228,55 @@ def test_power_form_hermite_matches_basis_formula(king):
     assert np.max(np.abs(gotd3 - der3)) <= 1e-11 * np.max(np.abs(der3))
 
 
+def _searchsorted_power_eval(x_nodes, coef, x, derivative=False):
+    # reference: the interval found by binary search
+    idx = np.clip(np.searchsorted(x_nodes, x) - 1, 0, len(x_nodes) - 2)
+    x0 = x_nodes[idx]
+    h = x_nodes[idx + 1] - x0
+    t = (x - x0) / h
+    deg = coef.shape[0] - 1
+    if not derivative:
+        out = coef[deg][idx]
+        for j in range(deg - 1, -1, -1):
+            out = out * t + coef[j][idx]
+        return out
+    out = deg * coef[deg][idx]
+    for j in range(deg - 1, 0, -1):
+        out = out * t + j * coef[j][idx]
+    return out / h
+
+
+@pytest.mark.parametrize("which", ["king", "poly"])
+def test_power_eval_arithmetic_index_matches_searchsorted(which, request):
+    from vpstab.numerics import power_eval
+
+    ode = request.getfixturevalue(which).interior.ode
+    r = ode.r
+    x = np.concatenate([
+        r, np.nextafter(r, -np.inf), np.nextafter(r, np.inf),  # every node and its neighbours
+        [-1.0, -1e-12, ode.r_zero, 0.5 * (ode.r_zero + r[-1]), 1.5 * r[-1]],  # below 0, past r_zero
+        np.random.default_rng(3).uniform(0.0, r[-1], 20000),
+    ])
+    val = power_eval(r, ode._coef, x)
+    ref = _searchsorted_power_eval(r, ode._coef, x)
+    # relative to the value, except from the last interior interval on, where
+    # y falls through zero and only its scale is meaningful
+    scale = np.where(x < r[-2], np.abs(ref), np.max(np.abs(ode.y)))
+    assert np.all(np.abs(val - ref) <= 1e-15 * scale)
+    der = power_eval(r, ode._coef, x, derivative=True)
+    der_ref = _searchsorted_power_eval(r, ode._coef, x, derivative=True)
+    assert np.max(np.abs(der - der_ref)) <= 1e-12 * np.max(np.abs(der_ref))
+
+
+def test_hermite_coefficients_need_uniform_nodes():
+    xs = np.linspace(0.0, 2.0, 9)
+    ys = xs**2
+    hermite_coefficients(xs, ys, 2 * xs)
+    xs[4] += 1e-3
+    with pytest.raises(InvalidArgumentError, match="uniform"):
+        hermite_coefficients(xs, ys, 2 * xs)
+
+
 def test_turning_point_integral_vs_quad():
     phi = lambda r: -1.0 / (1.0 + np.asarray(r))
     e = -0.5
@@ -241,6 +291,14 @@ def test_exterior_power_tail_vs_quad():
     r_e = beta / (-e)
     exact = quad(lambda r: (e + beta / r) ** 1.5 * r**2, r0, r_e, epsabs=1e-13)[0]
     assert exterior_power_tail(mass, e, r0, 1.5) == pytest.approx(exact, rel=1e-10)
+    # elementwise over an array of energies; the last turns inside r0
+    energies = np.array([e, -0.02, -0.3])
+    tails = exterior_power_tail(mass, energies, r0, 1.5)
+    assert tails.shape == (3,) and tails[2] == 0.0
+    for got, ek in zip(tails, energies):
+        assert got == pytest.approx(exterior_power_tail(mass, float(ek), r0, 1.5), rel=1e-15)
+    with pytest.raises(InvalidArgumentError):
+        exterior_power_tail(mass, np.array([e, 0.0]), r0, 1.5)
 
 
 def test_profile_ode_lane_emden_analytic():

@@ -448,3 +448,29 @@ def test_ldl_inertia_count_matches_eigenvalues():
         _, ipiv, neg = _ldl_factor(a, 0, 0.0)
         assert neg == int(np.sum(np.linalg.eigvalsh(a) < 0))
         assert np.any(ipiv < 0)
+
+
+def test_energy_mesh_and_projector_factor_are_built_once(king, monkeypatch):
+    import dataclasses
+
+    import vpstab.spectral as spectral
+
+    model = dataclasses.replace(king)
+    calls = []
+    build = spectral.energy_mesh
+    monkeypatch.setattr(spectral, "energy_mesh", lambda m, *a, **kw: calls.append((a, kw)) or build(m, *a, **kw))
+    for k in (0, 1, 2):
+        harmonic_operator_spectrum(model, k, n_eigs=1, n=200)
+    coercivity_constant(model, n=200)
+    hessian_form(smooth_bump_direction(model), model)
+    project_energy(lambda r: np.ones_like(r), model)
+    assert calls == [((), {})]  # one default mesh
+    # an explicit mesh is used as given
+    mesh = build(model, n_e=64, n_q=32)
+    assert project_energy(lambda r: np.ones_like(r), model, mesh)[0] is mesh
+    assert spectral._SectorMatrices(model, n=200, mesh=mesh).mesh is mesh
+    # one projector factor per sector set, shared by the k = 0 solves
+    sm = spectral._SectorMatrices(model, n=200)
+    u = sm.projector_factor()
+    harmonic_operator_spectrum(model, 0, n_eigs=1, sector=sm)
+    assert sm.projector_factor() is u

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -258,3 +259,66 @@ def test_serialization_roundtrip(tmp_path, king):
     with open(path) as fh:
         doc = json.load(fh)
     assert doc["format"] == "vpstab-model"
+
+
+def test_model_scoped_objects_are_built_once(king):
+    assert king.potential() is king.potential()
+    assert king.rearrangement is king.rearrangement
+    assert king.rearrangement.jac.pot is king.potential()
+    assert king.energy_mesh is king.energy_mesh
+    # a copy is a new model: it builds its own
+    copy = dataclasses.replace(king)
+    assert copy.potential() is not king.potential()
+    assert copy.rearrangement is not king.rearrangement
+    assert copy.energy_mesh is not king.energy_mesh
+    assert np.array_equal(copy.rearrangement.jac._a_tab, king.rearrangement.jac._a_tab)
+
+
+def test_model_scoped_arrays_are_read_only(king):
+    from vpstab.spectral import _SectorMatrices
+
+    jac = king.rearrangement.jac
+    mesh = king.energy_mesh
+    shared = [
+        king.potential().values,
+        king.rearrangement._t,
+        king.rearrangement._v,
+        jac._r_dense,
+        jac._phi_dense,
+        jac._e_tab,
+        jac._a_tab,
+        jac._ap_tab,
+        mesh.e,
+        mesh.w_fprime,
+        mesh.r_nodes,
+        mesh.r_weights,
+        mesh.denom,
+        mesh.r_turn,
+        _SectorMatrices(king, n=200).projector_factor(),
+    ]
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_reference_hamiltonian_follows_the_grid(king, monkeypatch):
+    import vpstab.steady_state as steady_state
+    from vpstab.functionals import hamiltonian
+    from vpstab.numerics import make_grids
+
+    model = dataclasses.replace(king)
+    u_max = float(model.u_escape(np.array([0.0]))[0])
+    grids = [make_grids(model.R_Q * 1.05, 60, u_max * 1.15, 40), make_grids(model.R_Q * 1.05, 80, u_max * 1.15, 30)]
+    fresh = [hamiltonian(phase_space_density(model, grid=g)).hamiltonian for g in grids]
+    assert fresh[0] != fresh[1]
+    builds = []
+    monkeypatch.setattr(
+        steady_state, "phase_space_density", lambda m, grid: builds.append(grid) or phase_space_density(m, grid=grid)
+    )
+    # alternate the grids: each switch recomputes, a repeat does not
+    for k in (0, 0, 1, 0, 1, 1):
+        assert model.reference_hamiltonian(grids[k]) == fresh[k]
+    assert len(builds) == 4 and all(g is grids[k] for g, k in zip(builds, (0, 1, 0, 1)))
+    # an equal grid that is another object is recomputed too
+    assert model.reference_hamiltonian(make_grids(model.R_Q * 1.05, 80, u_max * 1.15, 30)) == fresh[1]
+    assert len(builds) == 5
