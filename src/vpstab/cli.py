@@ -243,26 +243,14 @@ def cmd_check(args):
 
 def cmd_evolve(args):
     from .evolver import conservation_report, evolve, sample_particles
-    from .perturbations import bump_field
-    from .steady_state import phase_space_density
+    from .perturbations import calibrated_bump
 
     cfg, digest = _resolved_config(
         args,
         ["model", "eta", "t_dyn", "dt_frac", "n", "seed", "field_average", "out_prefix"],
     )
     model, source = _exact_model(args.model)
-    f0 = phase_space_density(model, n_r=400, n_u=200)
-    u_esc = float(model.u_escape(np.array([0.0]))[0])
-    chi = bump_field(model.R_Q, u_esc, args.seed)
-    vals = chi(f0.grid.radial.nodes[:, None], f0.grid.speeds.nodes[None, :])
-    unit = float(np.sum(f0.measure * np.abs(vals) * f0.values) / f0.mass())
-    eps = args.eta / unit if args.eta > 0 else 0.0
-
-    def value_fn(r, u):
-        q = model.profile.evaluate(0.5 * u**2 + model.phi_fn(r))
-        return np.clip(q * (1.0 + eps * chi(r, u)), 0.0, None)
-
-    f_init = f0.with_values(np.clip(f0.values * (1.0 + eps * vals), 0.0, None))
+    f_init, value_fn = calibrated_bump(model, args.eta, args.seed)
     ens = sample_particles(f_init, args.n, seed=args.seed, value_fn=value_fn)
     diag = evolve(
         ens,

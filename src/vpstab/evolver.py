@@ -200,7 +200,6 @@ class TrajectoryDiagnostics:
     casimir_min: list = field(default_factory=list)
     orbital: list = field(default_factory=list)
     potential_dist: list = field(default_factory=list)
-    shift: list = field(default_factory=list)
     reflections: int = 0
     aborted: bool = False
 
@@ -214,16 +213,10 @@ class TrajectoryDiagnostics:
                 "casimir_min": self.casimir_min[k],
                 "orbital_distance": self.orbital[k],
                 "potential_distance": self.potential_dist[k],
-                "z_x": self.shift[k][0],
-                "z_y": self.shift[k][1],
-                "z_z": self.shift[k][2],
             }
 
     def write_csv(self, path, header_lines=()):
-        cols = [
-            "t", "hamiltonian", "mass", "casimir_sq", "casimir_min",
-            "orbital_distance", "potential_distance", "z_x", "z_y", "z_z",
-        ]
+        cols = ["t", "hamiltonian", "mass", "casimir_sq", "casimir_min", "orbital_distance", "potential_distance"]
         with open(path, "w", newline="") as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
@@ -233,7 +226,7 @@ class TrajectoryDiagnostics:
                 writer.writerow({k: repr(float(v)) for k, v in row.items()})
 
 
-def orbital_distance(ens, model, shift=None):
+def orbital_distance(ens, model):
     """Weighted L1 distance of the transported density to the steady state,
     estimated along characteristics: each particle compares its carried value
     with the steady-state value at its current phase-space point, plus the
@@ -328,7 +321,6 @@ def evolve(
         diag.casimir_min.append(ens.casimir(lambda s: np.minimum(s, cmin)))
         diag.orbital.append(orbital_distance(ens, model))
         diag.potential_dist.append(pdist)
-        diag.shift.append((0.0, 0.0, 0.0))
 
     cells, a = field_state()
     record(0.0, cells)
@@ -375,31 +367,13 @@ def stability_sweep(
     the bump shape and the sampling seed so the finite-N noise realization is
     common across the sweep.
     """
-    from .perturbations import bump_field
-    from .steady_state import phase_space_density
-
-    f0 = phase_space_density(model, n_r=n_r, n_u=n_u)
-    u_esc = float(model.u_escape(np.array([0.0]))[0])
-    chi = bump_field(model.R_Q, u_esc, bump_seed)
-
-    def q_fn(r, u):
-        return model.profile.evaluate(0.5 * u**2 + model.phi_fn(r))
-
-    # calibrate the bump amplitude so eps * |chi Q|_L1 / |Q|_L1 = eta
-    vals = chi(f0.grid.radial.nodes[:, None], f0.grid.speeds.nodes[None, :])
-    unit_size = float(np.sum(f0.measure * np.abs(vals) * f0.values) / f0.mass())
+    from .perturbations import calibrated_bump
 
     dt = dt_frac * model.dynamical_time
     t_end = n_dynamical_times * model.dynamical_time
     results = {}
     for eta in etas:
-        eps = eta / unit_size
-        pert_vals = np.clip(f0.values * (1.0 + eps * vals), 0.0, None)
-        f_eta = f0.with_values(pert_vals)
-
-        def value_fn(r, u, _eps=eps):
-            return np.clip(q_fn(r, u) * (1.0 + _eps * chi(r, u)), 0.0, None)
-
+        f_eta, value_fn = calibrated_bump(model, eta, bump_seed, n_r=n_r, n_u=n_u)
         ens = sample_particles(f_eta, n_particles, seed=seed, value_fn=value_fn)
         diag = evolve(
             ens, model, dt=dt, t_end=t_end, self_consistent=True, field_average=field_average

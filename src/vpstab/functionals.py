@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InvalidArgumentError, gl_points
+from .numerics import InvalidArgumentError, panel_rule
 from .poisson import (
     DegenerateInputError,
     field_energy,
@@ -98,11 +98,8 @@ def _j0_energy_route(fstar, pot, jac, n_panels=96, n_gl=8):
     lo = pot.min_phi
     # panel boundaries clustered at both ends of [lo, e_star]
     t = np.linspace(0.0, 1.0, n_panels + 1)
-    bounds = lo + (e_star - lo) * 0.5 * (1.0 - np.cos(np.pi * t))
-    total = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        e, w = gl_points(a, b, n_gl)
-        total += float(np.dot(w, fstar.primitive(jac.a(e))))
+    e, w = panel_rule(lo + (e_star - lo) * 0.5 * (1.0 - np.cos(np.pi * t)), n_gl)
+    total = float(np.dot(w, fstar.primitive(jac.a(e))))
     return -(total + g_tot * (0.0 - e_star))
 
 

@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
 1D quadrature grids whose node/weight pairs integrate r^2 dr exactly per cell,
-tensor phase-space grids, Gauss rules for endpoint-singular integrands,
+tensor phase-space grids, composite Gauss rules over panels, Gauss rules for
+endpoint-singular integrands, the turning radius of a potential,
 monotone-function inversion, symmetric tridiagonal eigensolves, Hermite
 evaluation of ODE output, and a scope that runs BLAS on one thread.
 """
@@ -141,12 +142,9 @@ def make_1d_grid(x_max, n, spacing="uniform", x_min=None, edge=None):
     return Grid1D(nodes=0.5 * (edges[:-1] + edges[1:]), weights=np.diff(edges), edges=edges)
 
 
-def make_grids(r_max, n_r, u_max, n_u, spacing="uniform", r_min=None, edge=None):
-    """Tensor phase-space grid; see make_1d_grid for the spacing options."""
-    return PhaseSpaceGrid(
-        radial=make_1d_grid(r_max, n_r, spacing=spacing, x_min=r_min, edge=edge),
-        speeds=make_1d_grid(u_max, n_u, spacing="uniform"),
-    )
+def make_grids(r_max, n_r, u_max, n_u):
+    """Uniform tensor phase-space grid on [0, r_max] x [0, u_max]."""
+    return PhaseSpaceGrid(radial=make_1d_grid(r_max, n_r), speeds=make_1d_grid(u_max, n_u))
 
 
 def invert_monotone(fn, target, lo, hi, rtol=1e-12):
@@ -248,6 +246,14 @@ def gl_points(a, b, n):
     return mid + half * x, half * w
 
 
+def panel_rule(bounds, n_gl):
+    """Composite Gauss-Legendre rule: n_gl nodes on each panel between
+    consecutive bounds, as flat node and weight arrays in panel order."""
+    bounds = np.asarray(bounds, dtype=float)
+    x, w = gl_points(bounds[:-1, None], bounds[1:, None], n_gl)
+    return x.ravel(), w.ravel()
+
+
 @lru_cache(maxsize=64)
 def _jacobi_rule(n, alpha, beta):
     # weight (1-x)^alpha (1+x)^beta on [-1, 1]
@@ -281,6 +287,22 @@ def turning_point_rule(r_turn, n_main, n_edge):
     s = s_hi * xs
     nodes = np.concatenate([0.75 * r_turn * x, r_turn - s**2], axis=-1)
     return nodes, np.concatenate([0.75 * r_turn * w, 2.0 * s * s_hi * ws], axis=-1)
+
+
+def turning_radius(phi_fn, dphi_fn, e, r_max):
+    """Radius in [0, r_max] where the increasing potential phi_fn equals e,
+    elementwise for an array of e: linear interpolation in an 8192-point
+    table of phi_fn, then two Newton steps against phi_fn itself, clipped to
+    [0, r_max]. Where e >= phi(r_max) the turning radius leaves the table
+    and r_max is returned."""
+    e = np.asarray(e, dtype=float)
+    r_dense = np.linspace(0.0, r_max, 8192)
+    phi_dense = phi_fn(r_dense)
+    r = np.interp(e, phi_dense, r_dense)
+    for _ in range(2):
+        f = phi_fn(r) - e
+        r = np.clip(r - f / np.clip(dphi_fn(r), 1e-300, None), 0.0, r_max)
+    return np.where(e < phi_dense[-1], np.reshape(r, e.shape), r_max)
 
 
 def turning_point_integral(phi, e, r_turn, p, n_main=48, n_edge=32):

@@ -40,6 +40,29 @@ def bump_field(r_scale, u_scale, seed):
     return chi
 
 
+def calibrated_bump(model, eta, seed, n_r=400, n_u=200):
+    """Steady state times (1 + eps chi), clipped at zero, on the n_r x n_u
+    phase grid of phase_space_density, with chi = bump_field(R_Q, u_escape(0),
+    seed) and eps chosen so that eps ||chi Q||_L1 / ||Q||_L1 = eta: the
+    relative L1 size is eta unless the clip acts, and eps = 0 for eta <= 0.
+
+    Returns the density and value_fn(r, u), the same density at any phase
+    point (the exact carried value for sample_particles)."""
+    from .steady_state import phase_space_density
+
+    f0 = phase_space_density(model, n_r=n_r, n_u=n_u)
+    chi = bump_field(model.R_Q, float(model.u_escape(np.array([0.0]))[0]), seed)
+    vals = chi(f0.grid.radial.nodes[:, None], f0.grid.speeds.nodes[None, :])
+    unit = float(np.sum(f0.measure * np.abs(vals) * f0.values) / f0.mass())
+    eps = eta / unit if eta > 0 else 0.0
+
+    def value_fn(r, u):
+        q = model.profile.evaluate(0.5 * u**2 + model.phi_fn(r))
+        return np.clip(q * (1.0 + eps * chi(r, u)), 0.0, None)
+
+    return f0.with_values(np.clip(f0.values * (1.0 + eps * vals), 0.0, None)), value_fn
+
+
 def bump_perturbation(f0: PhaseSpaceDensity, eps, seed) -> PhaseSpaceDensity:
     """Multiplicative smooth bump: f = f0 (1 + eps * chi), clipped at zero.
 

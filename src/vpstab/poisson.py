@@ -82,22 +82,7 @@ class PotentialX:
 
     @staticmethod
     def from_model(model):
-        phi_fn, dphi_fn = model.phi_fn, model.dphi_fn
-
-        def enclosed(r):
-            return FOUR_PI * np.asarray(r, dtype=float) ** 2 * dphi_fn(r)
-
-        phi0 = float(phi_fn(np.array([0.0]))[0])
-        return PotentialX(
-            grid=model.grid,
-            values=np.array(model.phi),
-            M=model.M,
-            min_phi=phi0,
-            m_phi=PotentialX._decay_margin(phi_fn, model.grid.x_max, model.M),
-            phi_fn=phi_fn,
-            dphi_fn=dphi_fn,
-            enclosed_fn=enclosed,
-        )
+        return PotentialX.from_callable(model.grid, model.phi_fn, model.dphi_fn, model.M)
 
     @staticmethod
     def from_callable(grid, phi_fn, dphi_fn, M):

@@ -22,6 +22,7 @@ from .numerics import (
     OutOfRangeError,
     exterior_power_tail,
     turning_point_rule,
+    turning_radius,
 )
 from .poisson import check_X_membership
 from .steady_state import PhaseSpaceDensity, DomainError
@@ -218,8 +219,6 @@ class JacobianMap:
         self.pot = pot
         self.min_phi = pot.min_phi
         self.n_main = n_main
-        self._r_dense = np.linspace(0.0, pot.r_max, 8192)
-        self._phi_dense = pot.phi_fn(self._r_dense)
         lo = self.min_phi
         hi = -1e-5 * abs(self.min_phi)
         t = np.linspace(0.0, 1.0, n_table)
@@ -231,25 +230,12 @@ class JacobianMap:
         self._e_tab = mesh[keep]
         self._a_tab = a_vals[keep]
         self._ap_tab = ap_vals[keep]
-        for arr in (self._r_dense, self._phi_dense, self._e_tab, self._a_tab, self._ap_tab):
+        for arr in (self._e_tab, self._a_tab, self._ap_tab):
             arr.setflags(write=False)
         self._a_interp = PchipInterpolator(self._e_tab, self._a_tab)
         self._ap_interp = PchipInterpolator(self._e_tab, self._ap_tab)
 
     # --- direct quadrature -------------------------------------------------
-    def _turning_radius(self, e):
-        """Radius where phi = e, vectorized (exterior handled analytically)."""
-        e = np.asarray(e, dtype=float)
-        beta_m = self.pot.M / FOUR_PI
-        r_int = np.interp(e, self._phi_dense, self._r_dense)
-        # one Newton polish against the true potential
-        for _ in range(2):
-            f = self.pot.phi_fn(r_int) - e
-            df = np.clip(self.pot.dphi_fn(r_int), 1e-300, None)
-            r_int = np.clip(r_int - f / df, 0.0, self.pot.r_max)
-        r_ext = beta_m / np.clip(-e, 1e-300, None)
-        return np.where(e < self._phi_dense[-1], r_int, r_ext)
-
     def _sublevel_integral(self, e, *powers):
         """int_0^{r_e} (e - phi)_+^p r^2 dr for an array of e < 0, one array
         per power p; the powers share the turning radii and potential values."""
@@ -259,14 +245,16 @@ class JacobianMap:
         if not np.any(active):
             return outs
         ea = e[active]
-        r_e = self._turning_radius(ea)
-        r, w = turning_point_rule(np.minimum(r_e, self.pot.r_max), self.n_main, self.n_main)
-        gap, wr2 = np.clip(ea[:, None] - self.pot.phi_fn(r), 0.0, None), w * r**2
-        ext = r_e > self.pot.r_max  # exterior tail where the turning radius leaves the grid
+        pot = self.pot
+        r_e = turning_radius(pot.phi_fn, pot.dphi_fn, ea, pot.r_max)
+        r, w = turning_point_rule(r_e, self.n_main, self.n_main)
+        gap, wr2 = np.clip(ea[:, None] - pot.phi_fn(r), 0.0, None), w * r**2
+        # exterior tail where the turning radius M / (4 pi |e|) leaves the grid
+        ext = pot.M / FOUR_PI / -ea > pot.r_max
         for out, p in zip(outs, powers):
             total = np.sum(gap**p * wr2, axis=1)
             if np.any(ext):
-                total[ext] += exterior_power_tail(self.pot.M, ea[ext], self.pot.r_max, p)
+                total[ext] += exterior_power_tail(pot.M, ea[ext], pot.r_max, p)
             out[active] = total
         return outs
 
@@ -412,32 +400,20 @@ def path_derivative_a(pot, pot_tilde, lam, e, n_main=64):
     def h_fn(r):
         return pot_tilde.phi_fn(r) - pot.phi_fn(r)
 
-    # locate the turning radius of the blended potential
-    r_dense = np.linspace(0.0, r_max, 8192)
-    phi_d = phi_lam(r_dense)
-    if e <= phi_d[0]:
-        return 0.0
-    if e < phi_d[-1]:
-        r_e = float(np.interp(e, phi_d, r_dense))
-        interior_cap = r_e
-        exterior = False
-    else:
-        interior_cap = r_max
-        exterior = True
+    def dphi_lam(r):
+        return (1.0 - lam) * pot.dphi_fn(r) + lam * pot_tilde.dphi_fn(r)
 
-    r, w = turning_point_rule(interior_cap, n_main, n_main)
+    r, w = turning_point_rule(float(turning_radius(phi_lam, dphi_lam, e, r_max)), n_main, n_main)
     integral = np.dot(w, np.clip(e - phi_lam(r), 0.0, None) ** 0.5 * h_fn(r) * r**2)
-    if exterior:
-        # both exterior laws are monopoles: h = -dM/(4 pi r) out there
-        beta_lam = M_lam / FOUR_PI
-        dbeta = (pot_tilde.M - pot.M) / FOUR_PI
-        r_e = beta_lam / (-e)
-        if r_e > r_max and abs(dbeta) > 0:
-            # integrand (e + beta/r)^{1/2} r dr -> r_e^2 |e|^{1/2} t^{3/2-1}(1-t)^{3/2-1}... 
-            # r = r_e t gives t^(1/2)(1-t)^(1/2) after factoring, i.e. Beta(3/2, 3/2)
-            t0 = r_max / r_e
-            rem = special.beta(1.5, 1.5) * (1.0 - special.betainc(1.5, 1.5, t0))
-            integral += -dbeta * r_e**2 * (-e) ** 0.5 * rem
+    # both exterior laws are monopoles: h = -dM/(4 pi r) past r_max, up to the
+    # exterior turning radius r_e
+    r_e = M_lam / FOUR_PI / (-e)
+    dbeta = (pot_tilde.M - pot.M) / FOUR_PI
+    if r_e > r_max and abs(dbeta) > 0:
+        # r = r_e t turns (e + beta/r)^{1/2} r into t^(1/2)(1-t)^(1/2), a Beta(3/2, 3/2) kernel
+        t0 = r_max / r_e
+        rem = special.beta(1.5, 1.5) * (1.0 - special.betainc(1.5, 1.5, t0))
+        integral += -dbeta * r_e**2 * (-e) ** 0.5 * rem
     return -FOUR_PI_SQRT2 * FOUR_PI * float(integral)
 
 

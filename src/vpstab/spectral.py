@@ -35,9 +35,10 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, splu
 from .numerics import (
     InvalidArgumentError,
     eig_tridiag,
-    gl_points,
+    panel_rule,
     serial_blas,
     turning_point_rule,
+    turning_radius,
 )
 from .poisson import (
     PotentialX,
@@ -102,8 +103,7 @@ def energy_mesh(model, n_e=256, n_q=96):
     e = lo + half * (x + 1.0)
     w_fp = half ** (profile.fp_cusp + 1.0) * w * profile.fp_smooth(e)
 
-    # turning radius per energy node
-    r_turn = np.interp(e, model.phi_fn(np.linspace(0, model.R_Q, 4096)), np.linspace(0, model.R_Q, 4096))
+    r_turn = turning_radius(model.phi_fn, model.dphi_fn, e, model.R_Q)
     r_nodes, w_geom = turning_point_rule(r_turn, n_q // 2, n_q // 2)
     phi_at = model.phi_fn(r_nodes.ravel()).reshape(r_nodes.shape)
     half_pow = np.sqrt(np.clip(e[:, None] - phi_at, 0.0, None))
@@ -177,12 +177,8 @@ def smooth_bump_direction(model, center_frac=0.5, width_frac=0.25, amplitude=Non
 
 
 def _radial_quad(fn, r_hi, n_panels=64, n_gl=8):
-    total = 0.0
-    bounds = np.linspace(0.0, r_hi, n_panels + 1)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        r, w = gl_points(a, b, n_gl)
-        total += float(np.dot(w, fn(r)))
-    return total
+    r, w = panel_rule(np.linspace(0.0, r_hi, n_panels + 1), n_gl)
+    return float(np.dot(w, fn(r)))
 
 
 def hessian_form(direction: Direction, model, mesh=None):
@@ -525,29 +521,22 @@ def hormander_identity_check(model, sample, step_frac=1e-4):
     return max(residuals)
 
 
-def _unit_panel_rule(n_panels, n_gl):
-    """Nodes/weights on [0, 1] with panels clustered toward 1 (turning point)."""
-    t = 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n_panels + 1)))
-    nodes, weights = [], []
-    for a, b in zip(t[:-1], t[1:]):
-        x, w = gl_points(a, b, n_gl)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _delta_phase_volume(pot_base, direction, eps, e_nodes, n_panels=40, n_gl=10):
     """a_{phi + eps h}(e) - a_phi(e) for each energy node, by panel quadrature
     of the difference integrand on a common radial mesh scaled per energy
     (correlated errors cancel, leaving a floor proportional to eps)."""
     e_nodes = np.asarray(e_nodes, dtype=float)
-    r_dense = np.linspace(0.0, pot_base.r_max, 4096)
-    base_d = pot_base.phi_fn(r_dense)
-    pert_d = base_d + eps * direction.h(r_dense)
-    hi1 = np.where(e_nodes < pert_d[-1], np.interp(e_nodes, pert_d, r_dense), pot_base.r_max)
-    hi2 = np.where(e_nodes < base_d[-1], np.interp(e_nodes, base_d, r_dense), pot_base.r_max)
-    r_out = np.maximum(hi1, hi2)
-    units, uw = _unit_panel_rule(n_panels, n_gl)
+    r_out = np.maximum(
+        turning_radius(
+            lambda r: pot_base.phi_fn(r) + eps * direction.h(r),
+            lambda r: pot_base.dphi_fn(r) + eps * direction.dh(r),
+            e_nodes,
+            pot_base.r_max,
+        ),
+        turning_radius(pot_base.phi_fn, pot_base.dphi_fn, e_nodes, pot_base.r_max),
+    )
+    # unit panels clustered toward both ends, scaled per energy
+    units, uw = panel_rule(0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n_panels + 1))), n_gl)
     r = r_out[:, None] * units[None, :]
     w = r_out[:, None] * uw[None, :]
     phi_r = pot_base.phi_fn(r.ravel()).reshape(r.shape)
@@ -603,7 +592,7 @@ def taylor_remainder(model, direction: Direction, epsilons, qstar=None, jac=None
 
     # common energy mesh for the J0 differences
     lo = model.phi_center - abs(eps_arr).max() * 1.5 * np.max(np.abs(direction.h(np.linspace(0, direction.extent, 512))))
-    units, unit_weights = _unit_panel_rule(96, 8)
+    units, unit_weights = panel_rule(0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 97))), 8)
     e_nodes, e_weights = lo - lo * units, -lo * unit_weights
     a_base = jac.a(np.clip(e_nodes, None, -1e-300))
 

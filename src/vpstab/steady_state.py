@@ -428,8 +428,8 @@ def build_polytrope(q, central_potential_depth, grid, n_steps=6000):
 
 
 def _polytrope(q, psi0, n_steps, grid_for):
-    """build_polytrope on the grid grid_for(R), with R the support radius of
-    a coarse (h = 0.02) solve, which also sets the step of the fine one."""
+    """build_polytrope on the grid grid_for(R_Q); a coarse (h = 0.02) solve
+    sets the step of the fine one, whose support radius is R_Q."""
     if not 0.0 < q < 3.5:
         raise InvalidArgumentError(f"polytrope exponent q={q} outside (0, 7/2): infinite extent")
     if psi0 <= 0:
@@ -448,7 +448,7 @@ def _polytrope(q, psi0, n_steps, grid_for):
 
     profile = PolytropeProfile(q=q, e0=e0, amplitude=1.0)
     interior = InteriorSolution(ode=ode, r_scale=alpha, y_scale=psi0)
-    grid = grid_for(alpha * coarse.r_zero)
+    grid = grid_for(R_Q)
     if grid.x_max < R_Q:
         raise InvalidArgumentError(f"grid extent {grid.x_max} smaller than support radius {R_Q}")
     meta = {"q": q, "depth": psi0, "xi1": xi1}
@@ -466,8 +466,8 @@ def build_king(W0, grid, n_steps=6000):
 
 
 def _king(W0, n_steps, grid_for):
-    """build_king on the grid grid_for(R), with R the support radius of a
-    coarse (h = 0.02) solve, which also sets the step of the fine one."""
+    """build_king on the grid grid_for(R_Q); a coarse (h = 0.02) solve sets
+    the step of the fine one, whose support radius is R_Q."""
     if W0 <= 0:
         raise InvalidArgumentError("King depth W0 must be positive")
     source = KingProfile(e0=-1.0, amplitude=1.0).rho_kernel
@@ -478,21 +478,21 @@ def _king(W0, n_steps, grid_for):
     M = -4.0 * np.pi * R_Q**2 * dW1
     profile = KingProfile(e0=e0, amplitude=1.0)
     interior = InteriorSolution(ode=ode)
-    grid = grid_for(coarse.r_zero)
+    grid = grid_for(R_Q)
     if grid.x_max < R_Q:
         raise InvalidArgumentError(f"grid extent {grid.x_max} smaller than support radius {R_Q}")
     meta = {"W0": W0}
     return _finish_model(profile, interior, grid, R_Q, M, meta)
 
 
-def polytrope_model(q, depth=1.0, n_r=400, extent_factor=3.0, spacing="uniform"):
-    """Build a polytrope on a grid reaching extent_factor times the support radius."""
-    return _polytrope(q, depth, 6000, lambda r: make_1d_grid(extent_factor * r * 1.0001, n_r, spacing=spacing))
+def polytrope_model(q, depth=1.0, n_r=400):
+    """Build a polytrope on a uniform grid reaching 3 times the support radius."""
+    return _polytrope(q, depth, 6000, lambda r: make_1d_grid(3.0 * r * 1.0001, n_r))
 
 
-def king_model(W0=3.0, n_r=400, extent_factor=3.0, spacing="uniform"):
-    """Build a King model on a grid reaching extent_factor times the support radius."""
-    return _king(W0, 6000, lambda r: make_1d_grid(extent_factor * r * 1.0001, n_r, spacing=spacing))
+def king_model(W0=3.0, n_r=400):
+    """Build a King model on a uniform grid reaching 3 times the support radius."""
+    return _king(W0, 6000, lambda r: make_1d_grid(3.0 * r * 1.0001, n_r))
 
 
 def radial_laplacian(r, phi):

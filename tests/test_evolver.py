@@ -10,6 +10,7 @@ from vpstab.evolver import (
     sample_particles,
 )
 from vpstab.numerics import make_1d_grid
+from vpstab.perturbations import calibrated_bump
 from vpstab.poisson import CellMoments, DegenerateInputError, solve_poisson_radial
 from vpstab.steady_state import phase_space_density
 
@@ -160,6 +161,18 @@ def test_checkpoint_roundtrip(tmp_path, king, king_f):
     assert np.array_equal(loaded.f0, ens.f0)
     # fixed-width little-endian layout: header + 5 doubles per particle
     assert path.stat().st_size == 24 + ens.n * 5 * 8
+
+
+@pytest.mark.parametrize("eta", [0.0, -0.01, 0.01, 0.02])
+def test_calibrated_bump_has_relative_l1_size_eta(king, eta):
+    f0 = phase_space_density(king, n_r=400, n_u=200)
+    f, value_fn = calibrated_bump(king, eta, seed=11)
+    assert np.all(f.values >= 0)
+    # no clipping at these sizes, so the relative L1 distance is eta exactly
+    # (0 for eta <= 0, where the bump is off)
+    assert f.l1_distance(f0) / f0.mass() == pytest.approx(max(eta, 0.0), rel=1e-12, abs=0.0)
+    r, u = f0.grid.radial.nodes[:, None], f0.grid.speeds.nodes[None, :]
+    assert np.array_equal(value_fn(r, u), f.values)
 
 
 def test_diagnostics_csv(tmp_path, king, king_f):

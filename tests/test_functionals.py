@@ -134,6 +134,30 @@ def test_pairing_nonnegative_against_own_rearrangement(king, rng):
         assert rep.pairing >= -tol
 
 
+def test_j0_energy_route_matches_the_per_panel_loop(king):
+    from vpstab.functionals import _j0_energy_route
+    from vpstab.numerics import gl_points
+    from vpstab.poisson import solve_poisson_radial
+
+    f = bump_perturbation(padded_phase_density(king, n_r=100, n_u=60), 0.1, seed=5)
+    pot = solve_poisson_radial(f.grid.radial, f.rho())
+    fstar = schwarz_rearrangement(distribution_function(f))
+    jac = jacobian_a(pot)
+    # the loop over 96 panels of 8 nodes that the composite rule replaced
+    L0 = fstar.support_measure()
+    e_star = float(jac.a_inv(np.array([L0]))[0])
+    t = np.linspace(0.0, 1.0, 97)
+    bounds = pot.min_phi + (e_star - pot.min_phi) * 0.5 * (1.0 - np.cos(np.pi * t))
+    total = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        e, w = gl_points(a, b, 8)
+        total += float(np.dot(w, fstar.primitive(jac.a(e))))
+    g_tot = float(fstar.primitive(np.array([L0 * (1 + 1e-12)]))[0])
+    reference = -(total - g_tot * e_star)
+    # the same 768 terms summed in another order
+    assert _j0_energy_route(fstar, pot, jac) == pytest.approx(reference, rel=768 * np.finfo(float).eps)
+
+
 def test_monotonicity_gaps_equality_case(king):
     f = padded_phase_density(king, n_r=200, n_u=100)
     rep = monotonicity_gaps(f)

@@ -9,14 +9,17 @@ from vpstab.numerics import (
     OutOfRangeError,
     eig_tridiag,
     exterior_power_tail,
+    gl_points,
     hermite_coefficients,
     hermite_eval,
     invert_monotone,
     make_1d_grid,
     make_grids,
+    panel_rule,
     serial_blas,
     solve_profile_ode,
     turning_point_integral,
+    turning_radius,
 )
 from vpstab.numerics import _openblas_thread_controls
 
@@ -275,6 +278,29 @@ def test_hermite_coefficients_need_uniform_nodes():
     xs[4] += 1e-3
     with pytest.raises(InvalidArgumentError, match="uniform"):
         hermite_coefficients(xs, ys, 2 * xs)
+
+
+def test_panel_rule_is_the_per_panel_gauss_rule():
+    bounds = np.array([0.0, 0.1, 0.35, 0.4, 1.0])
+    x, w = panel_rule(bounds, 6)
+    panels = [gl_points(a, b, 6) for a, b in zip(bounds[:-1], bounds[1:])]
+    assert np.array_equal(x, np.concatenate([p[0] for p in panels]))
+    assert np.array_equal(w, np.concatenate([p[1] for p in panels]))
+    # exact for polynomials of degree 2 n_gl - 1
+    assert np.dot(w, x**11) == pytest.approx(1.0 / 12.0, rel=1e-14)
+
+
+def test_turning_radius_against_closed_form():
+    # Plummer potential -1/sqrt(1 + r^2): phi(r) = e at r = sqrt(1/e^2 - 1)
+    phi = lambda r: -1.0 / np.sqrt(1.0 + np.asarray(r) ** 2)
+    dphi = lambda r: np.asarray(r) / (1.0 + np.asarray(r) ** 2) ** 1.5
+    r_max = 5.0
+    e = np.linspace(-0.999, phi(r_max) - 1e-9, 400)
+    exact = np.sqrt(1.0 / e**2 - 1.0)
+    assert np.max(np.abs(turning_radius(phi, dphi, e, r_max) - exact)) <= 1e-13 * r_max
+    # r_max where the level leaves the table, 0 below the minimum; scalars stay scalars
+    assert np.array_equal(turning_radius(phi, dphi, np.array([phi(r_max), -0.01, -1.5]), r_max), [r_max, r_max, 0.0])
+    assert turning_radius(phi, dphi, -0.5, r_max).shape == ()
 
 
 def test_turning_point_integral_vs_quad():

@@ -47,6 +47,23 @@ def test_king_roundtrip(king):
     assert err <= 1e-6
 
 
+def test_from_model_fields(king, tmp_path):
+    from vpstab.steady_state import SteadyStateModel
+
+    path = tmp_path / "king.json"
+    king.save(path)
+    for model in (king, SteadyStateModel.load(path)):  # ODE-backed, then deserialised
+        pot = PotentialX.from_model(model)
+        assert pot.grid is model.grid and pot.M == model.M
+        assert np.array_equal(pot.values, model.phi)
+        assert pot.min_phi == float(model.phi_fn(np.array([0.0]))[0])
+        assert pot.m_phi == PotentialX._decay_margin(model.phi_fn, model.grid.x_max, model.M)
+        r = np.linspace(0.0, 1.2 * model.grid.x_max, 97)
+        assert np.array_equal(pot.phi_fn(r), model.phi_fn(r))
+        assert np.array_equal(pot.dphi_fn(r), model.dphi_fn(r))
+        assert np.array_equal(pot.enclosed_mass(r), 4.0 * np.pi * r**2 * model.dphi_fn(r))
+
+
 def test_zero_mass_degenerate(ball_grid):
     with pytest.raises(DegenerateInputError):
         solve_poisson_radial(ball_grid, np.zeros(ball_grid.n))

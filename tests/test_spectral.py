@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from vpstab.numerics import InvalidArgumentError
 from vpstab.poisson import RadialField3D, SumField3D, solve_poisson_radial
@@ -50,6 +51,29 @@ def test_effective_potential_polytrope_closed_form(poly):
 def test_projector_fixes_constants(king):
     mesh, vals = project_energy(lambda r: np.full_like(np.asarray(r, dtype=float), 2.5), king)
     assert np.allclose(vals, 2.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["king", "poly"])
+def test_energy_mesh_turning_radii_are_roots(which, request):
+    model = request.getfixturevalue(which)
+    mesh = model.energy_mesh
+    for e, r_t in zip(mesh.e, mesh.r_turn):
+        root = brentq(lambda r: float(model.phi_fn(np.array([r]))[0]) - e, 0.0, model.R_Q, xtol=1e-15, rtol=1e-15)
+        assert abs(r_t - root) <= 1e-12 * model.R_Q
+
+
+def test_radial_quad_matches_the_per_panel_loop(king):
+    from vpstab.numerics import gl_points
+    from vpstab.spectral import _radial_quad
+
+    d = smooth_bump_direction(king, 0.45)
+    fn = lambda r: king.vq_fn(r) * d.h(r) ** 2 * r**2
+    bounds = np.linspace(0.0, king.R_Q, 65)
+    reference = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        r, w = gl_points(a, b, 8)
+        reference += float(np.dot(w, fn(r)))
+    assert _radial_quad(fn, king.R_Q) == pytest.approx(reference, rel=512 * np.finfo(float).eps)
 
 
 def test_projector_oracle_values(king):

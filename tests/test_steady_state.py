@@ -261,6 +261,13 @@ def test_serialization_roundtrip(tmp_path, king):
     assert doc["format"] == "vpstab-model"
 
 
+def test_model_grid_covers_three_fine_support_radii():
+    # the grid is sized from the fine profile solve; a coarse-step radius
+    # falls short for deep King models
+    model = king_model(6.0)
+    assert model.grid.x_max >= 3.0 * model.R_Q
+
+
 def test_model_scoped_objects_are_built_once(king):
     assert king.potential() is king.potential()
     assert king.rearrangement is king.rearrangement
@@ -283,8 +290,6 @@ def test_model_scoped_arrays_are_read_only(king):
         king.potential().values,
         king.rearrangement._t,
         king.rearrangement._v,
-        jac._r_dense,
-        jac._phi_dense,
         jac._e_tab,
         jac._a_tab,
         jac._ap_tab,
