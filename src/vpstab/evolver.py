@@ -19,9 +19,9 @@ exterior. A full PotentialX is built only at record steps, where the field
 energy and the potential distance need it.
 
 The carried density value f0 is constant along characteristics, which makes
-every Casimir integral sum(mu_p G(f0_p)) exactly conserved by construction;
-the honest conservation diagnostics are mass bookkeeping, the Hamiltonian,
-and the orbital distance.
+every Casimir integral sum(mu_p G(f0_p)) exactly conserved by construction,
+so none is recorded; the honest conservation diagnostics are mass
+bookkeeping, the Hamiltonian, and the orbital distance.
 """
 
 import csv
@@ -196,8 +196,6 @@ class TrajectoryDiagnostics:
     times: list = field(default_factory=list)
     hamiltonian: list = field(default_factory=list)
     mass: list = field(default_factory=list)
-    casimir_sq: list = field(default_factory=list)
-    casimir_min: list = field(default_factory=list)
     orbital: list = field(default_factory=list)
     potential_dist: list = field(default_factory=list)
     reflections: int = 0
@@ -209,14 +207,12 @@ class TrajectoryDiagnostics:
                 "t": self.times[k],
                 "hamiltonian": self.hamiltonian[k],
                 "mass": self.mass[k],
-                "casimir_sq": self.casimir_sq[k],
-                "casimir_min": self.casimir_min[k],
                 "orbital_distance": self.orbital[k],
                 "potential_distance": self.potential_dist[k],
             }
 
     def write_csv(self, path, header_lines=()):
-        cols = ["t", "hamiltonian", "mass", "casimir_sq", "casimir_min", "orbital_distance", "potential_distance"]
+        cols = ["t", "hamiltonian", "mass", "orbital_distance", "potential_distance"]
         with open(path, "w", newline="") as fh:
             for line in header_lines:
                 fh.write(f"# {line}\n")
@@ -316,9 +312,6 @@ def evolve(
         diag.times.append(t)
         diag.hamiltonian.append(ham)
         diag.mass.append(ens.mass())
-        diag.casimir_sq.append(ens.casimir(lambda s: s**2))
-        cmin = 0.5 * float(np.median(ens.f0))
-        diag.casimir_min.append(ens.casimir(lambda s: np.minimum(s, cmin)))
         diag.orbital.append(orbital_distance(ens, model))
         diag.potential_dist.append(pdist)
 
@@ -389,8 +382,6 @@ def stability_sweep(
 class ConservationReport:
     mass_drift: float
     hamiltonian_drift: float
-    casimir_sq_drift: float
-    casimir_min_drift: float
     max_orbital: float
     passed: bool
     tolerances: dict
@@ -408,14 +399,10 @@ def conservation_report(diag, mass_tol=1e-6, ham_tol=1e-3):
 
     md = drift(diag.mass)
     hd = drift(diag.hamiltonian)
-    c2 = drift(diag.casimir_sq)
-    cm = drift(diag.casimir_min)
     passed = (md <= mass_tol) and (hd <= ham_tol) and not diag.aborted
     return ConservationReport(
         mass_drift=md,
         hamiltonian_drift=hd,
-        casimir_sq_drift=c2,
-        casimir_min_drift=cm,
         max_orbital=float(np.max(diag.orbital)),
         passed=passed,
         tolerances={"mass": mass_tol, "hamiltonian": ham_tol},

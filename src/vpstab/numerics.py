@@ -233,10 +233,19 @@ def serial_blas():
             put(n)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# The Gauss rules come from small dense eigensolves, built on one BLAS thread
+# so that they do not wake the helper threads (see serial_blas); every caller
+# shares the cached arrays, so they are read-only.
 @lru_cache(maxsize=128)
 def _gl_rule(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    with serial_blas():
+        return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
 def gl_points(a, b, n):
@@ -257,8 +266,8 @@ def panel_rule(bounds, n_gl):
 @lru_cache(maxsize=64)
 def _jacobi_rule(n, alpha, beta):
     # weight (1-x)^alpha (1+x)^beta on [-1, 1]
-    x, w = special.roots_jacobi(n, alpha, beta)
-    return x, w
+    with serial_blas():
+        return _read_only(*special.roots_jacobi(n, alpha, beta))
 
 
 def jacobi_integral(g, lo, hi, alpha, beta, n=80):

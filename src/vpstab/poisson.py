@@ -3,7 +3,9 @@
 A potential is admissible when it is nonpositive, continuous, tends to zero,
 has finite field energy, and its decay margin m(phi) = inf (1+r)|phi| is
 strictly positive. All potentials here are stored radially; translations are
-handled at evaluation time through |x - z|.
+handled at evaluation time through |x - z|, and the gradient distance between
+recentred fields has one quadrature, a cached spherical product rule over all
+of R^3 (`grad_distance2_shifted`).
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from .numerics import Grid1D, InvalidArgumentError
+from .numerics import Grid1D, InvalidArgumentError, _read_only, gl_points, panel_rule
 
 FOUR_PI = 4.0 * np.pi
 
@@ -51,17 +53,15 @@ class PotentialX:
     """Radial potential with its exterior monopole continuation.
 
     phi_fn / dphi_fn evaluate phi and phi' for any r >= 0 (the exterior is
-    exactly -M/(4 pi r)); enclosed_fn gives the mass inside radius r.
+    exactly -M/(4 pi r)).
     """
 
     grid: Grid1D
     values: np.ndarray
     M: float
     min_phi: float
-    m_phi: float
     phi_fn: object
     dphi_fn: object
-    enclosed_fn: object
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -71,7 +71,9 @@ class PotentialX:
         return self.grid.x_max
 
     def enclosed_mass(self, r):
-        return self.enclosed_fn(np.asarray(r, dtype=float))
+        """Mass inside radius r, 4 pi r^2 phi'(r) by Gauss's law."""
+        r = np.asarray(r, dtype=float)
+        return FOUR_PI * r**2 * self.dphi_fn(r)
 
     @staticmethod
     def _decay_margin(phi_fn, r_max, M):
@@ -87,21 +89,8 @@ class PotentialX:
     @staticmethod
     def from_callable(grid, phi_fn, dphi_fn, M):
         """Wrap analytic callables (e.g. a perturbed potential)."""
-
-        def enclosed(r):
-            return FOUR_PI * np.asarray(r, dtype=float) ** 2 * dphi_fn(r)
-
         phi0 = float(phi_fn(np.array([0.0]))[0])
-        return PotentialX(
-            grid=grid,
-            values=phi_fn(grid.nodes),
-            M=M,
-            min_phi=phi0,
-            m_phi=PotentialX._decay_margin(phi_fn, grid.x_max, M),
-            phi_fn=phi_fn,
-            dphi_fn=dphi_fn,
-            enclosed_fn=enclosed,
-        )
+        return PotentialX(grid, phi_fn(grid.nodes), M, phi0, phi_fn, dphi_fn)
 
 
 def _checked_density(grid, rho):
@@ -215,20 +204,7 @@ def solve_poisson_radial(grid, rho, method="spline"):
         out = np.where(r < grid.x_max, cum_sq(rs) / rs**2, M / (FOUR_PI * rs**2))
         return np.where(r < tiny, 0.0, out)
 
-    def enclosed(r):
-        return FOUR_PI * np.minimum(cum_sq(np.asarray(r, dtype=float)), M / FOUR_PI)
-
-    phi0 = -tot1
-    return PotentialX(
-        grid=grid,
-        values=phi_fn(grid.nodes),
-        M=M,
-        min_phi=float(phi0),
-        m_phi=PotentialX._decay_margin(phi_fn, grid.x_max, M),
-        phi_fn=phi_fn,
-        dphi_fn=dphi_fn,
-        enclosed_fn=enclosed,
-    )
+    return PotentialX(grid, phi_fn(grid.nodes), M, float(-tot1), phi_fn, dphi_fn)
 
 
 def field_energy(pot):
@@ -286,10 +262,6 @@ class RadialField3D:
     def barycenter(self):
         return self.center
 
-    def phi_at(self, pts):
-        r = np.linalg.norm(pts - self.center, axis=-1)
-        return self.pot.phi_fn(r)
-
     def grad_at(self, pts):
         d = pts - self.center
         r = np.clip(np.linalg.norm(d, axis=-1), 1e-300, None)
@@ -303,10 +275,6 @@ class SumField3D:
     parts: tuple
 
     @property
-    def mass(self):
-        return sum(p.mass for p in self.parts)
-
-    @property
     def extent(self):
         return max(p.extent for p in self.parts)
 
@@ -317,66 +285,47 @@ class SumField3D:
         c = np.stack([p.barycenter() for p in self.parts])
         return (m[:, None] * c).sum(axis=0) / m.sum()
 
-    def phi_at(self, pts):
-        return sum(p.phi_at(pts) for p in self.parts)
-
     def grad_at(self, pts):
         return sum(p.grad_at(pts) for p in self.parts)
 
 
-@lru_cache(maxsize=8)
-def _cube_rule(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    X, Y, Z = np.meshgrid(x, x, x, indexing="ij")
-    W = w[:, None, None] * w[None, :, None] * w[None, None, :]
-    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=-1)
-    return pts, W.ravel()
+@lru_cache(maxsize=1)
+def _space_rule():
+    """Product rule for integrals over R^3 of fields that are multipoles
+    outside the unit ball: 16 Gauss panels (6 points each) in r on [0, 1]
+    with edges (k/16)^2, the exterior through r = 1/t (8 Gauss points in t,
+    so a monopole tail is integrated exactly), 12 Gauss points in cos(theta)
+    and 12 midpoint azimuths. Nodes (n, 3) and weights (n,), read-only."""
+    r, w_r = panel_rule((np.arange(17) / 16.0) ** 2, 6)
+    t, w_t = gl_points(0.0, 1.0, 8)
+    radii = np.concatenate([r, 1.0 / t])
+    w_radii = np.concatenate([w_r * r**2, w_t / t**4])
+    mu, w_mu = gl_points(-1.0, 1.0, 12)
+    mu, azimuth = np.meshgrid(mu, (np.arange(12) + 0.5) * (np.pi / 6), indexing="ij")
+    sin_t = np.sqrt(1.0 - mu**2)
+    dirs = np.stack([sin_t * np.cos(azimuth), sin_t * np.sin(azimuth), mu], axis=-1).reshape(-1, 3)
+    nodes = (radii[:, None, None] * dirs[None]).reshape(-1, 3)
+    weights = np.outer(w_radii, np.repeat(w_mu * (np.pi / 6), 12)).ravel()
+    return _read_only(nodes, weights)
 
 
-def grad_distance2_shifted(field1, field2, n_gauss=48):
-    """Squared L2 distance of the gradients of two 3D fields by tensor Gauss
-    quadrature over the ball containing both, plus the monopole tail."""
+def grad_distance2_shifted(field1, field2):
+    """Squared L2 distance over R^3 of the gradients of two 3D fields, by the
+    spherical product rule scaled to R = 1.05 x the larger extent: outside R
+    both fields are exact multipoles, whose tail the r = 1/t nodes carry."""
     R = 1.05 * max(field1.extent, field2.extent)
-    pts, w = _cube_rule(n_gauss)
-    x = pts * R
-    ww = w * R**3
-    mask = np.linalg.norm(x, axis=-1) <= R
-    diff = field1.grad_at(x[mask]) - field2.grad_at(x[mask])
-    inner = float(np.dot(ww[mask], np.sum(diff**2, axis=-1)))
-    tail = (field1.mass - field2.mass) ** 2 / (FOUR_PI * R)
-    return inner + tail
-
-
-def _cross_gradient(pot1, pot2, d, n_dense=8192):
-    """<grad phi1, grad phi2(. - z)> for radial potentials at separation d,
-    reduced to 1D: -int rho2(s) [spherical average of phi1 at (s, d)] ds with
-    the average taken from the exact antiderivative of t phi1(t)."""
-    R1 = pot1.r_max
-    t = np.linspace(0.0, R1, n_dense)
-    g = t * pot1.phi_fn(t)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
-
-    def int_t_phi(x):
-        # integral of t phi1(t) from 0 to x, monopole tail past the grid
-        x = np.asarray(x, dtype=float)
-        inner = np.interp(np.clip(x, 0.0, R1), t, cum)
-        tail = -pot1.M / FOUR_PI * np.clip(x - R1, 0.0, None)
-        return inner + tail
-
-    # shells of pot2 on its own grid
-    edges = pot2.grid.edges
-    shells = np.diff(pot2.enclosed_mass(edges))
-    s = pot2.grid.nodes
-    avg = (int_t_phi(s + d) - int_t_phi(np.abs(s - d))) / (2.0 * s * d)
-    return -float(np.dot(shells, avg))
+    nodes, weights = _space_rule()
+    x = R * nodes
+    diff = field1.grad_at(x) - field2.grad_at(x)
+    return R**3 * float(np.dot(weights, np.einsum("qi,qi->q", diff, diff)))
 
 
 def potential_distance(pot1, pot2, z=(0.0, 0.0, 0.0)):
     """Sup distance and gradient L2 distance between pot1 and pot2(. - z).
 
     z = 0 reduces to aligned radial quadrature; otherwise the gradient term
-    uses the bipolar reduction <grad phi1, grad phi2(.-z)> = -int rho2 avg(phi1)
-    (exact up to 1D quadrature) and the sup norm a dense (radius, angle) scan.
+    is `grad_distance2_shifted` of the two recentred fields and the sup norm
+    a dense (radius, angle) scan.
     """
     z = np.asarray(z, dtype=float)
     d = float(np.linalg.norm(z))
@@ -385,10 +334,8 @@ def potential_distance(pot1, pot2, z=(0.0, 0.0, 0.0)):
         dist_inf = float(np.max(np.abs(pot1.phi_fn(r) - pot2.phi_fn(r))))
         return dist_inf, float(np.sqrt(grad_distance2(pot1, pot2)))
 
-    cross = _cross_gradient(pot1, pot2, d)
-    e1 = 2.0 * field_energy(pot1)
-    e2 = 2.0 * field_energy(pot2)
-    dist_grad = float(np.sqrt(max(e1 + e2 - 2.0 * cross, 0.0)))
+    dist2 = grad_distance2_shifted(RadialField3D.of(pot1), RadialField3D.of(pot2, z))
+    dist_grad = float(np.sqrt(dist2))
     # sup norm on a (radius, angle-to-z) fan about the origin
     R = max(pot1.r_max, pot2.r_max) + d
     r = np.linspace(0.0, R, 2048)[:, None]

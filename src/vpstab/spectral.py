@@ -34,6 +34,7 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, splu
 
 from .numerics import (
     InvalidArgumentError,
+    _jacobi_rule,
     eig_tridiag,
     panel_rule,
     serial_blas,
@@ -43,7 +44,7 @@ from .numerics import (
 from .poisson import (
     PotentialX,
     RadialField3D,
-    _cube_rule,
+    _space_rule,
     check_X_membership,
     grad_distance2_shifted,
 )
@@ -93,12 +94,10 @@ class EnergyMesh:
 
 def energy_mesh(model, n_e=256, n_q=96):
     """Energy mesh of the projector; `model.energy_mesh` keeps the default."""
-    from scipy.special import roots_jacobi
-
     profile = model.profile
     lo = model.phi_center
     hi = model.e0
-    x, w = roots_jacobi(n_e, profile.fp_cusp, 0.0)
+    x, w = _jacobi_rule(n_e, profile.fp_cusp, 0.0)
     half = 0.5 * (hi - lo)
     e = lo + half * (x + 1.0)
     w_fp = half ** (profile.fp_cusp + 1.0) * w * profile.fp_smooth(e)
@@ -134,9 +133,6 @@ class Direction:
     h: object
     dh: object
     extent: float
-
-    def scaled(self, c):
-        return Direction(h=lambda r: c * self.h(r), dh=lambda r: c * self.dh(r), extent=self.extent)
 
 
 def smooth_bump_direction(model, center_frac=0.5, width_frac=0.25, amplitude=None, extent_frac=2.0):
@@ -665,16 +661,17 @@ def hardy_check(model, direction: Direction, margin=0.02, mesh=None):
     return lhs, rhs
 
 
-def modulation_shift(pot_or_field, model, seed=None, n_gauss=40):
+def modulation_shift(pot_or_field, model, seed=None):
     """Translation aligning a potential with the steady-state field: minimizes
-    || grad phi - grad phi_Q(. - z) ||_L2 by derivative-free descent seeded at
-    the density barycenter, and reports the three orthogonality residuals
-    int eps_z d/dx_i (Laplacian phi_Q) dx at the solution."""
+    || grad phi - grad phi_Q(. - z) ||_L2 (`grad_distance2_shifted`) by
+    derivative-free descent seeded at the density barycenter, and reports the
+    three orthogonality residuals int eps_z d/dx_i (Laplacian phi_Q) dx at the
+    solution, by the same spherical rule."""
     field = pot_or_field if hasattr(pot_or_field, "grad_at") else RadialField3D.of(pot_or_field)
     ref = model.potential()
 
     def objective(z):
-        return grad_distance2_shifted(field, RadialField3D.of(ref, z), n_gauss=n_gauss)
+        return grad_distance2_shifted(field, RadialField3D.of(ref, z))
 
     z0 = np.asarray(seed, dtype=float) if seed is not None else field.barycenter()
     res = optimize.minimize(
@@ -687,13 +684,11 @@ def modulation_shift(pot_or_field, model, seed=None, n_gauss=40):
         raise ModulationError(f"no aligned translate found: {res.message}")
     z = res.x
 
-    # orthogonality residuals: -int rho_Q(x) [grad phi](x + z) dx, normalized
-    pts, w = _cube_rule(n_gauss)
-    x = pts * model.R_Q
-    ww = w * model.R_Q**3
-    mask = np.linalg.norm(x, axis=-1) <= model.R_Q
-    rho = model.rho_fn(np.linalg.norm(x[mask], axis=-1))
-    grad = field.grad_at(x[mask] + z)
-    resid = -np.einsum("q,q,qi->i", ww[mask], rho, grad)
+    # orthogonality residuals: -int rho_Q(x) [grad phi](x + z) dx, normalized;
+    # rho_Q vanishes past R_Q, so the rule is scaled to it
+    nodes, weights = _space_rule()
+    x = model.R_Q * nodes
+    rho = model.rho_fn(np.linalg.norm(x, axis=-1))
+    resid = -model.R_Q**3 * np.einsum("q,q,qi->i", weights, rho, field.grad_at(x + z))
     norm = model.M * max(abs(model.phi_center) / model.R_Q, 1e-300)
     return z, resid / norm

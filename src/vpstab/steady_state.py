@@ -427,17 +427,26 @@ def build_polytrope(q, central_potential_depth, grid, n_steps=6000):
     return _polytrope(q, central_potential_depth, n_steps, lambda _r: grid)
 
 
+def _profile_ode(source, y0, n_steps):
+    """Profile solve in about n_steps steps out to its zero. A coarse solve
+    finds the zero first; its step is 0.02, or a tenth of the central scale
+    sqrt(6 y0 / S(y0)) (y ~ y0 - S(y0) r^2 / 6 there) when that is shorter,
+    as in deep King models."""
+    h = min(0.02, float(np.sqrt(6.0 * y0 / source(y0))) / 10.0)
+    coarse = solve_profile_ode(source, y0, h)
+    return solve_profile_ode(source, y0, coarse.r_zero / n_steps)
+
+
 def _polytrope(q, psi0, n_steps, grid_for):
-    """build_polytrope on the grid grid_for(R_Q); a coarse (h = 0.02) solve
-    sets the step of the fine one, whose support radius is R_Q."""
+    """build_polytrope on the grid grid_for(R_Q); the support radius R_Q is
+    the zero of the fine profile solve (`_profile_ode`)."""
     if not 0.0 < q < 3.5:
         raise InvalidArgumentError(f"polytrope exponent q={q} outside (0, 7/2): infinite extent")
     if psi0 <= 0:
         raise InvalidArgumentError("depth must be positive")
     n_index = q + 1.5
     source = lambda y: np.clip(y, 0.0, None) ** n_index
-    coarse = solve_profile_ode(source, 1.0, 0.02)
-    ode = solve_profile_ode(source, 1.0, coarse.r_zero / n_steps)
+    ode = _profile_ode(source, 1.0, n_steps)
     xi1, dtheta1 = ode.r_zero, ode.yp_zero
 
     c_q = FOUR_PI_SQRT2 * special.beta(q + 1.0, 1.5)
@@ -466,13 +475,12 @@ def build_king(W0, grid, n_steps=6000):
 
 
 def _king(W0, n_steps, grid_for):
-    """build_king on the grid grid_for(R_Q); a coarse (h = 0.02) solve sets
-    the step of the fine one, whose support radius is R_Q."""
+    """build_king on the grid grid_for(R_Q); the support radius R_Q is the
+    zero of the fine profile solve (`_profile_ode`)."""
     if W0 <= 0:
         raise InvalidArgumentError("King depth W0 must be positive")
     source = KingProfile(e0=-1.0, amplitude=1.0).rho_kernel
-    coarse = solve_profile_ode(source, W0, 0.02)
-    ode = solve_profile_ode(source, W0, coarse.r_zero / n_steps)
+    ode = _profile_ode(source, W0, n_steps)
     R_Q, dW1 = ode.r_zero, ode.yp_zero
     e0 = R_Q * dW1
     M = -4.0 * np.pi * R_Q**2 * dW1

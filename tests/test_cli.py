@@ -90,7 +90,7 @@ def test_evolve_short_run_outputs(model_file, tmp_path):
     series = (tmp_path / "run_series.csv").read_text()
     assert series.startswith("# config ")
     header = [line for line in series.splitlines() if not line.startswith("#")][0]
-    assert header == "t,hamiltonian,mass,casimir_sq,casimir_min,orbital_distance,potential_distance"
+    assert header == "t,hamiltonian,mass,orbital_distance,potential_distance"
     assert (tmp_path / "run_final.ckpt").exists()
     cfg = json.loads((tmp_path / "run_config.json").read_text())
     assert cfg["eta"] == 0.01

@@ -278,6 +278,17 @@ def test_stability_lower_bound_one_potential_distance(king, monkeypatch, shift):
     assert rep.reliable == bool(d_inf + d_grad < 0.5 * abs(king.phi_center))
 
 
+def test_shifted_distance_is_continuous_at_the_snap(king):
+    # stability_lower_bound takes a shift below 1e-9 R_Q as zero, and with it
+    # the aligned radial quadrature; the shifted rule agrees there
+    from vpstab.poisson import potential_distance
+
+    pot_f = hamiltonian(bump_perturbation(padded_phase_density(king, n_r=150, n_u=80), 0.01, 7)).pot
+    aligned = potential_distance(pot_f, king.potential(), np.zeros(3))[1]
+    shifted = potential_distance(pot_f, king.potential(), np.array([1e-9, 0.0, 0.0]))[1]
+    assert shifted == pytest.approx(aligned, rel=1e-3)
+
+
 @pytest.mark.parametrize("shift", [np.zeros(3), np.array([0.02, 0.0, 0.0])])
 def test_stability_lower_bound_matches_fresh_objects(king, shift):
     import dataclasses

@@ -167,6 +167,34 @@ def test_serial_blas_runs_one_thread_and_restores_the_count():
     assert [get() for get, _ in controls] == before
 
 
+def test_gauss_rules_are_built_on_one_blas_thread(monkeypatch):
+    import contextlib
+
+    from scipy import special
+
+    import vpstab.numerics as numerics
+
+    entered = []
+
+    @contextlib.contextmanager
+    def recorded():
+        entered.append(True)
+        with serial_blas():
+            yield
+
+    monkeypatch.setattr(numerics, "serial_blas", recorded)
+    for rule, args, (x_ref, w_ref) in (
+        (numerics._gl_rule, (17,), np.polynomial.legendre.leggauss(17)),
+        (numerics._jacobi_rule, (33, 0.5, 0.0), special.roots_jacobi(33, 0.5, 0.0)),
+    ):
+        rule.cache_clear()
+        entered.clear()
+        x, w = rule(*args)
+        assert entered == [True]
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        assert not (x.flags.writeable or w.flags.writeable)  # shared by every caller
+
+
 def test_hermite_eval_reproduces_polynomials():
     xs = np.linspace(0, 2, 9)
     f = xs**3 - 2 * xs**2 + 0.5

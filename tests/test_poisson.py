@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from vpstab.numerics import make_1d_grid
+from vpstab.numerics import gl_points, make_1d_grid, panel_rule
 from vpstab.poisson import (
     DegenerateInputError,
     PotentialX,
+    RadialField3D,
     check_X_membership,
     field_energy,
     potential_distance,
@@ -57,7 +58,6 @@ def test_from_model_fields(king, tmp_path):
         assert pot.grid is model.grid and pot.M == model.M
         assert np.array_equal(pot.values, model.phi)
         assert pot.min_phi == float(model.phi_fn(np.array([0.0]))[0])
-        assert pot.m_phi == PotentialX._decay_margin(model.phi_fn, model.grid.x_max, model.M)
         r = np.linspace(0.0, 1.2 * model.grid.x_max, 97)
         assert np.array_equal(pot.phi_fn(r), model.phi_fn(r))
         assert np.array_equal(pot.dphi_fn(r), model.dphi_fn(r))
@@ -167,7 +167,9 @@ def test_potential_distance_small_shift_linear(king_pot):
 def test_potential_distance_vs_bipolar_oracle(king_pot):
     # independent 1D oracle: |grad(phi - phi_z)|^2 = 2 |grad phi|^2 - 2 X with
     # X = <grad phi, grad phi_z> = -int rho(x) phi(|x - z|) dx, reduced to
-    # radial integrals through the spherical average of the shifted potential
+    # radial integrals through the spherical average of the shifted potential;
+    # |grad phi|^2 = -int rho phi dx is booked by the same shell sum, so the
+    # shell discretization cancels at z -> 0
     from scipy.integrate import quad
 
     pot = king_pot
@@ -179,10 +181,48 @@ def test_potential_distance_vs_bipolar_oracle(king_pot):
         return val / (2 * s * z)
 
     shell = np.diff(pot.enclosed_mass(pot.grid.edges))
-    cross = -sum(m_k * phi_avg(s_k) for m_k, s_k in zip(shell, pot.grid.nodes) if m_k > 0)
-    expected = np.sqrt(max(4 * field_energy(pot) - 2 * cross, 0.0))
+    occupied = [(m_k, s_k) for m_k, s_k in zip(shell, pot.grid.nodes) if m_k > 0]
+    cross = -sum(m_k * phi_avg(s_k) for m_k, s_k in occupied)
+    self_term = -sum(m_k * float(pot.phi_fn(np.array([s_k]))[0]) for m_k, s_k in occupied)
+    expected = np.sqrt(max(2 * self_term - 2 * cross, 0.0))
     d3d = potential_distance(pot, pot, (z, 0.0, 0.0))[1]
     assert d3d == pytest.approx(expected, rel=2e-3)
+
+
+def _axisymmetric_distance(pot, d, n_r, n_mu):
+    """|grad phi - grad phi(. - d e_3)| by a product rule in (r, cos theta)
+    about the origin, where the integrand has no azimuthal dependence:
+    n_r Gauss panels of 8 points on [0, r_max + d], n_r / 5 Gauss points in
+    t for the exterior r = (r_max + d) / t, n_mu Gauss panels of 8 points in
+    cos theta."""
+    r_b = pot.r_max + d
+    r, w_r = panel_rule(np.linspace(0.0, r_b, n_r + 1), 8)
+    t, w_t = gl_points(0.0, 1.0, n_r // 5)
+    radii = np.concatenate([r, r_b / t])
+    w_radii = np.concatenate([w_r * r**2, r_b**3 * w_t / t**4])
+    mu, w_mu = panel_rule(np.linspace(-1.0, 1.0, n_mu + 1), 8)
+    rho_cyl = radii[:, None] * np.sqrt(1.0 - mu**2)[None, :]
+    x = np.stack([rho_cyl, np.zeros_like(rho_cyl), radii[:, None] * mu[None, :]], axis=-1)
+    diff = RadialField3D.of(pot).grad_at(x) - RadialField3D.of(pot, (0.0, 0.0, d)).grad_at(x)
+    return float(np.sqrt(2.0 * np.pi * w_radii @ np.sum(diff**2, axis=-1) @ w_mu))
+
+
+@pytest.mark.parametrize("d, value", [(0.001, 0.012561), (0.01, 0.125589), (0.04, 0.500854), (0.1, 1.231778)])
+def test_shifted_distance_vs_axisymmetric_reference(king_pot, d, value):
+    ref = _axisymmetric_distance(king_pot, d, 100, 12)
+    assert ref == pytest.approx(_axisymmetric_distance(king_pot, d, 200, 24), rel=1e-9)
+    assert ref == pytest.approx(value, abs=1e-6)
+    # an off-axis shift of the same length: the spherical rule has no symmetry to lean on
+    z = d * np.array([2.0, -1.0, 2.0]) / 3.0
+    assert potential_distance(king_pot, king_pot, z)[1] == pytest.approx(ref, rel=1e-4)
+
+
+def test_shifted_distance_has_no_floor(king_pot):
+    # |grad phi - grad phi(. - eps e)| / eps tends to |e . grad grad phi|: no
+    # quadrature floor as the shift shrinks
+    eps = np.array([1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    slopes = np.array([potential_distance(king_pot, king_pot, (e, 0.0, 0.0))[1] / e for e in eps])
+    assert np.ptp(slopes) <= 1e-3 * slopes[0]
 
 
 def test_interpolation_estimate_calibrated(king, rng):

@@ -368,6 +368,14 @@ def test_modulation_exact_translate(king):
     assert np.max(np.abs(resid)) <= 1e-6
 
 
+def test_modulation_off_axis_translate(king):
+    c = np.array([0.05, -0.03, 0.02])
+    field = RadialField3D.of(king.potential(), center=c)
+    z, resid = modulation_shift(field, king, seed=c + np.array([0.02, 0.01, -0.01]))
+    assert np.linalg.norm(z - c) <= 1e-6 * king.R_Q
+    assert np.max(np.abs(resid)) <= 1e-6
+
+
 def test_modulation_translate_plus_bump(king):
     # a small centred radial bump added to a translate: recovered shift stays
     # within a constant times the bump amplitude

@@ -268,6 +268,12 @@ def test_model_grid_covers_three_fine_support_radii():
     assert model.grid.x_max >= 3.0 * model.R_Q
 
 
+def test_deep_king_profile_takes_about_n_steps():
+    # the coarse solve that sizes the fine step resolves the central scale
+    ode = king_model(9.0).interior.ode
+    assert ode.r.size - 1 <= 6100
+
+
 def test_model_scoped_objects_are_built_once(king):
     assert king.potential() is king.potential()
     assert king.rearrangement is king.rearrangement
