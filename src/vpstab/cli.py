@@ -20,8 +20,24 @@ from . import __version__
 
 
 def _load_config(path):
+    """The JSON object of a --config file; a ValueError when the file is not
+    JSON or holds something else than an object."""
+    from .steady_state import _require
+
     with open(path) as fh:
-        return json.load(fh)
+        return _require(json.load(fh), (), f"config {path}")
+
+
+def _positive(kind):
+    """argparse type: a finite number of the given kind that is > 0."""
+
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
+        return value
+
+    return parse
 
 
 _PATH_KEYS = {"out", "out_prefix", "model", "potential"}
@@ -46,19 +62,20 @@ def _emit_config(cfg, digest, path, **record):
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
-def _build_model(args):
-    from .steady_state import king_model, polytrope_model
+def _build_model(kind, params, n_r):
+    """Build a King model (kind "king") from params["W0"] or a polytrope
+    from params["q"] and params["depth"] on n_r radial cells; a missing
+    parameter raises InvalidArgumentError."""
+    from .steady_state import _require, king_model, polytrope_model
 
-    if args.kind == "king":
-        return king_model(args.w0, n_r=args.n_r)
-    if args.kind == "polytrope":
-        return polytrope_model(args.q, args.depth, n_r=args.n_r)
-    raise ValueError(f"unknown model kind {args.kind!r}")
+    build, names = {"king": (king_model, ("W0",)), "polytrope": (polytrope_model, ("q", "depth"))}[kind]
+    _require(params, names, f"{kind} model")
+    return build(*(params[k] for k in names), n_r=n_r)
 
 
 def cmd_build(args):
     cfg, digest = _resolved_config(args, ["kind", "q", "depth", "w0", "n_r", "out"])
-    model = _build_model(args)
+    model = _build_model(args.kind, {"W0": args.w0, "q": args.q, "depth": args.depth}, args.n_r)
     doc = model.to_json()
     doc["config_digest"] = digest
     with open(args.out, "w") as fh:
@@ -198,24 +215,18 @@ _SUITES = {
 def _exact_model(path):
     """Load a model file and rebuild the model from its stored parameters
     when possible, so that every subcommand runs on the ODE-backed
-    evaluators rather than the interpolated arrays of a deserialized file.
+    evaluators rather than the tabulated profile of a deserialized file.
     Returns the model and which evaluator it is, "exact" or "deserialised";
-    metadata the builders reject (a ValueError such as an out-of-range
-    parameter, a TypeError for a non-numeric one, or the RuntimeError of a
-    failed quadrature check) keeps the deserialised model."""
-    from .steady_state import SteadyStateModel, king_model, polytrope_model
+    parameters that _build_model rejects (a ValueError such as a missing or
+    out-of-range parameter, a TypeError for a non-numeric one, or the
+    RuntimeError of a failed quadrature check) keep the deserialised model."""
+    from .steady_state import SteadyStateModel
 
     loaded = SteadyStateModel.load(path)
-    meta = loaded.meta or {}
-    n_r = loaded.grid.n
     try:
-        if loaded.profile.kind == "king" and "W0" in meta:
-            return king_model(meta["W0"], n_r=n_r), "exact"
-        if loaded.profile.kind == "polytrope" and "q" in meta and "depth" in meta:
-            return polytrope_model(meta["q"], meta["depth"], n_r=n_r), "exact"
+        return _build_model(loaded.profile.kind, loaded.meta or {}, loaded.grid.n), "exact"
     except (ValueError, TypeError, RuntimeError):
-        pass
-    return loaded, "deserialised"
+        return loaded, "deserialised"
 
 
 def cmd_check(args):
@@ -290,24 +301,26 @@ def cmd_shift(args):
     from .poisson import PotentialX, RadialField3D
     from .spectral import modulation_shift
     from .numerics import Grid1D
+    from .steady_state import _require
 
     cfg, digest = _resolved_config(args, ["model", "potential", "out"])
     model, source = _exact_model(args.model)
     with open(args.potential) as fh:
-        doc = json.load(fh)
+        doc = _require(json.load(fh), (), f"potential file {args.potential}")
     center = np.asarray(doc.get("center", [0.0, 0.0, 0.0]), dtype=float)
     if doc.get("use_model_potential"):
         pot = model.potential()
     else:
         from scipy.interpolate import PchipInterpolator
 
+        _require(doc, ("r", "phi", "M"), f"potential file {args.potential}")
         r = np.asarray(doc["r"], dtype=float)
         phi = np.asarray(doc["phi"], dtype=float)
         M = float(doc["M"])
         interp = PchipInterpolator(r, phi)
         dinterp = interp.derivative()
         edges = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [r[-1]]])
-        grid = Grid1D(nodes=r, weights=np.diff(edges), edges=edges)
+        grid = Grid1D(nodes=r, edges=edges)
         pot = PotentialX.from_callable(
             grid,
             lambda x: np.where(x < r[-1], interp(np.clip(x, r[0], r[-1])), -M / (4 * np.pi * np.clip(x, 1e-300, None))),
@@ -348,7 +361,7 @@ def make_parser(overrides=None):
     c = sub.add_parser("check", help="run a verification suite on a model")
     c.add_argument("--model", required=True)
     c.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    c.add_argument("--seeds", type=int, default=50)
+    c.add_argument("--seeds", type=_positive(int), default=50)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--n-r-phase", dest="n_r_phase", type=int, default=400)
     c.add_argument("--n-u-phase", dest="n_u_phase", type=int, default=200)
@@ -358,8 +371,8 @@ def make_parser(overrides=None):
     e = sub.add_parser("evolve", help="self-consistent particle evolution")
     e.add_argument("--model", required=True)
     e.add_argument("--eta", type=float, default=0.0, help="relative L1 perturbation size")
-    e.add_argument("--t-dyn", dest="t_dyn", type=float, default=50.0)
-    e.add_argument("--dt-frac", dest="dt_frac", type=float, default=0.01)
+    e.add_argument("--t-dyn", dest="t_dyn", type=_positive(float), default=50.0)
+    e.add_argument("--dt-frac", dest="dt_frac", type=_positive(float), default=0.01)
     e.add_argument("--n", type=int, default=100_000)
     e.add_argument("--seed", type=int, default=1)
     e.add_argument("--field-average", dest="field_average", type=int, default=1)
@@ -380,30 +393,27 @@ def make_parser(overrides=None):
     s.set_defaults(func=cmd_shift)
     if overrides:
         for sp in sub.choices.values():
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in overrides.items() if k in known})
+            # argparse runs a flag's type on a string default: a config value
+            # is checked as the same flag on the command line would be
+            types = {a.dest: a.type for a in sp._actions}
+            sp.set_defaults(**{k: v if types[k] is None else str(v) for k, v in overrides.items() if k in types})
     return p
 
 
 def main(argv=None):
-    import sys as _sys
-
-    argv = list(_sys.argv[1:]) if argv is None else list(argv)
+    argv = list(sys.argv[1:]) if argv is None else list(argv)
     overrides = None
     if "--config" in argv:
         try:
             overrides = _load_config(argv[argv.index("--config") + 1])
-        except (OSError, IndexError) as exc:
+        except (OSError, IndexError, ValueError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
     parser = make_parser(overrides)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

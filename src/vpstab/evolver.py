@@ -8,15 +8,17 @@ restriction. In frozen mode the steady-state field (or a supplied external
 force) is used.
 
 In self-consistent mode the field is rebuilt every step on a uniform radial
-mesh of spacing h, a spherical-shell particle-mesh scheme (Henon 1971,
-Ap&SS 13, 284). The mesh is indexed by arithmetic on s = r / h, never by a
-search: the cloud-in-cell deposit takes node floor(s - 1/2) and adds the two
-node shares with np.bincount; the density, optionally averaged over a
+mesh of spacing h (FIELD_N = 256 cells out to FIELD_FACTOR = 3 support
+radii), a spherical-shell particle-mesh scheme (Henon 1971, Ap&SS 13,
+284). The mesh is indexed by arithmetic on s = r / h, never by a search: the
+cloud-in-cell deposit takes node floor(s - 1/2) and adds the two node shares
+with np.bincount; the density, optionally averaged over a
 trailing window as particle-mesh noise control, is solved straight into its
 edge-cumulative cell moments (poisson.CellMoments); and the force at each
 particle is m(r) / (4 pi r^2) read in cell floor(s), with the exact monopole
 exterior. A full PotentialX is built only at record steps, where the field
-energy and the potential distance need it.
+energy and the potential distance need it; a relative Hamiltonian jump
+beyond ABORT_ENERGY_JUMP = 0.2 there aborts the run.
 
 The carried density value f0 is constant along characteristics, which makes
 every Casimir integral sum(mu_p G(f0_p)) exactly conserved by construction,
@@ -35,6 +37,9 @@ from .numerics import InvalidArgumentError, make_1d_grid
 from .poisson import CellMoments, DegenerateInputError, field_energy, grad_distance2, solve_poisson_radial
 
 CHECKPOINT_MAGIC = b"VPSTABE1"
+FIELD_N = 256
+FIELD_FACTOR = 3.0
+ABORT_ENERGY_JUMP = 0.2
 
 
 @dataclass
@@ -66,16 +71,6 @@ class ParticleEnsemble:
 
     def casimir(self, G):
         return float(np.dot(self.volume, G(self.f0)))
-
-    def copy(self):
-        return ParticleEnsemble(
-            r=self.r.copy(),
-            v_r=self.v_r.copy(),
-            ell=self.ell.copy(),
-            weight=self.weight.copy(),
-            f0=self.f0.copy(),
-            volume=self.volume.copy(),
-        )
 
     def save(self, path, time=0.0):
         header = struct.pack("<8sdq", CHECKPOINT_MAGIC, time, self.n)
@@ -244,11 +239,8 @@ def evolve(
     t_end,
     self_consistent=True,
     cadence=None,
-    field_n=256,
-    field_factor=3.0,
     field_average=1,
     external_dphi=None,
-    abort_energy_jump=0.2,
 ):
     """Kick-drift-kick integration up to t_end with diagnostics each cadence.
 
@@ -257,20 +249,20 @@ def evolve(
     noise control; 1 disables it). Otherwise the steady-state field (or
     external_dphi) is frozen. Particles reflect at the grid edge (logged) and
     pass through the centre exactly (free flight). A sudden relative
-    Hamiltonian jump beyond abort_energy_jump aborts the run.
+    Hamiltonian jump beyond ABORT_ENERGY_JUMP aborts the run.
     """
     from collections import deque
 
     if dt > 0.1 * model.dynamical_time:
         warnings.warn("time step exceeds a tenth of the central dynamical time")
     cadence = cadence if cadence is not None else max(1, int(round(0.5 * model.dynamical_time / dt)))
-    grid = make_1d_grid(field_factor * model.R_Q, field_n)
+    grid = make_1d_grid(FIELD_FACTOR * model.R_Q, FIELD_N)
     binner = _Binner(grid)
     ref_pot = model.potential()
     frozen_dphi = model.dphi_fn if external_dphi is None else external_dphi
     diag = TrajectoryDiagnostics()
     rho_buf = deque()
-    rho_sum = np.zeros(field_n)
+    rho_sum = np.zeros(FIELD_N)
 
     def field_state():
         """Cell moments of the field at the current positions (None when
@@ -301,7 +293,7 @@ def evolve(
         if self_consistent:
             pot = solve_poisson_radial(grid, cells.rho, method="cells")
             ham = ens.kinetic() - field_energy(pot)
-            pdist = float(np.sqrt(grad_distance2(pot, ref_pot, n=field_n)))
+            pdist = float(np.sqrt(grad_distance2(pot, ref_pot, n=FIELD_N)))
         elif external_dphi is not None:
             ham = ens.kinetic()  # external force only: no potential available
             pdist = 0.0
@@ -333,7 +325,7 @@ def evolve(
             record(step * dt, cells)
             # external-force runs report kinetic energy only; no abort there
             meaningful = self_consistent or external_dphi is None
-            if meaningful and abs(diag.hamiltonian[-1] - h0) > abort_energy_jump * max(abs(h0), 1e-300):
+            if meaningful and abs(diag.hamiltonian[-1] - h0) > ABORT_ENERGY_JUMP * max(abs(h0), 1e-300):
                 diag.aborted = True
                 warnings.warn("energy jump detected; aborting evolution")
                 break

@@ -50,7 +50,7 @@ class ReducedReport:
     rearranged: PhaseSpaceDensity
 
 
-def hamiltonian(f: PhaseSpaceDensity, pot=None) -> EnergyReport:
+def hamiltonian(f: PhaseSpaceDensity) -> EnergyReport:
     """Kinetic term by phase-space quadrature, potential term from the radial
     Green solve of the induced density."""
     if float(f.values.min(initial=0.0)) < -1e-12 * max(f.sup(), 1.0):
@@ -59,8 +59,7 @@ def hamiltonian(f: PhaseSpaceDensity, pot=None) -> EnergyReport:
     kinetic = f.kinetic()
     if mass == 0.0:
         return EnergyReport(0.0, 0.0, 0.0, 0.0, 0.0, None)
-    if pot is None:
-        pot = solve_poisson_radial(f.grid.radial, f.rho())
+    pot = solve_poisson_radial(f.grid.radial, f.rho())
     potential = -field_energy(pot)
     return EnergyReport(
         kinetic=kinetic,
@@ -103,7 +102,7 @@ def _j0_energy_route(fstar, pot, jac, n_panels=96, n_gl=8):
     return -(total + g_tot * (0.0 - e_star))
 
 
-def reduced_functional(fstar, pot, grid, jac=None, n_g_table=256) -> ReducedReport:
+def reduced_functional(fstar, pot, grid, jac=None) -> ReducedReport:
     """J_{f*}(phi) evaluated both directly (build the rearrangement, measure
     its Hamiltonian and the coupling) and through the primitive-of-f* route;
     the two must agree within the grid's quadrature error."""
@@ -118,7 +117,7 @@ def reduced_functional(fstar, pot, grid, jac=None, n_g_table=256) -> ReducedRepo
     j_direct = rep.hamiltonian + coupling
     j0_check = _j0_energy_route(fstar, pot, jac)
     j0_direct = j_direct - field_energy(pot)
-    s = np.linspace(0.0, fstar.support_measure() * 1.05 + 1e-300, n_g_table)
+    s = np.linspace(0.0, fstar.support_measure() * 1.05 + 1e-300, 256)
     return ReducedReport(
         J_value=j_direct,
         J0_value=j0_direct,

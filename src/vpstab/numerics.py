@@ -1,17 +1,18 @@
 """Shared numerical kernels.
 
-1D quadrature grids whose node/weight pairs integrate r^2 dr exactly per cell,
-tensor phase-space grids, composite Gauss rules over panels, Gauss rules for
-endpoint-singular integrands, the turning radius of a potential,
-monotone-function inversion, symmetric tridiagonal eigensolves, Hermite
-evaluation of ODE output, and a scope that runs BLAS on one thread.
+1D quadrature grids that carry the exact per-cell integrals of r^2 dr (the
+program builds uniform ones), tensor phase-space grids, composite Gauss
+rules over panels, Gauss rules for endpoint-singular integrands, the turning
+radius of a potential, monotone-function inversion, symmetric tridiagonal
+eigensolves, Hermite evaluation of ODE output, and a scope that runs BLAS on
+one thread.
 """
 
 import ctypes
 import glob
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -28,32 +29,26 @@ class OutOfRangeError(ValueError):
     pass
 
 
-def _exact_sq_moments(edges):
-    """Exact per-cell integrals of x^2, keeping tensor phase-space cell
-    measures exact regardless of the node placement."""
-    a, b = edges[:-1], edges[1:]
-    return (b**3 - a**3) / 3.0
-
-
 @dataclass(frozen=True)
 class Grid1D:
-    """Quadrature grid on [0, x_max] (or [x_min, x_max] for log spacing).
+    """Quadrature grid on [0, x_max] with the given nodes and cell edges.
 
-    nodes are cell midpoints, weights are the cell widths, and sq_moments[i]
-    holds the exact cell integral of x^2 (so measure-type integrals are exact
-    for piecewise-constant integrands).
+    weights are the cell widths and sq_moments[i] is the exact cell integral
+    of x^2 (so measure-type integrals are exact for piecewise-constant
+    integrands, whatever the node placement); both are derived from the
+    edges, and every array is read-only.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     edges: np.ndarray
-    sq_cells: np.ndarray = None
+    weights: np.ndarray = field(init=False)
+    sq_moments: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.sq_cells is None:
-            object.__setattr__(self, "sq_cells", _exact_sq_moments(self.edges))
-        for arr in (self.nodes, self.weights, self.edges, self.sq_cells):
-            arr.setflags(write=False)
+        a, b = self.edges[:-1], self.edges[1:]
+        object.__setattr__(self, "weights", b - a)
+        object.__setattr__(self, "sq_moments", (b**3 - a**3) / 3.0)
+        _read_only(self.nodes, self.edges, self.weights, self.sq_moments)
         if np.any(self.nodes <= 0) or np.any(self.weights <= 0):
             raise InvalidArgumentError("grid nodes and weights must be positive")
         if np.any(np.diff(self.nodes) <= 0):
@@ -66,10 +61,6 @@ class Grid1D:
     @property
     def n(self):
         return self.nodes.size
-
-    @property
-    def sq_moments(self):
-        return self.sq_cells
 
     def integrate(self, values):
         """Plain rule: sum of values * weights."""
@@ -103,43 +94,14 @@ class PhaseSpaceGrid:
         return 16.0 * np.pi**2 * mr.sum() * mu.sum()
 
 
-def _uniform_edges(x_max, n):
-    return np.linspace(0.0, x_max, n + 1)
-
-
-def _log_edges(x_min, x_max, n):
-    if x_min <= 0:
-        raise InvalidArgumentError("log spacing needs x_min > 0")
-    return np.geomspace(x_min, x_max, n + 1)
-
-
-def _graded_edges(x_max, n, edge):
-    """Cluster cells near 0 and near an interior edge location; uniform tail."""
-    if edge is None or edge >= x_max:
-        t = np.linspace(0.0, 1.0, n + 1)
-        return x_max * 0.5 * (1.0 - np.cos(np.pi * t))
-    n_in = max(8, int(round(0.65 * n)))
-    n_out = n - n_in
-    t = np.linspace(0.0, 1.0, n_in + 1)
-    inner = edge * 0.5 * (1.0 - np.cos(np.pi * t))
-    outer = np.linspace(edge, x_max, n_out + 1)[1:]
-    return np.concatenate([inner, outer])
-
-
-def make_1d_grid(x_max, n, spacing="uniform", x_min=None, edge=None):
+def make_1d_grid(x_max, n):
+    """Uniform grid of n cells on [0, x_max], nodes at the cell midpoints."""
     if n < 16:
         raise InvalidArgumentError("need at least 16 cells")
     if x_max <= 0:
         raise InvalidArgumentError("extent must be positive")
-    if spacing == "uniform":
-        edges = _uniform_edges(x_max, n)
-    elif spacing == "log":
-        edges = _log_edges(x_min if x_min is not None else 1e-3 * x_max, x_max, n)
-    elif spacing == "graded":
-        edges = _graded_edges(x_max, n, edge)
-    else:
-        raise InvalidArgumentError(f"unknown spacing {spacing!r}")
-    return Grid1D(nodes=0.5 * (edges[:-1] + edges[1:]), weights=np.diff(edges), edges=edges)
+    edges = np.linspace(0.0, x_max, n + 1)
+    return Grid1D(nodes=0.5 * (edges[:-1] + edges[1:]), edges=edges)
 
 
 def make_grids(r_max, n_r, u_max, n_u):
@@ -437,14 +399,12 @@ class RadialOdeSolution:
     def _coef(self):
         return hermite_coefficients(self.r, self.y, self.yp, self.ypp)
 
-    def __call__(self, x):
-        return power_eval(self.r, self._coef, x)
-
-    def derivative(self, x):
-        return power_eval(self.r, self._coef, x, derivative=True)
+    def __call__(self, x, nu=0):
+        """y (nu = 0) or y' (nu = 1) at x, the call of a scipy interpolant."""
+        return power_eval(self.r, self._coef, x, derivative=nu == 1)
 
 
-def solve_profile_ode(source, y0, h, max_steps=2_000_000):
+def solve_profile_ode(source, y0, h):
     """Fixed-step classical RK4 for y'' + (2/r) y' + S(y) = 0, y(0)=y0, y'(0)=0.
 
     Starts from a series expansion at r = 2h (removes the coordinate
@@ -476,7 +436,7 @@ def solve_profile_ode(source, y0, h, max_steps=2_000_000):
     ys = [y0, y_h, y]
     vs = [0.0, v_h, v]
     r = r0
-    for _ in range(max_steps):
+    for _ in range(2_000_000):
         k1y, k1v = rhs(r, y, v)
         k2y, k2v = rhs(r + h / 2, y + h / 2 * k1y, v + h / 2 * k1v)
         k3y, k3v = rhs(r + h / 2, y + h / 2 * k2y, v + h / 2 * k2v)

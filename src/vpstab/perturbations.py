@@ -12,13 +12,13 @@ from .numerics import Grid1D, PhaseSpaceGrid
 from .steady_state import PhaseSpaceDensity
 
 
-def padded_phase_density(model, n_r=200, n_u=100, pad_r=1.05, pad_u=1.15):
-    """Steady-state density on a grid padded beyond the support, so that
-    rearrangements of nearby densities still fit."""
+def padded_phase_density(model, n_r=200, n_u=100):
+    """Steady-state density on a grid padded beyond the support (radius by
+    5%, speed by 15%), so that rearrangements of nearby densities still fit."""
     from .steady_state import make_grids, phase_space_density
 
     u_max = float(model.u_escape(np.array([0.0]))[0])
-    grid = make_grids(model.R_Q * pad_r, n_r, u_max * pad_u, n_u)
+    grid = make_grids(model.R_Q * 1.05, n_r, u_max * 1.15, n_u)
     return phase_space_density(model, grid=grid)
 
 
@@ -86,7 +86,7 @@ def equal_measure_speed_grid(r_max, n_r, u_max, n_u) -> PhaseSpaceGrid:
     e = u_max * (np.arange(n_u + 1) / n_u) ** (1.0 / 3.0)
     a, b = e[:-1], e[1:]
     nodes = np.sqrt((b**3 - a**3) / (3.0 * (b - a)))
-    speeds = Grid1D(nodes=nodes, weights=np.diff(e), edges=e)
+    speeds = Grid1D(nodes=nodes, edges=e)
     return PhaseSpaceGrid(radial=make_1d_grid(r_max, n_r), speeds=speeds)
 
 

@@ -76,13 +76,6 @@ class PotentialX:
         return FOUR_PI * r**2 * self.dphi_fn(r)
 
     @staticmethod
-    def _decay_margin(phi_fn, r_max, M):
-        r = np.concatenate([np.linspace(0.0, r_max, 4096)[1:], [r_max]])
-        interior = np.min((1.0 + r) * np.abs(phi_fn(r)))
-        tail = M / FOUR_PI  # (1+r)|M/(4 pi r)| decreases to M/(4 pi)
-        return float(min(interior, tail))
-
-    @staticmethod
     def from_model(model):
         return PotentialX.from_callable(model.grid, model.phi_fn, model.dphi_fn, model.M)
 
@@ -228,16 +221,16 @@ def grad_distance2(pot1, pot2, n=None):
     return inner + tail
 
 
-def check_X_membership(pot, rel_tol=1e-6):
-    """Admissibility flag and decay margin m(phi) = inf (1+r)|phi|."""
+def check_X_membership(pot):
+    """Admissibility flag and decay margin m(phi) = inf (1+r)|phi|, from one
+    2048-point scan of phi on [0, r_max]; past r_max, (1+r)|M/(4 pi r)|
+    decreases to M/(4 pi)."""
     r = np.linspace(0.0, pot.r_max, 2048)
     vals = pot.phi_fn(r)
     nonpositive = bool(np.all(vals <= 1e-12 * max(abs(pot.min_phi), 1.0)))
-    m_phi = PotentialX._decay_margin(pot.phi_fn, pot.r_max, pot.M) if pot.M > 0 else 0.0
-    decay_ok = bool(
-        pot.phi_fn(np.array([pot.r_max]))[0] >= -pot.M / (FOUR_PI * pot.r_max) * (1.0 + rel_tol) - 1e-15
-    )
-    return (nonpositive and m_phi > 0 and decay_ok), float(m_phi)
+    m_phi = float(min(np.min((1.0 + r) * np.abs(vals)), pot.M / FOUR_PI)) if pot.M > 0 else 0.0
+    decay_ok = bool(vals[-1] >= -pot.M / (FOUR_PI * pot.r_max) * (1.0 + 1e-6) - 1e-15)
+    return (nonpositive and m_phi > 0 and decay_ok), m_phi
 
 
 @dataclass(frozen=True)
@@ -341,6 +334,6 @@ def potential_distance(pot1, pot2, z=(0.0, 0.0, 0.0)):
     r = np.linspace(0.0, R, 2048)[:, None]
     c = np.linspace(-1.0, 1.0, 257)[None, :]
     s = np.sqrt(np.clip(r**2 + d**2 - 2.0 * r * d * c, 0.0, None))
-    vals = np.abs(pot1.phi_fn(r * np.ones_like(s)) - pot2.phi_fn(s))
+    vals = np.abs(pot1.phi_fn(r) - pot2.phi_fn(s))
     dist_inf = float(vals.max())
     return dist_inf, dist_grad

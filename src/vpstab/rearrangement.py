@@ -20,6 +20,7 @@ from scipy.interpolate import PchipInterpolator
 from .numerics import (
     InvalidArgumentError,
     OutOfRangeError,
+    _read_only,
     exterior_power_tail,
     turning_point_rule,
     turning_radius,
@@ -45,8 +46,7 @@ class DistributionFunction:
     measures_asc: np.ndarray
 
     def __post_init__(self):
-        self.values_asc.setflags(write=False)
-        self.measures_asc.setflags(write=False)
+        _read_only(self.values_asc, self.measures_asc)
 
     @property
     def total_measure(self):
@@ -66,14 +66,6 @@ class DistributionFunction:
     def support_measure(self):
         """mu(0+): measure of the strictly positive set."""
         return float(self.evaluate(np.array([0.0]))[0])
-
-    @property
-    def levels(self):
-        return self.values_asc[::-1]
-
-    @property
-    def measures(self):
-        return self.evaluate(self.levels)
 
 
 def distribution_function(f: PhaseSpaceDensity) -> DistributionFunction:
@@ -95,8 +87,7 @@ class MonotoneRearrangement:
     step_values: np.ndarray
 
     def __post_init__(self):
-        self.breaks.setflags(write=False)
-        self.step_values.setflags(write=False)
+        _read_only(self.breaks, self.step_values)
 
     @property
     def sup(self):
@@ -132,9 +123,7 @@ class MonotoneRearrangement:
         return float(np.dot(widths, beta(self.step_values)))
 
     def l1_distance(self, other):
-        t = np.sort(np.unique(np.concatenate([[0.0], self.breaks, other.breaks])))
-        mids = 0.5 * (t[:-1] + t[1:])
-        return float(np.dot(np.diff(t), np.abs(self.value(mids) - other.value(mids))))
+        return l1_distance(self, other)
 
     def primitive(self, s):
         """G(s) = int_0^s f*(t) dt, piecewise linear and concave."""
@@ -143,6 +132,15 @@ class MonotoneRearrangement:
         gk = np.concatenate([[0.0], np.cumsum(widths * self.step_values)])
         tk = np.concatenate([[0.0], self.breaks])
         return np.interp(s, tk, gk)
+
+
+def l1_distance(p, q):
+    """L1 distance between two rearrangement profiles (MonotoneRearrangement
+    or ModelRearrangement): the midpoint rule on the union of their breaks,
+    exact when both are steps and second order against a smooth profile."""
+    t = np.unique(np.concatenate([[0.0], p.breaks, q.breaks]))
+    mids = 0.5 * (t[:-1] + t[1:])
+    return float(np.dot(np.diff(t), np.abs(p.value(mids) - q.value(mids))))
 
 
 def schwarz_rearrangement(mu: DistributionFunction) -> MonotoneRearrangement:
@@ -157,21 +155,21 @@ class ModelRearrangement:
 
     Backed by the model's Jacobian instead of cell sorting; used where the
     step-function granularity would pollute derivative-based diagnostics.
+    breaks is its 2048-point table in t, clustered at both ends of [0, L0].
     Its arrays are read-only: `model.rearrangement` is shared.
     """
 
-    def __init__(self, model, jac=None, n_table=2048):
+    def __init__(self, model, jac=None):
         self.model = model
         self.jac = jac if jac is not None else jacobian_a(model.potential())
         self.L0 = model.L0
-        t = model.L0 * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n_table)))
+        t = model.L0 * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 2048)))
         e = self.jac.a_inv(np.clip(t, 1e-300, None))
         vals = model.profile.evaluate(e)
         vals[0] = model.profile.evaluate(np.array([model.phi_center]))[0]
-        self._t = t
+        self.breaks = t
         self._v = np.clip(vals, 0.0, None)
-        for arr in (self._t, self._v):
-            arr.setflags(write=False)
+        _read_only(self.breaks, self._v)
         self._interp = PchipInterpolator(t, self._v)
         self._G = self._interp.antiderivative()
         self._Gtot = float(self._G(model.L0))
@@ -196,12 +194,7 @@ class ModelRearrangement:
         return np.where(s < self.L0, self._G(np.clip(s, 0.0, self.L0)), self._Gtot)
 
     def l1_distance(self, other):
-        t = np.sort(np.unique(np.concatenate([[0.0], np.atleast_1d(getattr(other, "breaks", [])), self._t])))
-        if t[-1] < self.L0:
-            t = np.concatenate([t, [self.L0]])
-        # refine: step-vs-smooth comparison on interval midpoints
-        mids = 0.5 * (t[:-1] + t[1:])
-        return float(np.dot(np.diff(t), np.abs(self.value(mids) - other.value(mids))))
+        return l1_distance(self, other)
 
 
 class JacobianMap:
@@ -212,16 +205,15 @@ class JacobianMap:
     inverse covers all of [0, infinity).
     """
 
-    def __init__(self, pot, n_table=512, n_main=48):
-        ok, m_phi = check_X_membership(pot)
+    def __init__(self, pot):
+        ok, _ = check_X_membership(pot)
         if not ok:
             raise InvalidArgumentError("potential is not in the admissible decay class")
         self.pot = pot
         self.min_phi = pot.min_phi
-        self.n_main = n_main
         lo = self.min_phi
         hi = -1e-5 * abs(self.min_phi)
-        t = np.linspace(0.0, 1.0, n_table)
+        t = np.linspace(0.0, 1.0, 512)
         mesh = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * t))
         i_a, i_ap = self._sublevel_integral(mesh, 1.5, 0.5)
         a_vals = EIGHT_PI_SQRT2_3 * FOUR_PI * i_a
@@ -230,8 +222,7 @@ class JacobianMap:
         self._e_tab = mesh[keep]
         self._a_tab = a_vals[keep]
         self._ap_tab = ap_vals[keep]
-        for arr in (self._e_tab, self._a_tab, self._ap_tab):
-            arr.setflags(write=False)
+        _read_only(self._e_tab, self._a_tab, self._ap_tab)
         self._a_interp = PchipInterpolator(self._e_tab, self._a_tab)
         self._ap_interp = PchipInterpolator(self._e_tab, self._ap_tab)
 
@@ -247,7 +238,7 @@ class JacobianMap:
         ea = e[active]
         pot = self.pot
         r_e = turning_radius(pot.phi_fn, pot.dphi_fn, ea, pot.r_max)
-        r, w = turning_point_rule(r_e, self.n_main, self.n_main)
+        r, w = turning_point_rule(r_e, 48, 48)
         gap, wr2 = np.clip(ea[:, None] - pot.phi_fn(r), 0.0, None), w * r**2
         # exterior tail where the turning radius M / (4 pi |e|) leaves the grid
         ext = pot.M / FOUR_PI / -ea > pot.r_max
@@ -315,38 +306,22 @@ class JacobianMap:
         res[s >= self._a_tab[-1]] = self._e_tab[-1]
         return res
 
-    def export_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["e", "a", "a_prime"])
-            for e, a, ap in zip(self._e_tab, self._a_tab, self._ap_tab):
-                writer.writerow([repr(e), repr(a), repr(ap)])
+
+def jacobian_a(pot) -> JacobianMap:
+    return JacobianMap(pot)
 
 
-def jacobian_a(pot, **kw) -> JacobianMap:
-    return JacobianMap(pot, **kw)
-
-
-def generalized_rearrangement(fstar, pot, grid, jac=None, mode="average") -> PhaseSpaceDensity:
+def generalized_rearrangement(fstar, pot, grid, jac=None) -> PhaseSpaceDensity:
     """Rearrangement with respect to the microscopic energy of the potential:
     f(r, u) = f*(a(u^2/2 + phi(r))) where the energy is negative, else 0.
 
-    mode="average" returns per-cell averages (G(a_hi) - G(a_lo)) / (a_hi -
-    a_lo) over the cell's energy window, the finite-volume view of the same
-    composition; it averages out the cut-cell noise of the discrete measure
-    and converges at second order. mode="point" evaluates at cell nodes.
+    Each cell holds the average (G(a_hi) - G(a_lo)) / (a_hi - a_lo) of the
+    composition over its energy window, G the primitive of f*: the
+    finite-volume view, which averages out the cut-cell noise of the discrete
+    measure and converges at second order.
     """
     if jac is None:
         jac = jacobian_a(pot)
-    if mode == "point":
-        phi = pot.phi_fn(grid.radial.nodes)
-        e = 0.5 * grid.speeds.nodes[None, :] ** 2 + phi[:, None]
-        values = np.zeros_like(e)
-        neg = e < 0
-        values[neg] = fstar.value(jac.a(e[neg]))
-        return PhaseSpaceDensity(grid=grid, values=values)
-    if mode != "average":
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
     phi_edges = pot.phi_fn(grid.radial.edges)
     u_edges = grid.speeds.edges
     e_lo = 0.5 * u_edges[:-1][None, :] ** 2 + phi_edges[:-1][:, None]
@@ -417,29 +392,29 @@ def path_derivative_a(pot, pot_tilde, lam, e, n_main=64):
     return -FOUR_PI_SQRT2 * FOUR_PI * float(integral)
 
 
-def export_tables(prefix, mu=None, fstar=None, jac=None, n_rows=512):
-    """CSV dumps of (s, mu), (t, f*), (e, a) for plotting."""
+def _write_table(path, header, *columns):
+    """CSV with a header row and one row per index of the columns, each value
+    written as repr(float(v)), which reads back exactly."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def export_tables(prefix, mu=None, fstar=None, jac=None):
+    """CSV dumps of (s, mu) and (t, f*) on 512 rows, and the (e, a, a')
+    table of the Jacobian, for plotting."""
     paths = {}
     if mu is not None:
-        s = np.linspace(0.0, mu.sup, n_rows)
-        path = f"{prefix}_mu.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "mu"])
-            for si, mi in zip(s, mu.evaluate(s)):
-                writer.writerow([repr(float(si)), repr(float(mi))])
-        paths["mu"] = path
+        s = np.linspace(0.0, mu.sup, 512)
+        paths["mu"] = f"{prefix}_mu.csv"
+        _write_table(paths["mu"], ["s", "mu"], s, mu.evaluate(s))
     if fstar is not None:
-        t = np.linspace(0.0, fstar.support_measure() * 1.05 + 1e-300, n_rows)
-        path = f"{prefix}_fstar.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "fstar"])
-            for ti, vi in zip(t, fstar.value(t)):
-                writer.writerow([repr(float(ti)), repr(float(vi))])
-        paths["fstar"] = path
+        t = np.linspace(0.0, fstar.support_measure() * 1.05 + 1e-300, 512)
+        paths["fstar"] = f"{prefix}_fstar.csv"
+        _write_table(paths["fstar"], ["t", "fstar"], t, fstar.value(t))
     if jac is not None:
-        path = f"{prefix}_jacobian.csv"
-        jac.export_csv(path)
-        paths["jacobian"] = path
+        paths["jacobian"] = f"{prefix}_jacobian.csv"
+        _write_table(paths["jacobian"], ["e", "a", "a_prime"], jac._e_tab, jac._a_tab, jac._ap_tab)
     return paths

@@ -48,7 +48,6 @@ from .poisson import (
     check_X_membership,
     grad_distance2_shifted,
 )
-from .rearrangement import ModelRearrangement
 
 FOUR_PI = 4.0 * np.pi
 SQRT2 = np.sqrt(2.0)
@@ -135,10 +134,10 @@ class Direction:
     extent: float
 
 
-def smooth_bump_direction(model, center_frac=0.5, width_frac=0.25, amplitude=None, extent_frac=2.0):
-    """C^inf compactly supported radial bump, normalized to a fraction of the
-    central potential depth unless an amplitude is given."""
-    R = extent_frac * model.R_Q
+def smooth_bump_direction(model, center_frac=0.5, width_frac=0.25, amplitude=None):
+    """C^inf radial bump supported in [0, 2 R_Q], normalized to a fraction of
+    the central potential depth unless an amplitude is given."""
+    R = 2.0 * model.R_Q
     r0 = center_frac * model.R_Q
     s = width_frac * model.R_Q
     amp = amplitude if amplitude is not None else -0.1 * abs(model.phi_center)
@@ -461,16 +460,16 @@ def coercivity_ladder(sector):
     )
 
 
-def compactness_ratio(model, n=400, r_max_factor=6.0, n_modes=20):
+def compactness_ratio(model, n=400, r_max_factor=6.0):
     """Decay of the nonlocal (negative) part of the Hessian: ratio of the
-    n_modes-th to the largest Dirichlet-normalized singular value in the
-    radial sector."""
+    20th to the largest Dirichlet-normalized singular value in the radial
+    sector."""
     sm = _SectorMatrices(model, n=n, r_max_factor=r_max_factor)
     K = np.diag(sm.V) - sm.projector_correction()
     Nmat = sm.dirichlet_matrix(0)
     vals = linalg.eigh(K, Nmat, eigvals_only=True)
     sv = np.sort(np.abs(vals))[::-1]
-    return float(sv[n_modes - 1] / sv[0])
+    return float(sv[19] / sv[0])
 
 
 def hormander_identity_check(model, sample, step_frac=1e-4):
@@ -555,7 +554,7 @@ class TaylorReport:
     hessian_extrapolated: float
 
 
-def taylor_remainder(model, direction: Direction, epsilons, qstar=None, jac=None):
+def taylor_remainder(model, direction: Direction, epsilons):
     """Expansion of the reduced functional at the steady-state potential.
 
     delta_J(eps) = eps <grad phi, grad h> + eps^2/2 ||grad h||^2 + delta_J0
@@ -576,10 +575,7 @@ def taylor_remainder(model, direction: Direction, epsilons, qstar=None, jac=None
         if not ok:
             raise InvalidArgumentError(f"perturbed potential leaves the admissible class at eps={eps}")
 
-    if qstar is None:
-        qstar = model.rearrangement if jac is None else ModelRearrangement(model, jac=jac)
-    if jac is None:
-        jac = qstar.jac
+    qstar = model.rearrangement
     cross = FOUR_PI * _radial_quad(
         lambda r: pot.dphi_fn(r) * direction.dh(r) * r**2, direction.extent, n_panels=96
     )
@@ -590,7 +586,7 @@ def taylor_remainder(model, direction: Direction, epsilons, qstar=None, jac=None
     lo = model.phi_center - abs(eps_arr).max() * 1.5 * np.max(np.abs(direction.h(np.linspace(0, direction.extent, 512))))
     units, unit_weights = panel_rule(0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 97))), 8)
     e_nodes, e_weights = lo - lo * units, -lo * unit_weights
-    a_base = jac.a(np.clip(e_nodes, None, -1e-300))
+    a_base = qstar.jac.a(np.clip(e_nodes, None, -1e-300))
 
     def delta_j(eps):
         if eps == 0.0:
@@ -621,11 +617,12 @@ def taylor_remainder(model, direction: Direction, epsilons, qstar=None, jac=None
     )
 
 
-def hardy_check(model, direction: Direction, margin=0.02, mesh=None):
+def hardy_check(model, direction: Direction, mesh=None):
     """Aggregated Hardy-type control behind the radial-sector positivity:
     with f(r, e) the cumulative weighted deviation of h from its energy
     average, int chi |F'| (Tf)^2 >= 3 int chi (rho + phi'/r) f^2 /
-    (r sqrt(2(e-phi)))^4 |F'|, away from a margin near the support boundary.
+    (r sqrt(2(e-phi)))^4 |F'|, where chi drops the energies within 2% of the
+    band [phi(0), e0] from either end.
 
     Returns (lhs, rhs).
     """
@@ -633,7 +630,7 @@ def hardy_check(model, direction: Direction, margin=0.02, mesh=None):
         mesh = model.energy_mesh
     lo, hi = model.phi_center, model.e0
     band = hi - lo
-    chi = (mesh.e > lo + margin * band) & (mesh.e < hi - margin * band)
+    chi = (mesh.e > lo + 0.02 * band) & (mesh.e < hi - 0.02 * band)
     _, ph = project_energy(direction.h, model, mesh)
     # lhs: 16 pi^2 sqrt(2) int chi |F'| de int (h - Ph)^2 (e-phi)^{1/2} r^2 dr
     hv = direction.h(mesh.r_nodes.ravel()).reshape(mesh.r_nodes.shape)

@@ -4,6 +4,8 @@ Two families are built: generalized polytropes F(e) = A (e0 - e)_+^q with
 0 < q < 7/2, and the King profile F(e) = A (exp(e0 - e) - 1)_+. Both reduce
 the self-consistent Poisson problem to a single radial ODE for the depth
 variable psi = e0 - phi, integrated with fixed-step RK4 plus a series start.
+A model evaluates psi through that ODE's dense output, or, read from a file,
+through the PCHIP of its stored table, by the same call.
 
 Units: the Poisson equation is Laplacian(phi) = rho (the 1/(4 pi) Green
 kernel), so exterior potentials are -M/(4 pi r).
@@ -11,7 +13,7 @@ kernel), so exterior potentials are -M/(4 pi r).
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,7 +24,6 @@ from .numerics import (
     Grid1D,
     InvalidArgumentError,
     PhaseSpaceGrid,
-    RadialOdeSolution,
     jacobi_integral,
     make_1d_grid,
     make_grids,
@@ -53,11 +54,6 @@ class PolytropeProfile:
 
     def evaluate(self, e):
         return self.amplitude * np.clip(self.e0 - np.asarray(e, dtype=float), 0.0, None) ** self.q
-
-    def derivative(self, e):
-        w = self.e0 - np.asarray(e, dtype=float)
-        wsafe = np.where(w > 0, w, 1.0)
-        return np.where(w > 0, -self.q * self.amplitude * wsafe ** (self.q - 1.0), 0.0)
 
     # cutoff factorizations F = (e0-e)^a * smooth, |F'| = (e0-e)^b * smooth,
     # consumed by Gauss-Jacobi rules so integrable cusps cost no accuracy
@@ -104,10 +100,6 @@ class KingProfile:
     def evaluate(self, e):
         w = self.e0 - np.asarray(e, dtype=float)
         return self.amplitude * np.where(w > 0, np.expm1(np.clip(w, None, 700.0)), 0.0)
-
-    def derivative(self, e):
-        w = self.e0 - np.asarray(e, dtype=float)
-        return np.where(w > 0, -self.amplitude * np.exp(np.clip(w, None, 700.0)), 0.0)
 
     @property
     def f_cusp(self):
@@ -172,9 +164,11 @@ def density_from_potential(profile, phi):
 
 @dataclass(frozen=True)
 class InteriorSolution:
-    """Dimensionalized interior depth profile psi(r) = y_scale * y(r / r_scale)."""
+    """Dimensionalized interior depth profile psi(r) = y_scale * y(r / r_scale),
+    y(x, nu) the value (nu = 0) or derivative (nu = 1) of the profile ODE's
+    dense output, or of the PCHIP of a model file's psi table."""
 
-    ode: RadialOdeSolution
+    ode: object
     r_scale: float = 1.0
     y_scale: float = 1.0
 
@@ -182,16 +176,17 @@ class InteriorSolution:
         return self.y_scale * self.ode(np.asarray(r, dtype=float) / self.r_scale)
 
     def dpsi(self, r):
-        return self.y_scale / self.r_scale * self.ode.derivative(np.asarray(r, dtype=float) / self.r_scale)
+        return self.y_scale / self.r_scale * self.ode(np.asarray(r, dtype=float) / self.r_scale, 1)
 
 
 @dataclass(frozen=True)
 class SteadyStateModel:
     """Self-consistent steady state with its radial grid data.
 
-    phi/rho hold node values on `grid`; interior gives dense (sub-grid)
-    evaluation backed by the ODE solution, so derived quadratures are not
-    limited by the grid resolution. Immutable after construction.
+    phi/rho hold node values on `grid`; interior evaluates psi = e0 - phi
+    densely on [0, R_Q] (the ODE solution, or a file's table), so derived
+    quadratures are not limited by the grid resolution; the exterior is the
+    exact -M/(4 pi r). Immutable after construction.
     """
 
     profile: object
@@ -204,7 +199,7 @@ class SteadyStateModel:
     L0: float
     kinetic: float
     hamiltonian: float
-    interior: InteriorSolution | None = None
+    interior: InteriorSolution
     meta: dict | None = None
 
     def __post_init__(self):
@@ -218,35 +213,25 @@ class SteadyStateModel:
     def psi_fn(self, r):
         """Depth e0 - phi(r), zero outside the support."""
         r = np.asarray(r, dtype=float)
-        if self.interior is not None:
-            inside = r < self.R_Q
-            out = np.zeros_like(r)
-            if np.any(inside):
-                out[inside] = np.clip(self.interior.psi(r[inside]), 0.0, None)
-            # exterior psi = e0 + M/(4 pi r) < 0 is clipped to zero: F vanishes there
-            return out
-        interp = self._phi_interp
-        out = np.clip(self.e0 - interp(np.clip(r, 0.0, self.grid.x_max)), 0.0, None)
-        return np.where(r < self.R_Q, out, 0.0)
+        inside = r < self.R_Q
+        out = np.zeros_like(r)
+        if np.any(inside):
+            out[inside] = np.clip(self.interior.psi(r[inside]), 0.0, None)
+        # exterior psi = e0 + M/(4 pi r) < 0 is clipped to zero: F vanishes there
+        return out
 
     def phi_fn(self, r):
         r = np.asarray(r, dtype=float)
         inside = r < self.R_Q
         outside_val = -self.M / (4.0 * np.pi * np.clip(r, 1e-300, None))
-        if self.interior is not None:
-            inner_val = self.e0 - self.interior.psi(np.clip(r, 0.0, self.R_Q))
-        else:
-            inner_val = self._phi_interp(np.clip(r, 0.0, self.grid.x_max))
+        inner_val = self.e0 - self.interior.psi(np.clip(r, 0.0, self.R_Q))
         return np.where(inside, inner_val, outside_val)
 
     def dphi_fn(self, r):
         r = np.asarray(r, dtype=float)
         inside = r < self.R_Q
         outside_val = self.M / (4.0 * np.pi * np.clip(r, 1e-150, None) ** 2)
-        if self.interior is not None:
-            inner_val = -self.interior.dpsi(np.clip(r, 0.0, self.R_Q))
-        else:
-            inner_val = self._dphi_interp(np.clip(r, 0.0, self.grid.x_max))
+        inner_val = -self.interior.dpsi(np.clip(r, 0.0, self.R_Q))
         return np.where(inside, inner_val, outside_val)
 
     def rho_fn(self, r):
@@ -254,22 +239,6 @@ class SteadyStateModel:
 
     def vq_fn(self, r):
         return self.profile.vq_kernel(self.psi_fn(r))
-
-    @cached_property
-    def _phi_interp(self):
-        r = np.concatenate([[0.0], self.grid.nodes])
-        p = np.concatenate([[self.phi_center_stored], self.phi])
-        return PchipInterpolator(r, p)
-
-    @cached_property
-    def _dphi_interp(self):
-        return self._phi_interp.derivative()
-
-    @property
-    def phi_center_stored(self):
-        if self.meta and "phi0" in self.meta:
-            return self.meta["phi0"]
-        return self.e0 - (self.interior.psi(np.array([0.0]))[0] if self.interior else 0.0)
 
     def u_escape(self, r):
         return np.sqrt(2.0 * self.psi_fn(r))
@@ -336,7 +305,7 @@ class SteadyStateModel:
             "rho": self.rho.tolist(),
         }
         if self.meta:
-            doc["meta"] = {k: v for k, v in self.meta.items() if k != "phi0"}
+            doc["meta"] = self.meta
         return doc
 
     def save(self, path):
@@ -345,25 +314,26 @@ class SteadyStateModel:
 
     @staticmethod
     def from_json(doc):
-        if doc.get("format") != "vpstab-model":
+        """The model of a to_json document, its interior the PCHIP of the stored
+        psi = e0 - phi with (0, e0 - phi0) prepended; InvalidArgumentError if
+        the document is not a model or lacks an entry."""
+        if not isinstance(doc, dict) or doc.get("format") != "vpstab-model":
             raise InvalidArgumentError("not a model document")
-        params = doc["params"]
-        if doc["kind"] == "polytrope":
-            profile = PolytropeProfile(q=params["q"], e0=params["e0"], amplitude=params["amplitude"])
-        elif doc["kind"] == "king":
-            profile = KingProfile(e0=params["e0"], amplitude=params["amplitude"])
-        else:
+        keys = ("kind", "params", "e0", "M", "R_Q", "L0", "kinetic", "hamiltonian", "phi0", "r", "edges", "phi", "rho")
+        _require(doc, keys, "model document")
+        profiles = {cls.kind: cls for cls in (PolytropeProfile, KingProfile)}
+        if doc["kind"] not in profiles:
             raise InvalidArgumentError(f"unknown model kind {doc['kind']!r}")
-        edges = np.asarray(doc["edges"], dtype=float)
-        grid = Grid1D(
-            nodes=np.asarray(doc["r"], dtype=float),
-            weights=np.diff(edges),
-            edges=edges,
-        )
+        cls = profiles[doc["kind"]]
+        names = [f.name for f in fields(cls)]
+        params = _require(doc["params"], names, "model params")
+        nodes = np.asarray(doc["r"], dtype=float)
+        phi = np.asarray(doc["phi"], dtype=float)
+        psi = doc["e0"] - np.concatenate([[doc["phi0"]], phi])
         return SteadyStateModel(
-            profile=profile,
-            grid=grid,
-            phi=np.asarray(doc["phi"], dtype=float),
+            profile=cls(**{k: params[k] for k in names}),
+            grid=Grid1D(nodes=nodes, edges=np.asarray(doc["edges"], dtype=float)),
+            phi=phi,
             rho=np.asarray(doc["rho"], dtype=float),
             e0=doc["e0"],
             R_Q=doc["R_Q"],
@@ -371,14 +341,24 @@ class SteadyStateModel:
             L0=doc["L0"],
             kinetic=doc["kinetic"],
             hamiltonian=doc["hamiltonian"],
-            interior=None,
-            meta={"phi0": doc["phi0"], **doc.get("meta", {})},
+            interior=InteriorSolution(ode=PchipInterpolator(np.concatenate([[0.0], nodes]), psi)),
+            meta=doc.get("meta"),
         )
 
     @staticmethod
     def load(path):
         with open(path) as fh:
             return SteadyStateModel.from_json(json.load(fh))
+
+
+def _require(doc, keys, what):
+    """doc itself, after checking that it is a JSON object holding keys."""
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise InvalidArgumentError(f"{what} lacks {', '.join(missing)}")
+    return doc
 
 
 def _finish_model(profile, interior, grid, R_Q, M, meta):

@@ -221,3 +221,74 @@ def test_evolve_records_deserialised_fallback(model_file, tmp_path):
                  "--out-prefix", prefix])
     assert code == 0
     assert json.loads((tmp_path / "run_config.json").read_text())["model_source"] == "deserialised"
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        return exc.code
+
+
+def _bad_config_json(tmp, model):
+    (tmp / "cfg.json").write_text("{not json")
+    return ["--config", str(tmp / "cfg.json"), "check", "--model", model, "--suite", "fixedpoint"]
+
+
+def _config_not_an_object(tmp, model):
+    (tmp / "cfg.json").write_text("[1, 2]")
+    return ["--config", str(tmp / "cfg.json"), "check", "--model", model, "--suite", "fixedpoint"]
+
+
+def _config_dt_frac_zero(tmp, model):
+    (tmp / "cfg.json").write_text(json.dumps({"dt_frac": 0}))
+    return ["--config", str(tmp / "cfg.json"), "evolve", "--model", model, "--t-dyn", "0.1", "--n", "1000",
+            "--out-prefix", str(tmp / "run")]
+
+
+def _model_without_params(tmp, model):
+    doc = json.loads(open(model).read())
+    del doc["params"]
+    (tmp / "m.json").write_text(json.dumps(doc))
+    return ["check", "--model", str(tmp / "m.json"), "--suite", "fixedpoint", "--out", str(tmp / "o.json")]
+
+
+def _potential_without_r(tmp, model):
+    (tmp / "pot.json").write_text(json.dumps({"phi": [-1.0, -0.5], "M": 1.0}))
+    return ["shift", "--model", model, "--potential", str(tmp / "pot.json"), "--out", str(tmp / "o.json")]
+
+
+def _evolve(dt_frac):
+    def argv(tmp, model):
+        return ["evolve", "--model", model, "--dt-frac", dt_frac, "--t-dyn", "0.1", "--n", "1000",
+                "--out-prefix", str(tmp / "run")]
+
+    return argv
+
+
+def _no_seeds(tmp, model):
+    return ["check", "--model", model, "--suite", "monotonicity", "--seeds", "0", "--out", str(tmp / "o.json")]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_bad_config_json, _config_not_an_object, _config_dt_frac_zero, _model_without_params,
+     _potential_without_r, _evolve("0"), _evolve("-0.01"), _no_seeds],
+    ids=["config-not-json", "config-not-object", "config-dt-frac-zero", "model-without-params",
+         "potential-without-r", "dt-frac-zero", "dt-frac-negative", "seeds-zero"],
+)
+def test_bad_input_exits_2(make_argv, model_file, tmp_path):
+    assert _exit_code(make_argv(tmp_path, str(model_file))) == 2
+    assert not (tmp_path / "o.json").exists() and not (tmp_path / "run_series.csv").exists()
+
+
+def test_rearrange_tables_read_back(model_file, tmp_path):
+    # every row of every table parses as floats
+    prefix = str(tmp_path / "tables")
+    assert main(["rearrange", "--model", str(model_file), "--out-prefix", prefix,
+                 "--n-r-phase", "64", "--n-u-phase", "48"]) == 0
+    for suffix, width in (("_mu.csv", 2), ("_fstar.csv", 2), ("_jacobian.csv", 3)):
+        lines = (tmp_path / ("tables" + suffix)).read_text().splitlines()[1:]
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert rows.shape == (512, width) and np.all(np.isfinite(rows))
+

@@ -34,25 +34,23 @@ def test_uniform_grid_basics():
 
 
 def test_grid_second_moment_exact():
-    for spacing in ("uniform", "graded"):
-        g = make_1d_grid(2.5, 64, spacing=spacing)
-        assert g.integrate_sq(np.ones(g.n)) == pytest.approx(2.5**3 / 3, rel=1e-10)
+    g = make_1d_grid(2.5, 64)
+    assert g.integrate_sq(np.ones(g.n)) == pytest.approx(2.5**3 / 3, rel=1e-10)
 
 
-def test_log_grid_constant_ratio():
-    g = make_1d_grid(10.0, 64, spacing="log", x_min=1e-3)
-    ratios = g.nodes[1:] / g.nodes[:-1]
-    assert np.allclose(ratios, ratios[0], rtol=1e-12)
+def test_derived_grid_moments_are_exact_and_read_only():
+    # a non-uniform grid: the equal-volume speed grid of the scrambles
+    from vpstab.perturbations import equal_measure_speed_grid
 
-
-def test_graded_grid_clusters_near_origin_and_edge():
-    g = make_1d_grid(3.0, 64, spacing="graded", edge=1.0)
-    w = g.weights
-    inner = w[g.nodes < 0.1]
-    near_edge = w[(g.nodes > 0.9) & (g.nodes < 1.0)]
-    bulk = w[(g.nodes > 0.4) & (g.nodes < 0.6)]
-    assert inner.mean() < 0.5 * bulk.mean()
-    assert near_edge.mean() < 0.5 * bulk.mean()
+    g = equal_measure_speed_grid(1.0, 16, 2.5, 64).speeds
+    a, b = g.edges[:-1], g.edges[1:]
+    assert np.array_equal(g.weights, np.diff(g.edges))
+    assert np.array_equal(g.sq_moments, (b**3 - a**3) / 3.0)
+    assert np.allclose(g.sq_moments, g.sq_moments[0], rtol=1e-12)  # equal volumes
+    assert g.integrate_sq(np.ones(g.n)) == pytest.approx(2.5**3 / 3, rel=1e-14)
+    for arr in (g.nodes, g.edges, g.weights, g.sq_moments):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_phase_grid_box_measure():
@@ -250,7 +248,7 @@ def test_power_form_hermite_matches_basis_formula(king):
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.uniform(0.0, ode.r[-1], 20000), ode.r])
     val, der = _basis_hermite(ode.r, ode.y, ode.yp, x, ode.ypp)
-    for got_val, got_der in ((ode(x), ode.derivative(x)), hermite_eval(ode.r, ode.y, ode.yp, x, ypp=ode.ypp)):
+    for got_val, got_der in ((ode(x), ode(x, 1)), hermite_eval(ode.r, ode.y, ode.yp, x, ypp=ode.ypp)):
         assert np.all(np.abs(got_val - val) <= 1e-13 * np.abs(val))
         assert np.max(np.abs(got_der - der)) <= 1e-11 * np.max(np.abs(der))
     val3, der3 = _basis_hermite(ode.r, ode.y, ode.yp, x)

@@ -274,3 +274,21 @@ def test_potential_stability_estimate(king, rng):
         g = bump_perturbation(base, rng.uniform(0.02, 0.4), rng.integers(2**31))
         lhs, rhs = lhs_rhs(f, g)
         assert lhs <= c_cal * rhs
+
+
+def test_shifted_sup_scan_evaluates_pot1_on_radii_only(king_pot):
+    # the fan's pot1 term depends on the radius alone: 2048 points, not
+    # 2048 x 257
+    import dataclasses
+
+    sizes = []
+
+    def counting_phi(r):
+        sizes.append(np.asarray(r).size)
+        return king_pot.phi_fn(r)
+
+    pot1 = dataclasses.replace(king_pot, phi_fn=counting_phi)
+    dist_inf, _ = potential_distance(pot1, king_pot, (0.01, -0.005, 0.0))
+    assert max(sizes) == 2048
+    assert dist_inf == potential_distance(king_pot, king_pot, (0.01, -0.005, 0.0))[0]
+

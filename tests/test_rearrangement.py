@@ -273,13 +273,16 @@ def test_pseudo_inverse_implications(king, king_jac, king_phase):
     # f-hat > s implies e <= e_s; f-hat <= s implies e >= e_s, on sampled cells
     pot = king.potential()
     fstar = schwarz_rearrangement(distribution_function(king_phase))
-    fhat = generalized_rearrangement(fstar, pot, king_phase.grid, jac=king_jac, mode="point")
     s = 0.3 * fstar.sup
     e_s = pseudo_inverse_level(fstar, king_jac, s)
     phi = pot.phi_fn(king_phase.grid.radial.nodes)
     e = 0.5 * king_phase.grid.speeds.nodes[None, :] ** 2 + phi[:, None]
-    above = fhat.values > s
-    below = (fhat.values <= s) & (e < 0)
+    # f-hat = f*(a(e)) at the cell nodes, 0 where e >= 0
+    neg = e < 0
+    fhat = np.zeros_like(e)
+    fhat[neg] = fstar.value(king_jac.a(e[neg]))
+    above = fhat > s
+    below = (fhat <= s) & neg
     slack = 1e-9 * abs(king.phi_center)
     assert np.all(e[above] <= e_s + slack)
     assert np.all(e[below] >= e_s - slack)
@@ -394,3 +397,32 @@ def test_export_tables(tmp_path, king_phase, king_jac):
             header = fh.readline()
             assert "," in header
             assert len(fh.readlines()) > 10
+
+
+def test_export_tables_read_back(tmp_path, king_phase, king_jac):
+    # every row parses as floats; the Jacobian rows are its table exactly
+    mu = distribution_function(king_phase)
+    fstar = schwarz_rearrangement(mu)
+    paths = export_tables(str(tmp_path / "t"), mu=mu, fstar=fstar, jac=king_jac)
+    rows = {}
+    for name, p in paths.items():
+        with open(p) as fh:
+            next(fh)
+            rows[name] = np.array([[float(v) for v in line.split(",")] for line in fh])
+    assert rows["mu"].shape == rows["fstar"].shape == (512, 2)
+    assert np.array_equal(rows["mu"][:, 1], mu.evaluate(rows["mu"][:, 0]))
+    assert np.array_equal(rows["fstar"][:, 1], fstar.value(rows["fstar"][:, 0]))
+    jac_rows = rows["jacobian"]
+    assert np.array_equal(jac_rows[:, 0], king_jac._e_tab)
+    assert np.array_equal(jac_rows[:, 1], king_jac._a_tab)
+    assert np.array_equal(jac_rows[:, 2], king_jac._ap_tab)
+
+
+def test_l1_distance_is_symmetric_across_profile_kinds(king, king_phase):
+    # a step profile against the smooth Q*: both orders take the union of breaks
+    fstar = schwarz_rearrangement(distribution_function(king_phase))
+    qstar = king.rearrangement
+    d = fstar.l1_distance(qstar)
+    assert d == qstar.l1_distance(fstar)
+    assert 0.0 < d < 1e-2 * fstar.total
+

@@ -294,7 +294,7 @@ def test_model_scoped_arrays_are_read_only(king):
     mesh = king.energy_mesh
     shared = [
         king.potential().values,
-        king.rearrangement._t,
+        king.rearrangement.breaks,
         king.rearrangement._v,
         jac._e_tab,
         jac._a_tab,
@@ -333,3 +333,27 @@ def test_reference_hamiltonian_follows_the_grid(king, monkeypatch):
     # an equal grid that is another object is recomputed too
     assert model.reference_hamiltonian(make_grids(model.R_Q * 1.05, 80, u_max * 1.15, 30)) == fresh[1]
     assert len(builds) == 5
+
+
+@pytest.mark.parametrize("build", [lambda: king_model(3.0), lambda: king_model(6.0), lambda: polytrope_model(1.0)],
+                         ids=["king3", "king6", "poly1"])
+def test_reloaded_model_evaluates_through_its_table(build, tmp_path):
+    # the PCHIP of the stored psi table passes through every stored node and
+    # through phi0 at the centre
+    model = build()
+    path = tmp_path / "model.json"
+    model.save(path)
+    loaded = SteadyStateModel.load(path)
+    scale = abs(model.phi_center)
+    assert np.max(np.abs(loaded.phi_fn(loaded.grid.nodes) - model.phi)) <= 1e-14 * scale
+    assert abs(float(loaded.phi_fn(np.array([0.0]))[0]) - model.phi_center) <= 1e-15 * scale
+    assert abs(loaded.phi_center - model.phi_center) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("drop", ["params", "phi0"])
+def test_model_document_without_an_entry_is_rejected(king, drop):
+    doc = king.to_json()
+    del doc[drop]
+    with pytest.raises(InvalidArgumentError, match=drop):
+        SteadyStateModel.from_json(doc)
+
