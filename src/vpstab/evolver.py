@@ -10,15 +10,23 @@ force) is used.
 In self-consistent mode the field is rebuilt every step on a uniform radial
 mesh of spacing h (FIELD_N = 256 cells out to FIELD_FACTOR = 3 support
 radii), a spherical-shell particle-mesh scheme (Henon 1971, Ap&SS 13,
-284). The mesh is indexed by arithmetic on s = r / h, never by a search: the
-cloud-in-cell deposit takes node floor(s - 1/2) and adds the two node shares
-with np.bincount; the density, optionally averaged over a
-trailing window as particle-mesh noise control, is solved straight into its
-edge-cumulative cell moments (poisson.CellMoments); and the force at each
-particle is m(r) / (4 pi r^2) read in cell floor(s), with the exact monopole
+284). The mesh is indexed by arithmetic on s = r / h, never by a search, and
+s is computed once per step for both the deposit and the force: the
+cloud-in-cell deposit takes node floor(s - 1/2), bins both node shares by
+that node with np.bincount and adds the upper one shifted a node up; the
+density, optionally averaged over a trailing window as particle-mesh noise
+control, is solved straight into its edge-cumulative cell moments
+(poisson.CellMoments); and the force at each particle is m(r) / (4 pi r^2)
+read in cell floor(s) against edge cubes built once, with the exact monopole
 exterior. A full PotentialX is built only at record steps, where the field
 energy and the potential distance need it; a relative Hamiltonian jump
 beyond ABORT_ENERGY_JUMP = 0.2 there aborts the run.
+
+The step is written for few passes over the particle arrays with every
+expression rounded as in its plain form (tests/test_evolver.py holds that
+form and checks equality bit for bit): in-place chains, one dt/2 phi'(r)
+array for both kicks of a step, and masks built only when a bound is
+crossed.
 
 The carried density value f0 is constant along characteristics, which makes
 every Casimir integral sum(mu_p G(f0_p)) exactly conserved by construction,
@@ -154,35 +162,60 @@ def sample_particles(f, n_particles, seed, value_fn=None):
 class _Binner:
     """The uniform field mesh, indexed by arithmetic on s = r / h: the
     cloud-in-cell deposit of particle mass onto its nodes, normalized by the
-    exact shell volumes, and the force of a cells density at the particles."""
+    exact shell volumes, and the force of a cells density at the particles.
+    The caller computes s = r * inv_h once per step and hands it to both."""
 
     def __init__(self, grid):
         self.grid = grid
         self.volumes = 4.0 * np.pi * grid.sq_moments
         self.inv_h = grid.n / grid.x_max
+        e = grid.edges
+        self.edges3 = e * e * e
 
-    def density(self, ens):
+    def density(self, ens, s):
+        """Cloud-in-cell node densities of ens at s = ens.r * inv_h. Node k
+        sits at s = k + 1/2; the upper shares are binned by the lower node
+        and added one node up, which sums each node in particle order."""
         n = self.grid.n
-        # node k sits at x = k; clipping before the cast makes truncation
-        # the floor, and sends particles past either end node to it whole
-        x = ens.r * self.inv_h - 0.5
+        # clipping before the cast makes truncation the floor, and sends
+        # particles past either end node to it whole
+        x = s - 0.5
         idx = np.clip(x, 0.0, n - 2).astype(np.intp)
-        t = np.clip(x - idx, 0.0, 1.0)
-        rho = np.bincount(idx, ens.weight * (1.0 - t), minlength=n)
-        rho += np.bincount(idx + 1, ens.weight * t, minlength=n)
-        return rho / self.volumes
+        x -= idx
+        t = np.clip(x, 0.0, 1.0, out=x)
+        lower = 1.0 - t
+        lower *= ens.weight
+        t *= ens.weight
+        rho = np.bincount(idx, lower, minlength=n)
+        upper = np.bincount(idx, t, minlength=n)
+        rho[1:] += upper[:-1]
+        rho /= self.volumes
+        return rho
 
-    def dphi(self, cells, r):
-        """phi'(r) = m(r) / (4 pi r^2) of a cells density at radii r, zero
-        below 1e-12 x_max. Past the mesh the radius is clipped to x_max, where
-        m = M: the exact monopole exterior M / (4 pi r^2)."""
+    def dphi(self, cells, r, s):
+        """phi'(r) = m(r) / (4 pi r^2) of a cells density at radii r (with
+        s = r * inv_h), zero below 1e-12 x_max. Past the mesh the radius is
+        clipped to x_max, where m = M: the exact monopole exterior
+        M / (4 pi r^2). m(r) is CellMoments.cum_sq in cell floor(s), the
+        same operations in the same order, run in place against the edge
+        cubes built once."""
         x_max = self.grid.x_max
         tiny = 1e-12 * x_max
-        rs = np.clip(r, tiny, x_max)
-        i = np.minimum((rs * self.inv_h).astype(np.intp), self.grid.n - 1)
-        out = cells.cum_sq(rs, i)
-        out /= np.maximum(r, tiny) ** 2
-        out[r < tiny] = 0.0
+        lo, hi = r.min(), r.max()
+        rs = r if tiny <= lo and hi <= x_max else np.clip(r, tiny, x_max)
+        # below tiny s truncates to 0 and past x_max it reaches n - 1, the
+        # cells of the clipped radius; with i in range, "wrap" is the
+        # cheapest take mode and never wraps
+        i = np.clip(s.astype(np.intp), 0, self.grid.n - 1)
+        rs2 = rs * rs
+        out = rs2 * rs
+        out -= self.edges3.take(i, mode="wrap")
+        out *= cells.rho.take(i, mode="wrap")
+        out /= 3.0
+        out += cells.edge_cum_sq.take(i, mode="wrap")
+        out /= rs2 if hi <= x_max else np.maximum(r, tiny) ** 2
+        if lo < tiny:
+            out[r < tiny] = 0.0
         return out
 
 
@@ -263,30 +296,46 @@ def evolve(
     diag = TrajectoryDiagnostics()
     rho_buf = deque()
     rho_sum = np.zeros(FIELD_N)
+    half_dt = 0.5 * dt
+    r_floor = 1e-14 * model.R_Q
+    arg_floor = 1e-28 * model.R_Q**2
 
     def field_state():
         """Cell moments of the field at the current positions (None when
-        frozen) and the gravitational acceleration there; the centrifugal
-        term is integrated exactly in the drift."""
+        frozen) and the half-step velocity change dt/2 phi'(r) there, which
+        the kicks subtract; the centrifugal term is integrated exactly in
+        the drift."""
         nonlocal rho_sum
         if not self_consistent:
-            return None, -frozen_dphi(ens.r)
-        rho = binner.density(ens)
+            return None, half_dt * frozen_dphi(ens.r)
+        s = ens.r * binner.inv_h
+        rho = binner.density(ens, s)
         rho_buf.append(rho)
         rho_sum = rho_sum + rho
         if len(rho_buf) > field_average:
             rho_sum = rho_sum - rho_buf.popleft()
         cells = CellMoments.of(grid, rho_sum / len(rho_buf))
-        return cells, -binner.dphi(cells, ens.r)
+        return cells, half_dt * binner.dphi(cells, ens.r, s)
 
     def free_drift(tau):
         # exact straight-line flight in 3D expressed radially: never reaches
         # r = 0 for l > 0, flips v_r smoothly for l = 0
-        r0 = np.clip(ens.r, 1e-14 * model.R_Q, None)
-        b = r0 * ens.v_r
-        speed2 = ens.v_r**2 + ens.ell / r0**2
-        r1 = np.sqrt(np.clip(r0**2 + 2.0 * b * tau + speed2 * tau**2, 1e-28 * model.R_Q**2, None))
-        ens.v_r = (b + speed2 * tau) / r1
+        r0 = np.maximum(ens.r, r_floor)
+        v = ens.v_r
+        b = r0 * v
+        r0sq = r0 * r0
+        speed2 = v * v
+        speed2 += ens.ell / r0sq
+        # r1^2 = r0^2 + (2 b) tau + speed2 (tau^2), summed in that order
+        arg = b * 2.0
+        arg *= tau
+        arg += r0sq
+        arg += speed2 * tau**2
+        r1 = np.sqrt(np.maximum(arg, arg_floor, out=arg), out=arg)
+        v1 = speed2 * tau
+        v1 += b
+        v1 /= r1
+        ens.v_r = v1
         ens.r = r1
 
     def record(t, cells):
@@ -307,20 +356,20 @@ def evolve(
         diag.orbital.append(orbital_distance(ens, model))
         diag.potential_dist.append(pdist)
 
-    cells, a = field_state()
+    cells, kick = field_state()
     record(0.0, cells)
     h0 = diag.hamiltonian[0]
     n_steps = int(round(t_end / dt))
     for step in range(1, n_steps + 1):
-        ens.v_r += 0.5 * dt * a
+        ens.v_r -= kick
         free_drift(dt)
-        above = ens.r > grid.x_max
-        if np.any(above):
+        if ens.r.max() > grid.x_max:
+            above = ens.r > grid.x_max
             diag.reflections += int(above.sum())
             ens.r[above] = 2.0 * grid.x_max - ens.r[above]
             ens.v_r[above] *= -1.0
-        cells, a = field_state()
-        ens.v_r += 0.5 * dt * a
+        cells, kick = field_state()
+        ens.v_r -= kick
         if step % cadence == 0 or step == n_steps:
             record(step * dt, cells)
             # external-force runs report kinetic energy only; no abort there

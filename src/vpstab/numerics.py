@@ -362,15 +362,19 @@ def power_eval(x_nodes, coef, x, derivative=False):
     h = x_nodes[idx + 1] - x0
     t = (x - x0) / h
     deg = coef.shape[0] - 1
+    # Horner in place, rounded as out = out * t + c
     if not derivative:
-        out = coef[deg][idx]
+        out = coef[deg].take(idx)
         for j in range(deg - 1, -1, -1):
-            out = out * t + coef[j][idx]
+            out *= t
+            out += coef[j].take(idx)
         return out
-    out = deg * coef[deg][idx]
+    out = deg * coef[deg].take(idx)
     for j in range(deg - 1, 0, -1):
-        out = out * t + j * coef[j][idx]
-    return out / h
+        out *= t
+        out += j * coef[j].take(idx)
+    out /= h
+    return out
 
 
 def hermite_eval(x_nodes, y, yp, x, ypp=None):

@@ -217,7 +217,8 @@ def _reference_deposit(grid, ens):
 def test_binner_density_matches_searchsorted_deposit(rng):
     grid = make_1d_grid(2.7, 256)
     ens = _mesh_cloud(grid, rng)
-    rho = _Binner(grid).density(ens)
+    binner = _Binner(grid)
+    rho = binner.density(ens, ens.r * binner.inv_h)
     ref = _reference_deposit(grid, ens)
     np.testing.assert_allclose(rho, ref, rtol=1e-13, atol=0.0)
     volumes = 4.0 * np.pi * grid.sq_moments
@@ -229,7 +230,8 @@ def test_binner_density_matches_searchsorted_deposit(rng):
 def test_binner_force_matches_cells_potential(rng):
     grid = make_1d_grid(2.7, 256)
     binner = _Binner(grid)
-    rho = binner.density(_mesh_cloud(grid, rng))
+    cloud = _mesh_cloud(grid, rng)
+    rho = binner.density(cloud, cloud.r * binner.inv_h)
     x_max = grid.x_max
     r = np.concatenate([
         rng.uniform(0.0, 1.2 * x_max, 5000),
@@ -237,7 +239,149 @@ def test_binner_force_matches_cells_potential(rng):
         grid.nodes,
         [0.0, 1e-14 * x_max, 0.999e-12 * x_max, 1e-12 * x_max, x_max, 1.5 * x_max, 40.0 * x_max],
     ])
-    force = binner.dphi(CellMoments.of(grid, rho), r)
+    force = binner.dphi(CellMoments.of(grid, rho), r, r * binner.inv_h)
     ref = solve_poisson_radial(grid, rho, method="cells").dphi_fn(r)
     np.testing.assert_allclose(force, ref, rtol=1e-13, atol=0.0)
     assert np.all(force[r < 1e-12 * x_max] == 0.0)
+
+
+class _ReferenceBinner:
+    """The mesh arithmetic written plainly: s computed per use, np.clip
+    everywhere, the upper shares binned at idx + 1, cum_sq from CellMoments."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self.volumes = 4.0 * np.pi * grid.sq_moments
+        self.inv_h = grid.n / grid.x_max
+
+    def density(self, ens):
+        n = self.grid.n
+        x = ens.r * self.inv_h - 0.5
+        idx = np.clip(x, 0.0, n - 2).astype(np.intp)
+        t = np.clip(x - idx, 0.0, 1.0)
+        rho = np.bincount(idx, ens.weight * (1.0 - t), minlength=n)
+        rho += np.bincount(idx + 1, ens.weight * t, minlength=n)
+        return rho / self.volumes
+
+    def dphi(self, cells, r):
+        x_max = self.grid.x_max
+        tiny = 1e-12 * x_max
+        rs = np.clip(r, tiny, x_max)
+        i = np.minimum((rs * self.inv_h).astype(np.intp), self.grid.n - 1)
+        out = cells.cum_sq(rs, i)
+        out /= np.maximum(r, tiny) ** 2
+        out[r < tiny] = 0.0
+        return out
+
+
+def _reference_evolve(ens, model, dt, t_end, cadence, self_consistent=True, field_average=1, external_dphi=None):
+    """evolve's kick-drift-kick loop and records in plain numpy: the kick adds
+    dt/2 times the negated force, the drift uses np.clip floors."""
+    from vpstab.evolver import FIELD_FACTOR, FIELD_N, TrajectoryDiagnostics
+    from vpstab.poisson import field_energy, grad_distance2
+
+    grid = make_1d_grid(FIELD_FACTOR * model.R_Q, FIELD_N)
+    binner = _ReferenceBinner(grid)
+    frozen_dphi = model.dphi_fn if external_dphi is None else external_dphi
+    diag = TrajectoryDiagnostics()
+    window = []
+    rho_sum = np.zeros(FIELD_N)  # a running sum, added to and dropped from as evolve does
+
+    def field_state():
+        nonlocal rho_sum
+        if not self_consistent:
+            return None, -frozen_dphi(ens.r)
+        rho = binner.density(ens)
+        window.append(rho)
+        rho_sum = rho_sum + rho
+        if len(window) > field_average:
+            rho_sum = rho_sum - window.pop(0)
+        cells = CellMoments.of(grid, rho_sum / len(window))
+        return cells, -binner.dphi(cells, ens.r)
+
+    def free_drift(tau):
+        r0 = np.clip(ens.r, 1e-14 * model.R_Q, None)
+        b = r0 * ens.v_r
+        speed2 = ens.v_r**2 + ens.ell / r0**2
+        r1 = np.sqrt(np.clip(r0**2 + 2.0 * b * tau + speed2 * tau**2, 1e-28 * model.R_Q**2, None))
+        ens.v_r = (b + speed2 * tau) / r1
+        ens.r = r1
+
+    def record(t, cells):
+        if self_consistent:
+            pot = solve_poisson_radial(grid, cells.rho, method="cells")
+            ham = ens.kinetic() - field_energy(pot)
+            pdist = float(np.sqrt(grad_distance2(pot, model.potential(), n=FIELD_N)))
+        elif external_dphi is not None:
+            ham, pdist = ens.kinetic(), 0.0
+        else:
+            ham, pdist = ens.kinetic() + float(np.dot(ens.weight, model.phi_fn(ens.r))), 0.0
+        diag.times.append(t)
+        diag.hamiltonian.append(ham)
+        diag.mass.append(ens.mass())
+        diag.orbital.append(orbital_distance(ens, model))
+        diag.potential_dist.append(pdist)
+
+    cells, a = field_state()
+    record(0.0, cells)
+    n_steps = int(round(t_end / dt))
+    for step in range(1, n_steps + 1):
+        ens.v_r += 0.5 * dt * a
+        free_drift(dt)
+        above = ens.r > grid.x_max
+        diag.reflections += int(above.sum())
+        ens.r[above] = 2.0 * grid.x_max - ens.r[above]
+        ens.v_r[above] *= -1.0
+        cells, a = field_state()
+        ens.v_r += 0.5 * dt * a
+        if step % cadence == 0 or step == n_steps:
+            record(step * dt, cells)
+    return diag
+
+
+def _edge_ensemble(king, king_f, dt):
+    """2k sampled particles, with particle 0 on a radial orbit that crosses
+    x_max in the first step and particle 1 at rest below 1e-12 x_max."""
+    from vpstab.evolver import FIELD_FACTOR
+
+    ens = sample_particles(king_f, 2_000, seed=21, value_fn=_q_fn(king))
+    x_max = FIELD_FACTOR * king.R_Q
+    ens.ell[:2] = 0.0
+    ens.v_r[0], ens.r[0] = 1.0, x_max - 0.5 * dt
+    ens.v_r[1], ens.r[1] = 0.0, 1e-13 * x_max
+    return ens
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        {"self_consistent": True, "field_average": 1},
+        {"self_consistent": True, "field_average": 3},
+        {"self_consistent": False},
+        {"self_consistent": False, "external_dphi": "model"},
+    ],
+    ids=["field_average_1", "field_average_3", "frozen", "external_dphi"],
+)
+def test_evolve_bit_identical_to_plain_reference(king, king_f, mode):
+    mode = dict(mode)
+    if mode.get("external_dphi") == "model":
+        mode["external_dphi"] = lambda r: king.dphi_fn(r)
+    dt = 0.01 * king.dynamical_time
+    ens, ref = _edge_ensemble(king, king_f, dt), _edge_ensemble(king, king_f, dt)
+    diag = evolve(ens, king, dt=dt, t_end=20 * dt, cadence=5, **mode)
+    ref_diag = _reference_evolve(ref, king, dt=dt, t_end=20 * dt, cadence=5, **mode)
+    assert diag.reflections == ref_diag.reflections >= 1
+    assert np.array_equal(ens.r, ref.r)
+    assert np.array_equal(ens.v_r, ref.v_r)
+    assert list(diag.rows()) == list(ref_diag.rows())
+    assert len(ref_diag.times) == 5
+
+
+def test_evolve_leaves_external_force_array_unchanged(king, king_f):
+    # an external force may hand back the same cached array on every call
+    ens = sample_particles(king_f, 2_000, seed=8, value_fn=_q_fn(king))
+    cached = king.dphi_fn(ens.r)
+    before = cached.copy()
+    dt = 0.01 * king.dynamical_time
+    evolve(ens, king, dt=dt, t_end=5 * dt, self_consistent=False, external_dphi=lambda r: cached, cadence=5)
+    assert np.array_equal(cached, before)

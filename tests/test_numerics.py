@@ -295,6 +295,11 @@ def test_power_eval_arithmetic_index_matches_searchsorted(which, request):
     der = power_eval(r, ode._coef, x, derivative=True)
     der_ref = _searchsorted_power_eval(r, ode._coef, x, derivative=True)
     assert np.max(np.abs(der - der_ref)) <= 1e-12 * np.max(np.abs(der_ref))
+    # off the nodes both searches find the same interval, and the in-place
+    # Horner rounds as the plain one
+    cloud = slice(-20000, None)
+    assert np.array_equal(val[cloud], ref[cloud])
+    assert np.array_equal(der[cloud], der_ref[cloud])
 
 
 def test_hermite_coefficients_need_uniform_nodes():
