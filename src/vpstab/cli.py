@@ -106,7 +106,7 @@ def _check_monotonicity(model, args):
     violations = 0
     for label, f in ensemble(model, args.seeds, seed=args.seed):
         rep = monotonicity_gaps(f)
-        tol = 10.0 * max(rep.self_error * max(abs(rep.hamiltonian_f), 1.0), 1e-12)
+        tol = rep.tolerance
         ok = rep.gap1 >= -tol and rep.gap2 >= -tol
         violations += 0 if ok else 1
         gaps.append({"case": label, "gap1": rep.gap1, "gap2": rep.gap2, "tol": tol, "pass": ok})

@@ -32,11 +32,21 @@ The carried density value f0 is constant along characteristics, which makes
 every Casimir integral sum(mu_p G(f0_p)) exactly conserved by construction,
 so none is recorded; the honest conservation diagnostics are mass
 bookkeeping, the Hamiltonian, and the orbital distance.
+
+stability_sweep runs each perturbation size in its own forked child process
+(the fork start method, so the model is inherited, not pickled), at most
+min(number of sizes, usable cores + 1) at a time. Each run is the same code
+on the same inputs as in a serial loop, so every result is bit-identical to
+it (tests/test_evolver.py checks that against an in-test serial loop).
 """
 
 import csv
+import multiprocessing
+import os
 import struct
+import traceback
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,8 +294,6 @@ def evolve(
     pass through the centre exactly (free flight). A sudden relative
     Hamiltonian jump beyond ABORT_ENERGY_JUMP aborts the run.
     """
-    from collections import deque
-
     if dt > 0.1 * model.dynamical_time:
         warnings.warn("time step exceeds a tenth of the central dynamical time")
     cadence = cadence if cadence is not None else max(1, int(round(0.5 * model.dynamical_time / dt)))
@@ -381,6 +389,67 @@ def evolve(
     return diag
 
 
+def _child_run(conn, run, arg):
+    """Body of a forked child: run(arg), then send its value or exception
+    (with the formatted traceback) and the warnings it raised to conn."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value, error, tb = run(arg), None, None
+        except Exception as exc:
+            value, error, tb = None, exc, traceback.format_exc()
+    conn.send((value, error, tb, [(str(w.message), w.category) for w in caught]))
+    conn.close()
+
+
+def _forked_runs(run, args):
+    """[run(a) for a in args] with each call in a forked child process, at
+    most min(len(args), usable cores + 1) at a time. The child inherits run
+    and its closure, so only the result is pickled, over a pipe.
+
+    Results are taken in the order of args: a run's warnings are re-emitted
+    here with their category, and a failed run raises its exception here.
+    Every child is joined before this returns or raises; those still running
+    when it raises are terminated first.
+    """
+    # fork, not spawn: run's closure holds the model, which a spawned child
+    # would have to be sent or rebuild; OpenBLAS stops its threads at fork
+    ctx = multiprocessing.get_context("fork")
+    width = min(len(args), len(os.sched_getaffinity(0)) + 1)
+    todo = deque(args)
+    running = deque()
+    out = []
+    try:
+        while todo or running:
+            while todo and len(running) < width:
+                recv_end, send_end = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_child_run, args=(send_end, run, todo.popleft()))
+                child.start()
+                send_end.close()
+                running.append((child, recv_end))
+            child, recv_end = running[0]
+            try:
+                value, error, tb, caught = recv_end.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"forked run exited with code {child.exitcode} and no result") from None
+            child.join()
+            recv_end.close()
+            running.popleft()
+            for message, category in caught:
+                warnings.warn(message, category)
+            if error is not None:
+                raise error from RuntimeError(tb)
+            out.append(value)
+    finally:
+        for child, _ in running:
+            child.terminate()
+        for child, recv_end in running:
+            child.join()
+            recv_end.close()
+    return out
+
+
 def stability_sweep(
     model,
     etas=(0.0, 0.0025, 0.005, 0.01, 0.02),
@@ -400,19 +469,25 @@ def stability_sweep(
     eta is the relative L1 size of the initial perturbation; all runs share
     the bump shape and the sampling seed so the finite-N noise realization is
     common across the sweep.
+
+    Each eta run is a forked child process, min(len(etas), usable cores + 1)
+    at a time, so the results are bit-identical to running them one after
+    another here. The runs are taken in the order of etas: each run's
+    warnings are re-emitted here with their category, and the first failed
+    run raises its own exception here, after which the other children are
+    terminated.
     """
     from .perturbations import calibrated_bump
 
     dt = dt_frac * model.dynamical_time
     t_end = n_dynamical_times * model.dynamical_time
-    results = {}
-    for eta in etas:
+
+    def run(eta):
         f_eta, value_fn = calibrated_bump(model, eta, bump_seed, n_r=n_r, n_u=n_u)
         ens = sample_particles(f_eta, n_particles, seed=seed, value_fn=value_fn)
-        diag = evolve(
-            ens, model, dt=dt, t_end=t_end, self_consistent=True, field_average=field_average
-        )
-        results[eta] = diag
+        return evolve(ens, model, dt=dt, t_end=t_end, self_consistent=True, field_average=field_average)
+
+    results = dict(zip(etas, _forked_runs(run, etas)))
     nonzero = sorted(e for e in results if e > 0)
     dmax = np.array([max(results[e].orbital) for e in nonzero])
     exponent = float(np.polyfit(np.log(nonzero), np.log(dmax), 1)[0]) if len(nonzero) >= 2 else np.nan

@@ -139,6 +139,12 @@ class MonotonicityReport:
     J_fstar: float
     self_error: float
 
+    @property
+    def tolerance(self):
+        """The gap tolerance, ten times the self-measured discretisation
+        error scaled by |H(f)| (at least 1), floored at 1e-11."""
+        return 10.0 * max(self.self_error * max(abs(self.hamiltonian_f), 1.0), 1e-12)
+
 
 class _GreenForm:
     """Symmetric discrete Green bilinear form on a radial grid.

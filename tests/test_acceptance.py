@@ -73,7 +73,7 @@ def test_criterion_2_monotonicity_chain(king):
     violations = 0
     for label, f in ensemble(king, 200, seed=2024):
         rep = monotonicity_gaps(f)
-        tol = 10.0 * max(rep.self_error * max(abs(rep.hamiltonian_f), 1.0), 1e-12)
+        tol = rep.tolerance
         worst1 = min(worst1, rep.gap1 + tol)
         worst2 = min(worst2, rep.gap2 + tol)
         if rep.gap1 < -tol or rep.gap2 < -tol:
@@ -81,7 +81,7 @@ def test_criterion_2_monotonicity_chain(king):
     # equality case
     f0 = phase_space_density(king, n_r=200, n_u=100)
     rep0 = monotonicity_gaps(f0)
-    tol0 = 10.0 * max(rep0.self_error * max(abs(rep0.hamiltonian_f), 1.0), 1e-12)
+    tol0 = rep0.tolerance
     equality_ok = abs(rep0.gap1) <= tol0 and abs(rep0.gap2) <= tol0
     elapsed = time.time() - t0
     ok = violations == 0 and equality_ok and elapsed <= 120.0

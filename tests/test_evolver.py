@@ -1,15 +1,21 @@
+import multiprocessing
+import signal
+import time
+
 import numpy as np
 import pytest
 
 from vpstab.evolver import (
     ParticleEnsemble,
     _Binner,
+    _forked_runs,
     conservation_report,
     evolve,
     orbital_distance,
     sample_particles,
+    stability_sweep,
 )
-from vpstab.numerics import make_1d_grid
+from vpstab.numerics import InvalidArgumentError, make_1d_grid
 from vpstab.perturbations import calibrated_bump
 from vpstab.poisson import CellMoments, DegenerateInputError, solve_poisson_radial
 from vpstab.steady_state import phase_space_density
@@ -385,3 +391,71 @@ def test_evolve_leaves_external_force_array_unchanged(king, king_f):
     dt = 0.01 * king.dynamical_time
     evolve(ens, king, dt=dt, t_end=5 * dt, self_consistent=False, external_dphi=lambda r: cached, cadence=5)
     assert np.array_equal(cached, before)
+
+
+SWEEP_SMALL = dict(n_particles=2_000, seed=21, n_dynamical_times=0.2, n_r=100, n_u=50)
+
+
+def test_stability_sweep_bit_identical_to_serial_loop(king):
+    etas = (0.0, 0.005, 0.02)
+    sweep = stability_sweep(king, etas=etas, **SWEEP_SMALL)
+    assert not multiprocessing.active_children()
+    dt = 0.01 * king.dynamical_time
+    serial = {}
+    for eta in etas:
+        f_eta, value_fn = calibrated_bump(king, eta, 11, n_r=100, n_u=50)
+        ens = sample_particles(f_eta, 2_000, seed=21, value_fn=value_fn)
+        serial[eta] = evolve(ens, king, dt=dt, t_end=0.2 * king.dynamical_time, field_average=128)
+    assert list(sweep["diagnostics"]) == list(etas)
+    for eta, ref in serial.items():
+        diag = sweep["diagnostics"][eta]
+        for name in ("times", "hamiltonian", "mass", "orbital", "potential_dist"):
+            assert np.asarray(getattr(diag, name)).tobytes() == np.asarray(getattr(ref, name)).tobytes()
+        assert (diag.reflections, diag.aborted) == (ref.reflections, ref.aborted)
+    dmax = [max(serial[eta].orbital) for eta in etas[1:]]
+    assert sweep["max_distance"] == dict(zip(etas[1:], dmax))
+    assert sweep["exponent"] == float(np.polyfit(np.log(etas[1:]), np.log(dmax), 1)[0])
+
+
+def test_stability_sweep_raises_the_child_exception(king):
+    with pytest.raises(InvalidArgumentError, match="at least one particle"):
+        stability_sweep(king, etas=(0.0, 0.01), **{**SWEEP_SMALL, "n_particles": 0})
+    assert not multiprocessing.active_children()
+
+
+def test_stability_sweep_reemits_child_warnings(king):
+    with pytest.warns(UserWarning, match="time step exceeds a tenth") as caught:
+        stability_sweep(king, etas=(0.0, 0.01), dt_frac=0.2, **SWEEP_SMALL)
+    assert sum("exceeds a tenth" in str(w.message) for w in caught) == 2
+    assert not multiprocessing.active_children()
+
+
+def _fail_first(arg):
+    if arg == 0:
+        raise ZeroDivisionError("first run fails")
+    time.sleep(60)
+
+
+def test_forked_runs_failure_terminates_the_other_children():
+    t0 = time.perf_counter()
+    with pytest.raises(ZeroDivisionError, match="first run fails"):
+        _forked_runs(_fail_first, [0, 1, 2])
+    assert time.perf_counter() - t0 < 30
+    assert not multiprocessing.active_children()
+
+
+def test_forked_runs_interrupted_leaves_no_child():
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    t0 = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            _forked_runs(lambda arg: time.sleep(60), [0, 1])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - t0 < 30
+    assert not multiprocessing.active_children()

@@ -130,7 +130,7 @@ def test_pairing_nonnegative_against_own_rearrangement(king, rng):
     for k in range(20):
         f = bump_perturbation(base, rng.uniform(0.05, 0.3), rng.integers(2**31))
         rep = monotonicity_gaps(f)
-        tol = 10.0 * max(rep.self_error * max(abs(rep.hamiltonian_f), 1.0), 1e-12)
+        tol = rep.tolerance
         assert rep.pairing >= -tol
 
 
@@ -161,7 +161,7 @@ def test_j0_energy_route_matches_the_per_panel_loop(king):
 def test_monotonicity_gaps_equality_case(king):
     f = padded_phase_density(king, n_r=200, n_u=100)
     rep = monotonicity_gaps(f)
-    tol = 10.0 * max(rep.self_error * max(abs(rep.hamiltonian_f), 1.0), 1e-12)
+    tol = rep.tolerance
     assert abs(rep.gap1) <= tol
     assert abs(rep.gap2) <= tol
     # the decomposition H(f) = J_direct + pairing is exact in the Green form
@@ -171,7 +171,7 @@ def test_monotonicity_gaps_equality_case(king):
 def test_monotonicity_gaps_scramble_strict(king):
     f = equimeasurable_scramble(king, 96, 64, 0.2, seed=7)
     rep = monotonicity_gaps(f)
-    tol = 10.0 * max(rep.self_error * max(abs(rep.hamiltonian_f), 1.0), 1e-12)
+    tol = rep.tolerance
     assert rep.gap1 > tol  # strictly positive: scrambled state is not its rearrangement
     assert rep.gap2 >= 0.0
 
@@ -180,7 +180,7 @@ def test_monotonicity_gaps_rescaled_model(king):
     f = padded_phase_density(king, n_r=150, n_u=80)
     doubled = f.with_values(2.0 * f.values)
     rep = monotonicity_gaps(doubled)
-    tol = 10.0 * max(rep.self_error * max(abs(rep.hamiltonian_f), 1.0), 1e-12)
+    tol = rep.tolerance
     assert rep.gap1 >= -tol
     assert rep.gap2 >= -tol
 
@@ -196,7 +196,7 @@ def test_monotonicity_ensemble(king):
     count = 0
     for label, f in ensemble(king, 45, seed=99):
         rep = monotonicity_gaps(f)
-        tol = 10.0 * max(rep.self_error * max(abs(rep.hamiltonian_f), 1.0), 1e-12)
+        tol = rep.tolerance
         assert rep.gap1 >= -tol, label
         assert rep.gap2 >= -tol, label
         count += 1
