@@ -10,12 +10,11 @@ coercivity analysis, and runs spherically symmetric particle evolutions with
 conservation and orbital-distance diagnostics.
 """
 
-from .numerics import Grid1D, PhaseSpaceGrid, make_grids, invert_monotone, eig_tridiag
+from .numerics import Grid1D, PhaseSpaceGrid, make_grids, eig_tridiag
 from .steady_state import (
     PolytropeProfile,
     KingProfile,
     SteadyStateModel,
-    density_from_potential,
     build_polytrope,
     build_king,
     polytrope_model,

@@ -3,10 +3,11 @@
 Subcommands: build, check, evolve, rearrange, shift. Every run writes its
 fully resolved configuration (defaults included) next to the outputs, and all
 emitted files carry the configuration digest so runs are reproducible byte
-for byte under a fixed seed. Every subcommand that reads a model file runs on
-the model rebuilt from its stored parameters when the builder accepts them,
-and records which one it used as `model_source` (see _exact_model). Exit
-codes: 0 pass, 1 assertion failure, 2 usage or input error.
+for byte under a fixed seed. A model file is read as a recipe: the model is
+rebuilt from its kind and parameters on its stored grid, and a file whose
+recipe does not build or whose tables differ from the rebuilt model's is an
+input error. Exit codes: 0 pass, 1 assertion failure, 2 usage or input
+error.
 """
 
 import argparse
@@ -53,29 +54,18 @@ def _resolved_config(args, names):
     return cfg, digest
 
 
-def _emit_config(cfg, digest, path, **record):
-    """Write the resolved configuration; `record` adds facts of the run
-    (such as the model source) that the digest does not cover."""
-    doc = dict(cfg, **record)
-    doc["digest"] = digest
+def _emit_config(cfg, digest, path):
+    """Write the resolved configuration with its digest."""
+    doc = dict(cfg, digest=digest)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
-def _build_model(kind, params, n_r):
-    """Build a King model (kind "king") from params["W0"] or a polytrope
-    from params["q"] and params["depth"] on n_r radial cells; a missing
-    parameter raises InvalidArgumentError."""
-    from .steady_state import _require, king_model, polytrope_model
-
-    build, names = {"king": (king_model, ("W0",)), "polytrope": (polytrope_model, ("q", "depth"))}[kind]
-    _require(params, names, f"{kind} model")
-    return build(*(params[k] for k in names), n_r=n_r)
-
-
 def cmd_build(args):
+    from .steady_state import recipe_model, support_grid
+
     cfg, digest = _resolved_config(args, ["kind", "q", "depth", "w0", "n_r", "out"])
-    model = _build_model(args.kind, {"W0": args.w0, "q": args.q, "depth": args.depth}, args.n_r)
+    model = recipe_model(args.kind, {"W0": args.w0, "q": args.q, "depth": args.depth}, support_grid(args.n_r))
     doc = model.to_json()
     doc["config_digest"] = digest
     with open(args.out, "w") as fh:
@@ -212,33 +202,17 @@ _SUITES = {
 }
 
 
-def _exact_model(path):
-    """Load a model file and rebuild the model from its stored parameters
-    when possible, so that every subcommand runs on the ODE-backed
-    evaluators rather than the tabulated profile of a deserialized file.
-    Returns the model and which evaluator it is, "exact" or "deserialised";
-    parameters that _build_model rejects (a ValueError such as a missing or
-    out-of-range parameter, a TypeError for a non-numeric one, or the
-    RuntimeError of a failed quadrature check) keep the deserialised model."""
+def cmd_check(args):
     from .steady_state import SteadyStateModel
 
-    loaded = SteadyStateModel.load(path)
-    try:
-        return _build_model(loaded.profile.kind, loaded.meta or {}, loaded.grid.n), "exact"
-    except (ValueError, TypeError, RuntimeError):
-        return loaded, "deserialised"
-
-
-def cmd_check(args):
     cfg, digest = _resolved_config(
         args, ["model", "suite", "seeds", "seed", "n_r_phase", "n_u_phase", "out"]
     )
-    model, source = _exact_model(args.model)
+    model = SteadyStateModel.load(args.model)
     report, passed = _SUITES[args.suite](model, args)
     doc = {
         "suite": args.suite,
         "model": args.model,
-        "model_source": source,
         "config_digest": digest,
         "version": __version__,
         "passed": bool(passed),
@@ -247,7 +221,7 @@ def cmd_check(args):
     out = args.out or f"check_{args.suite}.json"
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1, default=float)
-    _emit_config(cfg, digest, out + ".config.json", model_source=source)
+    _emit_config(cfg, digest, out + ".config.json")
     print(f"{args.suite}: {'PASS' if passed else 'FAIL'} (report: {out})")
     return 0 if passed else 1
 
@@ -255,12 +229,13 @@ def cmd_check(args):
 def cmd_evolve(args):
     from .evolver import conservation_report, evolve, sample_particles
     from .perturbations import calibrated_bump
+    from .steady_state import SteadyStateModel
 
     cfg, digest = _resolved_config(
         args,
         ["model", "eta", "t_dyn", "dt_frac", "n", "seed", "field_average", "out_prefix"],
     )
-    model, source = _exact_model(args.model)
+    model = SteadyStateModel.load(args.model)
     f_init, value_fn = calibrated_bump(model, args.eta, args.seed)
     ens = sample_particles(f_init, args.n, seed=args.seed, value_fn=value_fn)
     diag = evolve(
@@ -274,7 +249,7 @@ def cmd_evolve(args):
     series = args.out_prefix + "_series.csv"
     diag.write_csv(series, header_lines=[f"config {digest}", f"vpstab {__version__}"])
     ens.save(args.out_prefix + "_final.ckpt", time=args.t_dyn * model.dynamical_time)
-    _emit_config(cfg, digest, args.out_prefix + "_config.json", model_source=source)
+    _emit_config(cfg, digest, args.out_prefix + "_config.json")
     print(
         f"evolve eta={args.eta}: mass drift {rep.mass_drift:.2e}, "
         f"H drift {rep.hamiltonian_drift:.2e}, max distance {rep.max_orbital:.4g}"
@@ -284,15 +259,15 @@ def cmd_evolve(args):
 
 def cmd_rearrange(args):
     from .rearrangement import distribution_function, export_tables, schwarz_rearrangement
-    from .steady_state import phase_space_density
+    from .steady_state import SteadyStateModel, phase_space_density
 
     cfg, digest = _resolved_config(args, ["model", "out_prefix", "n_r_phase", "n_u_phase"])
-    model, source = _exact_model(args.model)
+    model = SteadyStateModel.load(args.model)
     f = phase_space_density(model, n_r=args.n_r_phase, n_u=args.n_u_phase)
     mu = distribution_function(f)
     fstar = schwarz_rearrangement(mu)
     paths = export_tables(args.out_prefix, mu=mu, fstar=fstar, jac=model.rearrangement.jac)
-    _emit_config(cfg, digest, args.out_prefix + "_config.json", model_source=source)
+    _emit_config(cfg, digest, args.out_prefix + "_config.json")
     print("wrote " + ", ".join(paths.values()))
     return 0
 
@@ -301,10 +276,10 @@ def cmd_shift(args):
     from .poisson import PotentialX, RadialField3D
     from .spectral import modulation_shift
     from .numerics import Grid1D
-    from .steady_state import _require
+    from .steady_state import SteadyStateModel, _require
 
     cfg, digest = _resolved_config(args, ["model", "potential", "out"])
-    model, source = _exact_model(args.model)
+    model = SteadyStateModel.load(args.model)
     with open(args.potential) as fh:
         doc = _require(json.load(fh), (), f"potential file {args.potential}")
     center = np.asarray(doc.get("center", [0.0, 0.0, 0.0]), dtype=float)
@@ -338,7 +313,7 @@ def cmd_shift(args):
     out = args.out or "shift.json"
     with open(out, "w") as fh:
         json.dump(doc, fh, indent=1)
-    _emit_config(cfg, digest, out + ".config.json", model_source=source)
+    _emit_config(cfg, digest, out + ".config.json")
     print(f"shift z = {z} (residuals {resid})")
     return 0
 

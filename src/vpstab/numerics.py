@@ -3,9 +3,8 @@
 1D quadrature grids that carry the exact per-cell integrals of r^2 dr (the
 program builds uniform ones), tensor phase-space grids, composite Gauss
 rules over panels, Gauss rules for endpoint-singular integrands, the turning
-radius of a potential, monotone-function inversion, symmetric tridiagonal
-eigensolves, Hermite evaluation of ODE output, and a scope that runs BLAS on
-one thread.
+radius of a potential, symmetric tridiagonal eigensolves, Hermite
+evaluation of ODE output, and a scope that runs BLAS on one thread.
 """
 
 import ctypes
@@ -18,7 +17,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy
 from scipy import linalg, special
-from scipy.optimize import brentq
 
 
 class InvalidArgumentError(ValueError):
@@ -107,36 +105,6 @@ def make_1d_grid(x_max, n):
 def make_grids(r_max, n_r, u_max, n_u):
     """Uniform tensor phase-space grid on [0, r_max] x [0, u_max]."""
     return PhaseSpaceGrid(radial=make_1d_grid(r_max, n_r), speeds=make_1d_grid(u_max, n_u))
-
-
-def invert_monotone(fn, target, lo, hi, rtol=1e-12):
-    """Solve fn(x) = target for nondecreasing fn on [lo, hi].
-
-    Bracketing bisection/secant via Brent; the result satisfies
-    |fn(x) - target| <= rtol * max(1, |target|).
-    """
-    flo, fhi = fn(lo), fn(hi)
-    tol = rtol * max(1.0, abs(target))
-    if target < flo - tol or target > fhi + tol:
-        raise OutOfRangeError(f"target {target} outside [{flo}, {fhi}]")
-    if abs(flo - target) <= tol:
-        return lo
-    if abs(fhi - target) <= tol:
-        return hi
-    x = brentq(lambda t: fn(t) - target, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    if abs(fn(x) - target) > tol:
-        # plateaus can stall Brent's secant steps; polish by bisection
-        a, b = lo, hi
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if fn(m) < target:
-                a = m
-            else:
-                b = m
-            if abs(fn(m) - target) <= tol:
-                return m
-        raise OutOfRangeError("monotone inversion did not reach tolerance")
-    return x
 
 
 def eig_tridiag(diag, offdiag, k):
@@ -377,16 +345,6 @@ def power_eval(x_nodes, coef, x, derivative=False):
     return out
 
 
-def hermite_eval(x_nodes, y, yp, x, ypp=None):
-    """Piecewise Hermite evaluation of dense ODE output.
-
-    Cubic when only (y, y') are known at the nodes, quintic when y'' is also
-    available. Returns (value, derivative) arrays.
-    """
-    coef = hermite_coefficients(x_nodes, y, yp, ypp)
-    return power_eval(x_nodes, coef, x), power_eval(x_nodes, coef, x, derivative=True)
-
-
 @dataclass(frozen=True)
 class RadialOdeSolution:
     """Dense output of the self-gravitating profile ODE y'' + (2/r) y' = -S(y),
@@ -464,9 +422,11 @@ def solve_profile_ode(source, y0, h):
     ra, rb = rs[-2], rs[-1]
     ya, yb, va, vb = ys[-2], ys[-1], vs[-2], vs[-1]
 
+    nodes = np.array([ra, rb])
+    coef = hermite_coefficients(nodes, np.array([ya, yb]), np.array([va, vb]))
+
     def val_der(x):
-        vv, dd = hermite_eval(np.array([ra, rb]), np.array([ya, yb]), np.array([va, vb]), x)
-        return float(vv[0]), float(dd[0])
+        return float(power_eval(nodes, coef, x)[0]), float(power_eval(nodes, coef, x, derivative=True)[0])
 
     x = ra + (rb - ra) * ya / (ya - yb)
     for _ in range(60):

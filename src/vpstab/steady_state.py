@@ -4,27 +4,27 @@ Two families are built: generalized polytropes F(e) = A (e0 - e)_+^q with
 0 < q < 7/2, and the King profile F(e) = A (exp(e0 - e) - 1)_+. Both reduce
 the self-consistent Poisson problem to a single radial ODE for the depth
 variable psi = e0 - phi, integrated with fixed-step RK4 plus a series start.
-A model evaluates psi through that ODE's dense output, or, read from a file,
-through the PCHIP of its stored table, by the same call.
+A model evaluates psi through that ODE's dense output. A model file is a
+recipe: loading it rebuilds the model from its kind and parameters on its
+stored grid, and checks the stored tables against the rebuilt ones.
 
 Units: the Poisson equation is Laplacian(phi) = rho (the 1/(4 pi) Green
 kernel), so exterior potentials are -M/(4 pi r).
 """
 
 import json
+import numbers
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 from .numerics import (
     Grid1D,
     InvalidArgumentError,
     PhaseSpaceGrid,
-    jacobi_integral,
     make_1d_grid,
     make_grids,
     solve_profile_ode,
@@ -137,36 +137,11 @@ class KingProfile:
         return {"e0": self.e0, "amplitude": self.amplitude}
 
 
-def density_from_potential(profile, phi):
-    """Spatial density at local potential phi, by energy quadrature.
-
-    Evaluates both the F-weighted half-power form and the |F'|-weighted
-    3/2-power form; they must agree to 1e-8 relative, and the F-form value is
-    returned.
-    """
-    if phi >= 0:
-        raise DomainError("potential must be negative")
-    if phi >= profile.e0:
-        return 0.0
-    e0 = profile.e0
-    f_form = FOUR_PI_SQRT2 * jacobi_integral(profile.f_smooth, phi, e0, profile.f_cusp, 0.5)
-    fp_form = (
-        (2.0 / 3.0)
-        * FOUR_PI_SQRT2
-        * jacobi_integral(profile.fp_smooth, phi, e0, profile.fp_cusp, 1.5)
-    )
-    if abs(f_form - fp_form) > 1e-8 * max(abs(f_form), 1e-300):
-        raise RuntimeError(
-            f"density quadrature forms disagree: {f_form} vs {fp_form}"
-        )
-    return f_form
-
-
 @dataclass(frozen=True)
 class InteriorSolution:
     """Dimensionalized interior depth profile psi(r) = y_scale * y(r / r_scale),
     y(x, nu) the value (nu = 0) or derivative (nu = 1) of the profile ODE's
-    dense output, or of the PCHIP of a model file's psi table."""
+    dense output."""
 
     ode: object
     r_scale: float = 1.0
@@ -184,7 +159,7 @@ class SteadyStateModel:
     """Self-consistent steady state with its radial grid data.
 
     phi/rho hold node values on `grid`; interior evaluates psi = e0 - phi
-    densely on [0, R_Q] (the ODE solution, or a file's table), so derived
+    densely on [0, R_Q] through the profile ODE's solution, so derived
     quadratures are not limited by the grid resolution; the exterior is the
     exact -M/(4 pi r). Immutable after construction.
     """
@@ -314,41 +289,47 @@ class SteadyStateModel:
 
     @staticmethod
     def from_json(doc):
-        """The model of a to_json document, its interior the PCHIP of the stored
-        psi = e0 - phi with (0, e0 - phi0) prepended; InvalidArgumentError if
-        the document is not a model or lacks an entry."""
+        """The model a to_json document describes. The document is a recipe:
+        its `kind` and `meta` rebuild the model (recipe_model) on the grid of
+        its `r` and `edges`, and every stored number must equal the rebuilt
+        one to 1e-12 of that entry's scale (its largest magnitude: about
+        |phi(0)| for `phi`). InvalidArgumentError if the document is not a
+        model, lacks an entry, holds a recipe that does not build, or
+        disagrees with its rebuild."""
         if not isinstance(doc, dict) or doc.get("format") != "vpstab-model":
             raise InvalidArgumentError("not a model document")
-        keys = ("kind", "params", "e0", "M", "R_Q", "L0", "kinetic", "hamiltonian", "phi0", "r", "edges", "phi", "rho")
-        _require(doc, keys, "model document")
-        profiles = {cls.kind: cls for cls in (PolytropeProfile, KingProfile)}
-        if doc["kind"] not in profiles:
-            raise InvalidArgumentError(f"unknown model kind {doc['kind']!r}")
-        cls = profiles[doc["kind"]]
-        names = [f.name for f in fields(cls)]
-        params = _require(doc["params"], names, "model params")
-        nodes = np.asarray(doc["r"], dtype=float)
-        phi = np.asarray(doc["phi"], dtype=float)
-        psi = doc["e0"] - np.concatenate([[doc["phi0"]], phi])
-        return SteadyStateModel(
-            profile=cls(**{k: params[k] for k in names}),
-            grid=Grid1D(nodes=nodes, edges=np.asarray(doc["edges"], dtype=float)),
-            phi=phi,
-            rho=np.asarray(doc["rho"], dtype=float),
-            e0=doc["e0"],
-            R_Q=doc["R_Q"],
-            M=doc["M"],
-            L0=doc["L0"],
-            kinetic=doc["kinetic"],
-            hamiltonian=doc["hamiltonian"],
-            interior=InteriorSolution(ode=PchipInterpolator(np.concatenate([[0.0], nodes]), psi)),
-            meta=doc.get("meta"),
-        )
+        _require(doc, ("kind", "params", "meta", "r", "edges") + _CHECKED, "model document")
+        grid = Grid1D(nodes=np.asarray(doc["r"], dtype=float), edges=np.asarray(doc["edges"], dtype=float))
+        model = recipe_model(doc["kind"], doc["meta"], lambda _r: grid)
+        built = model.to_json()
+        params = _require(doc["params"], built["params"], "model params")
+        pairs = [(k, doc[k], built[k]) for k in _CHECKED]
+        pairs += [(f"params.{k}", params[k], v) for k, v in built["params"].items()]
+        for key, stored, rebuilt in pairs:
+            if not _agrees(stored, rebuilt):
+                raise InvalidArgumentError(f"model entry {key} differs from the model its recipe builds")
+        return model
 
     @staticmethod
     def load(path):
         with open(path) as fh:
             return SteadyStateModel.from_json(json.load(fh))
+
+
+# the stored numbers that load checks against the rebuilt model
+_CHECKED = ("e0", "M", "R_Q", "L0", "kinetic", "hamiltonian", "phi0", "phi", "rho")
+
+
+def _agrees(stored, rebuilt):
+    """Whether a stored number, or list of numbers, equals the rebuilt one
+    to 1e-12 of the rebuilt entry's largest magnitude."""
+    try:
+        stored = np.asarray(stored, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    rebuilt = np.asarray(rebuilt, dtype=float)
+    tol = 1e-12 * np.max(np.abs(rebuilt))
+    return stored.shape == rebuilt.shape and bool(np.all(np.abs(stored - rebuilt) <= tol))
 
 
 def _require(doc, keys, what):
@@ -361,9 +342,12 @@ def _require(doc, keys, what):
     return doc
 
 
-def _finish_model(profile, interior, grid, R_Q, M, meta):
+def _finish_model(profile, interior, grid_for, R_Q, M, meta):
     from .poisson import field_energy
 
+    grid = grid_for(R_Q)
+    if grid.x_max < R_Q:
+        raise InvalidArgumentError(f"grid extent {grid.x_max} smaller than support radius {R_Q}")
     e0 = profile.e0
     phi = np.where(
         grid.nodes < R_Q,
@@ -397,36 +381,42 @@ def _finish_model(profile, interior, grid, R_Q, M, meta):
     return replace(model, hamiltonian=ham)
 
 
-def build_polytrope(q, central_potential_depth, grid, n_steps=6000):
+def build_polytrope(q, central_potential_depth, grid):
     """Polytrope steady state with given cutoff depth psi(0) = e0 - phi(0).
 
     Solved as a Lane-Emden problem in scaled variables (index n = q + 3/2,
     finite radius for q < 7/2), then dimensionalized; the cutoff energy follows
     from matching to the exterior -M/(4 pi r) law.
     """
-    return _polytrope(q, central_potential_depth, n_steps, lambda _r: grid)
+    return _polytrope(q, central_potential_depth, lambda _r: grid)
 
 
-def _profile_ode(source, y0, n_steps):
-    """Profile solve in about n_steps steps out to its zero. A coarse solve
+def _profile_ode(source, y0):
+    """Profile solve in about 6000 steps out to its zero. A coarse solve
     finds the zero first; its step is 0.02, or a tenth of the central scale
     sqrt(6 y0 / S(y0)) (y ~ y0 - S(y0) r^2 / 6 there) when that is shorter,
     as in deep King models."""
     h = min(0.02, float(np.sqrt(6.0 * y0 / source(y0))) / 10.0)
     coarse = solve_profile_ode(source, y0, h)
-    return solve_profile_ode(source, y0, coarse.r_zero / n_steps)
+    return solve_profile_ode(source, y0, coarse.r_zero / 6000)
 
 
-def _polytrope(q, psi0, n_steps, grid_for):
+def _check_positive(**params):
+    """InvalidArgumentError unless every value is a finite number > 0."""
+    for name, value in params.items():
+        if not isinstance(value, numbers.Real) or not 0.0 < value < np.inf:
+            raise InvalidArgumentError(f"{name} must be a positive finite number, not {value!r}")
+
+
+def _polytrope(q, psi0, grid_for):
     """build_polytrope on the grid grid_for(R_Q); the support radius R_Q is
     the zero of the fine profile solve (`_profile_ode`)."""
-    if not 0.0 < q < 3.5:
+    _check_positive(q=q, depth=psi0)
+    if q >= 3.5:
         raise InvalidArgumentError(f"polytrope exponent q={q} outside (0, 7/2): infinite extent")
-    if psi0 <= 0:
-        raise InvalidArgumentError("depth must be positive")
     n_index = q + 1.5
     source = lambda y: np.clip(y, 0.0, None) ** n_index
-    ode = _profile_ode(source, 1.0, n_steps)
+    ode = _profile_ode(source, 1.0)
     xi1, dtheta1 = ode.r_zero, ode.yp_zero
 
     c_q = FOUR_PI_SQRT2 * special.beta(q + 1.0, 1.5)
@@ -437,50 +427,65 @@ def _polytrope(q, psi0, n_steps, grid_for):
 
     profile = PolytropeProfile(q=q, e0=e0, amplitude=1.0)
     interior = InteriorSolution(ode=ode, r_scale=alpha, y_scale=psi0)
-    grid = grid_for(R_Q)
-    if grid.x_max < R_Q:
-        raise InvalidArgumentError(f"grid extent {grid.x_max} smaller than support radius {R_Q}")
     meta = {"q": q, "depth": psi0, "xi1": xi1}
-    return _finish_model(profile, interior, grid, R_Q, M, meta)
+    return _finish_model(profile, interior, grid_for, R_Q, M, meta)
 
 
-def build_king(W0, grid, n_steps=6000):
+def build_king(W0, grid):
     """King steady state parametrized by the scaled depth W0 = e0 - phi(0).
 
     W(r) is integrated outward until it vanishes at the support radius, and the
     cutoff energy is recovered from the continuous and differentiable match to
     the exterior law, e0 = R_Q W'(R_Q).
     """
-    return _king(W0, n_steps, lambda _r: grid)
+    return _king(W0, lambda _r: grid)
 
 
-def _king(W0, n_steps, grid_for):
+def _king(W0, grid_for):
     """build_king on the grid grid_for(R_Q); the support radius R_Q is the
     zero of the fine profile solve (`_profile_ode`)."""
-    if W0 <= 0:
-        raise InvalidArgumentError("King depth W0 must be positive")
+    _check_positive(W0=W0)
     source = KingProfile(e0=-1.0, amplitude=1.0).rho_kernel
-    ode = _profile_ode(source, W0, n_steps)
+    ode = _profile_ode(source, W0)
     R_Q, dW1 = ode.r_zero, ode.yp_zero
     e0 = R_Q * dW1
     M = -4.0 * np.pi * R_Q**2 * dW1
     profile = KingProfile(e0=e0, amplitude=1.0)
     interior = InteriorSolution(ode=ode)
-    grid = grid_for(R_Q)
-    if grid.x_max < R_Q:
-        raise InvalidArgumentError(f"grid extent {grid.x_max} smaller than support radius {R_Q}")
     meta = {"W0": W0}
-    return _finish_model(profile, interior, grid, R_Q, M, meta)
+    return _finish_model(profile, interior, grid_for, R_Q, M, meta)
+
+
+def support_grid(n_r):
+    """grid_for of a builder: n_r uniform cells reaching 3 times the support
+    radius."""
+    return lambda R_Q: make_1d_grid(3.0 * R_Q * 1.0001, n_r)
 
 
 def polytrope_model(q, depth=1.0, n_r=400):
     """Build a polytrope on a uniform grid reaching 3 times the support radius."""
-    return _polytrope(q, depth, 6000, lambda r: make_1d_grid(3.0 * r * 1.0001, n_r))
+    return _polytrope(q, depth, support_grid(n_r))
 
 
 def king_model(W0=3.0, n_r=400):
     """Build a King model on a uniform grid reaching 3 times the support radius."""
-    return _king(W0, 6000, lambda r: make_1d_grid(3.0 * r * 1.0001, n_r))
+    return _king(W0, support_grid(n_r))
+
+
+# A model's recipe: its kind names the builder, which takes these entries of
+# the model's `meta`.
+_RECIPES = {"king": (_king, ("W0",)), "polytrope": (_polytrope, ("q", "depth"))}
+
+
+def recipe_model(kind, params, grid_for):
+    """The model of kind "king" or "polytrope" built from the recipe entries
+    of params on the grid grid_for(R_Q); InvalidArgumentError for another
+    kind, or for an entry that is missing or that the builder rejects."""
+    if kind not in _RECIPES:
+        raise InvalidArgumentError(f"unknown model kind {kind!r}")
+    build, names = _RECIPES[kind]
+    _require(params, names, f"{kind} model")
+    return build(*(params[k] for k in names), grid_for)
 
 
 def radial_laplacian(r, phi):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -52,7 +53,6 @@ def test_check_fixedpoint(model_file, tmp_path):
     with open(out) as fh:
         doc = json.load(fh)
     assert doc["passed"]
-    assert doc["model_source"] == "exact"
     assert doc["report"]["l1_error"] <= 1e-3
 
 
@@ -94,7 +94,6 @@ def test_evolve_short_run_outputs(model_file, tmp_path):
     assert (tmp_path / "run_final.ckpt").exists()
     cfg = json.loads((tmp_path / "run_config.json").read_text())
     assert cfg["eta"] == 0.01
-    assert cfg["model_source"] == "exact"
 
 
 def test_evolve_determinism(model_file, tmp_path):
@@ -144,7 +143,6 @@ def test_rearrange_tables(model_file, tmp_path):
     assert code == 0
     for suffix in ("_mu.csv", "_fstar.csv", "_jacobian.csv"):
         assert (tmp_path / ("tables" + suffix)).exists()
-    assert json.loads((tmp_path / "tables_config.json").read_text())["model_source"] == "exact"
 
 
 def test_shift_on_model_potential(model_file, tmp_path):
@@ -156,7 +154,6 @@ def test_shift_on_model_potential(model_file, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert np.linalg.norm(np.array(doc["z"]) - [0.05, 0, 0]) <= 1e-4
-    assert json.loads((tmp_path / "shift.json.config.json").read_text())["model_source"] == "exact"
 
 
 def test_config_file_overrides(model_file, tmp_path):
@@ -188,39 +185,69 @@ def test_shift_on_tabulated_potential(model_file, tmp_path):
     assert np.linalg.norm(np.array(doc["z"]) - [0.1, 0, 0]) <= 1e-4
 
 
-def test_check_records_deserialised_fallback(model_file, tmp_path):
-    # a King depth the builder rejects: the check runs on the stored tables
-    doc = json.loads(model_file.read_text())
-    doc["meta"]["W0"] = -1.0
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "fp.json"
-    main(["check", "--model", str(path), "--suite", "fixedpoint", "--out", str(out)])
-    assert json.loads(out.read_text())["model_source"] == "deserialised"
-
-
 def test_check_rebuild_propagates_other_errors(model_file, tmp_path, monkeypatch):
     import vpstab.steady_state
 
     def broken(*args, **kwargs):
         raise LookupError("not a rebuild failure")
 
-    monkeypatch.setattr(vpstab.steady_state, "king_model", broken)
+    monkeypatch.setitem(vpstab.steady_state._RECIPES, "king", (broken, ("W0",)))
     with pytest.raises(LookupError):
         main(["check", "--model", str(model_file), "--suite", "fixedpoint", "--out", str(tmp_path / "fp.json")])
 
 
-def test_evolve_records_deserialised_fallback(model_file, tmp_path):
-    # evolve loads its model by the same rule as check
+def _set_meta(key, value):
+    def edit(doc):
+        doc["meta"][key] = value
+
+    return edit
+
+
+def _drop_meta(doc):
+    del doc["meta"]
+
+
+def _scale_phi5(doc):
+    doc["phi"][5] *= 1 + 1e-9
+
+
+_EDITS = {
+    "w0-negative": _set_meta("W0", -1.0),
+    "w0-nan": _set_meta("W0", float("nan")),
+    "w0-string": _set_meta("W0", "3"),
+    "no-meta": _drop_meta,
+    "phi5-scaled": _scale_phi5,
+}
+
+
+@pytest.mark.parametrize("command", ["check", "evolve"])
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+def test_edited_model_file_exits_2(edit, command, model_file, tmp_path, capsys):
+    # a model file is a recipe checked against its tables: a recipe that does
+    # not build, or a table the rebuild does not reproduce, is an input error
     doc = json.loads(model_file.read_text())
-    doc["meta"]["W0"] = -1.0
+    _EDITS[edit](doc)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
-    prefix = str(tmp_path / "run")
-    code = main(["evolve", "--model", str(path), "--eta", "0", "--t-dyn", "0.2", "--n", "2000",
-                 "--out-prefix", prefix])
-    assert code == 0
-    assert json.loads((tmp_path / "run_config.json").read_text())["model_source"] == "deserialised"
+    argv = {
+        "check": ["check", "--model", str(path), "--suite", "fixedpoint", "--out", str(tmp_path / "o.json")],
+        "evolve": ["evolve", "--model", str(path), "--eta", "0", "--t-dyn", "0.2", "--n", "2000",
+                   "--out-prefix", str(tmp_path / "run")],
+    }[command]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists() and not (tmp_path / "run_series.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--kind", "king", "--w0", "nan"], ["--kind", "king", "--w0", "inf"],
+                                   ["--kind", "polytrope", "--depth", "nan"]],
+                         ids=["w0-nan", "w0-inf", "depth-nan"])
+def test_build_non_finite_parameter_exits_2(flags, tmp_path):
+    out = tmp_path / "m.json"
+    start = time.perf_counter()
+    assert main(["build", *flags, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert not out.exists()
 
 
 def _exit_code(argv):

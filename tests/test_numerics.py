@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from vpstab.numerics import (
     InvalidArgumentError,
@@ -11,17 +12,46 @@ from vpstab.numerics import (
     exterior_power_tail,
     gl_points,
     hermite_coefficients,
-    hermite_eval,
-    invert_monotone,
     make_1d_grid,
     make_grids,
     panel_rule,
+    power_eval,
     serial_blas,
     solve_profile_ode,
     turning_point_integral,
     turning_radius,
 )
 from vpstab.numerics import _openblas_thread_controls
+
+
+def invert_monotone(fn, target, lo, hi, rtol=1e-12):
+    """Solve fn(x) = target for nondecreasing fn on [lo, hi].
+
+    Bracketing bisection/secant via Brent; the result satisfies
+    |fn(x) - target| <= rtol * max(1, |target|).
+    """
+    flo, fhi = fn(lo), fn(hi)
+    tol = rtol * max(1.0, abs(target))
+    if target < flo - tol or target > fhi + tol:
+        raise OutOfRangeError(f"target {target} outside [{flo}, {fhi}]")
+    if abs(flo - target) <= tol:
+        return lo
+    if abs(fhi - target) <= tol:
+        return hi
+    x = brentq(lambda t: fn(t) - target, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    if abs(fn(x) - target) > tol:
+        # plateaus can stall Brent's secant steps; polish by bisection
+        a, b = lo, hi
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            if fn(m) < target:
+                a = m
+            else:
+                b = m
+            if abs(fn(m) - target) <= tol:
+                return m
+        raise OutOfRangeError("monotone inversion did not reach tolerance")
+    return x
 
 
 def test_uniform_grid_basics():
@@ -198,14 +228,14 @@ def test_hermite_eval_reproduces_polynomials():
     f = xs**3 - 2 * xs**2 + 0.5
     fp = 3 * xs**2 - 4 * xs
     x = np.linspace(0.01, 1.99, 57)
-    val, der = hermite_eval(xs, f, fp, x)
-    assert np.allclose(val, x**3 - 2 * x**2 + 0.5, atol=1e-12)
-    assert np.allclose(der, 3 * x**2 - 4 * x, atol=1e-10)
+    coef = hermite_coefficients(xs, f, fp)
+    assert np.allclose(power_eval(xs, coef, x), x**3 - 2 * x**2 + 0.5, atol=1e-12)
+    assert np.allclose(power_eval(xs, coef, x, derivative=True), 3 * x**2 - 4 * x, atol=1e-10)
     # quintic variant is exact for quintics
     f5, fp5, fpp5 = xs**5, 5 * xs**4, 20 * xs**3
-    val5, der5 = hermite_eval(xs, f5, fp5, x, ypp=fpp5)
-    assert np.allclose(val5, x**5, rtol=1e-12)
-    assert np.allclose(der5, 5 * x**4, rtol=1e-10)
+    coef5 = hermite_coefficients(xs, f5, fp5, fpp5)
+    assert np.allclose(power_eval(xs, coef5, x), x**5, rtol=1e-12)
+    assert np.allclose(power_eval(xs, coef5, x, derivative=True), 5 * x**4, rtol=1e-10)
 
 
 def _basis_hermite(x_nodes, y, yp, x, ypp=None):
@@ -248,11 +278,11 @@ def test_power_form_hermite_matches_basis_formula(king):
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.uniform(0.0, ode.r[-1], 20000), ode.r])
     val, der = _basis_hermite(ode.r, ode.y, ode.yp, x, ode.ypp)
-    for got_val, got_der in ((ode(x), ode(x, 1)), hermite_eval(ode.r, ode.y, ode.yp, x, ypp=ode.ypp)):
-        assert np.all(np.abs(got_val - val) <= 1e-13 * np.abs(val))
-        assert np.max(np.abs(got_der - der)) <= 1e-11 * np.max(np.abs(der))
+    assert np.all(np.abs(ode(x) - val) <= 1e-13 * np.abs(val))
+    assert np.max(np.abs(ode(x, 1) - der)) <= 1e-11 * np.max(np.abs(der))
     val3, der3 = _basis_hermite(ode.r, ode.y, ode.yp, x)
-    got3, gotd3 = hermite_eval(ode.r, ode.y, ode.yp, x)
+    coef3 = hermite_coefficients(ode.r, ode.y, ode.yp)
+    got3, gotd3 = power_eval(ode.r, coef3, x), power_eval(ode.r, coef3, x, derivative=True)
     assert np.all(np.abs(got3 - val3) <= 1e-13 * np.abs(val3))
     assert np.max(np.abs(gotd3 - der3)) <= 1e-11 * np.max(np.abs(der3))
 
@@ -277,8 +307,6 @@ def _searchsorted_power_eval(x_nodes, coef, x, derivative=False):
 
 @pytest.mark.parametrize("which", ["king", "poly"])
 def test_power_eval_arithmetic_index_matches_searchsorted(which, request):
-    from vpstab.numerics import power_eval
-
     ode = request.getfixturevalue(which).interior.ode
     r = ode.r
     x = np.concatenate([

@@ -53,7 +53,7 @@ def test_from_model_fields(king, tmp_path):
 
     path = tmp_path / "king.json"
     king.save(path)
-    for model in (king, SteadyStateModel.load(path)):  # ODE-backed, then deserialised
+    for model in (king, SteadyStateModel.load(path)):  # built, then rebuilt from its file
         pot = PotentialX.from_model(model)
         assert pot.grid is model.grid and pot.M == model.M
         assert np.array_equal(pot.values, model.phi)

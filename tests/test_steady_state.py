@@ -6,9 +6,11 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from vpstab.numerics import InvalidArgumentError, make_1d_grid
+from vpstab.numerics import InvalidArgumentError, jacobi_integral, make_1d_grid
 from vpstab.poisson import field_energy
+from vpstab.spectral import coercivity_constant
 from vpstab.steady_state import (
+    FOUR_PI_SQRT2,
     DomainError,
     KingProfile,
     PolytropeProfile,
@@ -16,12 +18,29 @@ from vpstab.steady_state import (
     build_king,
     build_polytrope,
     check_steady_state,
-    density_from_potential,
     king_model,
     phase_space_density,
     polytrope_model,
     radial_laplacian,
 )
+
+
+def density_from_potential(profile, phi):
+    """Spatial density at local potential phi, by energy quadrature.
+
+    Evaluates both the F-weighted half-power form and the |F'|-weighted
+    3/2-power form; they must agree to 1e-8 relative, and the F-form value is
+    returned.
+    """
+    if phi >= 0:
+        raise DomainError("potential must be negative")
+    if phi >= profile.e0:
+        return 0.0
+    e0 = profile.e0
+    f_form = FOUR_PI_SQRT2 * jacobi_integral(profile.f_smooth, phi, e0, profile.f_cusp, 0.5)
+    fp_form = (2.0 / 3.0) * FOUR_PI_SQRT2 * jacobi_integral(profile.fp_smooth, phi, e0, profile.fp_cusp, 1.5)
+    assert abs(f_form - fp_form) <= 1e-8 * max(abs(f_form), 1e-300), (f_form, fp_form)
+    return f_form
 
 
 def _rk4_oracle(source, y0, h):
@@ -123,11 +142,15 @@ def test_king_mass_monotone_in_depth():
 
 
 def test_build_validation():
+    # a parameter that is not a finite number > 0 is rejected before the
+    # profile solve, which would otherwise run toward its step cap on NaN
     grid = make_1d_grid(10.0, 64)
-    with pytest.raises(InvalidArgumentError):
-        build_polytrope(4.0, 1.0, grid)
-    with pytest.raises(InvalidArgumentError):
-        build_king(-1.0, grid)
+    for q, depth in ((4.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (1.0, np.inf), (1.0, "1"), (1.0, 0.0)):
+        with pytest.raises(InvalidArgumentError):
+            build_polytrope(q, depth, grid)
+    for w0 in (-1.0, np.nan, np.inf, "3", None):
+        with pytest.raises(InvalidArgumentError):
+            build_king(w0, grid)
 
 
 def test_model_basic_structure(king):
@@ -246,16 +269,14 @@ def test_serialization_roundtrip(tmp_path, king):
     path = tmp_path / "model.json"
     king.save(path)
     loaded = SteadyStateModel.load(path)
-    assert loaded.M == king.M  # full float round trip
-    assert loaded.e0 == king.e0
+    for name in ("M", "e0", "R_Q", "L0", "kinetic", "hamiltonian", "phi_center"):
+        assert getattr(loaded, name) == getattr(king, name)  # full float round trip
     assert np.array_equal(loaded.phi, king.phi)
     assert np.array_equal(loaded.rho, king.rho)
-    assert loaded.profile.kind == "king"
-    # interpolated evaluators agree with the ODE-backed ones
+    assert np.array_equal(loaded.grid.edges, king.grid.edges)
+    assert loaded.profile == king.profile and loaded.meta == king.meta
     r = np.linspace(0.01, 2.5 * king.R_Q, 50)
-    # deserialized models are interpolation-backed; accuracy is set by the
-    # stored grid resolution
-    assert np.allclose(loaded.phi_fn(r), king.phi_fn(r), atol=1e-4 * abs(king.phi_center))
+    assert np.array_equal(loaded.phi_fn(r), king.phi_fn(r))
     with open(path) as fh:
         doc = json.load(fh)
     assert doc["format"] == "vpstab-model"
@@ -337,20 +358,40 @@ def test_reference_hamiltonian_follows_the_grid(king, monkeypatch):
 
 @pytest.mark.parametrize("build", [lambda: king_model(3.0), lambda: king_model(6.0), lambda: polytrope_model(1.0)],
                          ids=["king3", "king6", "poly1"])
-def test_reloaded_model_evaluates_through_its_table(build, tmp_path):
-    # the PCHIP of the stored psi table passes through every stored node and
-    # through phi0 at the centre
+def test_reloaded_model_is_bit_identical(build, tmp_path):
+    # a model file is a recipe: the reloaded model is the rebuilt one, so it
+    # evaluates through the same profile ODE, bit for bit
     model = build()
     path = tmp_path / "model.json"
     model.save(path)
     loaded = SteadyStateModel.load(path)
-    scale = abs(model.phi_center)
-    assert np.max(np.abs(loaded.phi_fn(loaded.grid.nodes) - model.phi)) <= 1e-14 * scale
-    assert abs(float(loaded.phi_fn(np.array([0.0]))[0]) - model.phi_center) <= 1e-15 * scale
-    assert abs(loaded.phi_center - model.phi_center) <= 1e-15 * scale
+    r = np.linspace(0.0, 1.5 * model.R_Q, 2001)
+    for name in ("phi_fn", "dphi_fn", "psi_fn"):
+        assert np.array_equal(getattr(loaded, name)(r), getattr(model, name)(r)), name
 
 
-@pytest.mark.parametrize("drop", ["params", "phi0"])
+@pytest.mark.parametrize("entry", ["phi", "rho", "hamiltonian", "params"])
+def test_model_document_that_disagrees_with_its_recipe_is_rejected(king, entry):
+    doc = king.to_json()
+    if entry == "params":
+        doc["params"]["e0"] *= 1 + 1e-9
+    elif entry == "hamiltonian":
+        doc["hamiltonian"] *= 1 + 1e-9
+    else:
+        doc[entry][5] *= 1 + 1e-9
+    with pytest.raises(InvalidArgumentError, match=entry):
+        SteadyStateModel.from_json(doc)
+
+
+def test_coercivity_constant_is_homology_invariant():
+    # polytropes of one index are rescalings of each other (Chandrasekhar
+    # 1939, ch. IV), so c0 cannot depend on the depth: an absolute-unit
+    # constant in the spectral code would break this
+    c0 = [coercivity_constant(polytrope_model(1.0, depth, n_r=200)) for depth in (0.5, 2.0)]
+    assert c0[0] == pytest.approx(c0[1], rel=1e-11, abs=0)
+
+
+@pytest.mark.parametrize("drop", ["params", "phi0", "meta"])
 def test_model_document_without_an_entry_is_rejected(king, drop):
     doc = king.to_json()
     del doc[drop]
