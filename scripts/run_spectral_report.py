@@ -16,6 +16,7 @@ import json
 import numpy as np
 
 from vpstab.spectral import (
+    _SectorMatrices,
     coercivity_constant,
     compactness_ratio,
     harmonic_operator_spectrum,
@@ -35,14 +36,18 @@ def main():
     args = ap.parse_args()
 
     model = king_model(args.w0) if args.kind == "king" else polytrope_model(args.q, args.depth)
+    # the Dirichlet-normalized column: the pencil of each sector on the
+    # grid harmonic_operator_spectrum uses, solved on one sector set
+    sm = _SectorMatrices(model)
     rows = []
     kernel_residual = None
     for k in range(args.k_max + 1):
         rep = harmonic_operator_spectrum(model, k, n_eigs=args.n_eigs)
         if k == 1:
             kernel_residual = rep.kernel_residual
+        dirichlet = sm.dirichlet_eigenvalues(k, args.n_eigs)
         for idx in range(args.n_eigs):
-            rows.append((k, idx, rep.eigenvalues[idx], rep.dirichlet_eigenvalues[idx]))
+            rows.append((k, idx, rep.eigenvalues[idx], dirichlet[idx]))
 
     with open(f"{args.out}_eigenvalues.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -52,7 +52,6 @@ from .functionals import (
     stability_lower_bound,
 )
 from .spectral import (
-    effective_potential_VQ,
     project_energy,
     hessian_form,
     harmonic_operator_spectrum,

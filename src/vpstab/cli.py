@@ -44,8 +44,10 @@ def _positive(kind):
 _PATH_KEYS = {"out", "out_prefix", "model", "potential"}
 
 
-def _resolved_config(args, names):
-    cfg = {k: getattr(args, k) for k in names}
+def _resolved_config(args):
+    """The run's flags (those of its subcommand, defaults included) with the
+    package version and the schema, and the digest of all but the paths."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "config", "func")}
     cfg["version"] = __version__
     cfg["schema"] = 1
     # the digest covers the run parameters, not where outputs are written
@@ -64,7 +66,7 @@ def _emit_config(cfg, digest, path):
 def cmd_build(args):
     from .steady_state import recipe_model, support_grid
 
-    cfg, digest = _resolved_config(args, ["kind", "q", "depth", "w0", "n_r", "out"])
+    cfg, digest = _resolved_config(args)
     model = recipe_model(args.kind, {"W0": args.w0, "q": args.q, "depth": args.depth}, support_grid(args.n_r))
     doc = model.to_json()
     doc["config_digest"] = digest
@@ -106,14 +108,12 @@ def _check_monotonicity(model, args):
 def _check_spectrum(model, args):
     import dataclasses
 
-    from .spectral import _SectorMatrices, coercivity_ladder, harmonic_operator_spectrum
+    from .spectral import coercivity_ladder, harmonic_operator_spectrum
 
-    # one sector set, and with it one energy mesh, for every sector and rung
-    sm = _SectorMatrices(model)
-    rep1 = harmonic_operator_spectrum(model, 1, n_eigs=2, sector=sm)
-    rep0 = harmonic_operator_spectrum(model, 0, n_eigs=2, sector=sm)
-    rep2 = harmonic_operator_spectrum(model, 2, n_eigs=2, sector=sm)
-    ladder = coercivity_ladder(sm)
+    rep1 = harmonic_operator_spectrum(model, 1, n_eigs=2)
+    rep0 = harmonic_operator_spectrum(model, 0, n_eigs=2)
+    rep2 = harmonic_operator_spectrum(model, 2, n_eigs=2)
+    ladder = coercivity_ladder(model)
     c0 = ladder.c0[0]
     vmax = float(model.vq_fn(np.array([0.0]))[0])
     ok = (
@@ -205,9 +205,7 @@ _SUITES = {
 def cmd_check(args):
     from .steady_state import SteadyStateModel
 
-    cfg, digest = _resolved_config(
-        args, ["model", "suite", "seeds", "seed", "n_r_phase", "n_u_phase", "out"]
-    )
+    cfg, digest = _resolved_config(args)
     model = SteadyStateModel.load(args.model)
     report, passed = _SUITES[args.suite](model, args)
     doc = {
@@ -231,10 +229,7 @@ def cmd_evolve(args):
     from .perturbations import calibrated_bump
     from .steady_state import SteadyStateModel
 
-    cfg, digest = _resolved_config(
-        args,
-        ["model", "eta", "t_dyn", "dt_frac", "n", "seed", "field_average", "out_prefix"],
-    )
+    cfg, digest = _resolved_config(args)
     model = SteadyStateModel.load(args.model)
     f_init, value_fn = calibrated_bump(model, args.eta, args.seed)
     ens = sample_particles(f_init, args.n, seed=args.seed, value_fn=value_fn)
@@ -261,7 +256,7 @@ def cmd_rearrange(args):
     from .rearrangement import distribution_function, export_tables, schwarz_rearrangement
     from .steady_state import SteadyStateModel, phase_space_density
 
-    cfg, digest = _resolved_config(args, ["model", "out_prefix", "n_r_phase", "n_u_phase"])
+    cfg, digest = _resolved_config(args)
     model = SteadyStateModel.load(args.model)
     f = phase_space_density(model, n_r=args.n_r_phase, n_u=args.n_u_phase)
     mu = distribution_function(f)
@@ -278,7 +273,7 @@ def cmd_shift(args):
     from .numerics import Grid1D
     from .steady_state import SteadyStateModel, _require
 
-    cfg, digest = _resolved_config(args, ["model", "potential", "out"])
+    cfg, digest = _resolved_config(args)
     model = SteadyStateModel.load(args.model)
     with open(args.potential) as fh:
         doc = _require(json.load(fh), (), f"potential file {args.potential}")

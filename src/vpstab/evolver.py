@@ -113,13 +113,12 @@ class ParticleEnsemble:
         return ens, time
 
 
-def sample_particles(f, n_particles, seed, value_fn=None):
+def sample_particles(f, n_particles, seed, value_fn):
     """Stratified sampler: cell counts proportional to cell mass, positions
     drawn from the r^2 u^2 measure within each cell, isotropic pitch angles.
 
-    value_fn(r, u), when given, supplies the carried density exactly (e.g. the
-    steady-state profile); otherwise cell values are used. Deterministic for a
-    fixed seed.
+    value_fn(r, u) supplies the carried density exactly at each particle
+    (e.g. the steady-state profile). Deterministic for a fixed seed.
     """
     if n_particles < 1:
         raise InvalidArgumentError("need at least one particle")
@@ -157,10 +156,7 @@ def sample_particles(f, n_particles, seed, value_fn=None):
     # draw no particle are compensated in expectation, keeping the total
     # mass estimator unbiased under refinement
     volume = (f.measure.ravel()[idx]) / expect[idx]
-    if value_fn is not None:
-        f0 = value_fn(r, u)
-    else:
-        f0 = f.values.ravel()[idx]
+    f0 = value_fn(r, u)
     weight = volume * f0
     keep = weight > 0
     return ParticleEnsemble(

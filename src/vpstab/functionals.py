@@ -46,7 +46,6 @@ class ReducedReport:
     J0_value: float
     coupling: float
     J0_check: float
-    G_table: tuple
     rearranged: PhaseSpaceDensity
 
 
@@ -117,13 +116,11 @@ def reduced_functional(fstar, pot, grid, jac=None) -> ReducedReport:
     j_direct = rep.hamiltonian + coupling
     j0_check = _j0_energy_route(fstar, pot, jac)
     j0_direct = j_direct - field_energy(pot)
-    s = np.linspace(0.0, fstar.support_measure() * 1.05 + 1e-300, 256)
     return ReducedReport(
         J_value=j_direct,
         J0_value=j0_direct,
         coupling=coupling,
         J0_check=j0_check,
-        G_table=(s, fstar.primitive(s)),
         rearranged=fhat,
     )
 
@@ -227,7 +224,7 @@ class LowerBoundReport:
     reliable: bool
 
 
-def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift=None, delta0=None) -> LowerBoundReport:
+def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift=None) -> LowerBoundReport:
     """Quantitative bound H(f) - H(Q) + ||phi_f||_inf ||f* - Q*||_L1
     >= c0 || grad phi_f - grad phi_Q(.-z) ||^2 with z the modulation shift.
 
@@ -254,7 +251,5 @@ def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift=None, delta0=No
     d_inf, d_grad = potential_distance(pot_f, model.potential(), z)
     rhs = c0 * d_grad**2
 
-    if delta0 is None:
-        delta0 = 0.5 * abs(model.phi_center)
-    reliable = bool(d_inf + d_grad < delta0)
+    reliable = bool(d_inf + d_grad < 0.5 * abs(model.phi_center))
     return LowerBoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, shift=shift, reliable=reliable)

@@ -257,20 +257,14 @@ class JacobianMap:
 
     # --- tabulated evaluation ----------------------------------------------
     def a(self, e):
-        return self._tabulated(e, self._a_interp, self.a_direct)
-
-    def a_prime(self, e):
-        return self._tabulated(e, self._ap_interp, self.a_prime_direct)
-
-    def _tabulated(self, e, interp, direct):
-        """interp on the table, 0 below it, direct quadrature above it."""
+        """The interpolant on the table, 0 below it, direct quadrature above it."""
         e = np.asarray(e, dtype=float)
         inside = (e > self._e_tab[0]) & (e <= self._e_tab[-1])
         out = np.zeros(e.shape)
-        out[inside] = interp(e[inside])
+        out[inside] = self._a_interp(e[inside])
         beyond = e > self._e_tab[-1]
         if np.any(beyond):
-            out[beyond] = direct(np.clip(e[beyond], None, -1e-300))
+            out[beyond] = self.a_direct(np.clip(e[beyond], None, -1e-300))
         return out
 
     def a_inv(self, s):

@@ -22,6 +22,11 @@ Woodbury identity for U U^T. Shift-invert finds the eigenvalues nearest the
 shift; a Sylvester inertia count (the LDL^T pivots of the tridiagonal, and for
 k = 0 Haynsworth's count over the capacitance matrix) certifies that none lies
 below it, and CoercivityError is raised otherwise.
+
+A discretisation is named by (model, n). Each spectrum is solved only where
+it is read: harmonic_operator_spectrum solves the standard sector problem
+A_k x = lambda x, and coercivity_constant (and coercivity_ladder, one call
+of it per rung) solves the Dirichlet-normalized pencil A_k x = lambda T_k x.
 """
 
 import warnings
@@ -59,14 +64,6 @@ class ModulationError(RuntimeError):
 
 class CoercivityError(RuntimeError):
     pass
-
-
-def effective_potential_VQ(model, r=None):
-    """V(r) = int |F'(e)| dv = 4 pi sqrt(2) int |F'(e)| (e - phi(r))_+^{1/2} de,
-    continuous and supported on [0, R_Q]."""
-    if r is None:
-        r = model.grid.nodes
-    return model.vq_fn(np.asarray(r, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -191,12 +188,10 @@ def hessian_form(direction: Direction, model, mesh=None):
 @dataclass(frozen=True)
 class SpectralReport:
     k: int
-    lambda_k: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # columns, in w = r h variables on `radii`
     radii: np.ndarray
     kernel_residual: float
-    dirichlet_eigenvalues: np.ndarray  # Dirichlet-normalized (generalized) spectrum
 
 
 class _SectorMatrices:
@@ -204,27 +199,21 @@ class _SectorMatrices:
 
     Sector k pairs the Hessian form A_k = T_k - diag(V) with the Dirichlet
     form N_k = T_k, where T_k is the tridiagonal -d^2/dr^2 + k(k+1)/r^2; the
-    radial sector adds the projector term U U^T to A_0.
+    radial sector adds the projector term U U^T to A_0. The public solvers
+    use n points on [0, 6 R_Q] and the model's energy mesh; a wider box
+    (compactness_ratio) or another mesh is set here.
     """
 
     def __init__(self, model, n=800, r_max_factor=6.0, mesh=None):
-        self.model = model
         self.n = n
-        self.r_max_factor = r_max_factor
-        self.r_max = r_max_factor * model.R_Q
-        self.dr = self.r_max / (n + 1)
+        self.dr = r_max_factor * model.R_Q / (n + 1)
         self.r = self.dr * np.arange(1, n + 1)
         self.V = model.vq_fn(self.r)
         self.mesh = mesh if mesh is not None else model.energy_mesh
 
-    def laplacian_tridiag(self):
-        d = np.full(self.n, 2.0) / self.dr**2
-        e = np.full(self.n - 1, -1.0) / self.dr**2
-        return d, e
-
     def dirichlet_tridiag(self, k):
-        d, e = self.laplacian_tridiag()
-        return d + k * (k + 1) / self.r**2, e
+        d = 2.0 / self.dr**2 + k * (k + 1) / self.r**2
+        return d, np.full(self.n - 1, -1.0) / self.dr**2
 
     def sector_tridiag(self, k):
         d, e = self.dirichlet_tridiag(k)
@@ -371,21 +360,22 @@ def _ldl_factor(c, k, sigma):
     return ldl, ipiv, count
 
 
-def harmonic_operator_spectrum(model, k, n_eigs=6, n=800, r_max_factor=6.0, mesh=None, sector=None):
-    """Lowest eigenpairs of the harmonic-k sector of the Hessian operator.
+def harmonic_operator_spectrum(model, k, n_eigs=6, n=800):
+    """Lowest eigenpairs of the harmonic-k sector of the Hessian operator on
+    the n-point grid of _SectorMatrices(model, n).
 
     k >= 1 reduces to a symmetric tridiagonal problem via w = r h; the radial
     sector (k = 0) adds the low-rank projector term and is solved by
-    shift-invert with the Woodbury identity. Also reports the
-    Dirichlet-normalized generalized spectrum used for the coercivity
-    constant, and for k = 1 the alignment of the ground state with r phi'.
+    shift-invert with the Woodbury identity. For k = 1 the report also holds
+    the alignment of the ground state with the translation mode r phi'. The
+    Dirichlet-normalized spectrum is not solved here: coercivity_constant
+    and coercivity_ladder read it.
     """
-    sm = sector if sector is not None else _SectorMatrices(model, n=n, r_max_factor=r_max_factor, mesh=mesh)
+    sm = _SectorMatrices(model, n=n)
     if k == 0:
         vals, vecs = sm.radial_eigenpairs(n_eigs)
     else:
         vals, vecs = eig_tridiag(*sm.sector_tridiag(k), n_eigs)
-    gvals = sm.dirichlet_eigenvalues(k, n_eigs)
     kernel_residual = np.nan
     if k == 1:
         # alignment with the translation mode r phi' inside the working window
@@ -397,23 +387,19 @@ def harmonic_operator_spectrum(model, k, n_eigs=6, n=800, r_max_factor=6.0, mesh
         kernel_residual = float(1.0 - cos)
     return SpectralReport(
         k=k,
-        lambda_k=float(k * (k + 1)),
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=np.asarray(vecs, dtype=float),
         radii=sm.r,
         kernel_residual=kernel_residual,
-        dirichlet_eigenvalues=np.asarray(gvals, dtype=float),
     )
 
 
-def coercivity_constant(model, n=800, r_max_factor=6.0, mesh=None):
+def coercivity_constant(model, n=800):
     """Smallest Dirichlet-normalized eigenvalue of the Hessian away from the
-    translation kernel: min over the radial sector, the second k=1 mode, and
-    the k=2 sector (higher k only gain centrifugal energy)."""
-    return _sector_coercivity(_SectorMatrices(model, n=n, r_max_factor=r_max_factor, mesh=mesh))
-
-
-def _sector_coercivity(sm):
+    translation kernel, on the n-point grid of _SectorMatrices(model, n):
+    min over the radial sector, the second k=1 mode, and the k=2 sector
+    (higher k only gain centrifugal energy)."""
+    sm = _SectorMatrices(model, n=n)
     c0 = float(
         min(sm.dirichlet_eigenvalues(0, 1)[0], sm.dirichlet_eigenvalues(1, 2)[1], sm.dirichlet_eigenvalues(2, 1)[0])
     )
@@ -433,26 +419,23 @@ class CoercivityLadder:
     error_estimate: float  # |richardson - c0 on the finest rung|
 
 
-def coercivity_ladder(sector):
-    """c0 on the sector's grid n and on 2n and 4n, all on the sector's energy
-    mesh, with the observed order of the three rungs and the Richardson
-    extrapolation at that order.
+def coercivity_ladder(model, n=800):
+    """coercivity_constant on the grids n, 2n and 4n, with the observed order
+    of the three rungs and the Richardson extrapolation at that order.
 
-    The fixed energy mesh (n_e = 256, n_q = 96) sets a floor: for King W0 = 3
-    the steps shrink by 4 from 800 to 3200 (order 1.99), by 6 from 3200 to
-    6400, and from 6400 to 12800 c0 turns back, so the ladder stops at 4n.
-    When the rungs are not monotone the order and extrapolation are nan.
+    Every rung uses the model's energy mesh (n_e = 256, n_q = 96), which sets
+    a floor: for King W0 = 3 the steps shrink by 4 from 800 to 3200 (order
+    1.99), by 6 from 3200 to 6400, and from 6400 to 12800 c0 turns back, so
+    the ladder stops at 4n. When the rungs are not monotone the order and
+    extrapolation are nan.
     """
-    sms = [sector] + [
-        _SectorMatrices(sector.model, n=f * sector.n, r_max_factor=sector.r_max_factor, mesh=sector.mesh)
-        for f in (2, 4)
-    ]
-    c0 = tuple(_sector_coercivity(sm) for sm in sms)
+    rungs = (n, 2 * n, 4 * n)
+    c0 = tuple(coercivity_constant(model, n=m) for m in rungs)
     d1, d2 = c0[1] - c0[0], c0[2] - c0[1]
     order = float(np.log2(d1 / d2))
     richardson = c0[2] + d2 / (2.0**order - 1.0)
     return CoercivityLadder(
-        n=tuple(sm.n for sm in sms),
+        n=rungs,
         c0=c0,
         order=order,
         richardson=float(richardson),

@@ -175,7 +175,7 @@ class SteadyStateModel:
     kinetic: float
     hamiltonian: float
     interior: InteriorSolution
-    meta: dict | None = None
+    meta: dict
 
     def __post_init__(self):
         self.phi.setflags(write=False)
@@ -262,7 +262,7 @@ class SteadyStateModel:
         return memo[1]
 
     def to_json(self):
-        doc = {
+        return {
             "format": "vpstab-model",
             "version": 1,
             "kind": self.profile.kind,
@@ -278,10 +278,8 @@ class SteadyStateModel:
             "edges": self.grid.edges.tolist(),
             "phi": self.phi.tolist(),
             "rho": self.rho.tolist(),
+            "meta": self.meta,
         }
-        if self.meta:
-            doc["meta"] = self.meta
-        return doc
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -391,11 +389,21 @@ def build_polytrope(q, central_potential_depth, grid):
     return _polytrope(q, central_potential_depth, lambda _r: grid)
 
 
+# The deepest profiles whose fine solve converges: halving the step moves
+# R_Q by 4.6e-6 at King W0 = 12 and 4.8e-6 at q = 3.45, but by 6.0e-5 at
+# W0 = 13 and 3.6e-5 at q = 3.47. Past them the fine step (a 6000th of the
+# coarse radius) is no longer short against the central scale; at W0 = 18
+# the solve stops after one RK4 step with a negative mass.
+KING_W0_MAX = 12.0
+POLYTROPE_Q_MAX = 3.45
+
+
 def _profile_ode(source, y0):
     """Profile solve in about 6000 steps out to its zero. A coarse solve
     finds the zero first; its step is 0.02, or a tenth of the central scale
     sqrt(6 y0 / S(y0)) (y ~ y0 - S(y0) r^2 / 6 there) when that is shorter,
-    as in deep King models."""
+    as in deep King models. Converged for depths up to KING_W0_MAX and
+    POLYTROPE_Q_MAX, which the builders enforce."""
     h = min(0.02, float(np.sqrt(6.0 * y0 / source(y0))) / 10.0)
     coarse = solve_profile_ode(source, y0, h)
     return solve_profile_ode(source, y0, coarse.r_zero / 6000)
@@ -414,6 +422,10 @@ def _polytrope(q, psi0, grid_for):
     _check_positive(q=q, depth=psi0)
     if q >= 3.5:
         raise InvalidArgumentError(f"polytrope exponent q={q} outside (0, 7/2): infinite extent")
+    if q > POLYTROPE_Q_MAX:
+        raise InvalidArgumentError(
+            f"polytrope exponent q={q} above {POLYTROPE_Q_MAX}: the profile solve does not converge to 1e-5"
+        )
     n_index = q + 1.5
     source = lambda y: np.clip(y, 0.0, None) ** n_index
     ode = _profile_ode(source, 1.0)
@@ -445,6 +457,8 @@ def _king(W0, grid_for):
     """build_king on the grid grid_for(R_Q); the support radius R_Q is the
     zero of the fine profile solve (`_profile_ode`)."""
     _check_positive(W0=W0)
+    if W0 > KING_W0_MAX:
+        raise InvalidArgumentError(f"King depth W0={W0} above {KING_W0_MAX}: the profile solve does not converge to 1e-5")
     source = KingProfile(e0=-1.0, amplitude=1.0).rho_kernel
     ode = _profile_ode(source, W0)
     R_Q, dW1 = ode.r_zero, ode.yp_zero

@@ -36,3 +36,21 @@ def king_phase(king):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def dirichlet_solves(monkeypatch):
+    """A list that gains (n, k) for each Dirichlet-normalized sector solve
+    run while the test runs."""
+    from vpstab.spectral import _SectorMatrices
+
+    solves = []
+    shift_invert = _SectorMatrices._shift_invert
+
+    def counted(self, k, n_eigs, sigma, dirichlet):
+        if dirichlet:
+            solves.append((self.n, k))
+        return shift_invert(self, k, n_eigs, sigma, dirichlet)
+
+    monkeypatch.setattr(_SectorMatrices, "_shift_invert", counted)
+    return solves

@@ -66,10 +66,12 @@ def test_check_monotonicity(model_file, tmp_path):
     assert doc["report"]["violations"] == 0
 
 
-def test_check_spectrum(model_file, tmp_path):
+def test_check_spectrum(model_file, tmp_path, dirichlet_solves):
     out = tmp_path / "spec.json"
     code = main(["check", "--model", str(model_file), "--suite", "spectrum", "--out", str(out)])
     assert code == 0
+    # three sectors on each rung of the ladder, none for the sector spectra
+    assert sorted(dirichlet_solves) == [(n, k) for n in (800, 1600, 3200) for k in (0, 1, 2)]
     with open(out) as fh:
         doc = json.load(fh)
     assert doc["report"]["c0"] > 0
@@ -247,6 +249,18 @@ def test_build_non_finite_parameter_exits_2(flags, tmp_path):
     start = time.perf_counter()
     assert main(["build", *flags, "--out", str(out)]) == 2
     assert time.perf_counter() - start < 5.0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--kind", "king", "--w0", w0] for w0 in ("13", "16", "18", "20", "1e3")]
+                         + [["--kind", "polytrope", "--q", "3.49"]],
+                         ids=["w0-13", "w0-16", "w0-18", "w0-20", "w0-1e3", "q-3.49"])
+def test_build_unconverged_depth_exits_2(flags, tmp_path, capsys):
+    out = tmp_path / "m.json"
+    start = time.perf_counter()
+    assert main(["build", *flags, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "does not converge" in capsys.readouterr().err
     assert not out.exists()
 
 

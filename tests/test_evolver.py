@@ -47,9 +47,9 @@ def test_sampler_error_scaling(king, king_f):
     assert m1.std() / m2.std() == pytest.approx(np.sqrt(2.0), rel=0.5)
 
 
-def test_sampler_rejects_empty(king_f):
+def test_sampler_rejects_empty(king, king_f):
     with pytest.raises(DegenerateInputError):
-        sample_particles(king_f.with_values(np.zeros_like(king_f.values)), 1000, seed=0)
+        sample_particles(king_f.with_values(np.zeros_like(king_f.values)), 1000, seed=0, value_fn=_q_fn(king))
 
 
 def test_kepler_orbit_frozen_field(king):

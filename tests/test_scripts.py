@@ -1,0 +1,48 @@
+"""Smoke runs of the scripts under scripts/, each at a small size in a
+temporary directory: exit 0 and the files it writes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script, args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "script, args, outputs",
+    [
+        ("run_spectral_report.py", ["--k-max", "1", "--n-eigs", "2"],
+         ["spectrum_eigenvalues.csv", "spectrum_report.json"]),
+        ("run_stability_sweep.py", ["--t-dyn", "0.1", "--n", "2000", "--etas", "0", "0.01"],
+         ["sweep_series.csv", "sweep_summary.json"]),
+        ("source_size.py", [], []),
+    ],
+    ids=["spectral-report", "stability-sweep", "source-size"],
+)
+def test_script_runs(script, args, outputs, tmp_path):
+    proc = _run(script, args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs)
+    for name in outputs:
+        if name.endswith(".json"):
+            assert json.loads((tmp_path / name).read_text())
+        else:
+            assert len((tmp_path / name).read_text().splitlines()) > 1
+    if script == "source_size.py":
+        assert "src lines:" in proc.stdout and "exported names:" in proc.stdout
+    if script == "run_spectral_report.py":
+        rows = (tmp_path / outputs[0]).read_text().splitlines()
+        assert rows[0] == "k,index,eigenvalue,dirichlet_normalized" and len(rows) == 1 + 2 * 2

@@ -8,7 +8,6 @@ from vpstab.poisson import RadialField3D, SumField3D, solve_poisson_radial
 from vpstab.spectral import (
     coercivity_constant,
     compactness_ratio,
-    effective_potential_VQ,
     energy_mesh,
     hardy_check,
     harmonic_operator_spectrum,
@@ -23,7 +22,7 @@ from vpstab.spectral import (
 
 def test_effective_potential_support_and_values(king):
     r = np.array([0.0, 0.3 * king.R_Q, 0.94 * king.R_Q, 1.2 * king.R_Q, 2.0 * king.R_Q])
-    v = effective_potential_VQ(king, r)
+    v = king.vq_fn(r)
     assert np.all(v >= 0)
     assert v[0] > v[1] > v[2] > 0
     assert v[3] == v[4] == 0.0
@@ -45,7 +44,7 @@ def test_effective_potential_polytrope_closed_form(poly):
     r = np.array([0.2 * poly.R_Q, 0.6 * poly.R_Q])
     psi = poly.psi_fn(r)
     expected = 4 * np.pi * np.sqrt(2) * 1.0 * beta_fn(1.0, 1.5) * psi ** (1.0 + 0.5)
-    assert np.allclose(effective_potential_VQ(poly, r), expected, rtol=1e-12)
+    assert np.allclose(poly.vq_fn(r), expected, rtol=1e-12)
 
 
 def test_projector_fixes_constants(king):
@@ -198,10 +197,10 @@ def test_k0_k2_k3_positive(king):
 
 def test_kernel_only_at_k1(king):
     # Dirichlet-normalized spectra: only k = 1 has a near-zero mode
-    floors = {}
-    for k in (0, 1, 2, 3):
-        rep = harmonic_operator_spectrum(king, k, n_eigs=2)
-        floors[k] = rep.dirichlet_eigenvalues[0]
+    from vpstab.spectral import _SectorMatrices
+
+    sm = _SectorMatrices(king)
+    floors = {k: sm.dirichlet_eigenvalues(k, 2)[0] for k in (0, 1, 2, 3)}
     assert floors[1] <= 1e-3
     for k in (0, 2, 3):
         assert floors[k] > 0.3
@@ -441,18 +440,18 @@ def test_structured_solves_match_dense_eigh(which, n, request):
     lows = {}
     for k in range(4):
         A, N = _dense_sector(sm, k, ref)
-        rep = harmonic_operator_spectrum(model, k, n_eigs=3, sector=sm)
+        rep = harmonic_operator_spectrum(model, k, n_eigs=3, n=n)
         gvals = linalg.eigh(A, N, eigvals_only=True, subset_by_index=(0, 2))
         # the k = 1 translation eigenvalue is O(1e-4), at the rounding floor
         # of both solvers in absolute terms
-        np.testing.assert_allclose(rep.dirichlet_eigenvalues, gvals, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(sm.dirichlet_eigenvalues(k, 3), gvals, rtol=1e-10, atol=1e-13)
         lows[k] = gvals
         if k == 0:
             vals, vecs = linalg.eigh(A, subset_by_index=(0, 2))
             np.testing.assert_allclose(rep.eigenvalues, vals, rtol=1e-10)
             signs = np.sign(np.sum(rep.eigenvectors * vecs, axis=0))
             np.testing.assert_allclose(rep.eigenvectors * signs, vecs, rtol=0, atol=1e-8)
-    c0 = coercivity_constant(model, n=n, mesh=sm.mesh)
+    c0 = coercivity_constant(model, n=n)
     assert c0 == pytest.approx(min(lows[0][0], lows[1][1], lows[2][0]), rel=1e-10)
 
 
@@ -504,5 +503,24 @@ def test_energy_mesh_and_projector_factor_are_built_once(king, monkeypatch):
     # one projector factor per sector set, shared by the k = 0 solves
     sm = spectral._SectorMatrices(model, n=200)
     u = sm.projector_factor()
-    harmonic_operator_spectrum(model, 0, n_eigs=1, sector=sm)
+    sm.radial_eigenpairs(1)
+    sm.dirichlet_eigenvalues(0, 1)
     assert sm.projector_factor() is u
+
+
+def test_sector_spectrum_solves_no_dirichlet_pencil(king, dirichlet_solves):
+    for k in range(4):
+        harmonic_operator_spectrum(king, k, n_eigs=2)
+    assert dirichlet_solves == []
+    coercivity_constant(king, n=400)
+    assert dirichlet_solves == [(400, 0), (400, 1), (400, 2)]
+
+
+@pytest.mark.parametrize("which", ["king", "poly"])
+def test_coercivity_ladder_rungs_are_coercivity_constants(which, request):
+    from vpstab.spectral import coercivity_ladder
+
+    model = request.getfixturevalue(which)
+    ladder = coercivity_ladder(model)
+    assert ladder.n == (800, 1600, 3200)
+    assert ladder.c0 == tuple(coercivity_constant(model, n=800 * 2**i) for i in range(3))

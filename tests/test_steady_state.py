@@ -151,6 +151,32 @@ def test_build_validation():
     for w0 in (-1.0, np.nan, np.inf, "3", None):
         with pytest.raises(InvalidArgumentError):
             build_king(w0, grid)
+    # deeper profiles than the fine solve converges for are rejected before
+    # it starts: at W0 = 18 it stopped after one step with a negative mass,
+    # at W0 = 20 it ran past 30 s, at W0 = 1e3 it divided by zero
+    for w0 in (13.0, 16.0, 18.0, 20.0, 1e3):
+        with pytest.raises(InvalidArgumentError, match="does not converge"):
+            build_king(w0, grid)
+    with pytest.raises(InvalidArgumentError, match="does not converge"):
+        build_polytrope(3.49, 1.0, grid)
+
+
+@pytest.mark.parametrize("build", [lambda: king_model(12.0), lambda: polytrope_model(3.45)], ids=["W0-12", "q-3.45"])
+def test_profile_solve_converges_at_the_depth_bounds(build, monkeypatch):
+    # the deepest accepted profiles: R_Q moves by less than 1e-5 when the
+    # fine solve (the second profile solve of a build) runs at half the step
+    import vpstab.steady_state as steady_state
+
+    R_Q = build().R_Q
+    solve, steps = steady_state.solve_profile_ode, []
+
+    def halved(source, y0, h):
+        steps.append(h)
+        return solve(source, y0, h / 2 if len(steps) == 2 else h)
+
+    monkeypatch.setattr(steady_state, "solve_profile_ode", halved)
+    assert abs(build().R_Q - R_Q) / R_Q < 1e-5
+    assert len(steps) == 2
 
 
 def test_model_basic_structure(king):
