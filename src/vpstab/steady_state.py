@@ -74,15 +74,15 @@ class PolytropeProfile:
     # closed-form kernels in psi = e0 - phi >= 0
     def rho_kernel(self, psi):
         c = FOUR_PI_SQRT2 * special.beta(self.q + 1.0, 1.5) * self.amplitude
-        return c * np.clip(psi, 0.0, None) ** (self.q + 1.5)
+        return c * np.power(np.maximum(psi, 0.0), self.q + 1.5)
 
     def vq_kernel(self, psi):
         c = FOUR_PI_SQRT2 * self.q * special.beta(self.q, 1.5) * self.amplitude
-        return c * np.clip(psi, 0.0, None) ** (self.q + 0.5)
+        return c * np.power(np.maximum(psi, 0.0), self.q + 0.5)
 
     def kin_kernel(self, psi):
         c = FOUR_PI_SQRT2 * special.beta(self.q + 1.0, 2.5) * self.amplitude
-        return c * np.clip(psi, 0.0, None) ** (self.q + 2.5)
+        return c * np.power(np.maximum(psi, 0.0), self.q + 2.5)
 
     def params(self):
         return {"q": self.q, "e0": self.e0, "amplitude": self.amplitude}
@@ -120,18 +120,18 @@ class KingProfile:
 
     def rho_kernel(self, psi):
         # int_0^W (e^s - 1)(W - s)^(1/2) ds = (4/15) W^(5/2) M(1, 7/2, W)
-        w = np.clip(np.asarray(psi, dtype=float), 0.0, None)
-        return FOUR_PI_SQRT2 * self.amplitude * (4.0 / 15.0) * w**2.5 * special.hyp1f1(1.0, 3.5, w)
+        w = np.maximum(psi, 0.0)
+        return FOUR_PI_SQRT2 * self.amplitude * (4.0 / 15.0) * np.power(w, 2.5) * special.hyp1f1(1.0, 3.5, w)
 
     def vq_kernel(self, psi):
         # int_0^W e^s (W - s)^(1/2) ds = (2/3) W^(3/2) M(1, 5/2, W)
-        w = np.clip(np.asarray(psi, dtype=float), 0.0, None)
-        return FOUR_PI_SQRT2 * self.amplitude * (2.0 / 3.0) * w**1.5 * special.hyp1f1(1.0, 2.5, w)
+        w = np.maximum(psi, 0.0)
+        return FOUR_PI_SQRT2 * self.amplitude * (2.0 / 3.0) * np.power(w, 1.5) * special.hyp1f1(1.0, 2.5, w)
 
     def kin_kernel(self, psi):
         # int_0^W (e^s - 1)(W - s)^(3/2) ds = (4/35) W^(7/2) M(1, 9/2, W)
-        w = np.clip(np.asarray(psi, dtype=float), 0.0, None)
-        return FOUR_PI_SQRT2 * self.amplitude * (4.0 / 35.0) * w**3.5 * special.hyp1f1(1.0, 4.5, w)
+        w = np.maximum(psi, 0.0)
+        return FOUR_PI_SQRT2 * self.amplitude * (4.0 / 35.0) * np.power(w, 3.5) * special.hyp1f1(1.0, 4.5, w)
 
     def params(self):
         return {"e0": self.e0, "amplitude": self.amplitude}
@@ -198,14 +198,14 @@ class SteadyStateModel:
     def phi_fn(self, r):
         r = np.asarray(r, dtype=float)
         inside = r < self.R_Q
-        outside_val = -self.M / (4.0 * np.pi * np.clip(r, 1e-300, None))
+        outside_val = -self.M / (4.0 * np.pi * np.maximum(r, self.R_Q))
         inner_val = self.e0 - self.interior.psi(np.clip(r, 0.0, self.R_Q))
         return np.where(inside, inner_val, outside_val)
 
     def dphi_fn(self, r):
         r = np.asarray(r, dtype=float)
         inside = r < self.R_Q
-        outside_val = self.M / (4.0 * np.pi * np.clip(r, 1e-150, None) ** 2)
+        outside_val = self.M / (4.0 * np.pi * np.maximum(r, self.R_Q) ** 2)
         inner_val = -self.interior.dpsi(np.clip(r, 0.0, self.R_Q))
         return np.where(inside, inner_val, outside_val)
 
@@ -396,6 +396,16 @@ def build_polytrope(q, central_potential_depth, grid):
 # the solve stops after one RK4 step with a negative mass.
 KING_W0_MAX = 12.0
 POLYTROPE_Q_MAX = 3.45
+# The shallowest King model: the coarse step stays 0.02 while R_Q grows as
+# W0^(-3/4), so the coarse solve takes 22 000 steps at W0 = 1e-3 and 4
+# million at 1e-6. That shallow, a King model is the q = 1 polytrope of
+# depth W0 to about W0 / 5, which takes 6000 steps.
+KING_W0_MIN = 1e-3
+# Polytrope depths whose model stays inside the float range: every quantity
+# is a power of the depth times a scale-free number, up to depth^(q + 5/2),
+# and for every q <= POLYTROPE_Q_MAX the scale-free ratios (H / K, e0 R_Q / M,
+# ...) keep 1e-14 of their depth-1 values out to 1e-50 and 1e50.
+POLYTROPE_DEPTH_RANGE = (1e-40, 1e40)
 
 
 def _profile_ode(source, y0):
@@ -403,7 +413,12 @@ def _profile_ode(source, y0):
     finds the zero first; its step is 0.02, or a tenth of the central scale
     sqrt(6 y0 / S(y0)) (y ~ y0 - S(y0) r^2 / 6 there) when that is shorter,
     as in deep King models. Converged for depths up to KING_W0_MAX and
-    POLYTROPE_Q_MAX, which the builders enforce."""
+    POLYTROPE_Q_MAX, which the builders enforce.
+
+    The solve calls source on one float per RK4 stage and on arrays
+    elsewhere, so its power is np.power, whose bits do not depend on the kind
+    of its input: `**` on a float is libm's pow, which differs from np.power
+    in the last bit on about 5% of inputs."""
     h = min(0.02, float(np.sqrt(6.0 * y0 / source(y0))) / 10.0)
     coarse = solve_profile_ode(source, y0, h)
     return solve_profile_ode(source, y0, coarse.r_zero / 6000)
@@ -420,6 +435,9 @@ def _polytrope(q, psi0, grid_for):
     """build_polytrope on the grid grid_for(R_Q); the support radius R_Q is
     the zero of the fine profile solve (`_profile_ode`)."""
     _check_positive(q=q, depth=psi0)
+    lo, hi = POLYTROPE_DEPTH_RANGE
+    if not lo <= psi0 <= hi:
+        raise InvalidArgumentError(f"polytrope depth {psi0} outside [{lo}, {hi}]: the model leaves the float range")
     if q >= 3.5:
         raise InvalidArgumentError(f"polytrope exponent q={q} outside (0, 7/2): infinite extent")
     if q > POLYTROPE_Q_MAX:
@@ -427,7 +445,7 @@ def _polytrope(q, psi0, grid_for):
             f"polytrope exponent q={q} above {POLYTROPE_Q_MAX}: the profile solve does not converge to 1e-5"
         )
     n_index = q + 1.5
-    source = lambda y: np.clip(y, 0.0, None) ** n_index
+    source = lambda y: np.power(np.maximum(y, 0.0), n_index)
     ode = _profile_ode(source, 1.0)
     xi1, dtheta1 = ode.r_zero, ode.yp_zero
 
@@ -459,6 +477,11 @@ def _king(W0, grid_for):
     _check_positive(W0=W0)
     if W0 > KING_W0_MAX:
         raise InvalidArgumentError(f"King depth W0={W0} above {KING_W0_MAX}: the profile solve does not converge to 1e-5")
+    if W0 < KING_W0_MIN:
+        raise InvalidArgumentError(
+            f"King depth W0={W0} below {KING_W0_MIN}: the coarse profile solve takes over 22000 steps;"
+            " build the q = 1 polytrope of depth W0, which equals this model to about W0 / 5"
+        )
     source = KingProfile(e0=-1.0, amplitude=1.0).rho_kernel
     ode = _profile_ode(source, W0)
     R_Q, dW1 = ode.r_zero, ode.yp_zero

@@ -252,15 +252,23 @@ def test_build_non_finite_parameter_exits_2(flags, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--kind", "king", "--w0", w0] for w0 in ("13", "16", "18", "20", "1e3")]
-                         + [["--kind", "polytrope", "--q", "3.49"]],
-                         ids=["w0-13", "w0-16", "w0-18", "w0-20", "w0-1e3", "q-3.49"])
-def test_build_unconverged_depth_exits_2(flags, tmp_path, capsys):
+@pytest.mark.parametrize("flags, message",
+                         [(["--kind", "king", "--w0", w0], "does not converge") for w0 in ("13", "16", "18", "20", "1e3")]
+                         + [(["--kind", "polytrope", "--q", "3.49"], "does not converge")]
+                         + [(["--kind", "king", "--w0", w0], "below") for w0 in ("1e-6", "1e-9")]
+                         + [(["--kind", "polytrope", "--q", "1", "--depth", d], "float range") for d in ("1e-300", "1e300")],
+                         ids=["w0-13", "w0-16", "w0-18", "w0-20", "w0-1e3", "q-3.49", "w0-1e-6", "w0-1e-9",
+                              "depth-1e-300", "depth-1e300"])
+def test_build_unconverged_depth_exits_2(flags, message, tmp_path, capsys):
+    # a depth past the range the build handles exits at once: before, a King
+    # W0 of 1e-9 ran past 60 s, polytrope depth 1e-300 wrote a model with
+    # R_Q = inf, and 1e300 ended in an OverflowError traceback
     out = tmp_path / "m.json"
     start = time.perf_counter()
     assert main(["build", *flags, "--out", str(out)]) == 2
     assert time.perf_counter() - start < 5.0
-    assert "does not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not out.exists()
 
 

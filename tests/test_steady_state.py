@@ -1,16 +1,26 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from vpstab.numerics import InvalidArgumentError, jacobi_integral, make_1d_grid
+from vpstab.numerics import (
+    InvalidArgumentError,
+    RadialOdeSolution,
+    hermite_coefficients,
+    jacobi_integral,
+    make_1d_grid,
+    power_eval,
+)
 from vpstab.poisson import field_energy
 from vpstab.spectral import coercivity_constant
 from vpstab.steady_state import (
     FOUR_PI_SQRT2,
+    KING_W0_MIN,
+    POLYTROPE_DEPTH_RANGE,
     DomainError,
     KingProfile,
     PolytropeProfile,
@@ -68,6 +78,125 @@ def _rk4_oracle(source, y0, h):
     r_zero = rs[-2] + t * h
     v_zero = vs[-2] + t * (vs[-1] - vs[-2])
     return r_zero, v_zero
+
+
+# The profile solve in its plain form: kernels with np.clip and `**`, and a
+# fresh one-element array for each RK4 stage. The builders call each kernel
+# on one float per stage; they must reproduce this form bit for bit.
+def _plain_king_kernels():
+    def kernel(c, a, b):
+        def evaluate(psi):
+            w = np.clip(np.asarray(psi, dtype=float), 0.0, None)
+            return FOUR_PI_SQRT2 * 1.0 * c * w**a * special.hyp1f1(1.0, b, w)
+
+        return evaluate
+
+    return kernel(4.0 / 15.0, 2.5, 3.5), kernel(2.0 / 3.0, 1.5, 2.5), kernel(4.0 / 35.0, 3.5, 4.5)
+
+
+def _plain_polytrope_kernels(q):
+    def kernel(c, a):
+        return lambda psi: c * np.clip(psi, 0.0, None) ** a
+
+    return (
+        kernel(FOUR_PI_SQRT2 * special.beta(q + 1.0, 1.5) * 1.0, q + 1.5),
+        kernel(FOUR_PI_SQRT2 * q * special.beta(q, 1.5) * 1.0, q + 0.5),
+        kernel(FOUR_PI_SQRT2 * special.beta(q + 1.0, 2.5) * 1.0, q + 2.5),
+    )
+
+
+def _plain_solve(source, y0, h):
+    s0 = float(source(np.array([y0]))[0])
+    ds = float((source(np.array([y0 * (1 + 1e-7)]))[0] - source(np.array([y0 * (1 - 1e-7)]))[0]) / (2e-7 * y0))
+
+    def series(r):
+        return y0 - s0 * r**2 / 6.0 + s0 * ds * r**4 / 120.0, -s0 * r / 3.0 + s0 * ds * r**3 / 30.0
+
+    def rhs(r, y, v):
+        return v, -2.0 * v / r - float(source(np.array([max(y, 0.0)]))[0])
+
+    y, v = series(2.0 * h)
+    y_h, v_h = series(h)
+    rs, ys, vs, r = [0.0, h, 2.0 * h], [y0, y_h, y], [0.0, v_h, v], 2.0 * h
+    while True:
+        k1y, k1v = rhs(r, y, v)
+        k2y, k2v = rhs(r + h / 2, y + h / 2 * k1y, v + h / 2 * k1v)
+        k3y, k3v = rhs(r + h / 2, y + h / 2 * k2y, v + h / 2 * k2v)
+        k4y, k4v = rhs(r + h, y + h * k3y, v + h * k3v)
+        y_new = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        v_new = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        r += h
+        rs.append(r)
+        ys.append(y_new)
+        vs.append(v_new)
+        if y_new <= 0.0:
+            break
+        y, v = y_new, v_new
+    rs, ys, vs = np.array(rs), np.array(ys), np.array(vs)
+    ra, rb, ya, yb = rs[-2], rs[-1], ys[-2], ys[-1]
+    nodes = np.array([ra, rb])
+    coef = hermite_coefficients(nodes, np.array([ya, yb]), np.array([vs[-2], vs[-1]]))
+
+    def val_der(x):
+        return float(power_eval(nodes, coef, x)[0]), float(power_eval(nodes, coef, x, derivative=True)[0])
+
+    x = ra + (rb - ra) * ya / (ya - yb)
+    for _ in range(60):
+        f, fp = val_der(x)
+        x_new = min(max(x - f / fp, ra), rb)
+        if abs(x_new - x) < 1e-15 * rb:
+            x = x_new
+            break
+        x = x_new
+    ypp = np.empty_like(rs)
+    ypp[1:] = -2.0 * vs[1:] / rs[1:] - source(np.clip(ys[1:], 0.0, None))
+    ypp[0] = -s0 / 3.0
+    return RadialOdeSolution(r=rs, y=ys, yp=vs, ypp=ypp, r_zero=float(x), yp_zero=val_der(x)[1])
+
+
+def _plain_profile(source, y0):
+    h = min(0.02, float(np.sqrt(6.0 * y0 / source(y0))) / 10.0)
+    return _plain_solve(source, y0, _plain_solve(source, y0, h).r_zero / 6000)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, plain",
+    [
+        (lambda: king_model(3.0), lambda: _plain_profile(_plain_king_kernels()[0], 3.0)),
+        (lambda: king_model(12.0), lambda: _plain_profile(_plain_king_kernels()[0], 12.0)),
+    ]
+    + [
+        (lambda q=q: polytrope_model(q), lambda q=q: _plain_profile(lambda y: np.clip(y, 0.0, None) ** (q + 1.5), 1.0))
+        for q in (0.5, 1.0, 3.45)
+    ],
+    ids=["W0-3", "W0-12", "q-0.5", "q-1", "q-3.45"],
+)
+def test_profile_solve_matches_the_plain_form_bit_for_bit(build, plain):
+    ode, ref = build().interior.ode, plain()
+    for name in ("r", "y", "yp", "ypp", "r_zero", "yp_zero"):
+        assert _same_bits(getattr(ode, name), getattr(ref, name)), name
+
+
+def test_kernels_match_the_plain_form_bit_for_bit():
+    # on arrays and, one value at a time, on floats against one-element
+    # arrays: the form an RK4 stage used to take. `**` on a float differs
+    # from np.power on about 5% of inputs, so the 1001 depths up to 20 catch
+    # a kernel that uses it.
+    edges = [-0.0, -1e-300, -2.5, 0.0, 1e-300, 1e-8, 700.5, 710.0, 800.0]
+    psi = np.concatenate([edges, np.linspace(0.0, 20.0, 1001)])
+    pairs = [(KingProfile(e0=-1.0), _plain_king_kernels())]
+    pairs += [(PolytropeProfile(q=q, e0=-1.0), _plain_polytrope_kernels(q)) for q in (0.5, 1.0, 3.45)]
+    with np.errstate(over="ignore"):  # the King kernels are inf at 800
+        for profile, plain in pairs:
+            for kernel, ref in zip((profile.rho_kernel, profile.vq_kernel, profile.kin_kernel), plain):
+                assert _same_bits(kernel(psi), ref(psi))
+                for x in psi:
+                    assert _same_bits(kernel(float(x)), ref(np.array([x]))[0]), (profile, x)
 
 
 def test_polytrope_profile_validation():
@@ -159,12 +288,40 @@ def test_build_validation():
             build_king(w0, grid)
     with pytest.raises(InvalidArgumentError, match="does not converge"):
         build_polytrope(3.49, 1.0, grid)
+    # so are King models too shallow for the coarse solve's fixed step, and
+    # polytrope depths whose model leaves the float range
+    for w0 in (1e-9, 1e-6, KING_W0_MIN * (1 - 1e-12)):
+        with pytest.raises(InvalidArgumentError, match="below"):
+            build_king(w0, grid)
+    lo, hi = POLYTROPE_DEPTH_RANGE
+    for depth in (1e-300, lo * (1 - 1e-12), hi * (1 + 1e-12), 1e300):
+        with pytest.raises(InvalidArgumentError, match="float range"):
+            build_polytrope(1.0, depth, grid)
 
 
-@pytest.mark.parametrize("build", [lambda: king_model(12.0), lambda: polytrope_model(3.45)], ids=["W0-12", "q-3.45"])
+@pytest.mark.parametrize("q", [0.5, 3.45])
+def test_polytrope_depth_range_keeps_the_homology(q):
+    # every quantity of a polytrope is a power of the depth times a
+    # scale-free number, so these ratios cannot depend on the depth; at both
+    # ends of the accepted range they hold to rounding, without a warning
+    def ratios(m):
+        return [m.hamiltonian / m.kinetic, m.e0 * 4 * np.pi * m.R_Q / m.M, m.kinetic * m.R_Q / m.M**2,
+                m.L0 / (m.R_Q**3 * abs(m.e0) ** 1.5)]
+
+    ref = ratios(polytrope_model(q, 1.0, n_r=200))
+    for depth in POLYTROPE_DEPTH_RANGE:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ratios(polytrope_model(q, depth, n_r=200))
+        assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("build", [lambda: king_model(12.0), lambda: polytrope_model(3.45), lambda: king_model(KING_W0_MIN)],
+                         ids=["W0-12", "q-3.45", "W0-min"])
 def test_profile_solve_converges_at_the_depth_bounds(build, monkeypatch):
-    # the deepest accepted profiles: R_Q moves by less than 1e-5 when the
-    # fine solve (the second profile solve of a build) runs at half the step
+    # the deepest and the shallowest accepted profiles: R_Q moves by less
+    # than 1e-5 when the fine solve (the second profile solve of a build)
+    # runs at half the step
     import vpstab.steady_state as steady_state
 
     R_Q = build().R_Q
