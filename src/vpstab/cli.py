@@ -64,6 +64,7 @@ def _emit_config(cfg, digest, path):
 
 
 def cmd_build(args):
+    from .poisson import field_energy
     from .steady_state import recipe_model, support_grid
 
     cfg, digest = _resolved_config(args)
@@ -73,9 +74,12 @@ def cmd_build(args):
     with open(args.out, "w") as fh:
         json.dump(doc, fh)
     _emit_config(cfg, digest, args.out + ".config.json")
+    # the virial theorem gives 2K = W for a steady state; on the grid the
+    # ratio shows how well the grid resolves the model
+    virial = 2.0 * model.kinetic / field_energy(model.potential())
     print(
         f"built {args.kind}: R_Q={model.R_Q:.6g} M={model.M:.6g} e0={model.e0:.6g} "
-        f"H={model.hamiltonian:.6g} (compact support)"
+        f"H={model.hamiltonian:.6g} 2K/W={virial:.6f} (compact support)"
     )
     return 0
 

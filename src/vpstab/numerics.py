@@ -169,6 +169,26 @@ def _read_only(*arrays):
     return arrays
 
 
+def branchwise(x, inside, inner, outer):
+    """The values of np.where(inside, inner(x), outer(x)), with inner
+    evaluated only on the x where inside holds and outer only on the rest.
+
+    x is an array and inside a boolean array of its shape. When one formula
+    covers every point it is called on x itself, with no gather or scatter
+    (a 0-d x always is), so its result keeps that formula's own shape and
+    type; otherwise the result has the shape of x. Each element goes through
+    the same operations as in the np.where form, so it has the same bits."""
+    if inside.all():
+        return inner(x)
+    outside = ~inside
+    if outside.all():
+        return outer(x)
+    out = np.empty(x.shape)
+    out[inside] = inner(x[inside])
+    out[outside] = outer(x[outside])
+    return out
+
+
 # The Gauss rules come from small dense eigensolves, built on one BLAS thread
 # so that they do not wake the helper threads (see serial_blas); every caller
 # shares the cached arrays, so they are read-only.

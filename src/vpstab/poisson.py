@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
-from .numerics import Grid1D, InvalidArgumentError, _read_only, gl_points, panel_rule
+from .numerics import Grid1D, InvalidArgumentError, _read_only, branchwise, gl_points, make_1d_grid, panel_rule
 
 FOUR_PI = 4.0 * np.pi
 
@@ -69,6 +69,30 @@ class PotentialX:
     @property
     def r_max(self):
         return self.grid.x_max
+
+    # The distance checks sample both potentials on a line and on a grid set
+    # by the larger extent. Against a fixed reference (a model's potential)
+    # the samples repeat from call to call, so each kind is kept for its
+    # last (extent, node count), read-only, like a model's
+    # reference_hamiltonian.
+    def _kept(self, kind, key, build):
+        memo = self.__dict__.setdefault("_samples", {})
+        if kind not in memo or memo[kind][0] != key:
+            memo[kind] = (key, build())
+        return memo[kind][1]
+
+    def _phi_on_line(self, extent, n):
+        """phi_fn on np.linspace(0, extent, n)."""
+        return self._kept("phi", (extent, n), lambda: _read_only(self.phi_fn(np.linspace(0.0, extent, n)))[0])
+
+    def _dphi_on_grid(self, extent, n):
+        """The grid make_1d_grid(extent, n) and dphi_fn on its nodes."""
+
+        def build():
+            grid = make_1d_grid(extent, n)
+            return grid, _read_only(self.dphi_fn(grid.nodes))[0]
+
+        return self._kept("dphi", (extent, n), build)
 
     def enclosed_mass(self, r):
         """Mass inside radius r, 4 pi r^2 phi'(r) by Gauss's law."""
@@ -182,20 +206,30 @@ def solve_poisson_radial(grid, rho, method="spline"):
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
 
+    # each formula is evaluated only on its own side of the grid's edge
+    # (`branchwise`); dphi is 0 below tiny
+    tiny = 1e-12 * grid.x_max
+
+    def phi_inner(r):
+        return -cum_sq(r) / np.clip(r, 1e-300, None) - tail_lin(r)
+
+    def phi_outer(r):
+        return -M / (FOUR_PI * np.clip(r, 1e-300, None))
+
+    def dphi_inner(r):
+        rs = np.clip(r, tiny, None)
+        return np.where(r < tiny, 0.0, cum_sq(rs) / rs**2)
+
+    def dphi_outer(r):
+        return M / (FOUR_PI * np.clip(r, tiny, None) ** 2)
+
     def phi_fn(r):
         r = np.asarray(r, dtype=float)
-        inside = r < grid.x_max
-        rs = np.clip(r, 1e-300, None)
-        inner = -cum_sq(r) / rs - tail_lin(r)
-        outer = -M / (FOUR_PI * rs)
-        return np.where(inside, inner, outer)
+        return branchwise(r, r < grid.x_max, phi_inner, phi_outer)
 
     def dphi_fn(r):
         r = np.asarray(r, dtype=float)
-        tiny = 1e-12 * grid.x_max
-        rs = np.clip(r, tiny, None)
-        out = np.where(r < grid.x_max, cum_sq(rs) / rs**2, M / (FOUR_PI * rs**2))
-        return np.where(r < tiny, 0.0, out)
+        return branchwise(r, r < grid.x_max, dphi_inner, dphi_outer)
 
     return PotentialX(grid, phi_fn(grid.nodes), M, float(-tot1), phi_fn, dphi_fn)
 
@@ -211,11 +245,10 @@ def field_energy(pot):
 def grad_distance2(pot1, pot2, n=None):
     """Squared gradient distance between two aligned radial potentials,
     including the exterior monopole-difference tail."""
-    from .numerics import make_1d_grid
-
     r_max = max(pot1.r_max, pot2.r_max)
-    grid = make_1d_grid(r_max, n or max(pot1.grid.n, pot2.grid.n, 512))
-    d = pot1.dphi_fn(grid.nodes) - pot2.dphi_fn(grid.nodes)
+    n = n or max(pot1.grid.n, pot2.grid.n, 512)
+    grid, dphi1 = pot1._dphi_on_grid(r_max, n)
+    d = dphi1 - pot2._dphi_on_grid(r_max, n)[1]
     inner = FOUR_PI * float(np.dot(d**2, grid.sq_moments))
     tail = (pot1.M - pot2.M) ** 2 / (FOUR_PI * r_max)
     return inner + tail
@@ -323,8 +356,8 @@ def potential_distance(pot1, pot2, z=(0.0, 0.0, 0.0)):
     z = np.asarray(z, dtype=float)
     d = float(np.linalg.norm(z))
     if d == 0.0:
-        r = np.linspace(0.0, max(pot1.r_max, pot2.r_max), 8192)
-        dist_inf = float(np.max(np.abs(pot1.phi_fn(r) - pot2.phi_fn(r))))
+        r_max = max(pot1.r_max, pot2.r_max)
+        dist_inf = float(np.max(np.abs(pot1._phi_on_line(r_max, 8192) - pot2._phi_on_line(r_max, 8192))))
         return dist_inf, float(np.sqrt(grad_distance2(pot1, pot2)))
 
     dist2 = grad_distance2_shifted(RadialField3D.of(pot1), RadialField3D.of(pot2, z))

@@ -21,6 +21,7 @@ from .numerics import (
     InvalidArgumentError,
     OutOfRangeError,
     _read_only,
+    branchwise,
     exterior_power_tail,
     turning_point_rule,
     turning_radius,
@@ -107,9 +108,11 @@ class MonotoneRearrangement:
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.breaks, t, side="right")
-        padded = np.concatenate([self.step_values, [0.0]])
-        return padded[idx]
+        return self._value_with_rank(t, np.searchsorted(self.breaks, t, side="right"))
+
+    def _value_with_rank(self, t, rank):
+        """f*(t) for points t with rank breaks at or below each."""
+        return np.concatenate([self.step_values, [0.0]])[rank]
 
     def level_measure(self, s):
         """Measure of {f* > s}; pseudo-inverse of the step function."""
@@ -134,13 +137,34 @@ class MonotoneRearrangement:
         return np.interp(s, tk, gk)
 
 
+def _merged_breaks(a, b):
+    """The sorted union t of 0 and the sorted break arrays a and b, with the
+    number of breaks of a and of b at or below each t_k, from one stable
+    merge: up to the last copy of t_k it holds the 0 (when t_k >= 0), the
+    breaks of b counted along it, and the rest from a."""
+    merged = np.concatenate([[0.0], a, b])
+    order = np.argsort(merged, kind="stable")
+    s = merged[order]
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    t = s[ends]
+    rank_b = np.cumsum(order > a.size)[ends]
+    return t, ends + 1 - rank_b - (t >= 0.0), rank_b
+
+
 def l1_distance(p, q):
     """L1 distance between two rearrangement profiles (MonotoneRearrangement
     or ModelRearrangement): the midpoint rule on the union of their breaks,
-    exact when both are steps and second order against a smooth profile."""
-    t = np.unique(np.concatenate([[0.0], p.breaks, q.breaks]))
+    exact when both are steps and second order against a smooth profile.
+
+    The count of a step profile's breaks at or below t_k is the index of its
+    value on the cell [t_k, t_k+1], so no midpoint is searched for."""
+    t, rank_p, rank_q = _merged_breaks(p.breaks, q.breaks)
     mids = 0.5 * (t[:-1] + t[1:])
-    return float(np.dot(np.diff(t), np.abs(p.value(mids) - q.value(mids))))
+    # the midpoint of two adjacent floats can round up onto t_k+1
+    up = mids == t[1:]
+    vp = p._value_with_rank(mids, np.where(up, rank_p[1:], rank_p[:-1]))
+    vq = q._value_with_rank(mids, np.where(up, rank_q[1:], rank_q[:-1]))
+    return float(np.dot(np.diff(t), np.abs(vp - vq)))
 
 
 def schwarz_rearrangement(mu: DistributionFunction) -> MonotoneRearrangement:
@@ -186,8 +210,14 @@ class ModelRearrangement:
         return self.L0
 
     def value(self, t):
+        """Q*(t), the interpolant evaluated only below L0 and 0 from there."""
         t = np.asarray(t, dtype=float)
-        return np.where(t < self.L0, np.clip(self._interp(np.clip(t, 0.0, self.L0)), 0.0, None), 0.0)
+        return branchwise(
+            t, t < self.L0, lambda x: np.clip(self._interp(np.clip(x, 0.0, self.L0)), 0.0, None), np.zeros_like
+        )
+
+    def _value_with_rank(self, t, rank):
+        return self.value(t)
 
     def primitive(self, s):
         s = np.asarray(s, dtype=float)

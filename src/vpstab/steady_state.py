@@ -25,6 +25,7 @@ from .numerics import (
     Grid1D,
     InvalidArgumentError,
     PhaseSpaceGrid,
+    branchwise,
     make_1d_grid,
     make_grids,
     solve_profile_ode,
@@ -195,19 +196,26 @@ class SteadyStateModel:
         # exterior psi = e0 + M/(4 pi r) < 0 is clipped to zero: F vanishes there
         return out
 
+    # phi_fn and dphi_fn evaluate the interior solution only at r < R_Q and
+    # the exterior law only elsewhere (`branchwise`). The interior's dense
+    # output is at least 1-d, so a 0-d r gives shape (1,) on either side.
     def phi_fn(self, r):
         r = np.asarray(r, dtype=float)
-        inside = r < self.R_Q
-        outside_val = -self.M / (4.0 * np.pi * np.maximum(r, self.R_Q))
-        inner_val = self.e0 - self.interior.psi(np.clip(r, 0.0, self.R_Q))
-        return np.where(inside, inner_val, outside_val)
+        return np.atleast_1d(branchwise(
+            r,
+            r < self.R_Q,
+            lambda x: self.e0 - self.interior.psi(np.clip(x, 0.0, self.R_Q)),
+            lambda x: -self.M / (4.0 * np.pi * np.maximum(x, self.R_Q)),
+        ))
 
     def dphi_fn(self, r):
         r = np.asarray(r, dtype=float)
-        inside = r < self.R_Q
-        outside_val = self.M / (4.0 * np.pi * np.maximum(r, self.R_Q) ** 2)
-        inner_val = -self.interior.dpsi(np.clip(r, 0.0, self.R_Q))
-        return np.where(inside, inner_val, outside_val)
+        return np.atleast_1d(branchwise(
+            r,
+            r < self.R_Q,
+            lambda x: -self.interior.dpsi(np.clip(x, 0.0, self.R_Q)),
+            lambda x: self.M / (4.0 * np.pi * np.maximum(x, self.R_Q) ** 2),
+        ))
 
     def rho_fn(self, r):
         return self.profile.rho_kernel(self.psi_fn(r))

@@ -54,3 +54,90 @@ def dirichlet_solves(monkeypatch):
 
     monkeypatch.setattr(_SectorMatrices, "_shift_invert", counted)
     return solves
+
+
+def _plain_value(profile, t):
+    """A rearrangement profile's value by the plain form: a search per point
+    for a step profile, the interpolant at every point for Q*."""
+    from vpstab.rearrangement import MonotoneRearrangement
+
+    if isinstance(profile, MonotoneRearrangement):
+        idx = np.searchsorted(profile.breaks, t, side="right")
+        return np.concatenate([profile.step_values, [0.0]])[idx]
+    return np.where(t < profile.L0, np.clip(profile._interp(np.clip(t, 0.0, profile.L0)), 0.0, None), 0.0)
+
+
+def _plain_l1_distance(p, q):
+    """l1_distance with the union of the breaks taken by np.unique."""
+    t = np.unique(np.concatenate([[0.0], p.breaks, q.breaks]))
+    mids = 0.5 * (t[:-1] + t[1:])
+    return float(np.dot(np.diff(t), np.abs(_plain_value(p, mids) - _plain_value(q, mids))))
+
+
+def _plain_potential_distance(pot1, pot2, z=(0.0, 0.0, 0.0)):
+    """potential_distance at z = 0 with both potentials sampled afresh."""
+    from vpstab.numerics import make_1d_grid
+    from vpstab.poisson import FOUR_PI
+
+    assert not np.any(z)
+    r_max = max(pot1.r_max, pot2.r_max)
+    r = np.linspace(0.0, r_max, 8192)
+    dist_inf = float(np.max(np.abs(pot1.phi_fn(r) - pot2.phi_fn(r))))
+    grid = make_1d_grid(r_max, max(pot1.grid.n, pot2.grid.n, 512))
+    d = pot1.dphi_fn(grid.nodes) - pot2.dphi_fn(grid.nodes)
+    dist2 = FOUR_PI * float(np.dot(d**2, grid.sq_moments)) + (pot1.M - pot2.M) ** 2 / (FOUR_PI * r_max)
+    return dist_inf, float(np.sqrt(dist2))
+
+
+@pytest.fixture()
+def plain_forms():
+    """The plain forms that the potentials, potential_distance and
+    l1_distance must match bit for bit: `branchwise` evaluating both
+    formulas at every point and picking with np.where, the distance
+    sampling both potentials on every call, and L1 from np.unique with a
+    search per midpoint."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(
+        branchwise=lambda x, inside, inner, outer: np.where(inside, inner(x), outer(x)),
+        potential_distance=_plain_potential_distance,
+        l1_distance=_plain_l1_distance,
+    )
+
+
+@pytest.fixture()
+def radius_kinds():
+    """Radii of each kind a potential is evaluated on, about an edge R (the
+    support radius or the grid's extent) and a second radius x_max: a
+    float, 0-d arrays, 1-d and 2-d arrays, nan, exact edges and their
+    neighbours, and arrays wholly inside or outside R."""
+
+    def kinds(R, x_max):
+        line = np.linspace(-0.1 * R, 4.0 * max(R, x_max), 3001)
+        return {
+            "float inside": 0.5 * R,
+            "float outside": 2.0 * R,
+            "float zero": 0.0,
+            "0-d inside": np.array(0.3 * R),
+            "0-d outside": np.array(3.3 * R),
+            "0-d at R": np.array(R),
+            "1-d": line,
+            "2-d": line[:3000].reshape(1000, 3),
+            "column": line[:2048, None],
+            "fan": np.linspace(0.0, 1.5 * R, 2048)[:, None] * np.linspace(0.5, 1.5, 257)[None, :],
+            "nan": np.array([np.nan, 0.1 * R, 5.0 * R, np.nan]),
+            "at R": np.array([R, np.nextafter(R, 0.0), np.nextafter(R, np.inf)]),
+            "at x_max": np.array([x_max, np.nextafter(x_max, 0.0), np.nextafter(x_max, np.inf)]),
+            "zeros": np.array([0.0, -0.0, 1e-300, -1.0]),
+            "all inside": np.linspace(0.0, 0.999 * R, 500),
+            "all outside": np.linspace(R, 10.0 * R, 500),
+            "empty": np.zeros(0),
+        }
+
+    return kinds
+
+
+@pytest.fixture()
+def same_bits():
+    """A test of whether two results have the same shape and the same bytes."""
+    return lambda a, b: np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()

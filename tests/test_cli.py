@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -31,6 +32,14 @@ def test_build_polytrope_reports_compact_support(tmp_path, capsys):
     assert "compact support" in capsys.readouterr().out
     with open(out) as fh:
         assert json.load(fh)["R_Q"] > 0
+
+
+def test_build_reports_the_virial_ratio(tmp_path, capsys):
+    # a steady state has 2K = W; King W0 = 3 is resolved on the default grid
+    code = main(["build", "--kind", "king", "--w0", "3", "--out", str(tmp_path / "king.json")])
+    assert code == 0
+    ratio = float(re.search(r"2K/W=(\S+)", capsys.readouterr().out).group(1))
+    assert abs(ratio - 1.0) <= 1e-3
 
 
 def test_build_invalid_exponent_exits_2(tmp_path, capsys):

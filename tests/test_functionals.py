@@ -315,3 +315,32 @@ def test_stability_lower_bound_matches_fresh_objects(king, shift):
     for g in (f, bump_perturbation(base, 0.02, 12), f):
         rep = stability_lower_bound(g, model, c0, shift=shift)
     assert (rep.lhs, rep.rhs, rep.slack, rep.reliable) == (lhs, rhs, lhs - rhs, reliable)
+
+
+def test_stability_lower_bound_matches_the_plain_form_bit_for_bit(king, monkeypatch, plain_forms):
+    # the plain forms evaluate both branches of every potential, sample the
+    # reference potential afresh on each call and take L1 from np.unique;
+    # each model copy builds its own Q*, potential and H(Q) under its form
+    import dataclasses
+
+    import vpstab.functionals as functionals
+    import vpstab.poisson as poisson
+    import vpstab.rearrangement as rearrangement
+    import vpstab.steady_state as steady_state
+    from vpstab.spectral import coercivity_constant
+
+    c0 = coercivity_constant(king)
+    base = padded_phase_density(king, n_r=150, n_u=80)
+    rng = np.random.default_rng(17)
+    bumps = [bump_perturbation(base, rng.uniform(0.002, 0.02), rng.integers(2**31)) for _ in range(50)]
+
+    def report_bits(model):
+        reps = [stability_lower_bound(f, model, c0, shift=np.zeros(3)) for f in bumps]
+        return np.array([(r.lhs, r.rhs, r.slack, r.reliable) for r in reps]).tobytes()
+
+    fast = report_bits(dataclasses.replace(king))
+    for module in (steady_state, poisson, rearrangement):
+        monkeypatch.setattr(module, "branchwise", plain_forms.branchwise)
+    monkeypatch.setattr(rearrangement, "l1_distance", plain_forms.l1_distance)
+    monkeypatch.setattr(functionals, "potential_distance", plain_forms.potential_distance)
+    assert report_bits(dataclasses.replace(king)) == fast

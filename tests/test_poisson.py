@@ -292,3 +292,73 @@ def test_shifted_sup_scan_evaluates_pot1_on_radii_only(king_pot):
     assert max(sizes) == 2048
     assert dist_inf == potential_distance(king_pot, king_pot, (0.01, -0.005, 0.0))[0]
 
+
+@pytest.mark.parametrize("method", ["spline", "cells"])
+def test_solved_potential_matches_the_where_form_bit_for_bit(king, method, monkeypatch, plain_forms, radius_kinds,
+                                                             same_bits):
+    # the solve's phi_fn and dphi_fn evaluate the interior formula only on
+    # the grid and the monopole law only past it; with the np.where form of
+    # branchwise each is evaluated at every radius
+    import vpstab.poisson as poisson
+
+    pot = solve_poisson_radial(king.grid, king.rho, method=method)
+    kinds = radius_kinds(king.grid.x_max, king.R_Q)
+    kinds["below tiny"] = np.array([0.0, 0.5e-12, 1e-12, 2e-12]) * king.grid.x_max
+    fast = {kind: (pot.phi_fn(r), pot.dphi_fn(r)) for kind, r in kinds.items()}
+    monkeypatch.setattr(poisson, "branchwise", plain_forms.branchwise)
+    for kind, r in kinds.items():
+        assert same_bits(fast[kind][0], pot.phi_fn(r)), kind
+        assert same_bits(fast[kind][1], pot.dphi_fn(r)), kind
+
+
+def test_potential_distance_samples_the_reference_once(king, monkeypatch):
+    # against a model's potential, the second distance reads the samples of
+    # the first: the reference is not evaluated again
+    import dataclasses
+
+    from vpstab.functionals import hamiltonian
+    from vpstab.perturbations import bump_perturbation, padded_phase_density
+    from vpstab.steady_state import SteadyStateModel
+
+    calls = []
+
+    def counted(name):
+        method = getattr(SteadyStateModel, name)
+
+        def wrapper(self, r):
+            calls.append(name)
+            return method(self, r)
+
+        return wrapper
+
+    for name in ("phi_fn", "dphi_fn"):
+        monkeypatch.setattr(SteadyStateModel, name, counted(name))
+    pot_q = dataclasses.replace(king).potential()
+    base = padded_phase_density(king, n_r=150, n_u=80)
+    pot_f, pot_g = (hamiltonian(bump_perturbation(base, 0.01, seed)).pot for seed in (7, 8))
+    calls.clear()
+    first = potential_distance(pot_f, pot_q)
+    assert sorted(calls) == ["dphi_fn", "phi_fn"]
+    calls.clear()
+    assert potential_distance(pot_f, pot_q) == first
+    second = potential_distance(pot_g, pot_q)
+    assert calls == []
+    assert second != first
+
+
+def test_potential_samples_are_kept_read_only_per_extent(king_pot):
+    import dataclasses
+
+    pot = dataclasses.replace(king_pot)
+    line = pot._phi_on_line(2.0, 8192)
+    grid, dphi = pot._dphi_on_grid(2.0, 512)
+    assert pot._phi_on_line(2.0, 8192) is line and pot._dphi_on_grid(2.0, 512)[1] is dphi
+    for arr in (line, dphi):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert np.array_equal(line, king_pot.phi_fn(np.linspace(0.0, 2.0, 8192)))
+    assert np.array_equal(dphi, king_pot.dphi_fn(make_1d_grid(2.0, 512).nodes))
+    # another extent or node count is sampled afresh and replaces the entry
+    assert np.array_equal(pot._phi_on_line(3.0, 8192), king_pot.phi_fn(np.linspace(0.0, 3.0, 8192)))
+    assert np.array_equal(pot._dphi_on_grid(2.0, 600)[1], king_pot.dphi_fn(make_1d_grid(2.0, 600).nodes))
+    assert pot._phi_on_line(2.0, 8192) is not line

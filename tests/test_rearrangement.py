@@ -12,6 +12,7 @@ from vpstab.rearrangement import (
     export_tables,
     generalized_rearrangement,
     jacobian_a,
+    l1_distance,
     path_derivative_a,
     pseudo_inverse_level,
     schwarz_rearrangement,
@@ -426,3 +427,42 @@ def test_l1_distance_is_symmetric_across_profile_kinds(king, king_phase):
     assert d == qstar.l1_distance(fstar)
     assert 0.0 < d < 1e-2 * fstar.total
 
+
+def _step(breaks, values):
+    return MonotoneRearrangement(breaks=np.asarray(breaks, dtype=float), step_values=np.asarray(values, dtype=float))
+
+
+def _l1_edge_profiles(king):
+    qstar = king.rearrangement
+    L0 = qstar.L0
+    one_up = np.nextafter(1.0, 2.0)
+    grid = make_grids(1.0, 16, 1.0, 16)
+    return {
+        "Q*": qstar,
+        # repeated breaks are cells of zero measure
+        "repeated breaks": _step([0.0, 0.1 * L0, 0.1 * L0, 0.5 * L0, 0.5 * L0, 0.5 * L0, 2.0 * L0, 2.0 * L0],
+                                 [9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0]),
+        "on Q* breaks": _step(qstar.breaks[1::5], np.linspace(3.0, 0.0, qstar.breaks[1::5].size)),
+        "shorter than L0": _step(np.linspace(0.01, 0.5, 300) * L0, np.linspace(2.0, 0.5, 300)),
+        "longer than L0": _step(np.linspace(0.01, 30.0, 3000) * L0, np.clip(np.linspace(2.0, -1.0, 3000), 0.0, None)),
+        # midpoints of adjacent floats that round up onto the next break
+        "adjacent floats": _step([one_up, np.nextafter(one_up, 2.0), np.nextafter(np.nextafter(one_up, 2.0), 2.0), 2.0],
+                                 [4.0, 3.0, 2.0, 1.0]),
+        "all-zero f": schwarz_rearrangement(distribution_function(_density_from_values(grid, np.zeros((16, 16))))),
+    }
+
+
+def test_l1_distance_matches_the_unique_form_bit_for_bit(king, king_phase, plain_forms):
+    # every pair of step and model profiles, in both orders, equals the
+    # np.unique + search form bit for bit and is symmetric exactly
+    profiles = _l1_edge_profiles(king)
+    profiles["f* of Q"] = schwarz_rearrangement(distribution_function(king_phase))
+    adjacent = profiles["adjacent floats"].breaks
+    assert np.any(0.5 * (adjacent[:-1] + adjacent[1:]) == adjacent[1:])
+    for a, p in profiles.items():
+        for b, q in profiles.items():
+            d = l1_distance(p, q)
+            assert np.float64(d).tobytes() == np.float64(plain_forms.l1_distance(p, q)).tobytes(), (a, b)
+            assert d == l1_distance(q, p), (a, b)
+    # against f* = 0 the midpoint rule integrates Q* itself, to second order
+    assert l1_distance(profiles["all-zero f"], profiles["Q*"]) == pytest.approx(profiles["Q*"].total, rel=1e-5)

@@ -581,3 +581,28 @@ def test_model_document_without_an_entry_is_rejected(king, drop):
     with pytest.raises(InvalidArgumentError, match=drop):
         SteadyStateModel.from_json(doc)
 
+
+def _where_phi(model, r):
+    r = np.asarray(r, dtype=float)
+    inside = r < model.R_Q
+    outside_val = -model.M / (4.0 * np.pi * np.maximum(r, model.R_Q))
+    inner_val = model.e0 - model.interior.psi(np.clip(r, 0.0, model.R_Q))
+    return np.where(inside, inner_val, outside_val)
+
+
+def _where_dphi(model, r):
+    r = np.asarray(r, dtype=float)
+    inside = r < model.R_Q
+    outside_val = model.M / (4.0 * np.pi * np.maximum(r, model.R_Q) ** 2)
+    inner_val = -model.interior.dpsi(np.clip(r, 0.0, model.R_Q))
+    return np.where(inside, inner_val, outside_val)
+
+
+def test_model_potential_matches_the_where_form_bit_for_bit(king, poly, radius_kinds, same_bits):
+    # phi_fn and dphi_fn evaluate each side only where it applies; the
+    # np.where form evaluates both everywhere. Same bits and same shape for
+    # every kind of input, a float and a 0-d array (shape (1,)) among them
+    for model in (king, poly):
+        for kind, r in radius_kinds(model.R_Q, model.grid.x_max).items():
+            assert same_bits(model.phi_fn(r), _where_phi(model, r)), kind
+            assert same_bits(model.dphi_fn(r), _where_dphi(model, r)), kind
