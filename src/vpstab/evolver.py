@@ -28,6 +28,12 @@ form and checks equality bit for bit): in-place chains, one dt/2 phi'(r)
 array for both kicks of a step, and masks built only when a bound is
 crossed.
 
+Every sum over the particles (the kinetic energy, the frozen-field
+Hamiltonian, the orbital distance) is a numpy pairwise sum, never a BLAS dot
+product: OpenBLAS splits a dot of more than about 10 000 elements across its
+threads, which makes the last bits depend on the thread count and leaves a
+helper thread spinning on a core that the other forked runs need.
+
 The carried density value f0 is constant along characteristics, which makes
 every Casimir integral sum(mu_p G(f0_p)) exactly conserved by construction,
 so none is recorded; the honest conservation diagnostics are mass
@@ -85,10 +91,10 @@ class ParticleEnsemble:
 
     def kinetic(self):
         r_floor = np.clip(self.r, 1e-12, None)
-        return float(0.5 * np.dot(self.weight, self.v_r**2 + self.ell / r_floor**2))
+        return float(0.5 * (self.weight * (self.v_r**2 + self.ell / r_floor**2)).sum())
 
     def casimir(self, G):
-        return float(np.dot(self.volume, G(self.f0)))
+        return float((self.volume * G(self.f0)).sum())
 
     def save(self, path, time=0.0):
         header = struct.pack("<8sdq", CHECKPOINT_MAGIC, time, self.n)
@@ -265,8 +271,8 @@ def orbital_distance(ens, model):
     e = 0.5 * u**2 + model.phi_fn(ens.r)
     q_here = model.profile.evaluate(e)
     w = 1.0 + u**2
-    main = float(np.dot(ens.volume, w * np.abs(ens.f0 - q_here)))
-    covered = float(np.dot(ens.volume, w * q_here))
+    main = float((ens.volume * (w * np.abs(ens.f0 - q_here))).sum())
+    covered = float((ens.volume * (w * q_here)).sum())
     q_total = model.M + 2.0 * model.kinetic
     return main + max(0.0, q_total - covered)
 
@@ -352,7 +358,7 @@ def evolve(
             pdist = 0.0
         else:
             # frozen field: the flow conserves the summed one-particle energies
-            ham = ens.kinetic() + float(np.dot(ens.weight, model.phi_fn(ens.r)))
+            ham = ens.kinetic() + float((ens.weight * model.phi_fn(ens.r)).sum())
             pdist = 0.0
         diag.times.append(t)
         diag.hamiltonian.append(ham)

@@ -151,7 +151,13 @@ def serial_blas():
     iteration on a few thousand unknowns, a second thread costs more than it
     saves: each call waits for the helper, which stalls for milliseconds
     whenever that thread is descheduled. Not for concurrent use from several
-    Python threads, since the count is per process."""
+    Python threads, since the count is per process.
+
+    Not the way to make a result independent of the thread count: a dot
+    product over more than about 10 000 elements is split across threads,
+    so its bits depend on the count, and with this setting on the BLAS
+    build. Reductions over particle-sized or cell-sized arrays are numpy
+    pairwise sums, `float((a * b).sum())`, instead."""
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
     for _, put in controls:

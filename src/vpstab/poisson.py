@@ -244,11 +244,13 @@ def field_energy(pot):
 
 def grad_distance2(pot1, pot2, n=None):
     """Squared gradient distance between two aligned radial potentials,
-    including the exterior monopole-difference tail."""
+    including the exterior monopole-difference tail. pot2 is the reference:
+    its grid and samples are kept (`_dphi_on_grid`), and pot1 is evaluated
+    on that grid."""
     r_max = max(pot1.r_max, pot2.r_max)
     n = n or max(pot1.grid.n, pot2.grid.n, 512)
-    grid, dphi1 = pot1._dphi_on_grid(r_max, n)
-    d = dphi1 - pot2._dphi_on_grid(r_max, n)[1]
+    grid, dphi2 = pot2._dphi_on_grid(r_max, n)
+    d = pot1.dphi_fn(grid.nodes) - dphi2
     inner = FOUR_PI * float(np.dot(d**2, grid.sq_moments))
     tail = (pot1.M - pot2.M) ** 2 / (FOUR_PI * r_max)
     return inner + tail
@@ -343,7 +345,7 @@ def grad_distance2_shifted(field1, field2):
     nodes, weights = _space_rule()
     x = R * nodes
     diff = field1.grad_at(x) - field2.grad_at(x)
-    return R**3 * float(np.dot(weights, np.einsum("qi,qi->q", diff, diff)))
+    return R**3 * float((weights * np.einsum("qi,qi->q", diff, diff)).sum())
 
 
 def potential_distance(pot1, pot2, z=(0.0, 0.0, 0.0)):

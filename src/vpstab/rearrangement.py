@@ -164,7 +164,7 @@ def l1_distance(p, q):
     up = mids == t[1:]
     vp = p._value_with_rank(mids, np.where(up, rank_p[1:], rank_p[:-1]))
     vq = q._value_with_rank(mids, np.where(up, rank_q[1:], rank_q[:-1]))
-    return float(np.dot(np.diff(t), np.abs(vp - vq)))
+    return float((np.diff(t) * np.abs(vp - vq)).sum())
 
 
 def schwarz_rearrangement(mu: DistributionFunction) -> MonotoneRearrangement:

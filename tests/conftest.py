@@ -71,7 +71,7 @@ def _plain_l1_distance(p, q):
     """l1_distance with the union of the breaks taken by np.unique."""
     t = np.unique(np.concatenate([[0.0], p.breaks, q.breaks]))
     mids = 0.5 * (t[:-1] + t[1:])
-    return float(np.dot(np.diff(t), np.abs(_plain_value(p, mids) - _plain_value(q, mids))))
+    return float((np.diff(t) * np.abs(_plain_value(p, mids) - _plain_value(q, mids))).sum())
 
 
 def _plain_potential_distance(pot1, pot2, z=(0.0, 0.0, 0.0)):
@@ -135,6 +135,19 @@ def radius_kinds():
         }
 
     return kinds
+
+
+@pytest.fixture()
+def serial_blas():
+    """numerics.serial_blas, for a test that compares a result at the
+    default BLAS thread count with the same result on one thread. Skips the
+    test when every bundled OpenBLAS already runs one thread (or none is
+    bundled), since the two runs would then be the same run."""
+    from vpstab import numerics
+
+    if max((get() for get, _ in numerics._openblas_thread_controls()), default=1) < 2:
+        pytest.skip("OpenBLAS runs one thread here: serial_blas() changes nothing to compare against")
+    return numerics.serial_blas
 
 
 @pytest.fixture()

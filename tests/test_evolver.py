@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing
 import signal
 import time
@@ -321,7 +322,7 @@ def _reference_evolve(ens, model, dt, t_end, cadence, self_consistent=True, fiel
         elif external_dphi is not None:
             ham, pdist = ens.kinetic(), 0.0
         else:
-            ham, pdist = ens.kinetic() + float(np.dot(ens.weight, model.phi_fn(ens.r))), 0.0
+            ham, pdist = ens.kinetic() + float((ens.weight * model.phi_fn(ens.r)).sum()), 0.0
         diag.times.append(t)
         diag.hamiltonian.append(ham)
         diag.mass.append(ens.mass())
@@ -381,6 +382,27 @@ def test_evolve_bit_identical_to_plain_reference(king, king_f, mode):
     assert np.array_equal(ens.v_r, ref.v_r)
     assert list(diag.rows()) == list(ref_diag.rows())
     assert len(ref_diag.times) == 5
+
+
+@pytest.mark.parametrize("self_consistent", [True, False], ids=["self_consistent", "frozen"])
+def test_evolve_rows_do_not_depend_on_the_blas_thread_count(king, king_f, self_consistent, serial_blas):
+    # the record's sums run over 20k particles, past the size where a BLAS
+    # dot product is split across threads; the pairwise sums give the same
+    # bits on any count
+    dt = 0.01 * king.dynamical_time
+
+    def run(context):
+        ens = sample_particles(king_f, 20_000, seed=3, value_fn=_q_fn(king))
+        with context():
+            diag = evolve(ens, king, dt=dt, t_end=10 * dt, self_consistent=self_consistent, cadence=5)
+        return diag, ens
+
+    (diag, ens), (ref_diag, ref) = run(contextlib.nullcontext), run(serial_blas)
+    assert ens.n > 10_000 and len(diag.times) == 3
+    assert ens.r.tobytes() == ref.r.tobytes() and ens.v_r.tobytes() == ref.v_r.tobytes()
+    assert diag.reflections == ref_diag.reflections
+    for name in ("times", "hamiltonian", "mass", "orbital", "potential_dist"):
+        assert np.asarray(getattr(diag, name)).tobytes() == np.asarray(getattr(ref_diag, name)).tobytes(), name
 
 
 def test_evolve_leaves_external_force_array_unchanged(king, king_f):

@@ -362,3 +362,21 @@ def test_potential_samples_are_kept_read_only_per_extent(king_pot):
     assert np.array_equal(pot._phi_on_line(3.0, 8192), king_pot.phi_fn(np.linspace(0.0, 3.0, 8192)))
     assert np.array_equal(pot._dphi_on_grid(2.0, 600)[1], king_pot.dphi_fn(make_1d_grid(2.0, 600).nodes))
     assert pot._phi_on_line(2.0, 8192) is not line
+
+
+def test_shifted_distance_does_not_depend_on_the_blas_thread_count(king, serial_blas):
+    # the spherical rule has 14976 nodes, past the size where a BLAS dot
+    # product is split across threads
+    from vpstab.functionals import hamiltonian
+    from vpstab.perturbations import bump_perturbation, padded_phase_density
+    from vpstab.poisson import _space_rule, grad_distance2_shifted
+
+    assert _space_rule()[1].size > 10_000
+    base = padded_phase_density(king, n_r=150, n_u=80)
+    pots = [hamiltonian(bump_perturbation(base, 0.01, seed)).pot for seed in (7, 8)]
+    shifts = [(e, 0.0, 0.0) for e in (1e-4, 1e-3, 1e-2)] + [(0.01, -0.005, 0.02)]
+    pairs = [(RadialField3D.of(p), RadialField3D.of(king.potential(), z)) for p in pots for z in shifts]
+    default = [grad_distance2_shifted(a, b) for a, b in pairs]
+    with serial_blas():
+        serial = [grad_distance2_shifted(a, b) for a, b in pairs]
+    assert np.array(default).tobytes() == np.array(serial).tobytes()

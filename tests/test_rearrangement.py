@@ -466,3 +466,18 @@ def test_l1_distance_matches_the_unique_form_bit_for_bit(king, king_phase, plain
             assert d == l1_distance(q, p), (a, b)
     # against f* = 0 the midpoint rule integrates Q* itself, to second order
     assert l1_distance(profiles["all-zero f"], profiles["Q*"]) == pytest.approx(profiles["Q*"].total, rel=1e-5)
+
+
+def test_l1_distance_does_not_depend_on_the_blas_thread_count(king, serial_blas):
+    # f* of a bump on the 150x80 padded base has 12000 steps, so the union
+    # with the breaks of Q* is past the size where a BLAS dot product is
+    # split across threads; the pairwise sum gives the same bits on any count
+    from vpstab.perturbations import bump_perturbation, padded_phase_density
+
+    base = padded_phase_density(king, n_r=150, n_u=80)
+    fstars = [schwarz_rearrangement(distribution_function(bump_perturbation(base, 0.01, seed))) for seed in range(10)]
+    assert min(fstar.breaks.size for fstar in fstars) > 10_000
+    default = [king.rearrangement.l1_distance(fstar) for fstar in fstars]
+    with serial_blas():
+        serial = [king.rearrangement.l1_distance(fstar) for fstar in fstars]
+    assert np.array(default).tobytes() == np.array(serial).tobytes()
