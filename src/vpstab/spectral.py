@@ -16,12 +16,16 @@ constant is the smallest Dirichlet-normalized eigenvalue away from them.
 
 On the uniform grid in w = r h every sector is a tridiagonal pencil, and the
 k = 0 projector term is kept as a factor U with at most n_e columns, so no
-dense n x n matrix enters a solve. The lowest eigenvalues come from
-shift-invert Lanczos: one sparse LU of the shifted tridiagonal, plus the
-Woodbury identity for U U^T. Shift-invert finds the eigenvalues nearest the
-shift; a Sylvester inertia count (the LDL^T pivots of the tridiagonal, and for
-k = 0 Haynsworth's count over the capacitance matrix) certifies that none lies
-below it, and CoercivityError is raised otherwise.
+dense n x n matrix enters a solve. U's rows vanish past the radial quadrature,
+which ends at R_Q: about n/6 of the n rows on the default [0, 6 R_Q] box are
+its support. The lowest eigenvalues come from shift-invert Lanczos: a LAPACK
+LU (gttrf) of the shifted tridiagonal, plus the Woodbury identity for U U^T.
+The Woodbury capacitance I + U^T K^{-1} U is built on U's support alone: the
+exterior block enters only through one Schur-complement corner entry.
+Shift-invert finds the eigenvalues nearest the shift; a Sylvester inertia
+count (the LDL^T pivots of the tridiagonal, and for k = 0 Haynsworth's count
+over the capacitance matrix) certifies that none lies below it, and
+CoercivityError is raised otherwise.
 
 A discretisation is named by (model, n). Each spectrum is solved only where
 it is read: harmonic_operator_spectrum solves the standard sector problem
@@ -35,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import linalg, optimize, sparse
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from .numerics import (
     InvalidArgumentError,
@@ -227,28 +231,34 @@ class _SectorMatrices:
         """U (n x n_e) with U U^T the energy-average term in w variables,
         normalized like the L2(dr) operator matrices: column m holds the
         linear interpolation of the grid onto energy m's radial quadrature,
-        scaled by sqrt(omega_m) / r. Built once per sector set (read-only)."""
-        return self._projector_factor
+        scaled by sqrt(omega_m) / r. Its rows vanish past the last node that
+        the radial quadrature reaches (about R_Q). Built once per sector set
+        (read-only)."""
+        return self._projector_factor[0]
 
     @cached_property
     def _projector_factor(self):
+        """(U, n_s): U and the number n_s of its leading rows that can be
+        nonzero; only those are binned and scaled."""
         mesh = self.mesh
         n_e = mesh.e.size
         rq = mesh.r_nodes
         wq = mesh.r_weights / mesh.denom[:, None]
         idx = np.clip(np.searchsorted(self.r, rq) - 1, 0, self.n - 2)
+        n_s = int(idx.max()) + 2
         r0, r1 = self.r[idx], self.r[idx + 1]
         t = np.clip((rq - r0) / (r1 - r0), 0.0, 1.0)
-        # one bincount over (energy, grid node): per energy the lower-node
+        # one bincount over (energy, support node): per energy the lower-node
         # shares, then the upper-node shares
-        rows = (self.n * np.arange(n_e))[:, None]
+        rows = (n_s * np.arange(n_e))[:, None]
         cells = np.concatenate([rows + idx, rows + idx + 1], axis=1)
         shares = np.concatenate([wq * (1 - t), wq * t], axis=1)
-        b = np.bincount(cells.ravel(), weights=shares.ravel(), minlength=n_e * self.n)
+        b = np.bincount(cells.ravel(), weights=shares.ravel(), minlength=n_e * n_s)
         omega = mesh.w_fprime * mesh.a_prime
-        u = (b.reshape(n_e, self.n).T * np.sqrt(omega)) / (self.r[:, None] * np.sqrt(FOUR_PI * self.dr))
+        u = np.zeros((self.n, n_e))
+        u[:n_s] = (b.reshape(n_e, n_s).T * np.sqrt(omega)) / (self.r[:n_s, None] * np.sqrt(FOUR_PI * self.dr))
         u.setflags(write=False)
-        return u
+        return u, n_s
 
     def projector_correction(self):
         """Dense positive-semidefinite matrix U U^T of the energy-average term."""
@@ -275,9 +285,12 @@ class _SectorMatrices:
         so they are the lowest ones (CoercivityError otherwise).
 
         K = A_k - sigma N (N = T_k, or the identity for the standard problem)
-        is tridiagonal and factored once. For k = 0 the shifted operator is
-        K + U U^T: its inverse is applied by the Woodbury identity over the
-        capacitance C = I + U^T K^{-1} U, and its negative count is
+        is tridiagonal and factored once by LAPACK (_tridiag_solver). For
+        k = 0 the shifted operator is K + U U^T: its inverse is applied by
+        the Woodbury identity, (K + U U^T)^{-1} x = y - K^{-1} U C^{-1} U^T y
+        with y = K^{-1} x, two tridiagonal solves per Lanczos step. The
+        capacitance C = I + U^T K^{-1} U comes from U's support rows alone
+        (_capacitance), and the negative count of K + U U^T is
         neg(K) - neg(C) by Haynsworth's inertia additivity. C is symmetric
         but indefinite when K is, so one Bunch-Kaufman LDL^T serves both its
         solve and its count. The solve runs on one BLAS thread: its BLAS calls
@@ -292,22 +305,22 @@ class _SectorMatrices:
             else:
                 dk, ek = da - sigma, e
                 mass = None
-            lu = splu(_tridiag(dk, ek))
+            solve = _tridiag_solver(dk, ek, k, sigma)
             below = _negative_pivots(dk, ek)
             a = _tridiag(da, e)
             if k == 0:
-                u = self.projector_factor()
-                z = lu.solve(u)
-                ldl, ipiv, neg = _ldl_factor(np.eye(u.shape[1]) + u.T @ z, k, sigma)
+                u, n_s = self._projector_factor
+                u_s = u[:n_s]
+                ldl, ipiv, neg = _ldl_factor(self._capacitance(dk, ek, sigma), k, sigma)
                 below -= neg
+                solve_k, padded = solve, np.zeros(self.n)
 
                 def solve(x):
-                    y = lu.solve(x)
-                    return y - z @ linalg.lapack.dsytrs(ldl, ipiv, u.T @ y, lower=1)[0]
+                    y = solve_k(x)
+                    padded[:n_s] = u_s @ linalg.lapack.dsytrs(ldl, ipiv, u_s.T @ y[:n_s], lower=1)[0]
+                    return y - solve_k(padded)
 
                 a = aslinearoperator(a) + aslinearoperator(u) @ aslinearoperator(u.T)
-            else:
-                solve = lu.solve
             if below:
                 raise CoercivityError(
                     f"sector k={k}: {below} eigenvalue(s) below the shift {sigma}, out of reach of the shift-invert solve"
@@ -318,9 +331,44 @@ class _SectorMatrices:
             order = np.argsort(vals)
             return vals[order], vecs[:, order]
 
+    def _capacitance(self, dk, ek, sigma):
+        """C = I + U^T K^{-1} U for the shifted k = 0 tridiagonal K = (dk, ek).
+
+        U vanishes past its first n_s rows, so only the support block
+        (K^{-1})_ss enters. K couples the support block s to the exterior
+        block r through one entry e = ek[n_s - 1], and the Schur complement
+        gives (K^{-1})_ss = (K_ss - e^2 g e_last e_last^T)^{-1} exactly, with
+        g = (K_rr^{-1})_00, whenever K_rr is nonsingular (CoercivityError
+        otherwise). V and U vanish on the exterior, so K_rr is
+        2 T_rr at the Dirichlet shift -1, and T_rr - sigma at the standard
+        shift, which lies 1 below the spectrum of T_0 - V and so, by Cauchy
+        interlacing, below that of T_rr: positive definite for both shifts in
+        use. One solve of K_rr gives g, and one tridiagonal solve on the n_s
+        support rows with n_e right-hand sides gives (K^{-1})_ss U_s.
+        """
+        u, n_s = self._projector_factor
+        u_s = u[:n_s]
+        unit = np.zeros(self.n - n_s)
+        unit[0] = 1.0
+        g = _tridiag_solver(dk[n_s:], ek[n_s:], 0, sigma)(unit)[0]
+        d_s = dk[:n_s].copy()
+        d_s[-1] -= ek[n_s - 1] ** 2 * g
+        x = _tridiag_solver(d_s, ek[: n_s - 1], 0, sigma)(u_s)
+        return np.eye(u.shape[1]) + u_s.T @ x
+
 
 def _tridiag(d, e):
     return sparse.diags([e, d, e], [-1, 0, 1], format="csc")
+
+
+def _tridiag_solver(d, e, k, sigma):
+    """Solves with the symmetric tridiagonal (d, e), for a vector or an
+    n x m block: LAPACK's LU with partial pivoting (dgttrf), applied by
+    dgttrs. CoercivityError if the matrix is exactly singular."""
+    dl, dd, du, du2, ipiv, info = linalg.lapack.dgttrf(e, d, e)
+    if info != 0:
+        raise CoercivityError(f"sector k={k}: the shift {sigma} leaves a tridiagonal block singular")
+    return lambda b: linalg.lapack.dgttrs(dl, dd, du, du2, ipiv, b)[0]
 
 
 def _negative_pivots(d, e):

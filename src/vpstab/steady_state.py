@@ -182,7 +182,7 @@ class SteadyStateModel:
         self.phi.setflags(write=False)
         self.rho.setflags(write=False)
 
-    @property
+    @cached_property
     def phi_center(self):
         return self.e0 - float(self.psi_fn(np.array([0.0]))[0])
 

@@ -29,8 +29,10 @@ def _run(script, args, cwd):
         ("run_stability_sweep.py", ["--t-dyn", "0.1", "--n", "2000", "--etas", "0", "0.01"],
          ["sweep_series.csv", "sweep_summary.json"]),
         ("source_size.py", [], []),
+        ("bench_pairs.py", ["--parent", str(ROOT), "--change", str(ROOT), "--workloads", "spectrum",
+                            "--seeds", "1", "--seconds", "1", "--out", "bench.json"], ["bench.json"]),
     ],
-    ids=["spectral-report", "stability-sweep", "source-size"],
+    ids=["spectral-report", "stability-sweep", "source-size", "bench-pairs"],
 )
 def test_script_runs(script, args, outputs, tmp_path):
     proc = _run(script, args, tmp_path)
@@ -46,3 +48,8 @@ def test_script_runs(script, args, outputs, tmp_path):
     if script == "run_spectral_report.py":
         rows = (tmp_path / outputs[0]).read_text().splitlines()
         assert rows[0] == "k,index,eigenvalue,dirichlet_normalized" and len(rows) == 1 + 2 * 2
+    if script == "bench_pairs.py":
+        table = json.loads((tmp_path / outputs[0]).read_text())["workloads"]["spectrum"]
+        assert table["pairs"] == 1 and table["input_digest_equal"] and table["fail_ratio_max"]["change"] == 0.0
+        solve = table["metrics"]["solve_s"]
+        assert solve["parent"]["iqr"] == 0.0 and solve["change_wins_of_1"] in (0, 1)

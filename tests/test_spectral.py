@@ -455,6 +455,45 @@ def test_structured_solves_match_dense_eigh(which, n, request):
     assert c0 == pytest.approx(min(lows[0][0], lows[1][1], lows[2][0]), rel=1e-10)
 
 
+@pytest.mark.parametrize("which", ["king", "poly"])
+def test_support_capacitance_matches_the_dense_one(which, request):
+    # U and V vanish past the first n_s rows, and the capacitance built from
+    # those rows (with the Schur corner of the exterior block) is the dense
+    # I + U^T K^{-1} U, for the Dirichlet and the standard shift
+    from vpstab.numerics import eig_tridiag
+    from vpstab.spectral import _SectorMatrices
+
+    model = request.getfixturevalue(which)
+    sm = _SectorMatrices(model, n=400)
+    u, n_s = sm._projector_factor
+    assert sm.projector_factor() is u and n_s < sm.n
+    assert np.all(u[n_s:] == 0.0) and np.any(u[n_s - 1] != 0.0)
+    assert np.all(sm.V[n_s:] == 0.0)
+    A, N = _dense_sector(sm, 0, 0.0)
+    floor = eig_tridiag(*sm.sector_tridiag(0), 1)[0][0]
+    for sigma, mass in ((-1.0, N), (floor - 1.0, np.eye(sm.n))):
+        K = A - sigma * mass
+        dense = np.eye(u.shape[1]) + u.T @ np.linalg.solve(K, u)
+        cap = sm._capacitance(np.diag(K), np.diag(K, 1), sigma)
+        assert np.max(np.abs(cap - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("which", ["king", "poly"])
+def test_radial_sector_matches_dense_eigh_at_n1600(which, request):
+    from scipy import linalg
+
+    from vpstab.spectral import _SectorMatrices
+
+    model = request.getfixturevalue(which)
+    sm = _SectorMatrices(model, n=1600)
+    u = sm.projector_factor()
+    A, N = _dense_sector(sm, 0, u @ u.T)
+    gvals = linalg.eigh(A, N, eigvals_only=True, subset_by_index=(0, 2))
+    np.testing.assert_allclose(sm.dirichlet_eigenvalues(0, 3), gvals, rtol=1e-10)
+    vals = linalg.eigh(A, eigvals_only=True, subset_by_index=(0, 2))
+    np.testing.assert_allclose(sm.radial_eigenpairs(3)[0], vals, rtol=1e-10)
+
+
 def test_inertia_certificate_rejects_a_shift_above_the_lowest_eigenvalue(king):
     from vpstab.spectral import CoercivityError, _SectorMatrices
 

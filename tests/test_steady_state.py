@@ -491,6 +491,18 @@ def test_model_scoped_objects_are_built_once(king):
     assert np.array_equal(copy.rearrangement.jac._a_tab, king.rearrangement.jac._a_tab)
 
 
+def test_phi_center_is_kept_per_model(king, monkeypatch):
+    # phi(0) = e0 - psi(0), bit for bit, evaluated once per model
+    assert king.phi_center == king.e0 - float(king.psi_fn(np.array([0.0]))[0])
+    monkeypatch.setattr(type(king), "psi_fn", lambda self, r: pytest.fail("psi_fn evaluated again"))
+    assert king.phi_center == king.phi_center
+    monkeypatch.undo()
+    # a copy with another e0 computes its own
+    shifted = dataclasses.replace(king, e0=king.e0 - 0.25)
+    assert shifted.phi_center == shifted.e0 - float(shifted.psi_fn(np.array([0.0]))[0])
+    assert shifted.phi_center != king.phi_center
+
+
 def test_model_scoped_arrays_are_read_only(king):
     from vpstab.spectral import _SectorMatrices
 
