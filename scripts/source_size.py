@@ -1,4 +1,4 @@
-"""Print the size figures that ROADMAP direction 2 tracks for `src/`.
+"""Print the size figures that ROADMAP direction 6 tracks for `src/`.
 
 - the number of lines in `src/vpstab/*.py`;
 - the names exported by `vpstab/__init__.py`;

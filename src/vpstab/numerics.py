@@ -76,11 +76,13 @@ class PhaseSpaceGrid:
 
     radial: Grid1D
     speeds: Grid1D
+    # the (radius x speed) array of exact cell measures, built once and
+    # read-only: every density on the grid shares it
+    cell_measure: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def cell_measure(self):
-        """2D array of exact cell measures."""
-        return 16.0 * np.pi**2 * np.outer(self.radial.sq_moments, self.speeds.sq_moments)
+    def __post_init__(self):
+        measure = 16.0 * np.pi**2 * np.outer(self.radial.sq_moments, self.speeds.sq_moments)
+        object.__setattr__(self, "cell_measure", _read_only(measure)[0])
 
     def total_measure(self):
         return float(self.cell_measure.sum())

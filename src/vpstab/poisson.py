@@ -6,14 +6,20 @@ strictly positive. All potentials here are stored radially; translations are
 handled at evaluation time through |x - z|, and the gradient distance between
 recentred fields has one quadrature, a cached spherical product rule over all
 of R^3 (`grad_distance2_shifted`).
+
+The radial Green solve needs the running moments int_0^r rho s^2 ds and
+int_0^r rho s ds. The spline solve takes them from the PCHIP of rho
+(Fritsch & Carlson 1980), with its slopes and the per-piece coefficients of
+both moments computed here in closed form and the running sums kept in the
+constant terms of one two-column PPoly; a set of radii costs one interval
+search for both moments.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PPoly
 
 from .numerics import Grid1D, InvalidArgumentError, _read_only, branchwise, gl_points, make_1d_grid, panel_rule
 
@@ -31,21 +37,77 @@ def _center_value(r, v):
     return float(coef[0])
 
 
-def _weighted_antiderivative(ppoly, power):
-    """Antiderivative of ppoly(s) * s^power as a PPoly (exact per piece)."""
-    from scipy.interpolate import PPoly
+def _pchip_end_slope(h0, h1, m0, m1):
+    """The end slope of a PCHIP from its first two intervals h0, h1 and
+    secants m0, m1 (counted from the end): the one-sided three-point
+    estimate, set to 0 when its sign differs from m0's, and to 3 m0 when m0
+    and m1 differ in sign and it exceeds 3 |m0| in size."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
-    c = ppoly.c  # shape (k, m), highest degree first, in t = s - x_i
-    x = ppoly.x
-    k, m = c.shape
-    # multiply by s^power = (x_i + t)^power expanded in t
-    out = np.zeros((k + power, m))
-    xi = x[:-1]
-    for j in range(power + 1):
-        coeff = special.comb(power, j) * xi ** (power - j)
-        # t^j shifts the polynomial down by j degrees
-        out[power - j : power - j + k, :] += c * coeff[None, :]
-    return PPoly(out, x).antiderivative()
+
+def _pchip_slopes(x, y):
+    """Node slopes of the monotone cubic interpolant through (x, y) (PCHIP,
+    Fritsch & Carlson 1980) by scipy's PchipInterpolator formulas: 0 where
+    the adjacent secants differ in sign or one is 0, else their weighted
+    harmonic mean, and `_pchip_end_slope` at both ends. Also the intervals
+    and the secants."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d, h, m
+
+
+def _moment_spline(x, y):
+    """The running moments int_0^r p s^2 ds and int_0^r p s ds of the PCHIP
+    p of (x, y) (x[0] = 0), as one PPoly with two trailing columns, [..., 0]
+    and [..., 1]; past x[-1] the last piece is extrapolated.
+
+    On piece i, with t = s - x_i, p = a t^3 + b t^2 + c t + d, and the two
+    integrands are polynomials in t with closed-form coefficients. The
+    constant terms carry the running sums of the pieces' integrals."""
+    dydx, h, m = _pchip_slopes(x, y)
+    # the Hermite cubic of each piece, as scipy's CubicHermiteSpline forms it
+    xi, d, c = x[:-1], y[:-1], dydx[:-1]
+    t = (c + dydx[1:] - 2 * m) / h
+    a = t / h
+    b = (m - c) / h - t
+    x2 = xi * xi
+    coef = np.empty((7, xi.size, 2))
+    sq, lin = coef[..., 0], coef[..., 1]
+    # p s^2 = a t^5 + (b + 2ax) t^4 + (c + 2bx + ax^2) t^3 + ..., integrated
+    sq[0] = a / 6
+    sq[1] = (b + 2 * a * xi) / 5
+    sq[2] = (c + 2 * b * xi + a * x2) / 4
+    sq[3] = (d + 2 * c * xi + b * x2) / 3
+    sq[4] = (2 * d * xi + c * x2) / 2
+    sq[5] = d * x2
+    # p s = a t^4 + (b + ax) t^3 + (c + bx) t^2 + (d + cx) t + dx, integrated
+    lin[0] = 0.0
+    lin[1] = a / 5
+    lin[2] = (b + a * xi) / 4
+    lin[3] = (c + b * xi) / 3
+    lin[4] = (d + c * xi) / 2
+    lin[5] = d * xi
+    # each piece's integral by Horner at t = h, summed into the constants
+    hc = h[:, None]
+    total = coef[0] * hc
+    for row in coef[1:6]:
+        total = (total + row) * hc
+    coef[6, 0] = 0.0
+    np.cumsum(total[:-1], axis=0, out=coef[6, 1:])
+    return PPoly.construct_fast(coef, x)
 
 
 @dataclass(frozen=True)
@@ -162,30 +224,27 @@ def solve_poisson_radial(grid, rho, method="spline"):
     """Potential of a nonnegative compactly supported radial density.
 
     Green representation phi(r) = -m(r)/(4 pi r) - int_r^rmax rho s ds with the
-    exact monopole continuation outside the grid. method="spline" integrates a
-    monotone cubic interpolant of the density (4th order); method="cells"
-    treats the density as constant per cell (exact for piecewise-constant
-    input, see CellMoments).
+    exact monopole continuation outside the grid. method="spline" integrates
+    the monotone cubic (PCHIP) interpolant of the density through (0, rho0)
+    and the nodes exactly against s^2 and s (4th order, `_moment_spline`);
+    method="cells" treats the density as constant per cell (exact for
+    piecewise-constant input, see CellMoments). Either way one interval
+    search per set of radii gives both moments.
     """
     if method == "spline":
         rho = _checked_density(grid, rho)
-        # interpolate rho itself, then integrate the interpolant against the
-        # exact polynomial weights s^2 and s per piece (no weighting error)
         rho0 = _center_value(grid.nodes, rho)
-        r0 = np.concatenate([[0.0], grid.nodes])
-        dens = PchipInterpolator(r0, np.concatenate([[rho0], rho]))
-        p2 = _weighted_antiderivative(dens, 2)
-        p1 = _weighted_antiderivative(dens, 1)
+        spline = _moment_spline(np.concatenate([[0.0], grid.nodes]), np.concatenate([[rho0], rho]))
+
+        def moments(r):
+            m = spline(np.clip(r, 0.0, grid.x_max))
+            return m[..., 0], m[..., 1]
 
         def cum_sq(r):
-            return p2(np.clip(r, 0.0, grid.x_max))
+            return moments(r)[0]
 
-        tot1 = float(p1(grid.x_max))
-
-        def tail_lin(r):
-            return tot1 - p1(np.clip(r, 0.0, grid.x_max))
-
-        M = _checked_mass(FOUR_PI * float(np.asarray(cum_sq(np.array([grid.x_max])))[0]))
+        sq_max, tot1 = (float(v) for v in moments(grid.x_max))
+        M = _checked_mass(FOUR_PI * sq_max)
 
     elif method == "cells":
         cells = CellMoments.of(grid, rho)
@@ -195,13 +254,14 @@ def solve_poisson_radial(grid, rho, method="spline"):
         def cell_of(r):
             return np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
 
+        def moments(r):
+            r = np.clip(r, 0.0, grid.x_max)
+            i = cell_of(r)
+            return cells.cum_sq(r, i), cells.cum_lin(r, i)
+
         def cum_sq(r):
             r = np.clip(r, 0.0, grid.x_max)
             return cells.cum_sq(r, cell_of(r))
-
-        def tail_lin(r):
-            r = np.clip(r, 0.0, grid.x_max)
-            return tot1 - cells.cum_lin(r, cell_of(r))
 
     else:
         raise InvalidArgumentError(f"unknown method {method!r}")
@@ -211,7 +271,8 @@ def solve_poisson_radial(grid, rho, method="spline"):
     tiny = 1e-12 * grid.x_max
 
     def phi_inner(r):
-        return -cum_sq(r) / np.clip(r, 1e-300, None) - tail_lin(r)
+        sq, lin = moments(r)
+        return -sq / np.clip(r, 1e-300, None) - (tot1 - lin)
 
     def phi_outer(r):
         return -M / (FOUR_PI * np.clip(r, 1e-300, None))

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, optimize, sparse
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
+from scipy import linalg, optimize
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .numerics import (
     InvalidArgumentError,
@@ -301,13 +301,12 @@ class _SectorMatrices:
             da = dn - self.V
             if dirichlet:
                 dk, ek = da - sigma * dn, (1.0 - sigma) * e
-                mass = _tridiag(dn, e)
+                mass = LinearOperator((self.n, self.n), matvec=_tridiag_matvec(dn, e), dtype=float)
             else:
                 dk, ek = da - sigma, e
                 mass = None
             solve = _tridiag_solver(dk, ek, k, sigma)
             below = _negative_pivots(dk, ek)
-            a = _tridiag(da, e)
             if k == 0:
                 u, n_s = self._projector_factor
                 u_s = u[:n_s]
@@ -320,14 +319,15 @@ class _SectorMatrices:
                     padded[:n_s] = u_s @ linalg.lapack.dsytrs(ldl, ipiv, u_s.T @ y[:n_s], lower=1)[0]
                     return y - solve_k(padded)
 
-                a = aslinearoperator(a) + aslinearoperator(u) @ aslinearoperator(u.T)
             if below:
                 raise CoercivityError(
                     f"sector k={k}: {below} eigenvalue(s) below the shift {sigma}, out of reach of the shift-invert solve"
                 )
             op = LinearOperator((self.n, self.n), matvec=solve, dtype=float)
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, self.n)
-            vals, vecs = eigsh(a, k=n_eigs, M=mass, sigma=sigma, OPinv=op, v0=v0)
+            # shift-invert mode never applies A itself: op stands in for it
+            # (shape and dtype only)
+            vals, vecs = eigsh(op, k=n_eigs, M=mass, sigma=sigma, OPinv=op, v0=v0)
             order = np.argsort(vals)
             return vals[order], vecs[:, order]
 
@@ -357,8 +357,18 @@ class _SectorMatrices:
         return np.eye(u.shape[1]) + u_s.T @ x
 
 
-def _tridiag(d, e):
-    return sparse.diags([e, d, e], [-1, 0, 1], format="csc")
+def _tridiag_matvec(d, e):
+    """x -> T x for the symmetric tridiagonal T = (d, e), as a three-term
+    stencil. Each row adds its terms as a CSC matvec does, up to swapping
+    the first two, so the result has the same bits."""
+
+    def matvec(x):
+        y = d * x
+        y[1:] += e * x[:-1]
+        y[:-1] += e * x[1:]
+        return y
+
+    return matvec
 
 
 def _tridiag_solver(d, e, k, sigma):

@@ -105,6 +105,53 @@ def plain_forms():
     )
 
 
+def _pchip_potential(grid, rho):
+    """solve_poisson_radial(grid, rho) in its spline form built with scipy:
+    the PchipInterpolator of rho through (0, rho0) and the nodes, and the
+    PPoly antiderivatives of the interpolant times s^2 and times s, each
+    multiplied out exactly per piece, read apart by two evaluations. (phi_fn,
+    dphi_fn, M, min_phi)."""
+    from scipy import special
+    from scipy.interpolate import PchipInterpolator, PPoly
+
+    from vpstab.poisson import FOUR_PI, _center_value
+
+    def weighted_antiderivative(pp, power):
+        k, m = pp.c.shape
+        out = np.zeros((k + power, m))
+        for j in range(power + 1):
+            # (x_i + t)^power: its t^j term shifts the piece down j degrees
+            out[power - j : power - j + k] += pp.c * (special.comb(power, j) * pp.x[:-1] ** (power - j))
+        return PPoly(out, pp.x).antiderivative()
+
+    rho = np.clip(np.asarray(rho, dtype=float), 0.0, None)
+    dens = PchipInterpolator(np.concatenate([[0.0], grid.nodes]), np.concatenate([[_center_value(grid.nodes, rho)], rho]))
+    p2, p1 = weighted_antiderivative(dens, 2), weighted_antiderivative(dens, 1)
+    x_max, tiny = grid.x_max, 1e-12 * grid.x_max
+    M, tot1 = FOUR_PI * float(p2(x_max)), float(p1(x_max))
+
+    def phi_fn(r):
+        r = np.asarray(r, dtype=float)
+        rc = np.clip(r, 0.0, x_max)
+        inner = -p2(rc) / np.clip(r, 1e-300, None) - (tot1 - p1(rc))
+        return np.where(r < x_max, inner, -M / (FOUR_PI * np.clip(r, 1e-300, None)))
+
+    def dphi_fn(r):
+        r = np.asarray(r, dtype=float)
+        rs = np.clip(r, tiny, None)
+        inner = np.where(r < tiny, 0.0, p2(np.clip(rs, 0.0, x_max)) / rs**2)
+        return np.where(r < x_max, inner, M / (FOUR_PI * rs**2))
+
+    return phi_fn, dphi_fn, M, -tot1
+
+
+@pytest.fixture()
+def pchip_potential():
+    """The spline potential that solve_poisson_radial must match to
+    rounding: `_pchip_potential`."""
+    return _pchip_potential
+
+
 @pytest.fixture()
 def radius_kinds():
     """Radii of each kind a potential is evaluated on, about an edge R (the

@@ -92,6 +92,35 @@ def test_phase_grid_box_measure():
     assert sub == pytest.approx((4 * np.pi / 3) * 0.5**3 * (4 * np.pi / 3), rel=1e-6)
 
 
+def test_cell_measure_is_one_read_only_array_per_grid(king):
+    # built once per PhaseSpaceGrid and shared by every density on it; the
+    # layers that read it (energies, the bathtub sort, the lower bound and
+    # the monotonicity gaps, perturbations, particle sampling) leave it as it is
+    from vpstab.evolver import sample_particles
+    from vpstab.functionals import hamiltonian, monotonicity_gaps, stability_lower_bound
+    from vpstab.perturbations import bump_perturbation, padded_phase_density, velocity_squeeze
+    from vpstab.rearrangement import distribution_function
+
+    f = padded_phase_density(king, n_r=48, n_u=32)
+    grid = f.grid
+    measure = grid.cell_measure
+    assert grid.cell_measure is measure
+    assert np.array_equal(measure, 16.0 * np.pi**2 * np.outer(grid.radial.sq_moments, grid.speeds.sq_moments))
+    with pytest.raises(ValueError, match="read-only"):
+        measure[0, 0] = 1.0
+    expected = measure.copy()
+    g = bump_perturbation(f, 0.01, seed=3)
+    densities = [f, g, f.with_values(2.0 * f.values), velocity_squeeze(king, f, 1.01)]
+    assert all(h.measure is measure for h in densities)
+    hamiltonian(g)
+    distribution_function(g)
+    stability_lower_bound(g, king, 0.4, shift=np.zeros(3))
+    monotonicity_gaps(g)
+    sample_particles(g, 2000, 5, lambda r, u: np.ones_like(r))
+    assert grid.cell_measure is measure
+    assert np.array_equal(measure, expected)
+
+
 def test_make_grids_validation():
     with pytest.raises(InvalidArgumentError):
         make_grids(1.0, 8, 1.0, 32)

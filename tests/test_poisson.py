@@ -311,6 +311,69 @@ def test_solved_potential_matches_the_where_form_bit_for_bit(king, method, monke
         assert same_bits(fast[kind][1], pot.dphi_fn(r)), kind
 
 
+def _pchip_branch_densities():
+    """Densities on a uniform 64-cell grid of [0, 1] whose PCHIP takes each
+    slope branch: a flat run (zero secants), secants of both signs, and a
+    right end whose three-point estimate is clamped to 0 (its sign differs
+    from the end secant's) or to 3x the end secant (the last two secants
+    differ in sign and the estimate exceeds that)."""
+    grid = make_1d_grid(1.0, 64)
+    smooth = np.exp(-4.0 * grid.nodes**2)
+    clamp0, clamp3 = smooth.copy(), smooth.copy()
+    clamp0[-3:] = [0.0, 1.0, 1.01]
+    clamp3[-3:] = [1.0, 0.0, 0.1]
+    rhos = {
+        "flat run": np.minimum(smooth, 0.7),
+        "sign change": 1.2 + np.sin(9.0 * grid.nodes),
+        "end clamp to 0": clamp0,
+        "end clamp to 3 m0": clamp3,
+    }
+    # the end estimate (3 m0 - m1) / 2 on the uniform grid, before its clamp
+    m0, m1 = (np.diff(clamp0[-3:]) / grid.weights[-1])[::-1]
+    assert np.sign((3 * m0 - m1) / 2) != np.sign(m0)
+    m0, m1 = (np.diff(clamp3[-3:]) / grid.weights[-1])[::-1]
+    assert np.sign(m0) != np.sign(m1) and abs((3 * m0 - m1) / 2) > 3 * abs(m0)
+    return {name: [(grid, rho)] for name, rho in rhos.items()}
+
+
+@pytest.fixture(scope="module")
+def spline_densities(king, poly, ball_grid):
+    """(grid, rho) lists by name: the King W0 = 3 and 6 and q = 1 polytrope
+    profiles, the uniform ball, 20 bumps of King W0 = 3 on the lower bound's
+    padded 150 x 80 grid, and `_pchip_branch_densities`."""
+    from vpstab.perturbations import bump_perturbation, padded_phase_density
+    from vpstab.steady_state import king_model
+
+    king6 = king_model(6.0, n_r=400)
+    base = padded_phase_density(king, n_r=150, n_u=80)
+    eps = np.random.default_rng(11).uniform(0.002, 0.02, 20)
+    bumps = [bump_perturbation(base, e, seed=300 + i) for i, e in enumerate(eps)]
+    return {
+        "king W0=3": [(king.grid, king.rho)],
+        "king W0=6": [(king6.grid, king6.rho)],
+        "polytrope q=1": [(poly.grid, poly.rho)],
+        "uniform ball": [(ball_grid, np.where(ball_grid.nodes < 1.0, 2.0, 0.0))],
+        "20 bumps": [(f.grid.radial, f.rho()) for f in bumps],
+        **_pchip_branch_densities(),
+    }
+
+
+@pytest.mark.parametrize("name", ["king W0=3", "king W0=6", "polytrope q=1", "uniform ball", "20 bumps", "flat run",
+                                  "sign change", "end clamp to 0", "end clamp to 3 m0"])
+def test_spline_solve_matches_scipys_pchip_construction(spline_densities, pchip_potential, name):
+    # the moment spline built in closed form gives the potential of scipy's
+    # PchipInterpolator integrated exactly against s^2 and s, to rounding
+    for grid, rho in spline_densities[name]:
+        pot = solve_poisson_radial(grid, rho)
+        phi_fn, dphi_fn, M, min_phi = pchip_potential(grid, rho)
+        r = np.concatenate([np.linspace(0.0, 1.5 * grid.x_max, 4001), grid.nodes, grid.edges])
+        phi, dphi = phi_fn(r), dphi_fn(r)
+        assert np.max(np.abs(pot.phi_fn(r) - phi)) <= 1e-14 * np.max(np.abs(phi))
+        assert np.max(np.abs(pot.dphi_fn(r) - dphi)) <= 1e-14 * np.max(np.abs(dphi))
+        assert abs(pot.M - M) <= 1e-14 * M
+        assert abs(pot.min_phi - min_phi) <= 1e-14 * abs(min_phi)
+
+
 def test_potential_distance_samples_the_reference_once(king, monkeypatch):
     # against a model's potential, the second distance reads the samples of
     # the first: the reference is not evaluated again

@@ -8,6 +8,7 @@ from vpstab.numerics import InvalidArgumentError, OutOfRangeError, make_grids
 from vpstab.rearrangement import (
     ModelRearrangement,
     MonotoneRearrangement,
+    _ascending_order,
     distribution_function,
     export_tables,
     generalized_rearrangement,
@@ -78,6 +79,46 @@ def test_support_measure_matches_jacobian_at_cutoff(king, king_jac):
     assert a_e0 == pytest.approx(king.L0, rel=1e-6)
     resolution = 4.0 * f.measure.max() * np.sqrt(f.values.size)
     assert abs(mu.support_measure() - king.L0) <= resolution
+
+
+def _bathtub_value_sets(king_phase):
+    """Cell values of each sign class and their mixes, with ties among the
+    positives and among the negatives, on the 16 x 16 grid; and the King
+    W0 = 3 density."""
+    rng = np.random.default_rng(7)
+    tiny = np.finfo(float).tiny
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-310, -5e-324, tiny, -tiny, np.nan, -0.0]
+    positives = rng.choice(rng.uniform(0.5, 2.0, 6), 256)
+    levels = rng.choice([-1.0, -0.25, 0.0, -0.0, 0.3, 1.0, 5e-324], 256)
+    mixed = levels * rng.choice([1.0, 1.0, rng.uniform()], 256)
+    mixed[rng.choice(256, len(specials), replace=False)] = specials
+    return {
+        "mixed": mixed,
+        "ties and specials": np.concatenate([specials, rng.choice([1.0, 2.0, 0.0, -3.0, 5e-324], 244)]),
+        "all zeros": np.where(rng.uniform(size=256) < 0.5, 0.0, -0.0),
+        "no zeros": positives,
+        "no zeros, subnormal": positives * 1e-320,
+        "distinct": rng.uniform(-1.0, 1.0, 256),
+        "King W0 = 3": king_phase.values.ravel(),
+    }
+
+
+@pytest.mark.parametrize("kind", ["mixed", "ties and specials", "all zeros", "no zeros", "no zeros, subnormal",
+                                  "distinct", "King W0 = 3"])
+def test_bathtub_order_is_the_stable_argsort(small_grid, king_phase, same_bits, kind):
+    # the sign-class order of distribution_function and the step profile
+    # built on it are those of the stable float sort, bit for bit
+    values = _bathtub_value_sets(king_phase)[kind]
+    grid = small_grid if values.size == 256 else king_phase.grid
+    f = _density_from_values(grid, values.reshape(grid.cell_measure.shape))
+    order = np.argsort(values, kind="stable")
+    assert same_bits(_ascending_order(values), order)
+    mu = distribution_function(f)
+    assert same_bits(mu.values_asc, values[order])
+    assert same_bits(mu.measures_asc, grid.cell_measure.ravel()[order])
+    fstar = schwarz_rearrangement(mu)
+    assert same_bits(fstar.step_values, values[order][::-1])
+    assert same_bits(fstar.breaks, np.cumsum(grid.cell_measure.ravel()[order][::-1]))
 
 
 def test_schwarz_indicator(small_grid):
