@@ -37,7 +37,6 @@ from .rearrangement import (
     JacobianMap,
     distribution_function,
     schwarz_rearrangement,
-    jacobian_a,
     generalized_rearrangement,
     pseudo_inverse_level,
     path_derivative_a,

@@ -90,7 +90,7 @@ def _check_fixedpoint(model, args):
 
     f = phase_space_density(model, n_r=args.n_r_phase, n_u=args.n_u_phase)
     fstar = schwarz_rearrangement(distribution_function(f))
-    fhat = generalized_rearrangement(fstar, model.potential(), f.grid, jac=model.rearrangement.jac)
+    fhat = generalized_rearrangement(fstar, model.rearrangement.jac, f.grid)
     err = fhat.l1_distance(f) / f.mass()
     return {"l1_error": err, "tolerance": 1e-3}, err <= 1e-3
 
@@ -265,7 +265,7 @@ def cmd_rearrange(args):
     f = phase_space_density(model, n_r=args.n_r_phase, n_u=args.n_u_phase)
     mu = distribution_function(f)
     fstar = schwarz_rearrangement(mu)
-    paths = export_tables(args.out_prefix, mu=mu, fstar=fstar, jac=model.rearrangement.jac)
+    paths = export_tables(args.out_prefix, mu, fstar, model.rearrangement.jac)
     _emit_config(cfg, digest, args.out_prefix + "_config.json")
     print("wrote " + ", ".join(paths.values()))
     return 0

@@ -15,15 +15,16 @@ import numpy as np
 from .numerics import InvalidArgumentError, panel_rule
 from .poisson import (
     DegenerateInputError,
+    RadialField3D,
     field_energy,
     grad_distance2,
     potential_distance,
     solve_poisson_radial,
 )
 from .rearrangement import (
+    JacobianMap,
     distribution_function,
     generalized_rearrangement,
-    jacobian_a,
     schwarz_rearrangement,
 )
 from .spectral import modulation_shift
@@ -83,8 +84,9 @@ def transport_pairing(f: PhaseSpaceDensity, g: PhaseSpaceDensity, pot) -> float:
     return float(np.sum(f.measure * e * (f.values - g.values)))
 
 
-def _j0_energy_route(fstar, pot, jac, n_panels=96, n_gl=8):
-    """J0(phi) = -int_{-inf}^0 G(a(e)) de with G the primitive of f*.
+def _j0_energy_route(fstar, jac, n_panels=96, n_gl=8):
+    """J0(phi) = -int_{-inf}^0 G(a(e)) de with G the primitive of f* and a
+    the phase-volume map of phi = jac.pot.
 
     The primitive saturates at the total mass once a(e) exceeds the support
     measure of f*, so the integral splits at e* = a^{-1}(L0) with an exact
@@ -93,7 +95,7 @@ def _j0_energy_route(fstar, pot, jac, n_panels=96, n_gl=8):
     L0 = fstar.support_measure()
     g_tot = float(np.asarray(fstar.primitive(np.array([L0 * (1 + 1e-12)])))[0])
     e_star = float(np.asarray(jac.a_inv(np.array([L0])))[0])
-    lo = pot.min_phi
+    lo = jac.min_phi
     # panel boundaries clustered at both ends of [lo, e_star]
     t = np.linspace(0.0, 1.0, n_panels + 1)
     e, w = panel_rule(lo + (e_star - lo) * 0.5 * (1.0 - np.cos(np.pi * t)), n_gl)
@@ -101,20 +103,20 @@ def _j0_energy_route(fstar, pot, jac, n_panels=96, n_gl=8):
     return -(total + g_tot * (0.0 - e_star))
 
 
-def reduced_functional(fstar, pot, grid, jac=None) -> ReducedReport:
-    """J_{f*}(phi) evaluated both directly (build the rearrangement, measure
-    its Hamiltonian and the coupling) and through the primitive-of-f* route;
-    the two must agree within the grid's quadrature error."""
-    if jac is None:
-        jac = jacobian_a(pot)
-    fhat = generalized_rearrangement(fstar, pot, grid, jac=jac)
+def reduced_functional(fstar, jac: JacobianMap, grid) -> ReducedReport:
+    """J_{f*}(phi) at phi = jac.pot, evaluated both directly (build the
+    rearrangement, measure its Hamiltonian and the coupling) and through the
+    primitive-of-f* route; the two must agree within the grid's quadrature
+    error."""
+    pot = jac.pot
+    fhat = generalized_rearrangement(fstar, jac, grid)
     rep = hamiltonian(fhat)
     if rep.pot is None:
         coupling = field_energy(pot)
     else:
         coupling = 0.5 * grad_distance2(pot, rep.pot)
     j_direct = rep.hamiltonian + coupling
-    j0_check = _j0_energy_route(fstar, pot, jac)
+    j0_check = _j0_energy_route(fstar, jac)
     j0_direct = j_direct - field_energy(pot)
     return ReducedReport(
         J_value=j_direct,
@@ -187,14 +189,14 @@ def monotonicity_gaps(f: PhaseSpaceDensity) -> MonotonicityReport:
     h_f = f.kinetic() + green.pair(rho_f, rho_f)
     mu = distribution_function(f)
     fstar = schwarz_rearrangement(mu)
-    jac = jacobian_a(pot_f)
-    fhat = generalized_rearrangement(fstar, pot_f, f.grid, jac=jac)
+    jac = JacobianMap(pot_f)
+    fhat = generalized_rearrangement(fstar, jac, f.grid)
     rho_hat = fhat.rho()
     h_hat = fhat.kinetic() + green.pair(rho_hat, rho_hat)
     delta = rho_f - rho_hat
     coupling = -green.pair(delta, delta)
     j_direct = h_hat + coupling
-    j_refined = -green.pair(rho_f, rho_f) + _j0_energy_route(fstar, pot_f, jac)
+    j_refined = -green.pair(rho_f, rho_f) + _j0_energy_route(fstar, jac)
     gap1 = h_f - j_refined
     gap2 = coupling
     # pairing with the same discrete field keeps the identity exact
@@ -244,7 +246,7 @@ def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift=None) -> LowerB
     lhs = rep_f.hamiltonian - model.reference_hamiltonian(f.grid) + sup_phi * l1_star
 
     if shift is None:
-        shift, _res = modulation_shift(pot_f, model)
+        shift, _res = modulation_shift(RadialField3D.of(pot_f), model)
     shift = np.asarray(shift, dtype=float)
     # a shift below 1e-9 R_Q is zero: the aligned radial quadrature applies
     z = shift if np.linalg.norm(shift) >= 1e-9 * model.R_Q else np.zeros(3)

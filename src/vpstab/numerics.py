@@ -60,10 +60,6 @@ class Grid1D:
     def n(self):
         return self.nodes.size
 
-    def integrate(self, values):
-        """Plain rule: sum of values * weights."""
-        return float(np.dot(np.asarray(values), self.weights))
-
     def integrate_sq(self, values):
         """Weighted rule for integrals against x^2 dx (exact for constants)."""
         return float(np.dot(np.asarray(values), self.sq_moments))
@@ -83,15 +79,6 @@ class PhaseSpaceGrid:
     def __post_init__(self):
         measure = 16.0 * np.pi**2 * np.outer(self.radial.sq_moments, self.speeds.sq_moments)
         object.__setattr__(self, "cell_measure", _read_only(measure)[0])
-
-    def total_measure(self):
-        return float(self.cell_measure.sum())
-
-    def box_measure(self, r_hi, u_hi):
-        """Measure of {r <= r_hi, u <= u_hi} with cut cells counted by node."""
-        mr = np.where(self.radial.nodes <= r_hi, self.radial.sq_moments, 0.0)
-        mu = np.where(self.speeds.nodes <= u_hi, self.speeds.sq_moments, 0.0)
-        return 16.0 * np.pi**2 * mr.sum() * mu.sum()
 
 
 def make_1d_grid(x_max, n):
@@ -272,12 +259,13 @@ def turning_radius(phi_fn, dphi_fn, e, r_max):
     return np.where(e < phi_dense[-1], np.reshape(r, e.shape), r_max)
 
 
-def turning_point_integral(phi, e, r_turn, p, n_main=48, n_edge=32):
+def turning_point_integral(phi, e, r_turn, p):
     """Integral over [0, r_turn] of (e - phi(r))_+^p r^2 dr where e - phi
-    vanishes at r_turn, by turning_point_rule."""
+    vanishes at r_turn, by turning_point_rule with 96 main and 48 edge
+    nodes."""
     if r_turn <= 0:
         return 0.0
-    r, w = turning_point_rule(r_turn, n_main, n_edge)
+    r, w = turning_point_rule(r_turn, 96, 48)
     return float(np.dot(w, np.clip(e - phi(r), 0.0, None) ** p * r**2))
 
 

@@ -31,10 +31,15 @@ class DegenerateInputError(ValueError):
 
 
 def _center_value(r, v):
-    """Quadratic zero-slope extrapolation of a radial profile to r = 0."""
-    a = np.vstack([np.ones(3), r[:3] ** 2]).T
-    coef, *_ = np.linalg.lstsq(a, v[:3], rcond=None)
-    return float(coef[0])
+    """Quadratic zero-slope extrapolation of a radial profile to r = 0: the
+    least-squares fit of a + b r^2 to the first three nodes, in closed form
+    (the regression line in x = r^2 through the centroid), read at x = 0."""
+    x0, x1, x2 = (t * t for t in r[:3].tolist())
+    y0, y1, y2 = v[:3].tolist()
+    xm, ym = (x0 + x1 + x2) / 3.0, (y0 + y1 + y2) / 3.0
+    d0, d1, d2 = x0 - xm, x1 - xm, x2 - xm
+    b = (d0 * (y0 - ym) + d1 * (y1 - ym) + d2 * (y2 - ym)) / (d0 * d0 + d1 * d1 + d2 * d2)
+    return ym - b * xm
 
 
 def _pchip_end_slope(h0, h1, m0, m1):

@@ -205,9 +205,9 @@ class ModelRearrangement:
     Its arrays are read-only: `model.rearrangement` is shared.
     """
 
-    def __init__(self, model, jac=None):
+    def __init__(self, model):
         self.model = model
-        self.jac = jac if jac is not None else jacobian_a(model.potential())
+        self.jac = JacobianMap(model.potential())
         self.L0 = model.L0
         t = model.L0 * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 2048)))
         e = self.jac.a_inv(np.clip(t, 1e-300, None))
@@ -353,22 +353,17 @@ class JacobianMap:
         return res
 
 
-def jacobian_a(pot) -> JacobianMap:
-    return JacobianMap(pot)
-
-
-def generalized_rearrangement(fstar, pot, grid, jac=None) -> PhaseSpaceDensity:
-    """Rearrangement with respect to the microscopic energy of the potential:
-    f(r, u) = f*(a(u^2/2 + phi(r))) where the energy is negative, else 0.
+def generalized_rearrangement(fstar, jac: JacobianMap, grid) -> PhaseSpaceDensity:
+    """Rearrangement with respect to the microscopic energy of the potential
+    jac.pot: f(r, u) = f*(a(u^2/2 + phi(r))) where the energy is negative,
+    else 0.
 
     Each cell holds the average (G(a_hi) - G(a_lo)) / (a_hi - a_lo) of the
     composition over its energy window, G the primitive of f*: the
     finite-volume view, which averages out the cut-cell noise of the discrete
     measure and converges at second order.
     """
-    if jac is None:
-        jac = jacobian_a(pot)
-    phi_edges = pot.phi_fn(grid.radial.edges)
+    phi_edges = jac.pot.phi_fn(grid.radial.edges)
     u_edges = grid.speeds.edges
     e_lo = 0.5 * u_edges[:-1][None, :] ** 2 + phi_edges[:-1][:, None]
     e_hi = 0.5 * u_edges[1:][None, :] ** 2 + phi_edges[1:][:, None]
@@ -406,9 +401,10 @@ def pseudo_inverse_level(fstar, jac: JacobianMap, s):
     return float(np.asarray(jac.a_inv(np.array([m])))[0])
 
 
-def path_derivative_a(pot, pot_tilde, lam, e, n_main=64):
+def path_derivative_a(pot, pot_tilde, lam, e):
     """Derivative of a_{phi + lam h}(e) along the segment h = phi_tilde - phi:
-    -4 pi sqrt(2) int (e - phi - lam h)_+^{1/2} h dx."""
+    -4 pi sqrt(2) int (e - phi - lam h)_+^{1/2} h dx, by turning_point_rule
+    with 64 nodes on each part."""
     if e >= 0:
         raise DomainError("energy must be negative")
     lam = float(lam)
@@ -424,7 +420,7 @@ def path_derivative_a(pot, pot_tilde, lam, e, n_main=64):
     def dphi_lam(r):
         return (1.0 - lam) * pot.dphi_fn(r) + lam * pot_tilde.dphi_fn(r)
 
-    r, w = turning_point_rule(float(turning_radius(phi_lam, dphi_lam, e, r_max)), n_main, n_main)
+    r, w = turning_point_rule(float(turning_radius(phi_lam, dphi_lam, e, r_max)), 64, 64)
     integral = np.dot(w, np.clip(e - phi_lam(r), 0.0, None) ** 0.5 * h_fn(r) * r**2)
     # both exterior laws are monopoles: h = -dM/(4 pi r) past r_max, up to the
     # exterior turning radius r_e
@@ -448,19 +444,13 @@ def _write_table(path, header, *columns):
             writer.writerow([repr(float(v)) for v in row])
 
 
-def export_tables(prefix, mu=None, fstar=None, jac=None):
+def export_tables(prefix, mu, fstar, jac):
     """CSV dumps of (s, mu) and (t, f*) on 512 rows, and the (e, a, a')
     table of the Jacobian, for plotting."""
-    paths = {}
-    if mu is not None:
-        s = np.linspace(0.0, mu.sup, 512)
-        paths["mu"] = f"{prefix}_mu.csv"
-        _write_table(paths["mu"], ["s", "mu"], s, mu.evaluate(s))
-    if fstar is not None:
-        t = np.linspace(0.0, fstar.support_measure() * 1.05 + 1e-300, 512)
-        paths["fstar"] = f"{prefix}_fstar.csv"
-        _write_table(paths["fstar"], ["t", "fstar"], t, fstar.value(t))
-    if jac is not None:
-        paths["jacobian"] = f"{prefix}_jacobian.csv"
-        _write_table(paths["jacobian"], ["e", "a", "a_prime"], jac._e_tab, jac._a_tab, jac._ap_tab)
+    paths = {name: f"{prefix}_{name}.csv" for name in ("mu", "fstar", "jacobian")}
+    s = np.linspace(0.0, mu.sup, 512)
+    _write_table(paths["mu"], ["s", "mu"], s, mu.evaluate(s))
+    t = np.linspace(0.0, fstar.support_measure() * 1.05 + 1e-300, 512)
+    _write_table(paths["fstar"], ["t", "fstar"], t, fstar.value(t))
+    _write_table(paths["jacobian"], ["e", "a", "a_prime"], jac._e_tab, jac._a_tab, jac._ap_tab)
     return paths

@@ -113,17 +113,16 @@ def energy_mesh(model, n_e=256, n_q=96):
     )
 
 
-def project_energy(h_fn, model, mesh=None):
+def project_energy(h_fn, model):
     """Projection of a bounded radial function onto functions of the energy:
     (P h)(e) = int (e - phi)^{1/2} h r^2 dr / int (e - phi)^{1/2} r^2 dr.
 
-    Returns (mesh, values); constants are reproduced exactly.
+    Returns its values at the energies of `model.energy_mesh`; constants are
+    reproduced exactly.
     """
-    if mesh is None:
-        mesh = model.energy_mesh
+    mesh = model.energy_mesh
     hv = h_fn(mesh.r_nodes.ravel()).reshape(mesh.r_nodes.shape)
-    vals = (mesh.r_weights * hv).sum(axis=1) / mesh.denom
-    return mesh, vals
+    return (mesh.r_weights * hv).sum(axis=1) / mesh.denom
 
 
 @dataclass(frozen=True)
@@ -177,14 +176,14 @@ def _radial_quad(fn, r_hi, n_panels=64, n_gl=8):
     return float(np.dot(w, fn(r)))
 
 
-def hessian_form(direction: Direction, model, mesh=None):
+def hessian_form(direction: Direction, model):
     """Second variation of the reduced functional at phi_Q for a radial
-    direction: 4 pi int (h'^2 - V h^2) r^2 dr + int |F'| (P h)^2 a'(e) de."""
-    if mesh is None:
-        mesh = model.energy_mesh
+    direction: 4 pi int (h'^2 - V h^2) r^2 dr + int |F'| (P h)^2 a'(e) de,
+    the last term on `model.energy_mesh`."""
+    mesh = model.energy_mesh
     grad = FOUR_PI * _radial_quad(lambda r: direction.dh(r) ** 2 * r**2, direction.extent)
     vterm = FOUR_PI * _radial_quad(lambda r: model.vq_fn(r) * direction.h(r) ** 2 * r**2, model.R_Q)
-    _, ph = project_energy(direction.h, model, mesh)
+    ph = project_energy(direction.h, model)
     pterm = float(np.dot(mesh.w_fprime, ph**2 * mesh.a_prime))
     return grad - vterm + pterm
 
@@ -339,12 +338,13 @@ class _SectorMatrices:
         block r through one entry e = ek[n_s - 1], and the Schur complement
         gives (K^{-1})_ss = (K_ss - e^2 g e_last e_last^T)^{-1} exactly, with
         g = (K_rr^{-1})_00, whenever K_rr is nonsingular (CoercivityError
-        otherwise). V and U vanish on the exterior, so K_rr is
-        2 T_rr at the Dirichlet shift -1, and T_rr - sigma at the standard
-        shift, which lies 1 below the spectrum of T_0 - V and so, by Cauchy
-        interlacing, below that of T_rr: positive definite for both shifts in
-        use. One solve of K_rr gives g, and one tridiagonal solve on the n_s
-        support rows with n_e right-hand sides gives (K^{-1})_ss U_s.
+        otherwise). V and U vanish on the exterior, so at a Dirichlet shift
+        K_rr = (1 - sigma) T_rr, positive definite for every sigma < 1 (2 T_rr
+        at the shift -1 in use), and at the standard shift K_rr = T_rr - sigma,
+        where sigma lies 1 below the spectrum of T_0 - V and so, by Cauchy
+        interlacing, below that of T_rr: positive definite as well. One
+        solve of K_rr gives g, and one tridiagonal solve on the n_s support
+        rows with n_e right-hand sides gives (K^{-1})_ss U_s.
         """
         u, n_s = self._projector_factor
         u_s = u[:n_s]
@@ -455,8 +455,11 @@ def harmonic_operator_spectrum(model, k, n_eigs=6, n=800):
 def coercivity_constant(model, n=800):
     """Smallest Dirichlet-normalized eigenvalue of the Hessian away from the
     translation kernel, on the n-point grid of _SectorMatrices(model, n):
-    min over the radial sector, the second k=1 mode, and the k=2 sector
-    (higher k only gain centrifugal energy)."""
+    min over the radial sector, the second k=1 mode, and the k=2 sector.
+    No sector k > 2 has a lower one: for c < 1, A_k - c T_k = (1 - c) T_k - V,
+    and T_k increases with k in the Loewner order (T_{k+1} - T_k =
+    diag(2(k + 1)/r^2)), so A_k - c T_k is positive semidefinite for every
+    k >= 2 once it is for k = 2."""
     sm = _SectorMatrices(model, n=n)
     c0 = float(
         min(sm.dirichlet_eigenvalues(0, 1)[0], sm.dirichlet_eigenvalues(1, 2)[1], sm.dirichlet_eigenvalues(2, 1)[0])
@@ -658,21 +661,20 @@ def taylor_remainder(model, direction: Direction, epsilons):
     )
 
 
-def hardy_check(model, direction: Direction, mesh=None):
+def hardy_check(model, direction: Direction):
     """Aggregated Hardy-type control behind the radial-sector positivity:
     with f(r, e) the cumulative weighted deviation of h from its energy
     average, int chi |F'| (Tf)^2 >= 3 int chi (rho + phi'/r) f^2 /
     (r sqrt(2(e-phi)))^4 |F'|, where chi drops the energies within 2% of the
-    band [phi(0), e0] from either end.
+    band [phi(0), e0] from either end, on `model.energy_mesh`.
 
     Returns (lhs, rhs).
     """
-    if mesh is None:
-        mesh = model.energy_mesh
+    mesh = model.energy_mesh
     lo, hi = model.phi_center, model.e0
     band = hi - lo
     chi = (mesh.e > lo + 0.02 * band) & (mesh.e < hi - 0.02 * band)
-    _, ph = project_energy(direction.h, model, mesh)
+    ph = project_energy(direction.h, model)
     # lhs: 16 pi^2 sqrt(2) int chi |F'| de int (h - Ph)^2 (e-phi)^{1/2} r^2 dr
     hv = direction.h(mesh.r_nodes.ravel()).reshape(mesh.r_nodes.shape)
     dev = hv - ph[:, None]
@@ -699,13 +701,13 @@ def hardy_check(model, direction: Direction, mesh=None):
     return lhs, rhs
 
 
-def modulation_shift(pot_or_field, model, seed=None):
-    """Translation aligning a potential with the steady-state field: minimizes
-    || grad phi - grad phi_Q(. - z) ||_L2 (`grad_distance2_shifted`) by
-    derivative-free descent seeded at the density barycenter, and reports the
-    three orthogonality residuals int eps_z d/dx_i (Laplacian phi_Q) dx at the
+def modulation_shift(field, model, seed=None):
+    """Translation aligning a field (RadialField3D or SumField3D) with the
+    steady-state field: minimizes || grad phi - grad phi_Q(. - z) ||_L2
+    (`grad_distance2_shifted`) by derivative-free descent started at `seed`,
+    or at the density barycenter when no seed is given, and reports the three
+    orthogonality residuals int eps_z d/dx_i (Laplacian phi_Q) dx at the
     solution, by the same spherical rule."""
-    field = pot_or_field if hasattr(pot_or_field, "grad_at") else RadialField3D.of(pot_or_field)
     ref = model.potential()
 
     def objective(z):

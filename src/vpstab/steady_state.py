@@ -365,7 +365,7 @@ def _finish_model(profile, interior, grid_for, R_Q, M, meta):
 
     # the rule's nodes lie inside (0, R_Q), where phi = e0 - psi
     phi_inside = lambda r: e0 - np.clip(interior.psi(r), 0.0, None)
-    L0 = (8.0 * np.pi * np.sqrt(2.0) / 3.0) * 4.0 * np.pi * turning_point_integral(phi_inside, e0, R_Q, 1.5, 96, 48)
+    L0 = (8.0 * np.pi * np.sqrt(2.0) / 3.0) * 4.0 * np.pi * turning_point_integral(phi_inside, e0, R_Q, 1.5)
     kin_density = profile.kin_kernel(np.where(grid.nodes < R_Q, psi, 0.0))
     kinetic = 4.0 * np.pi * grid.integrate_sq(kin_density)
 

@@ -20,10 +20,8 @@ def king_pot(king):
 
 
 @pytest.fixture(scope="session")
-def king_jac(king_pot):
-    from vpstab.rearrangement import jacobian_a
-
-    return jacobian_a(king_pot)
+def king_jac(king):
+    return king.rearrangement.jac
 
 
 @pytest.fixture(scope="session")
@@ -107,14 +105,15 @@ def plain_forms():
 
 def _pchip_potential(grid, rho):
     """solve_poisson_radial(grid, rho) in its spline form built with scipy:
-    the PchipInterpolator of rho through (0, rho0) and the nodes, and the
+    the PchipInterpolator of rho through (0, rho0) and the nodes, rho0 the
+    least-squares fit of a + b r^2 to the first three nodes by LAPACK, and the
     PPoly antiderivatives of the interpolant times s^2 and times s, each
     multiplied out exactly per piece, read apart by two evaluations. (phi_fn,
     dphi_fn, M, min_phi)."""
     from scipy import special
     from scipy.interpolate import PchipInterpolator, PPoly
 
-    from vpstab.poisson import FOUR_PI, _center_value
+    from vpstab.poisson import FOUR_PI
 
     def weighted_antiderivative(pp, power):
         k, m = pp.c.shape
@@ -125,7 +124,9 @@ def _pchip_potential(grid, rho):
         return PPoly(out, pp.x).antiderivative()
 
     rho = np.clip(np.asarray(rho, dtype=float), 0.0, None)
-    dens = PchipInterpolator(np.concatenate([[0.0], grid.nodes]), np.concatenate([[_center_value(grid.nodes, rho)], rho]))
+    fit = np.vstack([np.ones(3), grid.nodes[:3] ** 2]).T
+    rho0 = np.linalg.lstsq(fit, rho[:3], rcond=None)[0][0]
+    dens = PchipInterpolator(np.concatenate([[0.0], grid.nodes]), np.concatenate([[rho0], rho]))
     p2, p1 = weighted_antiderivative(dens, 2), weighted_antiderivative(dens, 1)
     x_max, tiny = grid.x_max, 1e-12 * grid.x_max
     M, tot1 = FOUR_PI * float(p2(x_max)), float(p1(x_max))

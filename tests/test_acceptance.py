@@ -14,9 +14,9 @@ from vpstab.functionals import monotonicity_gaps, stability_lower_bound
 from vpstab.perturbations import ensemble
 from vpstab.poisson import RadialField3D
 from vpstab.rearrangement import (
+    JacobianMap,
     distribution_function,
     generalized_rearrangement,
-    jacobian_a,
     schwarz_rearrangement,
 )
 from vpstab.spectral import (
@@ -45,7 +45,7 @@ def _fixed_point_error(model, n_r, n_u):
     f = phase_space_density(model, n_r=n_r, n_u=n_u)
     pot = model.potential()
     fstar = schwarz_rearrangement(distribution_function(f))
-    fhat = generalized_rearrangement(fstar, pot, f.grid, jac=jacobian_a(pot))
+    fhat = generalized_rearrangement(fstar, JacobianMap(pot), f.grid)
     return fhat.l1_distance(f) / f.mass()
 
 
@@ -103,7 +103,7 @@ def test_criterion_3_equimeasurability(king):
     exact = np.max(np.abs(fstar.level_measure(levels) - mu_f.evaluate(levels)))
     # generalized rearrangement matches within the discrete measure resolution
     pot = king.potential()
-    fhat = generalized_rearrangement(fstar, pot, f.grid, jac=jacobian_a(pot))
+    fhat = generalized_rearrangement(fstar, JacobianMap(pot), f.grid)
     mu_hat = distribution_function(fhat)
     probe = np.linspace(0.02, 0.98, 50) * f.sup()
     resolution = 6.0 * f.measure.max() * np.sqrt(f.values.size)
@@ -187,6 +187,28 @@ def test_criterion_6_commuting_operator_identity(king):
     )
 
 
+def _translate_recovery_error(model):
+    """Distance between the translate c of phi_Q and the shift that
+    modulation_shift recovers for it, started away from c: the barycenter
+    default would start at the answer."""
+    c = np.array([0.1, 0.0, 0.0])
+    field = RadialField3D.of(model.potential(), center=c)
+    z, _ = modulation_shift(field, model, seed=c + np.array([0.02, 0.01, -0.01]))
+    return float(np.linalg.norm(z - c))
+
+
+def test_criterion_7_recovery_fails_for_a_shift_that_returns_its_start(king, monkeypatch):
+    # mutant: the minimizer returns its start point; the recovery bound of
+    # criterion 7 must see it
+    from scipy import optimize
+
+    def start_point(fun, x0, **kwargs):
+        return optimize.OptimizeResult(x=np.asarray(x0, dtype=float), fun=fun(x0), success=True, message="start")
+
+    monkeypatch.setattr(optimize, "minimize", start_point)
+    assert _translate_recovery_error(king) > 1e-4
+
+
 def test_criterion_7_quantitative_lower_bound(king, c0_king):
     from vpstab.perturbations import bump_perturbation, padded_phase_density
 
@@ -202,9 +224,7 @@ def test_criterion_7_quantitative_lower_bound(king, c0_king):
         if rep.slack < -tol:
             violations += 1
     # exact-translate shift recovery
-    field = RadialField3D.of(king.potential(), center=(0.1, 0.0, 0.0))
-    z, _ = modulation_shift(field, king)
-    shift_err = float(np.linalg.norm(z - np.array([0.1, 0.0, 0.0])))
+    shift_err = _translate_recovery_error(king)
     ok = violations == 0 and shift_err <= 1e-4
     _report(
         7,

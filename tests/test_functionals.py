@@ -4,10 +4,10 @@ import pytest
 from vpstab.numerics import InvalidArgumentError
 from vpstab.poisson import DegenerateInputError, field_energy
 from vpstab.rearrangement import (
+    JacobianMap,
     ModelRearrangement,
     MonotoneRearrangement,
     distribution_function,
-    jacobian_a,
     schwarz_rearrangement,
 )
 from vpstab.functionals import (
@@ -60,9 +60,8 @@ def test_hamiltonian_velocity_scaling(king, king_phase):
     assert rep2.kinetic == pytest.approx(rep1.kinetic / 32, rel=5e-3)
 
 
-def test_reduced_functional_at_steady_state(king, king_pot, king_jac, king_phase):
-    qstar = ModelRearrangement(king, jac=king_jac)
-    rep = reduced_functional(qstar, king_pot, king_phase.grid, jac=king_jac)
+def test_reduced_functional_at_steady_state(king, king_jac, king_phase):
+    rep = reduced_functional(king.rearrangement, king_jac, king_phase.grid)
     # the coupling term vanishes at the fixed point and J equals H(Q)
     assert rep.coupling <= 5e-4 * abs(king.hamiltonian)
     assert rep.J_value == pytest.approx(king.hamiltonian, rel=5e-3)
@@ -74,11 +73,11 @@ def test_reduced_functional_at_steady_state(king, king_pot, king_jac, king_phase
 
 def test_reduced_functional_zero_profile(king_pot, king_jac, king_phase):
     zero = MonotoneRearrangement(breaks=np.array([1.0]), step_values=np.array([0.0]))
-    rep = reduced_functional(zero, king_pot, king_phase.grid, jac=king_jac)
+    rep = reduced_functional(zero, king_jac, king_phase.grid)
     assert rep.J_value == pytest.approx(field_energy(king_pot), rel=1e-12)
 
 
-def test_reduced_difference_identity(king, king_jac, rng):
+def test_reduced_difference_identity(king, rng):
     # J_{f*}(phi) - J_{Q*}(phi) = int a^{-1}(s) (f*(s) - Q*(s)) ds at a fixed
     # field, with both sides through the primitive route
     from vpstab.functionals import _j0_energy_route
@@ -87,10 +86,10 @@ def test_reduced_difference_identity(king, king_jac, rng):
     base = padded_phase_density(king, n_r=150, n_u=80)
     f = bump_perturbation(base, 0.2, int(rng.integers(2**31)))
     pot_f = solve_poisson_radial(f.grid.radial, f.rho())
-    jac_f = jacobian_a(pot_f)
+    jac_f = JacobianMap(pot_f)
     fstar = schwarz_rearrangement(distribution_function(f))
-    qstar = ModelRearrangement(king, jac=king_jac)
-    lhs = _j0_energy_route(fstar, pot_f, jac_f) - _j0_energy_route(qstar, pot_f, jac_f)
+    qstar = king.rearrangement
+    lhs = _j0_energy_route(fstar, jac_f) - _j0_energy_route(qstar, jac_f)
     # right side: integrate a^{-1} against the difference of the profiles
     t = np.unique(np.concatenate([[0.0], fstar.breaks, np.linspace(0, king.L0 * 1.1, 4096)]))
     mids = 0.5 * (t[:-1] + t[1:])
@@ -142,7 +141,7 @@ def test_j0_energy_route_matches_the_per_panel_loop(king):
     f = bump_perturbation(padded_phase_density(king, n_r=100, n_u=60), 0.1, seed=5)
     pot = solve_poisson_radial(f.grid.radial, f.rho())
     fstar = schwarz_rearrangement(distribution_function(f))
-    jac = jacobian_a(pot)
+    jac = JacobianMap(pot)
     # the loop over 96 panels of 8 nodes that the composite rule replaced
     L0 = fstar.support_measure()
     e_star = float(jac.a_inv(np.array([L0]))[0])
@@ -155,7 +154,7 @@ def test_j0_energy_route_matches_the_per_panel_loop(king):
     g_tot = float(fstar.primitive(np.array([L0 * (1 + 1e-12)]))[0])
     reference = -(total - g_tot * e_star)
     # the same 768 terms summed in another order
-    assert _j0_energy_route(fstar, pot, jac) == pytest.approx(reference, rel=768 * np.finfo(float).eps)
+    assert _j0_energy_route(fstar, jac) == pytest.approx(reference, rel=768 * np.finfo(float).eps)
 
 
 def test_monotonicity_gaps_equality_case(king):
@@ -303,7 +302,7 @@ def test_stability_lower_bound_matches_fresh_objects(king, shift):
     # reference: every model-scoped object built afresh for this one call
     rep_f = hamiltonian(f)
     pot_q = PotentialX.from_model(model)
-    qstar = ModelRearrangement(model, jac=jacobian_a(pot_q))
+    qstar = ModelRearrangement(model)
     fstar = schwarz_rearrangement(distribution_function(f))
     h_ref = hamiltonian(phase_space_density(model, grid=f.grid)).hamiltonian
     lhs = rep_f.hamiltonian - h_ref + abs(rep_f.pot.min_phi) * qstar.l1_distance(fstar)

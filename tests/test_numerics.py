@@ -86,9 +86,9 @@ def test_derived_grid_moments_are_exact_and_read_only():
 def test_phase_grid_box_measure():
     ps = make_grids(1.0, 32, 1.0, 32)
     vol = (4 * np.pi / 3) ** 2
-    assert ps.total_measure() == pytest.approx(vol, rel=1e-6)
-    # boundary-aligned sub-box
-    sub = ps.box_measure(0.5, 1.0)
+    assert ps.cell_measure.sum() == pytest.approx(vol, rel=1e-6)
+    # boundary-aligned sub-box: the first 16 radial cells end at r = 0.5
+    sub = ps.cell_measure[:16].sum()
     assert sub == pytest.approx((4 * np.pi / 3) * 0.5**3 * (4 * np.pi / 3), rel=1e-6)
 
 
@@ -134,7 +134,7 @@ def test_quadrature_convergence_order():
     errs = []
     for n in (64, 128, 256):
         g = make_1d_grid(2.0, n)
-        errs.append(abs(g.integrate(f(g.nodes)) - exact))
+        errs.append(abs(np.dot(f(g.nodes), g.weights) - exact))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(slopes >= 1.9)
 

@@ -374,6 +374,25 @@ def test_spline_solve_matches_scipys_pchip_construction(spline_densities, pchip_
         assert abs(pot.min_phi - min_phi) <= 1e-14 * abs(min_phi)
 
 
+def test_center_value_is_the_least_squares_fit():
+    # the closed form against LAPACK's least squares on the 3 x 2 problem
+    # [1, r_i^2] (a, b) = v_i, over node triples and values spanning 5 and 12
+    # decades, and one uniform grid
+    from vpstab.poisson import _center_value
+
+    rng = np.random.default_rng(2026)
+    triples = [
+        (np.cumsum(rng.uniform(0.1, 1.0, 3)) * 10.0 ** rng.uniform(-3, 2), rng.uniform(0.0, 1.0, 3) * 10.0 ** rng.uniform(-6, 6))
+        for _ in range(200)
+    ]
+    nodes = 0.01 * (np.arange(150) + 0.5)
+    triples.append((nodes, np.exp(-nodes**2)))
+    for r, v in triples:
+        fit = np.vstack([np.ones(3), r[:3] ** 2]).T
+        expected = np.linalg.lstsq(fit, v[:3], rcond=None)[0][0]
+        assert abs(_center_value(r, v) - expected) <= 1e-13 * max(abs(expected), np.max(np.abs(v[:3])))
+
+
 def test_potential_distance_samples_the_reference_once(king, monkeypatch):
     # against a model's potential, the second distance reads the samples of
     # the first: the reference is not evaluated again

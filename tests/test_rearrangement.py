@@ -6,13 +6,13 @@ from hypothesis.extra.numpy import arrays
 
 from vpstab.numerics import InvalidArgumentError, OutOfRangeError, make_grids
 from vpstab.rearrangement import (
+    JacobianMap,
     ModelRearrangement,
     MonotoneRearrangement,
     _ascending_order,
     distribution_function,
     export_tables,
     generalized_rearrangement,
-    jacobian_a,
     l1_distance,
     path_derivative_a,
     pseudo_inverse_level,
@@ -188,7 +188,7 @@ def test_l1_contraction(values_f, values_g):
 
 
 def test_jacobian_reference_values(reference_pot):
-    jac = jacobian_a(reference_pot)
+    jac = JacobianMap(reference_pot)
     assert float(jac.a_direct(np.array([-0.5]))[0]) == pytest.approx(A_PHI_REFERENCE, rel=1e-8)
     assert float(jac.a_prime_direct(np.array([-0.5]))[0]) == pytest.approx(
         A_PRIME_REFERENCE, rel=1e-8
@@ -198,7 +198,7 @@ def test_jacobian_reference_values(reference_pot):
 
 
 def test_jacobian_divergence(reference_pot):
-    jac = jacobian_a(reference_pot)
+    jac = JacobianMap(reference_pot)
     es = np.array([-1e-1, -1e-2, -1e-3, -1e-4])
     vals = jac.a_direct(es) * (-es) ** 1.5
     # a(e) |e|^{3/2} approaches the finite monopole constant from below
@@ -232,7 +232,7 @@ def test_jacobian_rejects_non_member():
         lambda r: np.zeros_like(np.asarray(r, dtype=float)), 0.0
     )
     with pytest.raises(InvalidArgumentError):
-        jacobian_a(zero)
+        JacobianMap(zero)
 
 
 def test_fixed_point_both_models(king, poly):
@@ -240,17 +240,17 @@ def test_fixed_point_both_models(king, poly):
         f = phase_space_density(model, n_r=400, n_u=200)
         fstar = schwarz_rearrangement(distribution_function(f))
         pot = model.potential()
-        fhat = generalized_rearrangement(fstar, pot, f.grid, jac=jacobian_a(pot))
+        fhat = generalized_rearrangement(fstar, JacobianMap(pot), f.grid)
         assert fhat.l1_distance(f) / f.mass() <= 1e-3
 
 
-def test_zero_rearrangement(king_pot, king_jac, small_grid):
+def test_zero_rearrangement(king_jac, small_grid):
     fstar = MonotoneRearrangement(breaks=np.array([1.0]), step_values=np.array([0.0]))
-    out = generalized_rearrangement(fstar, king_pot, small_grid, jac=king_jac)
+    out = generalized_rearrangement(fstar, king_jac, small_grid)
     assert np.all(out.values == 0)
 
 
-def test_equimeasurability_roundtrip(king, king_pot, king_jac, rng):
+def test_equimeasurability_roundtrip(king, rng):
     # rearranging and re-measuring returns the same bathtub profile
     from vpstab.perturbations import bump_perturbation, padded_phase_density
 
@@ -259,9 +259,9 @@ def test_equimeasurability_roundtrip(king, king_pot, king_jac, rng):
     from vpstab.poisson import solve_poisson_radial
 
     pot = solve_poisson_radial(f.grid.radial, f.rho())
-    jac = jacobian_a(pot)
+    jac = JacobianMap(pot)
     fstar = schwarz_rearrangement(distribution_function(f))
-    fhat = generalized_rearrangement(fstar, pot, f.grid, jac=jac)
+    fhat = generalized_rearrangement(fstar, jac, f.grid)
     fstar2 = schwarz_rearrangement(distribution_function(fhat))
     tol = 20.0 * f.measure.max() * np.sqrt(f.values.size) * f.sup()
     assert fstar.l1_distance(fstar2) <= tol
@@ -270,11 +270,11 @@ def test_equimeasurability_roundtrip(king, king_pot, king_jac, rng):
     assert fhat.sup() <= f.sup() * (1 + 1e-12)
 
 
-def test_equimeasurability_at_levels(king, king_pot, king_jac):
+def test_equimeasurability_at_levels(king, king_jac):
     f = phase_space_density(king, n_r=200, n_u=100)
     mu_f = distribution_function(f)
     fstar = schwarz_rearrangement(mu_f)
-    fhat = generalized_rearrangement(fstar, king_pot, f.grid, jac=king_jac)
+    fhat = generalized_rearrangement(fstar, king_jac, f.grid)
     mu_hat = distribution_function(fhat)
     levels = np.linspace(0.02, 0.98, 50) * f.sup()
     m1 = mu_f.evaluate(levels)
@@ -297,7 +297,7 @@ def test_pseudo_inverse_level_limits(king, king_jac, king_phase):
 
 def test_pseudo_inverse_level_model_energy(king, king_jac):
     # s = F(e) inverts back to e for the smooth steady-state profile
-    qstar = ModelRearrangement(king, jac=king_jac)
+    qstar = ModelRearrangement(king)
     for frac in (0.3, 0.6):
         e_ref = king.phi_center + frac * (king.e0 - king.phi_center)
         s = float(king.profile.evaluate(np.array([e_ref]))[0])
@@ -378,7 +378,7 @@ def test_path_derivative_matches_central_difference(king, king_pot):
         pot = PotentialX.from_callable(
             king_pot.grid, mix, dmix, (1 - lmb) * king_pot.M + lmb * ball.M
         )
-        return float(jacobian_a(pot).a_direct(np.array([e]))[0])
+        return float(JacobianMap(pot).a_direct(np.array([e]))[0])
 
     errs = []
     for delta in (0.16, 0.08, 0.04):
@@ -400,7 +400,7 @@ def test_kinetic_energy_bound_calibrated(king, rng):
     def ratio(f):
         pot = solve_poisson_radial(f.grid.radial, f.rho())
         fstar = schwarz_rearrangement(distribution_function(f))
-        fhat = generalized_rearrangement(fstar, pot, f.grid, jac=jacobian_a(pot))
+        fhat = generalized_rearrangement(fstar, JacobianMap(pot), f.grid)
         grad_norm = np.sqrt(2 * field_energy(pot))
         bound = grad_norm ** (4 / 3) * f.mass() ** (7 / 9) * f.sup() ** (2 / 9)
         return fhat.kinetic() / bound
@@ -419,7 +419,7 @@ def test_change_of_variables_identity(king, king_pot, king_jac, king_phase):
     # for alpha(e) = e and gamma = f*: the phase-space integral of
     # e f*(a(e)) equals int a^{-1}(s) f*(s) ds
     fstar = schwarz_rearrangement(distribution_function(king_phase))
-    fhat = generalized_rearrangement(fstar, king_pot, king_phase.grid, jac=king_jac)
+    fhat = generalized_rearrangement(fstar, king_jac, king_phase.grid)
     phi = king_pot.phi_fn(king_phase.grid.radial.nodes)
     e = 0.5 * king_phase.grid.speeds.nodes[None, :] ** 2 + phi[:, None]
     lhs = float(np.sum(king_phase.measure * e * fhat.values))
@@ -433,7 +433,7 @@ def test_change_of_variables_identity(king, king_pot, king_jac, king_phase):
 def test_export_tables(tmp_path, king_phase, king_jac):
     mu = distribution_function(king_phase)
     fstar = schwarz_rearrangement(mu)
-    paths = export_tables(str(tmp_path / "t"), mu=mu, fstar=fstar, jac=king_jac)
+    paths = export_tables(str(tmp_path / "t"), mu, fstar, king_jac)
     for p in paths.values():
         with open(p) as fh:
             header = fh.readline()
@@ -445,7 +445,7 @@ def test_export_tables_read_back(tmp_path, king_phase, king_jac):
     # every row parses as floats; the Jacobian rows are its table exactly
     mu = distribution_function(king_phase)
     fstar = schwarz_rearrangement(mu)
-    paths = export_tables(str(tmp_path / "t"), mu=mu, fstar=fstar, jac=king_jac)
+    paths = export_tables(str(tmp_path / "t"), mu, fstar, king_jac)
     rows = {}
     for name, p in paths.items():
         with open(p) as fh:

@@ -8,7 +8,6 @@ from vpstab.poisson import RadialField3D, SumField3D, solve_poisson_radial
 from vpstab.spectral import (
     coercivity_constant,
     compactness_ratio,
-    energy_mesh,
     hardy_check,
     harmonic_operator_spectrum,
     hessian_form,
@@ -48,7 +47,7 @@ def test_effective_potential_polytrope_closed_form(poly):
 
 
 def test_projector_fixes_constants(king):
-    mesh, vals = project_energy(lambda r: np.full_like(np.asarray(r, dtype=float), 2.5), king)
+    vals = project_energy(lambda r: np.full_like(np.asarray(r, dtype=float), 2.5), king)
     assert np.allclose(vals, 2.5, atol=1e-12)
 
 
@@ -77,7 +76,8 @@ def test_radial_quad_matches_the_per_panel_loop(king):
 
 def test_projector_oracle_values(king):
     # direct quadrature of the weighted average at a few energies
-    mesh, vals = project_energy(lambda r: king.phi_fn(r), king)
+    mesh = king.energy_mesh
+    vals = project_energy(lambda r: king.phi_fn(r), king)
     for idx in (20, 120, 230):
         e = mesh.e[idx]
         r_t = mesh.r_turn[idx]
@@ -101,12 +101,11 @@ def test_projector_oracle_values(king):
 def test_projector_annihilates_centered_deviation(king):
     # subtract a radial function's energy average at one energy: the averaged
     # deviation vanishes at that energy (projector property, per energy shell)
-    mesh = energy_mesh(king)
     direction = smooth_bump_direction(king, 0.4, 0.2)
-    _, ph = project_energy(direction.h, king, mesh)
+    ph = project_energy(direction.h, king)
     for idx in (30, 128, 220):
         c = ph[idx]
-        _, ph_dev = project_energy(lambda r: direction.h(r) - c, king, mesh)
+        ph_dev = project_energy(lambda r: direction.h(r) - c, king)
         assert abs(ph_dev[idx]) <= 1e-12 * max(abs(c), 1.0)
 
 
@@ -141,7 +140,6 @@ def test_hessian_form_exterior_direction(king):
 
 
 def test_hessian_positive_random_directions(king, rng):
-    mesh = energy_mesh(king)
     scale = 4 * np.pi * float(king.vq_fn(np.array([0.0]))[0]) * king.R_Q
     for _ in range(200):
         d = smooth_bump_direction(
@@ -149,7 +147,7 @@ def test_hessian_positive_random_directions(king, rng):
             center_frac=rng.uniform(0.2, 0.8),
             width_frac=rng.uniform(0.1, 0.35),
         )
-        assert hessian_form(d, king, mesh) >= -1e-10 * scale
+        assert hessian_form(d, king) >= -1e-10 * scale
 
 
 def test_radial_coercivity_inequality(king, rng):
@@ -157,14 +155,13 @@ def test_radial_coercivity_inequality(king, rng):
     # translation kernel, which radial h cannot touch)
     from vpstab.spectral import _radial_quad
 
-    mesh = energy_mesh(king)
     c0 = coercivity_constant(king)
     for _ in range(30):
         d = smooth_bump_direction(
             king, center_frac=rng.uniform(0.2, 0.8), width_frac=rng.uniform(0.1, 0.35)
         )
         grad2 = 4 * np.pi * _radial_quad(lambda r: d.dh(r) ** 2 * r**2, d.extent)
-        assert hessian_form(d, king, mesh) >= 0.99 * c0 * grad2
+        assert hessian_form(d, king) >= 0.99 * c0 * grad2
 
 
 def test_local_coercivity_of_reduced_functional(king):
@@ -355,7 +352,7 @@ def test_hardy_control(king, rng):
 
 
 def test_modulation_identity(king):
-    z, resid = modulation_shift(king.potential(), king)
+    z, resid = modulation_shift(RadialField3D.of(king.potential()), king)
     assert np.linalg.norm(z) <= 1e-6 * king.R_Q
     assert np.max(np.abs(resid)) <= 1e-8
 
@@ -535,9 +532,8 @@ def test_energy_mesh_and_projector_factor_are_built_once(king, monkeypatch):
     hessian_form(smooth_bump_direction(model), model)
     project_energy(lambda r: np.ones_like(r), model)
     assert calls == [((), {})]  # one default mesh
-    # an explicit mesh is used as given
+    # the sector matrices use an explicit mesh as given
     mesh = build(model, n_e=64, n_q=32)
-    assert project_energy(lambda r: np.ones_like(r), model, mesh)[0] is mesh
     assert spectral._SectorMatrices(model, n=200, mesh=mesh).mesh is mesh
     # one projector factor per sector set, shared by the k = 0 solves
     sm = spectral._SectorMatrices(model, n=200)
