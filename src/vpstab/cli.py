@@ -349,7 +349,7 @@ def make_parser(overrides=None):
     e.add_argument("--dt-frac", dest="dt_frac", type=_positive(float), default=0.01)
     e.add_argument("--n", type=int, default=100_000)
     e.add_argument("--seed", type=int, default=1)
-    e.add_argument("--field-average", dest="field_average", type=int, default=1)
+    e.add_argument("--field-average", dest="field_average", type=_positive(int), default=1)
     e.add_argument("--out-prefix", dest="out_prefix", default="run")
     e.set_defaults(func=cmd_evolve)
 

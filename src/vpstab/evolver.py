@@ -19,8 +19,8 @@ control, is solved straight into its edge-cumulative cell moments
 (poisson.CellMoments); and the force at each particle is m(r) / (4 pi r^2)
 read in cell floor(s) against edge cubes built once, with the exact monopole
 exterior. A full PotentialX is built only at record steps, where the field
-energy and the potential distance need it; a relative Hamiltonian jump
-beyond ABORT_ENERGY_JUMP = 0.2 there aborts the run.
+energy and the potential distance need it, from the step's CellMoments; a
+relative Hamiltonian jump beyond ABORT_ENERGY_JUMP = 0.2 there aborts the run.
 
 The step is written for few passes over the particle arrays with every
 expression rounded as in its plain form (tests/test_evolver.py holds that
@@ -64,6 +64,8 @@ CHECKPOINT_MAGIC = b"VPSTABE1"
 FIELD_N = 256
 FIELD_FACTOR = 3.0
 ABORT_ENERGY_JUMP = 0.2
+MASS_TOL = 1e-6  # conservation_report's bounds on the relative drifts
+HAMILTONIAN_TOL = 1e-3
 
 
 @dataclass
@@ -296,6 +298,8 @@ def evolve(
     pass through the centre exactly (free flight). A sudden relative
     Hamiltonian jump beyond ABORT_ENERGY_JUMP aborts the run.
     """
+    if not field_average >= 1:
+        raise InvalidArgumentError(f"field_average must be at least 1, got {field_average}")
     if dt > 0.1 * model.dynamical_time:
         warnings.warn("time step exceeds a tenth of the central dynamical time")
     cadence = cadence if cadence is not None else max(1, int(round(0.5 * model.dynamical_time / dt)))
@@ -350,7 +354,7 @@ def evolve(
 
     def record(t, cells):
         if self_consistent:
-            pot = solve_poisson_radial(grid, cells.rho, method="cells")
+            pot = solve_poisson_radial(grid, cells)
             ham = ens.kinetic() - field_energy(pot)
             pdist = float(np.sqrt(grad_distance2(pot, ref_pot, n=FIELD_N)))
         elif external_dphi is not None:
@@ -505,8 +509,9 @@ class ConservationReport:
     tolerances: dict
 
 
-def conservation_report(diag, mass_tol=1e-6, ham_tol=1e-3):
-    """Max relative drifts over the trajectory against declared tolerances."""
+def conservation_report(diag):
+    """Max relative drifts over the trajectory against the declared
+    tolerances MASS_TOL and HAMILTONIAN_TOL."""
 
     def drift(series):
         arr = np.asarray(series, dtype=float)
@@ -517,11 +522,11 @@ def conservation_report(diag, mass_tol=1e-6, ham_tol=1e-3):
 
     md = drift(diag.mass)
     hd = drift(diag.hamiltonian)
-    passed = (md <= mass_tol) and (hd <= ham_tol) and not diag.aborted
+    passed = (md <= MASS_TOL) and (hd <= HAMILTONIAN_TOL) and not diag.aborted
     return ConservationReport(
         mass_drift=md,
         hamiltonian_drift=hd,
         max_orbital=float(np.max(diag.orbital)),
         passed=passed,
-        tolerances={"mass": mass_tol, "hamiltonian": ham_tol},
+        tolerances={"mass": MASS_TOL, "hamiltonian": HAMILTONIAN_TOL},
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import InvalidArgumentError, panel_rule
+from .numerics import InvalidArgumentError, cosine_mesh, panel_rule
 from .poisson import (
     DegenerateInputError,
     RadialField3D,
@@ -97,8 +97,7 @@ def _j0_energy_route(fstar, jac, n_panels=96, n_gl=8):
     e_star = float(np.asarray(jac.a_inv(np.array([L0])))[0])
     lo = jac.min_phi
     # panel boundaries clustered at both ends of [lo, e_star]
-    t = np.linspace(0.0, 1.0, n_panels + 1)
-    e, w = panel_rule(lo + (e_star - lo) * 0.5 * (1.0 - np.cos(np.pi * t)), n_gl)
+    e, w = panel_rule(cosine_mesh(lo, e_star, n_panels + 1), n_gl)
     total = float(np.dot(w, fstar.primitive(jac.a(e))))
     return -(total + g_tot * (0.0 - e_star))
 

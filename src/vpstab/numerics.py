@@ -200,6 +200,12 @@ def gl_points(a, b, n):
     return mid + half * x, half * w
 
 
+def cosine_mesh(lo, hi, n):
+    """n points on [lo, hi] clustered toward both ends: lo + (hi - lo) u with
+    u = (1 - cos(pi t)) / 2 on n equispaced t in [0, 1]."""
+    return lo + (hi - lo) * (0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n))))
+
+
 def panel_rule(bounds, n_gl):
     """Composite Gauss-Legendre rule: n_gl nodes on each panel between
     consecutive bounds, as flat node and weight arrays in panel order."""

@@ -8,7 +8,7 @@ that preserve the spatial density.
 
 import numpy as np
 
-from .numerics import Grid1D, PhaseSpaceGrid
+from .numerics import Grid1D, InvalidArgumentError, PhaseSpaceGrid
 from .steady_state import PhaseSpaceDensity
 
 
@@ -50,6 +50,8 @@ def calibrated_bump(model, eta, seed, n_r=400, n_u=200):
     point (the exact carried value for sample_particles)."""
     from .steady_state import phase_space_density
 
+    if not np.isfinite(eta):
+        raise InvalidArgumentError(f"eta must be finite, got {eta}")
     f0 = phase_space_density(model, n_r=n_r, n_u=n_u)
     chi = bump_field(model.R_Q, float(model.u_escape(np.array([0.0]))[0]), seed)
     vals = chi(f0.grid.radial.nodes[:, None], f0.grid.speeds.nodes[None, :])

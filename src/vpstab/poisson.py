@@ -8,11 +8,13 @@ recentred fields has one quadrature, a cached spherical product rule over all
 of R^3 (`grad_distance2_shifted`).
 
 The radial Green solve needs the running moments int_0^r rho s^2 ds and
-int_0^r rho s ds. The spline solve takes them from the PCHIP of rho
-(Fritsch & Carlson 1980), with its slopes and the per-piece coefficients of
-both moments computed here in closed form and the running sums kept in the
-constant terms of one two-column PPoly; a set of radii costs one interval
-search for both moments.
+int_0^r rho s ds, and the data picks how they are read. Node samples of rho
+get the moments of their PCHIP (Fritsch & Carlson 1980), with its slopes and
+the per-piece coefficients of both moments computed here in closed form and
+the running sums kept in the constant terms of one two-column PPoly; a
+CellMoments, a density constant per cell such as the evolver's shell mesh,
+gets its exact edge-cumulative moments. Either way a set of radii costs one
+interval search for both moments.
 """
 
 from dataclasses import dataclass
@@ -124,14 +126,10 @@ class PotentialX:
     """
 
     grid: Grid1D
-    values: np.ndarray
     M: float
     min_phi: float
     phi_fn: object
     dphi_fn: object
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
 
     @property
     def r_max(self):
@@ -161,11 +159,6 @@ class PotentialX:
 
         return self._kept("dphi", (extent, n), build)
 
-    def enclosed_mass(self, r):
-        """Mass inside radius r, 4 pi r^2 phi'(r) by Gauss's law."""
-        r = np.asarray(r, dtype=float)
-        return FOUR_PI * r**2 * self.dphi_fn(r)
-
     @staticmethod
     def from_model(model):
         return PotentialX.from_callable(model.grid, model.phi_fn, model.dphi_fn, model.M)
@@ -174,7 +167,7 @@ class PotentialX:
     def from_callable(grid, phi_fn, dphi_fn, M):
         """Wrap analytic callables (e.g. a perturbed potential)."""
         phi0 = float(phi_fn(np.array([0.0]))[0])
-        return PotentialX(grid, phi_fn(grid.nodes), M, phi0, phi_fn, dphi_fn)
+        return PotentialX(grid, M, phi0, phi_fn, dphi_fn)
 
 
 def _checked_density(grid, rho):
@@ -225,18 +218,31 @@ class CellMoments:
         return self.edge_cum_lin.take(i) + self.rho.take(i) * 0.5 * (r * r - a * a)
 
 
-def solve_poisson_radial(grid, rho, method="spline"):
+def solve_poisson_radial(grid, rho):
     """Potential of a nonnegative compactly supported radial density.
 
     Green representation phi(r) = -m(r)/(4 pi r) - int_r^rmax rho s ds with the
-    exact monopole continuation outside the grid. method="spline" integrates
-    the monotone cubic (PCHIP) interpolant of the density through (0, rho0)
-    and the nodes exactly against s^2 and s (4th order, `_moment_spline`);
-    method="cells" treats the density as constant per cell (exact for
-    piecewise-constant input, see CellMoments). Either way one interval
-    search per set of radii gives both moments.
+    exact monopole continuation outside the grid. The data picks the
+    discretisation: node samples rho on grid are read as the monotone cubic
+    (PCHIP) interpolant through (0, rho0) and the nodes, integrated exactly
+    against s^2 and s (4th order, `_moment_spline`); a CellMoments built on
+    grid is read as constant per cell, which is exact for piecewise-constant
+    input. Either way one interval search per set of radii gives both
+    moments.
     """
-    if method == "spline":
+    if isinstance(rho, CellMoments):
+        cells = rho
+        if not np.array_equal(cells.grid.edges, grid.edges):
+            raise InvalidArgumentError("cell moments were built on another grid")
+        tot1 = float(cells.edge_cum_lin[-1])
+        M = cells.M
+
+        def moments(r):
+            r = np.clip(r, 0.0, grid.x_max)
+            i = np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
+            return cells.cum_sq(r, i), cells.cum_lin(r, i)
+
+    else:
         rho = _checked_density(grid, rho)
         rho0 = _center_value(grid.nodes, rho)
         spline = _moment_spline(np.concatenate([[0.0], grid.nodes]), np.concatenate([[rho0], rho]))
@@ -245,31 +251,8 @@ def solve_poisson_radial(grid, rho, method="spline"):
             m = spline(np.clip(r, 0.0, grid.x_max))
             return m[..., 0], m[..., 1]
 
-        def cum_sq(r):
-            return moments(r)[0]
-
         sq_max, tot1 = (float(v) for v in moments(grid.x_max))
         M = _checked_mass(FOUR_PI * sq_max)
-
-    elif method == "cells":
-        cells = CellMoments.of(grid, rho)
-        tot1 = float(cells.edge_cum_lin[-1])
-        M = cells.M
-
-        def cell_of(r):
-            return np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
-
-        def moments(r):
-            r = np.clip(r, 0.0, grid.x_max)
-            i = cell_of(r)
-            return cells.cum_sq(r, i), cells.cum_lin(r, i)
-
-        def cum_sq(r):
-            r = np.clip(r, 0.0, grid.x_max)
-            return cells.cum_sq(r, cell_of(r))
-
-    else:
-        raise InvalidArgumentError(f"unknown method {method!r}")
 
     # each formula is evaluated only on its own side of the grid's edge
     # (`branchwise`); dphi is 0 below tiny
@@ -284,7 +267,7 @@ def solve_poisson_radial(grid, rho, method="spline"):
 
     def dphi_inner(r):
         rs = np.clip(r, tiny, None)
-        return np.where(r < tiny, 0.0, cum_sq(rs) / rs**2)
+        return np.where(r < tiny, 0.0, moments(rs)[0] / rs**2)
 
     def dphi_outer(r):
         return M / (FOUR_PI * np.clip(r, tiny, None) ** 2)
@@ -297,7 +280,7 @@ def solve_poisson_radial(grid, rho, method="spline"):
         r = np.asarray(r, dtype=float)
         return branchwise(r, r < grid.x_max, dphi_inner, dphi_outer)
 
-    return PotentialX(grid, phi_fn(grid.nodes), M, float(-tot1), phi_fn, dphi_fn)
+    return PotentialX(grid, M, float(-tot1), phi_fn, dphi_fn)
 
 
 def field_energy(pot):

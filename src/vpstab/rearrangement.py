@@ -22,6 +22,7 @@ from .numerics import (
     OutOfRangeError,
     _read_only,
     branchwise,
+    cosine_mesh,
     exterior_power_tail,
     turning_point_rule,
     turning_radius,
@@ -209,7 +210,7 @@ class ModelRearrangement:
         self.model = model
         self.jac = JacobianMap(model.potential())
         self.L0 = model.L0
-        t = model.L0 * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 2048)))
+        t = cosine_mesh(0.0, model.L0, 2048)
         e = self.jac.a_inv(np.clip(t, 1e-300, None))
         vals = model.profile.evaluate(e)
         vals[0] = model.profile.evaluate(np.array([model.phi_center]))[0]
@@ -265,8 +266,7 @@ class JacobianMap:
         self.min_phi = pot.min_phi
         lo = self.min_phi
         hi = -1e-5 * abs(self.min_phi)
-        t = np.linspace(0.0, 1.0, 512)
-        mesh = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * t))
+        mesh = cosine_mesh(lo, hi, 512)
         i_a, i_ap = self._sublevel_integral(mesh, 1.5, 0.5)
         a_vals = EIGHT_PI_SQRT2_3 * FOUR_PI * i_a
         ap_vals = FOUR_PI_SQRT2 * FOUR_PI * i_ap
@@ -329,7 +329,7 @@ class JacobianMap:
         out = np.full(s.shape, self._e_tab[0])
         pos = s > 0
         if not np.any(pos):
-            return out if s.shape else float(out)
+            return out
         sp = np.clip(s[pos], None, self._a_tab[-1])
         k = np.clip(np.searchsorted(self._a_tab, sp) - 1, 0, self._e_tab.size - 2)
         lo = self._e_tab[k]

@@ -44,6 +44,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from .numerics import (
     InvalidArgumentError,
     _jacobi_rule,
+    cosine_mesh,
     eig_tridiag,
     panel_rule,
     serial_blas,
@@ -59,6 +60,7 @@ from .poisson import (
 )
 
 FOUR_PI = 4.0 * np.pi
+LADDER_RUNGS = (800, 1600, 3200)  # coercivity_ladder's grids
 SQRT2 = np.sqrt(2.0)
 
 
@@ -480,23 +482,23 @@ class CoercivityLadder:
     error_estimate: float  # |richardson - c0 on the finest rung|
 
 
-def coercivity_ladder(model, n=800):
-    """coercivity_constant on the grids n, 2n and 4n, with the observed order
-    of the three rungs and the Richardson extrapolation at that order.
+def coercivity_ladder(model):
+    """coercivity_constant on the grids of LADDER_RUNGS (n = 800, 1600,
+    3200), with the observed order of the three rungs and the Richardson
+    extrapolation at that order.
 
     Every rung uses the model's energy mesh (n_e = 256, n_q = 96), which sets
     a floor: for King W0 = 3 the steps shrink by 4 from 800 to 3200 (order
     1.99), by 6 from 3200 to 6400, and from 6400 to 12800 c0 turns back, so
-    the ladder stops at 4n. When the rungs are not monotone the order and
+    the ladder stops at 3200. When the rungs are not monotone the order and
     extrapolation are nan.
     """
-    rungs = (n, 2 * n, 4 * n)
-    c0 = tuple(coercivity_constant(model, n=m) for m in rungs)
+    c0 = tuple(coercivity_constant(model, n=m) for m in LADDER_RUNGS)
     d1, d2 = c0[1] - c0[0], c0[2] - c0[1]
     order = float(np.log2(d1 / d2))
     richardson = c0[2] + d2 / (2.0**order - 1.0)
     return CoercivityLadder(
-        n=rungs,
+        n=LADDER_RUNGS,
         c0=c0,
         order=order,
         richardson=float(richardson),
@@ -575,7 +577,7 @@ def _delta_phase_volume(pot_base, direction, eps, e_nodes, n_panels=40, n_gl=10)
         turning_radius(pot_base.phi_fn, pot_base.dphi_fn, e_nodes, pot_base.r_max),
     )
     # unit panels clustered toward both ends, scaled per energy
-    units, uw = panel_rule(0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n_panels + 1))), n_gl)
+    units, uw = panel_rule(cosine_mesh(0.0, 1.0, n_panels + 1), n_gl)
     r = r_out[:, None] * units[None, :]
     w = r_out[:, None] * uw[None, :]
     phi_r = pot_base.phi_fn(r.ravel()).reshape(r.shape)
@@ -628,7 +630,7 @@ def taylor_remainder(model, direction: Direction, epsilons):
 
     # common energy mesh for the J0 differences
     lo = model.phi_center - abs(eps_arr).max() * 1.5 * np.max(np.abs(direction.h(np.linspace(0, direction.extent, 512))))
-    units, unit_weights = panel_rule(0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 97))), 8)
+    units, unit_weights = panel_rule(cosine_mesh(0.0, 1.0, 97), 8)
     e_nodes, e_weights = lo - lo * units, -lo * unit_weights
     a_base = qstar.jac.a(np.clip(e_nodes, None, -1e-300))
 

@@ -247,7 +247,8 @@ def test_criterion_8_dynamical_stability(king):
         ens, king, dt=0.01 * king.dynamical_time, t_end=50 * king.dynamical_time,
         field_average=1, cadence=250,
     )
-    rep0 = conservation_report(diag0, mass_tol=1e-6, ham_tol=1e-3)
+    rep0 = conservation_report(diag0)
+    assert rep0.tolerances == {"mass": 1e-6, "hamiltonian": 1e-3}  # criterion 8's bounds
 
     # perturbation-size sweep with the variance-reduced field and common seeds
     sweep = stability_sweep(

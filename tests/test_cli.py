@@ -340,6 +340,19 @@ def test_bad_input_exits_2(make_argv, model_file, tmp_path):
     assert not (tmp_path / "o.json").exists() and not (tmp_path / "run_series.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--field-average", "0"), ("--field-average", "-2"), ("--eta", "nan")],
+                         ids=["field-average-zero", "field-average-negative", "eta-nan"])
+def test_evolve_bad_flag_exits_2_naming_it(flag, value, model_file, tmp_path, capsys):
+    # before, --field-average 0 failed inside np.bincount after two
+    # RuntimeWarnings, and --eta nan ran the unperturbed model
+    argv = ["evolve", "--model", str(model_file), flag, value, "--t-dyn", "0.1", "--n", "1000",
+            "--out-prefix", str(tmp_path / "run")]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert flag.lstrip("-") in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_rearrange_tables_read_back(model_file, tmp_path):
     # every row of every table parses as floats
     prefix = str(tmp_path / "tables")

@@ -119,6 +119,37 @@ def test_self_consistent_short_run_conserves(king, king_f):
     assert rep.passed
 
 
+def test_record_steps_solve_from_the_steps_cell_moments(king, king_f, monkeypatch):
+    # field_state() builds one CellMoments per call and a record step solves
+    # the potential from it: n steps build n + 1, recorded or not
+    import vpstab.poisson as poisson
+
+    built = []
+    of = CellMoments.of
+
+    def counting_of(grid, rho):
+        built.append(grid)
+        return of(grid, rho)
+
+    monkeypatch.setattr(poisson.CellMoments, "of", staticmethod(counting_of))
+    ens = sample_particles(king_f, 2_000, seed=4, value_fn=_q_fn(king))
+    diag = evolve(ens, king, dt=0.01 * king.dynamical_time, t_end=0.05 * king.dynamical_time, cadence=1)
+    assert len(diag.times) == 6
+    assert len(built) == 6
+
+
+@pytest.mark.parametrize("field_average", [0, -1, 0.5])
+def test_evolve_rejects_an_empty_averaging_window(king, king_f, field_average):
+    # a window below one step held no density: the field was 0/0 and the run
+    # failed steps later inside np.bincount
+    ens = sample_particles(king_f, 2_000, seed=4, value_fn=_q_fn(king))
+    r0 = ens.r.copy()
+    with pytest.raises(InvalidArgumentError, match="field_average"):
+        evolve(ens, king, dt=0.01 * king.dynamical_time, t_end=0.05 * king.dynamical_time,
+               field_average=field_average)
+    assert np.array_equal(ens.r, r0)  # raised before the first step
+
+
 def test_orbital_distance_zero_at_start(king, king_f):
     ens = sample_particles(king_f, 20_000, seed=4, value_fn=_q_fn(king))
     assert orbital_distance(ens, king) <= 1e-10 * king.M
@@ -178,6 +209,13 @@ def test_calibrated_bump_has_relative_l1_size_eta(king, eta):
     assert f.l1_distance(f0) / f0.mass() == pytest.approx(max(eta, 0.0), rel=1e-12, abs=0.0)
     r, u = f0.grid.radial.nodes[:, None], f0.grid.speeds.nodes[None, :]
     assert np.array_equal(value_fn(r, u), f.values)
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+def test_calibrated_bump_rejects_a_non_finite_eta(king, eta):
+    # NaN used to fail eta > 0 and give the unperturbed model silently
+    with pytest.raises(InvalidArgumentError, match="eta"):
+        calibrated_bump(king, eta, seed=11)
 
 
 def test_diagnostics_csv(tmp_path, king, king_f):
@@ -246,8 +284,9 @@ def test_binner_force_matches_cells_potential(rng):
         grid.nodes,
         [0.0, 1e-14 * x_max, 0.999e-12 * x_max, 1e-12 * x_max, x_max, 1.5 * x_max, 40.0 * x_max],
     ])
-    force = binner.dphi(CellMoments.of(grid, rho), r, r * binner.inv_h)
-    ref = solve_poisson_radial(grid, rho, method="cells").dphi_fn(r)
+    cells = CellMoments.of(grid, rho)
+    force = binner.dphi(cells, r, r * binner.inv_h)
+    ref = solve_poisson_radial(grid, cells).dphi_fn(r)
     np.testing.assert_allclose(force, ref, rtol=1e-13, atol=0.0)
     assert np.all(force[r < 1e-12 * x_max] == 0.0)
 
@@ -316,7 +355,7 @@ def _reference_evolve(ens, model, dt, t_end, cadence, self_consistent=True, fiel
 
     def record(t, cells):
         if self_consistent:
-            pot = solve_poisson_radial(grid, cells.rho, method="cells")
+            pot = solve_poisson_radial(grid, cells)
             ham = ens.kinetic() - field_energy(pot)
             pdist = float(np.sqrt(grad_distance2(pot, model.potential(), n=FIELD_N)))
         elif external_dphi is not None:

@@ -424,3 +424,72 @@ def test_profile_ode_lane_emden_analytic():
     assert ode1.r_zero == pytest.approx(np.pi, rel=1e-10)
     r = np.array([0.5, 1.5, 2.5])
     assert np.allclose(ode1(r), np.sin(r) / r, atol=1e-9)
+
+
+def _unit_cosine(n):
+    # the clustering each caller wrote out before cosine_mesh
+    return 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, n)))
+
+
+def _recorded(monkeypatch, module, name, at=0):
+    """Replace module.name by a wrapper that records its positional argument
+    at index `at`."""
+    seen, fn = [], getattr(module, name)
+
+    def recording(*args, **kwargs):
+        seen.append(np.array(args[at]))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+def _jacobian_table_mesh(king, monkeypatch):
+    from vpstab.rearrangement import JacobianMap
+
+    seen = _recorded(monkeypatch, JacobianMap, "_sublevel_integral", at=1)  # after self
+    pot = king.potential()
+    JacobianMap(pot)
+    lo = pot.min_phi
+    hi = -1e-5 * abs(lo)
+    return [seen[0]], lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 512)))
+
+
+def _model_rearrangement_breaks(king, monkeypatch):
+    from vpstab.rearrangement import ModelRearrangement
+
+    return [ModelRearrangement(king).breaks], king.L0 * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 2048)))
+
+
+def _j0_panel_bounds(king, monkeypatch):
+    import vpstab.functionals as functionals
+
+    seen = _recorded(monkeypatch, functionals, "panel_rule")
+    jac = king.rearrangement.jac
+    functionals._j0_energy_route(king.rearrangement, jac)
+    e_star = float(jac.a_inv(np.array([king.rearrangement.support_measure()]))[0])
+    lo = jac.min_phi
+    return seen, lo + (e_star - lo) * 0.5 * (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 97)))
+
+
+def _taylor_mesh(n):
+    def captured(king, monkeypatch):
+        import vpstab.spectral as spectral
+
+        seen = _recorded(monkeypatch, spectral, "panel_rule")
+        spectral.taylor_remainder(king, spectral.smooth_bump_direction(king), (2e-2, 1e-2))
+        return seen, _unit_cosine(n)
+
+    return captured
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [_jacobian_table_mesh, _model_rearrangement_breaks, _j0_panel_bounds, _taylor_mesh(41), _taylor_mesh(97)],
+    ids=["JacobianMap", "ModelRearrangement", "_j0_energy_route", "_delta_phase_volume", "taylor_remainder"],
+)
+def test_cosine_mesh_keeps_each_callers_mesh_bit_for_bit(caller, king, monkeypatch, same_bits):
+    # scaling by 0.5 is exact, so lo + (hi - lo) u with u = (1 - cos)/2 has
+    # the bits of each inline form it replaced
+    meshes, inline = caller(king, monkeypatch)
+    assert any(same_bits(mesh, inline) for mesh in meshes)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from vpstab.numerics import gl_points, make_1d_grid, panel_rule
+from vpstab.numerics import InvalidArgumentError, gl_points, make_1d_grid, panel_rule
 from vpstab.poisson import (
+    CellMoments,
     DegenerateInputError,
     PotentialX,
     RadialField3D,
@@ -22,29 +23,30 @@ def ball_grid():
 def ball(ball_grid):
     rho0, R = 2.0, 1.0
     rho = np.where(ball_grid.nodes < R, rho0, 0.0)
-    return solve_poisson_radial(ball_grid, rho, method="cells"), rho0, R
+    return solve_poisson_radial(ball_grid, CellMoments.of(ball_grid, rho)), rho0, R
 
 
 def test_uniform_ball_interior_exterior(ball, ball_grid):
     pot, rho0, R = ball
     r = ball_grid.nodes
     exact = np.where(r < R, -rho0 * (3 * R**2 - r**2) / 6, -rho0 * R**3 / (3 * r))
-    assert np.allclose(pot.values, exact, atol=1e-13)
+    assert np.allclose(pot.phi_fn(r), exact, atol=1e-13)
 
 
 def test_shell_constant_inside(ball_grid):
     r = ball_grid.nodes
     rho = np.where(np.abs(r - 1.5) < 0.05, 1.0, 0.0)
-    pot = solve_poisson_radial(ball_grid, rho, method="cells")
-    inner = pot.values[r < 1.0]
+    pot = solve_poisson_radial(ball_grid, CellMoments.of(ball_grid, rho))
+    phi = pot.phi_fn(r)
+    inner = phi[r < 1.0]
     assert np.allclose(inner, inner[0], rtol=1e-12)
     outer = r > 2.0
-    assert np.allclose(pot.values[outer], -pot.M / (4 * np.pi * r[outer]), rtol=1e-12)
+    assert np.allclose(phi[outer], -pot.M / (4 * np.pi * r[outer]), rtol=1e-12)
 
 
 def test_king_roundtrip(king):
     pot = solve_poisson_radial(king.grid, np.array(king.rho))
-    err = np.max(np.abs(pot.values - king.phi)) / abs(king.phi_center)
+    err = np.max(np.abs(pot.phi_fn(king.grid.nodes) - king.phi)) / abs(king.phi_center)
     assert err <= 1e-6
 
 
@@ -56,12 +58,22 @@ def test_from_model_fields(king, tmp_path):
     for model in (king, SteadyStateModel.load(path)):  # built, then rebuilt from its file
         pot = PotentialX.from_model(model)
         assert pot.grid is model.grid and pot.M == model.M
-        assert np.array_equal(pot.values, model.phi)
+        assert np.array_equal(pot.phi_fn(pot.grid.nodes), model.phi)
         assert pot.min_phi == float(model.phi_fn(np.array([0.0]))[0])
         r = np.linspace(0.0, 1.2 * model.grid.x_max, 97)
         assert np.array_equal(pot.phi_fn(r), model.phi_fn(r))
         assert np.array_equal(pot.dphi_fn(r), model.dphi_fn(r))
-        assert np.array_equal(pot.enclosed_mass(r), 4.0 * np.pi * r**2 * model.dphi_fn(r))
+
+
+def test_cell_moments_must_be_built_on_the_solve_grid(ball, ball_grid):
+    for other in (make_1d_grid(3.0, 200), make_1d_grid(2.0, 300)):
+        cells = CellMoments.of(other, np.where(other.nodes < 1.0, 2.0, 0.0))
+        with pytest.raises(InvalidArgumentError, match="another grid"):
+            solve_poisson_radial(ball_grid, cells)
+    # a grid built again with the same extent and cells is the same grid
+    cells = CellMoments.of(ball_grid, np.where(ball_grid.nodes < 1.0, 2.0, 0.0))
+    r = np.linspace(0.0, 4.0, 101)
+    assert np.array_equal(solve_poisson_radial(make_1d_grid(3.0, 300), cells).phi_fn(r), ball[0].phi_fn(r))
 
 
 def test_zero_mass_degenerate(ball_grid):
@@ -106,7 +118,8 @@ def test_linearity(ball_grid, rng):
     p1 = solve_poisson_radial(ball_grid, r1)
     p2 = solve_poisson_radial(ball_grid, r2)
     p12 = solve_poisson_radial(ball_grid, r1 + r2)
-    assert np.allclose(p12.values, p1.values + p2.values, atol=1e-10)
+    r = ball_grid.nodes
+    assert np.allclose(p12.phi_fn(r), p1.phi_fn(r) + p2.phi_fn(r), atol=1e-10)
 
 
 def test_membership_zero_potential(ball_grid):
@@ -180,7 +193,8 @@ def test_potential_distance_vs_bipolar_oracle(king_pot):
         val = quad(lambda t: float(pot.phi_fn(np.array([t]))[0]) * t, lo, hi, epsabs=1e-12)[0]
         return val / (2 * s * z)
 
-    shell = np.diff(pot.enclosed_mass(pot.grid.edges))
+    edges = pot.grid.edges
+    shell = np.diff(4 * np.pi * edges**2 * pot.dphi_fn(edges))
     occupied = [(m_k, s_k) for m_k, s_k in zip(shell, pot.grid.nodes) if m_k > 0]
     cross = -sum(m_k * phi_avg(s_k) for m_k, s_k in occupied)
     self_term = -sum(m_k * float(pot.phi_fn(np.array([s_k]))[0]) for m_k, s_k in occupied)
@@ -301,7 +315,8 @@ def test_solved_potential_matches_the_where_form_bit_for_bit(king, method, monke
     # branchwise each is evaluated at every radius
     import vpstab.poisson as poisson
 
-    pot = solve_poisson_radial(king.grid, king.rho, method=method)
+    rho = king.rho if method == "spline" else CellMoments.of(king.grid, king.rho)
+    pot = solve_poisson_radial(king.grid, rho)
     kinds = radius_kinds(king.grid.x_max, king.R_Q)
     kinds["below tiny"] = np.array([0.0, 0.5e-12, 1e-12, 2e-12]) * king.grid.x_max
     fast = {kind: (pot.phi_fn(r), pot.dphi_fn(r)) for kind, r in kinds.items()}

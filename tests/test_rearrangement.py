@@ -361,12 +361,12 @@ def test_path_derivative_matches_central_difference(king, king_pot):
     # second-order convergence of the finite-difference quotient to the
     # analytic path derivative, King field vs a uniform-ball potential
     from vpstab.numerics import make_1d_grid
-    from vpstab.poisson import solve_poisson_radial
+    from vpstab.poisson import CellMoments, solve_poisson_radial
 
     grid = make_1d_grid(3 * king.R_Q, 400)
     rho0 = king.M / (4 * np.pi * king.R_Q**3 / 3)
     rho = np.where(grid.nodes < king.R_Q, rho0, 0.0)
-    ball = solve_poisson_radial(grid, rho, method="cells")
+    ball = solve_poisson_radial(grid, CellMoments.of(grid, rho))
     lam, e = 0.5, 0.5 * king.e0
     analytic = path_derivative_a(king_pot, ball, lam, e)
 

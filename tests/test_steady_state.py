@@ -509,7 +509,6 @@ def test_model_scoped_arrays_are_read_only(king):
     jac = king.rearrangement.jac
     mesh = king.energy_mesh
     shared = [
-        king.potential().values,
         king.rearrangement.breaks,
         king.rearrangement._v,
         jac._e_tab,
