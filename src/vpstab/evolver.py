@@ -4,8 +4,9 @@ Characteristics (r, v_r) with the squared angular momentum l = |x ^ v|^2 as a
 per-particle invariant are pushed with a time-reversible splitting: gravity
 kicks -phi'(r) dt/2 around an exact free-flight drift (a straight 3D line in
 radial variables), so the centrifugal l/r^3 term carries no step-size
-restriction. In frozen mode the steady-state field (or a supplied external
-force) is used.
+restriction. In fixed-field mode a given potential (such as the steady
+state's) supplies the force, and the record books the summed one-particle
+energies, which that flow conserves.
 
 In self-consistent mode the field is rebuilt every step on a uniform radial
 mesh of spacing h (FIELD_N = 256 cells out to FIELD_FACTOR = 3 support
@@ -28,7 +29,7 @@ form and checks equality bit for bit): in-place chains, one dt/2 phi'(r)
 array for both kicks of a step, and masks built only when a bound is
 crossed.
 
-Every sum over the particles (the kinetic energy, the frozen-field
+Every sum over the particles (the kinetic energy, the fixed-field
 Hamiltonian, the orbital distance) is a numpy pairwise sum, never a BLAS dot
 product: OpenBLAS splits a dot of more than about 10 000 elements across its
 threads, which makes the last bits depend on the thread count and leaves a
@@ -279,34 +280,33 @@ def orbital_distance(ens, model):
     return main + max(0.0, q_total - covered)
 
 
-def evolve(
-    ens,
-    model,
-    dt,
-    t_end,
-    self_consistent=True,
-    cadence=None,
-    field_average=1,
-    external_dphi=None,
-):
-    """Kick-drift-kick integration up to t_end with diagnostics each cadence.
+def evolve(ens, model, dt, t_end, cadence=None, field_average=1, field=None):
+    """Kick-drift-kick integration up to t_end with diagnostics every cadence
+    steps (an integer of at least 1; None records about twice per dynamical
+    time).
 
-    self_consistent rebuilds the field every step from the binned density,
+    field=None rebuilds the field every step from the binned density,
     averaged over the last field_average steps (a standard particle-mesh
-    noise control; 1 disables it). Otherwise the steady-state field (or
-    external_dphi) is frozen. Particles reflect at the grid edge (logged) and
-    pass through the centre exactly (free flight). A sudden relative
-    Hamiltonian jump beyond ABORT_ENERGY_JUMP aborts the run.
+    noise control; 1 disables it). A potential instead (any object with
+    phi_fn and dphi_fn, such as model.potential()) is a fixed field: the
+    record books the one-particle energies K + sum w phi(r) and a potential
+    distance of 0, and field_average must be 1. Particles reflect at the grid
+    edge (logged) and pass through the centre exactly (free flight). A sudden
+    relative Hamiltonian jump beyond ABORT_ENERGY_JUMP aborts the run.
     """
     if not field_average >= 1:
         raise InvalidArgumentError(f"field_average must be at least 1, got {field_average}")
+    if field is not None and field_average != 1:
+        raise InvalidArgumentError(f"field_average averages the self-consistent field only, got {field_average} "
+                                   "with a fixed field")
+    if cadence is not None and not (isinstance(cadence, (int, np.integer)) and cadence >= 1):
+        raise InvalidArgumentError(f"cadence must be an integer of at least 1, got {cadence!r}")
     if dt > 0.1 * model.dynamical_time:
         warnings.warn("time step exceeds a tenth of the central dynamical time")
     cadence = cadence if cadence is not None else max(1, int(round(0.5 * model.dynamical_time / dt)))
     grid = make_1d_grid(FIELD_FACTOR * model.R_Q, FIELD_N)
     binner = _Binner(grid)
     ref_pot = model.potential()
-    frozen_dphi = model.dphi_fn if external_dphi is None else external_dphi
     diag = TrajectoryDiagnostics()
     rho_buf = deque()
     rho_sum = np.zeros(FIELD_N)
@@ -315,13 +315,13 @@ def evolve(
     arg_floor = 1e-28 * model.R_Q**2
 
     def field_state():
-        """Cell moments of the field at the current positions (None when
-        frozen) and the half-step velocity change dt/2 phi'(r) there, which
-        the kicks subtract; the centrifugal term is integrated exactly in
-        the drift."""
+        """Cell moments of the field at the current positions (None for a
+        fixed field) and the half-step velocity change dt/2 phi'(r) there,
+        which the kicks subtract; the centrifugal term is integrated exactly
+        in the drift."""
         nonlocal rho_sum
-        if not self_consistent:
-            return None, half_dt * frozen_dphi(ens.r)
+        if field is not None:
+            return None, half_dt * field.dphi_fn(ens.r)
         s = ens.r * binner.inv_h
         rho = binner.density(ens, s)
         rho_buf.append(rho)
@@ -353,16 +353,13 @@ def evolve(
         ens.r = r1
 
     def record(t, cells):
-        if self_consistent:
+        if field is None:
             pot = solve_poisson_radial(grid, cells)
             ham = ens.kinetic() - field_energy(pot)
             pdist = float(np.sqrt(grad_distance2(pot, ref_pot, n=FIELD_N)))
-        elif external_dphi is not None:
-            ham = ens.kinetic()  # external force only: no potential available
-            pdist = 0.0
         else:
-            # frozen field: the flow conserves the summed one-particle energies
-            ham = ens.kinetic() + float((ens.weight * model.phi_fn(ens.r)).sum())
+            # fixed field: the flow conserves the summed one-particle energies
+            ham = ens.kinetic() + float((ens.weight * field.phi_fn(ens.r)).sum())
             pdist = 0.0
         diag.times.append(t)
         diag.hamiltonian.append(ham)
@@ -386,9 +383,7 @@ def evolve(
         ens.v_r -= kick
         if step % cadence == 0 or step == n_steps:
             record(step * dt, cells)
-            # external-force runs report kinetic energy only; no abort there
-            meaningful = self_consistent or external_dphi is None
-            if meaningful and abs(diag.hamiltonian[-1] - h0) > ABORT_ENERGY_JUMP * max(abs(h0), 1e-300):
+            if abs(diag.hamiltonian[-1] - h0) > ABORT_ENERGY_JUMP * max(abs(h0), 1e-300):
                 diag.aborted = True
                 warnings.warn("energy jump detected; aborting evolution")
                 break
@@ -464,8 +459,6 @@ def stability_sweep(
     dt_frac=0.01,
     n_dynamical_times=50,
     field_average=128,
-    n_r=400,
-    n_u=200,
     bump_seed=11,
 ):
     """Self-consistent runs over a family of perturbation sizes with common
@@ -489,9 +482,9 @@ def stability_sweep(
     t_end = n_dynamical_times * model.dynamical_time
 
     def run(eta):
-        f_eta, value_fn = calibrated_bump(model, eta, bump_seed, n_r=n_r, n_u=n_u)
+        f_eta, value_fn = calibrated_bump(model, eta, bump_seed)
         ens = sample_particles(f_eta, n_particles, seed=seed, value_fn=value_fn)
-        return evolve(ens, model, dt=dt, t_end=t_end, self_consistent=True, field_average=field_average)
+        return evolve(ens, model, dt=dt, t_end=t_end, field_average=field_average)
 
     results = dict(zip(etas, _forked_runs(run, etas)))
     nonzero = sorted(e for e in results if e > 0)

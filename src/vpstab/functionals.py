@@ -15,7 +15,6 @@ import numpy as np
 from .numerics import InvalidArgumentError, cosine_mesh, panel_rule
 from .poisson import (
     DegenerateInputError,
-    RadialField3D,
     field_energy,
     grad_distance2,
     potential_distance,
@@ -27,7 +26,6 @@ from .rearrangement import (
     generalized_rearrangement,
     schwarz_rearrangement,
 )
-from .spectral import modulation_shift
 from .steady_state import PhaseSpaceDensity
 
 
@@ -47,7 +45,6 @@ class ReducedReport:
     J0_value: float
     coupling: float
     J0_check: float
-    rearranged: PhaseSpaceDensity
 
 
 def hamiltonian(f: PhaseSpaceDensity) -> EnergyReport:
@@ -122,7 +119,6 @@ def reduced_functional(fstar, jac: JacobianMap, grid) -> ReducedReport:
         J0_value=j0_direct,
         coupling=coupling,
         J0_check=j0_check,
-        rearranged=fhat,
     )
 
 
@@ -133,8 +129,6 @@ class MonotonicityReport:
     pairing: float
     identity_residual: float
     hamiltonian_f: float
-    hamiltonian_fhat: float
-    J_fstar: float
     self_error: float
 
     @property
@@ -210,8 +204,6 @@ def monotonicity_gaps(f: PhaseSpaceDensity) -> MonotonicityReport:
         pairing=pairing,
         identity_residual=identity_residual,
         hamiltonian_f=h_f,
-        hamiltonian_fhat=h_hat,
-        J_fstar=j_refined,
         self_error=self_error,
     )
 
@@ -225,9 +217,10 @@ class LowerBoundReport:
     reliable: bool
 
 
-def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift=None) -> LowerBoundReport:
+def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift) -> LowerBoundReport:
     """Quantitative bound H(f) - H(Q) + ||phi_f||_inf ||f* - Q*||_L1
-    >= c0 || grad phi_f - grad phi_Q(.-z) ||^2 with z the modulation shift.
+    >= c0 || grad phi_f - grad phi_Q(.-z) ||^2 with z the caller's shift
+    (for instance spectral.modulation_shift of the field of f).
 
     Q* (`model.rearrangement`), phi_Q (`model.potential()`) and H(Q) on the
     grid of f (`model.reference_hamiltonian`) depend only on the model and
@@ -244,8 +237,6 @@ def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift=None) -> LowerB
     # not polluted by the builder-vs-grid discretization offset
     lhs = rep_f.hamiltonian - model.reference_hamiltonian(f.grid) + sup_phi * l1_star
 
-    if shift is None:
-        shift, _res = modulation_shift(RadialField3D.of(pot_f), model)
     shift = np.asarray(shift, dtype=float)
     # a shift below 1e-9 R_Q is zero: the aligned radial quadrature applies
     z = shift if np.linalg.norm(shift) >= 1e-9 * model.R_Q else np.zeros(3)

@@ -40,11 +40,12 @@ def bump_field(r_scale, u_scale, seed):
     return chi
 
 
-def calibrated_bump(model, eta, seed, n_r=400, n_u=200):
-    """Steady state times (1 + eps chi), clipped at zero, on the n_r x n_u
-    phase grid of phase_space_density, with chi = bump_field(R_Q, u_escape(0),
-    seed) and eps chosen so that eps ||chi Q||_L1 / ||Q||_L1 = eta: the
-    relative L1 size is eta unless the clip acts, and eps = 0 for eta <= 0.
+def calibrated_bump(model, eta, seed):
+    """Steady state times (1 + eps chi), clipped at zero, on the default
+    400 x 200 grid of phase_space_density (criterion 8's pinned phase grid),
+    with chi = bump_field(R_Q, u_escape(0), seed) and eps chosen so that
+    eps ||chi Q||_L1 / ||Q||_L1 = eta: the relative L1 size is eta unless the
+    clip acts, and eps = 0 for eta <= 0.
 
     Returns the density and value_fn(r, u), the same density at any phase
     point (the exact carried value for sample_particles)."""
@@ -52,7 +53,7 @@ def calibrated_bump(model, eta, seed, n_r=400, n_u=200):
 
     if not np.isfinite(eta):
         raise InvalidArgumentError(f"eta must be finite, got {eta}")
-    f0 = phase_space_density(model, n_r=n_r, n_u=n_u)
+    f0 = phase_space_density(model)
     chi = bump_field(model.R_Q, float(model.u_escape(np.array([0.0]))[0]), seed)
     vals = chi(f0.grid.radial.nodes[:, None], f0.grid.speeds.nodes[None, :])
     unit = float(np.sum(f0.measure * np.abs(vals) * f0.values) / f0.mass())

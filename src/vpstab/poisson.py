@@ -329,10 +329,6 @@ class RadialField3D:
         return RadialField3D(pot=pot, center=np.asarray(center, dtype=float))
 
     @property
-    def mass(self):
-        return self.pot.M
-
-    @property
     def extent(self):
         return self.pot.r_max + float(np.linalg.norm(self.center))
 
@@ -343,27 +339,6 @@ class RadialField3D:
         d = pts - self.center
         r = np.clip(np.linalg.norm(d, axis=-1), 1e-300, None)
         return (self.pot.dphi_fn(r) / r)[..., None] * d
-
-
-@dataclass(frozen=True)
-class SumField3D:
-    """Superposition of recentred radial fields."""
-
-    parts: tuple
-
-    @property
-    def extent(self):
-        return max(p.extent for p in self.parts)
-
-    def barycenter(self):
-        m = np.array([p.mass for p in self.parts])
-        if m.sum() == 0:
-            return np.zeros(3)
-        c = np.stack([p.barycenter() for p in self.parts])
-        return (m[:, None] * c).sum(axis=0) / m.sum()
-
-    def grad_at(self, pts):
-        return sum(p.grad_at(pts) for p in self.parts)
 
 
 @lru_cache(maxsize=1)

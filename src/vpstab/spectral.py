@@ -194,8 +194,7 @@ def hessian_form(direction: Direction, model):
 class SpectralReport:
     k: int
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, in w = r h variables on `radii`
-    radii: np.ndarray
+    eigenvectors: np.ndarray  # columns, in w = r h variables on the sector grid's radii
     kernel_residual: float
 
 
@@ -449,7 +448,6 @@ def harmonic_operator_spectrum(model, k, n_eigs=6, n=800):
         k=k,
         eigenvalues=np.asarray(vals, dtype=float),
         eigenvectors=np.asarray(vecs, dtype=float),
-        radii=sm.r,
         kernel_residual=kernel_residual,
     )
 
@@ -596,7 +594,6 @@ class TaylorReport:
     first_slope: np.ndarray  # delta_J / eps
     remainder_over_eps2: np.ndarray  # (delta_J - eps^2/2 D2J) / eps^2
     hessian_analytic: float
-    hessian_fd: np.ndarray  # symmetric second differences per epsilon
     hessian_extrapolated: float
 
 
@@ -606,10 +603,15 @@ def taylor_remainder(model, direction: Direction, epsilons):
     delta_J(eps) = eps <grad phi, grad h> + eps^2/2 ||grad h||^2 + delta_J0
     with the phase-volume part integrated through the primitive of Q* on a
     common energy mesh for every eps, so the quadrature bias cancels in the
-    differences. Validates that phi + eps h stays admissible.
+    differences. Needs two or more epsilons, all distinct, finite and
+    positive (the Richardson step takes the two largest), and validates that phi + eps h
+    stays admissible.
     """
     pot = model.potential()
     eps_arr = np.asarray(list(epsilons), dtype=float)
+    distinct = eps_arr.size == np.unique(eps_arr).size >= 2
+    if not (distinct and np.all(np.isfinite(eps_arr)) and np.all(eps_arr > 0)):
+        raise InvalidArgumentError(f"need two or more distinct, finite, positive epsilons, got {eps_arr.tolist()}")
     for eps in (eps_arr.max(), -eps_arr.max()):
         bad = PotentialX.from_callable(
             model.grid,
@@ -658,7 +660,6 @@ def taylor_remainder(model, direction: Direction, epsilons):
         first_slope=slope,
         remainder_over_eps2=rem,
         hessian_analytic=d2j,
-        hessian_fd=hess_fd,
         hessian_extrapolated=hess_extrap,
     )
 
@@ -704,7 +705,7 @@ def hardy_check(model, direction: Direction):
 
 
 def modulation_shift(field, model, seed=None):
-    """Translation aligning a field (RadialField3D or SumField3D) with the
+    """Translation aligning a field (such as a RadialField3D) with the
     steady-state field: minimizes || grad phi - grad phi_Q(. - z) ||_L2
     (`grad_distance2_shifted`) by derivative-free descent started at `seed`,
     or at the density barycenter when no seed is given, and reports the three

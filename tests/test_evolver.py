@@ -2,6 +2,7 @@ import contextlib
 import multiprocessing
 import signal
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,7 +66,10 @@ def test_kepler_orbit_frozen_field(king):
         f0=np.array([1.0]),
         volume=np.array([1.0]),
     )
-    dphi = lambda r: M / (4 * np.pi * np.asarray(r, dtype=float) ** 2)
+    point_mass = SimpleNamespace(
+        phi_fn=lambda r: -M / (4 * np.pi * np.asarray(r, dtype=float)),
+        dphi_fn=lambda r: M / (4 * np.pi * np.asarray(r, dtype=float) ** 2),
+    )
     energy0 = 0.5 * 0.81 - 1.0
     period = 2 * np.pi * (-1.0 / (2 * energy0)) ** 1.5
 
@@ -74,9 +78,8 @@ def test_kepler_orbit_frozen_field(king):
         king,  # only used for scales/cadence here
         dt=1e-4,
         t_end=period,
-        self_consistent=False,
-        external_dphi=dphi,
         cadence=1000,
+        field=point_mass,
     )
     e_final = 0.5 * (ens.v_r[0] ** 2 + ens.ell[0] / ens.r[0] ** 2) - 1.0 / ens.r[0]
     assert e_final == pytest.approx(energy0, abs=1e-8 * abs(energy0))
@@ -88,9 +91,9 @@ def test_time_reversibility_frozen(king, king_f):
     ens = sample_particles(king_f, 2_000, seed=9, value_fn=_q_fn(king))
     r0, v0 = ens.r.copy(), ens.v_r.copy()
     dt = 0.005 * king.dynamical_time
-    evolve(ens, king, dt=dt, t_end=200 * dt, self_consistent=False)
+    evolve(ens, king, dt=dt, t_end=200 * dt, field=king.potential())
     ens.v_r *= -1.0
-    evolve(ens, king, dt=dt, t_end=200 * dt, self_consistent=False)
+    evolve(ens, king, dt=dt, t_end=200 * dt, field=king.potential())
     ens.v_r *= -1.0
     scale = king.R_Q
     assert np.max(np.abs(ens.r - r0)) <= 1e-6 * scale
@@ -103,7 +106,7 @@ def test_dt_halving_reduces_energy_drift(king, king_f):
         ens = sample_particles(king_f, 5_000, seed=11, value_fn=_q_fn(king))
         diag = evolve(
             ens, king, dt=dt_frac * king.dynamical_time, t_end=2 * king.dynamical_time,
-            self_consistent=False, cadence=10,
+            cadence=10, field=king.potential(),
         )
         h = np.array(diag.hamiltonian)
         drifts.append(np.max(np.abs(h - h[0]) / abs(h[0])))
@@ -148,6 +151,22 @@ def test_evolve_rejects_an_empty_averaging_window(king, king_f, field_average):
         evolve(ens, king, dt=0.01 * king.dynamical_time, t_end=0.05 * king.dynamical_time,
                field_average=field_average)
     assert np.array_equal(ens.r, r0)  # raised before the first step
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"cadence": 0}, {"cadence": -1}, {"field_average": 3, "field": "model"}],
+    ids=["cadence-0", "cadence-negative", "fixed-field-averaged"],
+)
+def test_evolve_rejects_an_option_before_the_first_step(king, king_f, options):
+    # cadence 0 recorded t = 0, took a step and failed at step % cadence; a
+    # fixed field ignored field_average
+    options = {k: king.potential() if v == "model" else v for k, v in options.items()}
+    ens = sample_particles(king_f, 2_000, seed=4, value_fn=_q_fn(king))
+    r0, v0 = ens.r.copy(), ens.v_r.copy()
+    with pytest.raises(InvalidArgumentError, match="cadence" if "cadence" in options else "field_average"):
+        evolve(ens, king, dt=0.01 * king.dynamical_time, t_end=0.05 * king.dynamical_time, **options)
+    assert np.array_equal(ens.r, r0) and np.array_equal(ens.v_r, v0)
 
 
 def test_orbital_distance_zero_at_start(king, king_f):
@@ -320,7 +339,7 @@ class _ReferenceBinner:
         return out
 
 
-def _reference_evolve(ens, model, dt, t_end, cadence, self_consistent=True, field_average=1, external_dphi=None):
+def _reference_evolve(ens, model, dt, t_end, cadence, field_average=1, field=None):
     """evolve's kick-drift-kick loop and records in plain numpy: the kick adds
     dt/2 times the negated force, the drift uses np.clip floors."""
     from vpstab.evolver import FIELD_FACTOR, FIELD_N, TrajectoryDiagnostics
@@ -328,15 +347,14 @@ def _reference_evolve(ens, model, dt, t_end, cadence, self_consistent=True, fiel
 
     grid = make_1d_grid(FIELD_FACTOR * model.R_Q, FIELD_N)
     binner = _ReferenceBinner(grid)
-    frozen_dphi = model.dphi_fn if external_dphi is None else external_dphi
     diag = TrajectoryDiagnostics()
     window = []
     rho_sum = np.zeros(FIELD_N)  # a running sum, added to and dropped from as evolve does
 
     def field_state():
         nonlocal rho_sum
-        if not self_consistent:
-            return None, -frozen_dphi(ens.r)
+        if field is not None:
+            return None, -field.dphi_fn(ens.r)
         rho = binner.density(ens)
         window.append(rho)
         rho_sum = rho_sum + rho
@@ -354,14 +372,12 @@ def _reference_evolve(ens, model, dt, t_end, cadence, self_consistent=True, fiel
         ens.r = r1
 
     def record(t, cells):
-        if self_consistent:
+        if field is None:
             pot = solve_poisson_radial(grid, cells)
             ham = ens.kinetic() - field_energy(pot)
             pdist = float(np.sqrt(grad_distance2(pot, model.potential(), n=FIELD_N)))
-        elif external_dphi is not None:
-            ham, pdist = ens.kinetic(), 0.0
         else:
-            ham, pdist = ens.kinetic() + float((ens.weight * model.phi_fn(ens.r)).sum()), 0.0
+            ham, pdist = ens.kinetic() + float((ens.weight * field.phi_fn(ens.r)).sum()), 0.0
         diag.times.append(t)
         diag.hamiltonian.append(ham)
         diag.mass.append(ens.mass())
@@ -401,17 +417,22 @@ def _edge_ensemble(king, king_f, dt):
 @pytest.mark.parametrize(
     "mode",
     [
-        {"self_consistent": True, "field_average": 1},
-        {"self_consistent": True, "field_average": 3},
-        {"self_consistent": False},
-        {"self_consistent": False, "external_dphi": "model"},
+        {"field_average": 1},
+        {"field_average": 3},
+        {"field": "model"},
+        {"field": "external"},
     ],
     ids=["field_average_1", "field_average_3", "frozen", "external_dphi"],
 )
 def test_evolve_bit_identical_to_plain_reference(king, king_f, mode):
+    # field=king.potential() evaluates king.phi_fn and king.dphi_fn, the
+    # frozen field of the two-flag form; "external" is any object with both
+    assert king.potential().phi_fn == king.phi_fn and king.potential().dphi_fn == king.dphi_fn
     mode = dict(mode)
-    if mode.get("external_dphi") == "model":
-        mode["external_dphi"] = lambda r: king.dphi_fn(r)
+    if mode.get("field") == "model":
+        mode["field"] = king.potential()
+    elif mode.get("field") == "external":
+        mode["field"] = SimpleNamespace(phi_fn=lambda r: king.phi_fn(r), dphi_fn=lambda r: king.dphi_fn(r))
     dt = 0.01 * king.dynamical_time
     ens, ref = _edge_ensemble(king, king_f, dt), _edge_ensemble(king, king_f, dt)
     diag = evolve(ens, king, dt=dt, t_end=20 * dt, cadence=5, **mode)
@@ -423,8 +444,8 @@ def test_evolve_bit_identical_to_plain_reference(king, king_f, mode):
     assert len(ref_diag.times) == 5
 
 
-@pytest.mark.parametrize("self_consistent", [True, False], ids=["self_consistent", "frozen"])
-def test_evolve_rows_do_not_depend_on_the_blas_thread_count(king, king_f, self_consistent, serial_blas):
+@pytest.mark.parametrize("fixed", [False, True], ids=["self_consistent", "frozen"])
+def test_evolve_rows_do_not_depend_on_the_blas_thread_count(king, king_f, fixed, serial_blas):
     # the record's sums run over 20k particles, past the size where a BLAS
     # dot product is split across threads; the pairwise sums give the same
     # bits on any count
@@ -433,7 +454,7 @@ def test_evolve_rows_do_not_depend_on_the_blas_thread_count(king, king_f, self_c
     def run(context):
         ens = sample_particles(king_f, 20_000, seed=3, value_fn=_q_fn(king))
         with context():
-            diag = evolve(ens, king, dt=dt, t_end=10 * dt, self_consistent=self_consistent, cadence=5)
+            diag = evolve(ens, king, dt=dt, t_end=10 * dt, cadence=5, field=king.potential() if fixed else None)
         return diag, ens
 
     (diag, ens), (ref_diag, ref) = run(contextlib.nullcontext), run(serial_blas)
@@ -450,11 +471,11 @@ def test_evolve_leaves_external_force_array_unchanged(king, king_f):
     cached = king.dphi_fn(ens.r)
     before = cached.copy()
     dt = 0.01 * king.dynamical_time
-    evolve(ens, king, dt=dt, t_end=5 * dt, self_consistent=False, external_dphi=lambda r: cached, cadence=5)
+    evolve(ens, king, dt=dt, t_end=5 * dt, cadence=5, field=SimpleNamespace(phi_fn=king.phi_fn, dphi_fn=lambda r: cached))
     assert np.array_equal(cached, before)
 
 
-SWEEP_SMALL = dict(n_particles=2_000, seed=21, n_dynamical_times=0.2, n_r=100, n_u=50)
+SWEEP_SMALL = dict(n_particles=2_000, seed=21, n_dynamical_times=0.2)
 
 
 def test_stability_sweep_bit_identical_to_serial_loop(king):
@@ -464,7 +485,7 @@ def test_stability_sweep_bit_identical_to_serial_loop(king):
     dt = 0.01 * king.dynamical_time
     serial = {}
     for eta in etas:
-        f_eta, value_fn = calibrated_bump(king, eta, 11, n_r=100, n_u=50)
+        f_eta, value_fn = calibrated_bump(king, eta, 11)
         ens = sample_particles(f_eta, 2_000, seed=21, value_fn=value_fn)
         serial[eta] = evolve(ens, king, dt=dt, t_end=0.2 * king.dynamical_time, field_average=128)
     assert list(sweep["diagnostics"]) == list(etas)

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from vpstab.numerics import InvalidArgumentError
-from vpstab.poisson import RadialField3D, SumField3D, solve_poisson_radial
+from vpstab.poisson import RadialField3D, solve_poisson_radial
 from vpstab.spectral import (
     coercivity_constant,
     compactness_ratio,
@@ -337,8 +337,21 @@ def test_taylor_remainder_bump(king):
 def test_taylor_rejects_inadmissible(king):
     # a perturbation large enough to push the potential positive is refused
     d = smooth_bump_direction(king, 0.5, 0.3, amplitude=20.0 * abs(king.phi_center))
-    with pytest.raises(InvalidArgumentError):
-        taylor_remainder(king, d, (0.5,))
+    with pytest.raises(InvalidArgumentError, match="admissible class"):
+        taylor_remainder(king, d, (0.5, 0.25))
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [(1e-2,), (1e-2, 1e-2), (1e-2, 0.0), (1e-2, np.nan)],
+    ids=["one", "repeated", "zero", "nan"],
+)
+def test_taylor_rejects_epsilons_without_a_richardson_pair(king, eps):
+    # one epsilon failed with a bare IndexError in the Richardson step, and a
+    # repeated or zero epsilon divided by zero there
+    d = smooth_bump_direction(king, 0.5, 0.25)
+    with pytest.raises(InvalidArgumentError, match="distinct, finite, positive epsilons"):
+        taylor_remainder(king, d, eps)
 
 
 def test_hardy_control(king, rng):
@@ -372,6 +385,18 @@ def test_modulation_off_axis_translate(king):
     assert np.max(np.abs(resid)) <= 1e-6
 
 
+class _SumField:
+    """Superposition of recentred radial fields, for a modulation_shift
+    given a seed."""
+
+    def __init__(self, *parts):
+        self.parts = parts
+        self.extent = max(p.extent for p in parts)
+
+    def grad_at(self, pts):
+        return sum(p.grad_at(pts) for p in self.parts)
+
+
 def test_modulation_translate_plus_bump(king):
     # a small centred radial bump added to a translate: recovered shift stays
     # within a constant times the bump amplitude
@@ -383,12 +408,7 @@ def test_modulation_translate_plus_bump(king):
     amps = (1e-3, 4e-3)
     for amp in amps:
         bump_pot = solve_poisson_radial(grid, amp * king.rho.max() * rho_bump)
-        field = SumField3D(
-            parts=(
-                RadialField3D.of(base, center=z0),
-                RadialField3D.of(bump_pot, center=(0.0, 0.0, 0.0)),
-            )
-        )
+        field = _SumField(RadialField3D.of(base, center=z0), RadialField3D.of(bump_pot))
         z, _ = modulation_shift(field, king, seed=z0)
         errs.append(np.linalg.norm(z - z0))
     assert errs[0] <= 0.05 * king.R_Q
