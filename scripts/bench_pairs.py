@@ -15,6 +15,14 @@ q3 and IQR over the seeds, the ratio of the medians, the median paired ratio
 (change over parent, per seed) and the number of seeds on which the change is
 better in the metric's direction; per workload also whether every pair had
 equal input digests and each side's highest fail ratio.
+
+Each metric also gets two verdicts:
+- `claim_rule_met`: the change wins at least nine tenths of the pairs (ties
+  count for neither side), and its median beats the parent's by more than
+  the parent's IQR, the rule for claiming a gain;
+- `within_bound`: the change's median is no worse than the parent's by more
+  than the metric's `bound` in BENCHMARK.json, as a fraction of the
+  parent's median.
 """
 
 import argparse
@@ -44,9 +52,10 @@ def spread(values):
     return {"q1": round(q1, 6), "median": round(median, 6), "q3": round(q3, 6), "iqr": round(q3 - q1, 6)}
 
 
-def summarize(runs, better):
+def summarize(runs, metrics):
     """The table of one workload from its runs: per seed, {side: (report,
-    result)}; `better` maps each end-to-end metric to "lower" or "higher"."""
+    result)}; `metrics` maps each end-to-end metric to its direction, "lower"
+    or "higher", and its bound."""
     n = len(runs)
     table = {
         "pairs": n,
@@ -54,15 +63,20 @@ def summarize(runs, better):
         "fail_ratio_max": {side: max(r[side][0]["fail_ratio"] for r in runs) for side in SIDES},
         "metrics": {},
     }
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         values = {side: np.array([r[side][1]["metrics"][name]["value"] for r in runs]) for side in SIDES}
         ratios = values["change"] / values["parent"]
-        wins = values["change"] < values["parent"] if direction == "lower" else values["change"] > values["parent"]
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sign * values["change"] < sign * values["parent"]
+        parent, change = np.median(values["parent"]), np.median(values["change"])
+        q1, q3 = np.percentile(values["parent"], [25, 75])
         table["metrics"][name] = {
             **{side: spread(values[side]) for side in SIDES},
-            "median_change_over_parent": round(float(np.median(values["change"]) / np.median(values["parent"])), 4),
+            "median_change_over_parent": round(float(change / parent), 4),
             "median_paired_ratio": round(float(np.median(ratios)), 4),
             f"change_wins_of_{n}": int(wins.sum()),
+            "claim_rule_met": bool(wins.sum() >= 0.9 * n and sign * (parent - change) > q3 - q1),
+            "within_bound": bool(sign * (change - parent) <= bound * parent),
         }
     return table
 
@@ -80,7 +94,7 @@ def main(argv=None):
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seconds = args.seconds or spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
 
     runs = {w: [] for w in workloads}
@@ -99,7 +113,7 @@ def main(argv=None):
                       "alternated per seed (parent first on even-indexed seeds), the workloads in the order "
                       f"{', '.join(workloads)} per seed; written by scripts/bench_pairs.py"),
         "held_out_seeds": args.seeds,
-        "workloads": {w: summarize(runs[w], better) for w in workloads},
+        "workloads": {w: summarize(runs[w], metrics) for w in workloads},
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

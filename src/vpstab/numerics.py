@@ -393,15 +393,18 @@ def solve_profile_ode(source, y0, h):
 
     Starts from a series expansion at r = 2h (removes the coordinate
     singularity), marches until y crosses zero, and refines the crossing on the
-    final interval with Hermite/Newton steps. source(y) must accept a float and
-    an array, and vanish for y <= 0.
+    final interval with Hermite/Newton steps. source(y) maps a float to a
+    float and vanishes for y <= 0; the solve calls it on floats only.
 
-    Each RK4 stage calls source on one float and builds no array. A model's
-    build makes about 24 000 such calls, which are nearly all of its time,
-    so each should cost only the source's arithmetic.
+    A model's build makes about 24 000 RK4 stages, nearly all of its time,
+    so each stage is float arithmetic and one source call, every expression
+    rounded as in the textbook form with the slope
+    rhs(r, y, v) = (v, -2 v / r - S(max(y, 0))). Each node's y'' is the k1
+    stage taken there; the second node and the last take one call more.
     """
-    s0 = float(source(y0))
-    ds = (float(source(y0 * (1 + 1e-7))) - float(source(y0 * (1 - 1e-7)))) / (2e-7 * y0)
+    y0 = float(y0)
+    s0 = source(y0)
+    ds = (source(y0 * (1 + 1e-7)) - source(y0 * (1 - 1e-7))) / (2e-7 * y0)
     if s0 <= 0:
         raise InvalidArgumentError("source must be positive at the centre")
 
@@ -411,24 +414,30 @@ def solve_profile_ode(source, y0, h):
             -s0 * r / 3.0 + s0 * ds * r**3 / 30.0,
         )
 
-    def rhs(r, y, v):
-        return v, -2.0 * v / r - float(source(max(y, 0.0)))
-
     r0 = 2.0 * h
     y, v = series(r0)
     y_h, v_h = series(h)
     rs = [0.0, h, r0]
     ys = [y0, y_h, y]
     vs = [0.0, v_h, v]
+    # y'' at the centre is the series limit -S(y0) / 3
+    ypps = [-s0 / 3.0, -2.0 * v_h / h - source(max(y_h, 0.0))]
     r = r0
+    half, sixth = h / 2, h / 6
     for _ in range(2_000_000):
-        k1y, k1v = rhs(r, y, v)
-        k2y, k2v = rhs(r + h / 2, y + h / 2 * k1y, v + h / 2 * k1v)
-        k3y, k3v = rhs(r + h / 2, y + h / 2 * k2y, v + h / 2 * k2v)
-        k4y, k4v = rhs(r + h, y + h * k3y, v + h * k3v)
-        y_new = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        v_new = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        # stage i's slope is (k_i y, k_i v), with k1y = v, k2y = v2, k3y = v3, k4y = v4
+        k1v = -2.0 * v / r - source(max(y, 0.0))
+        ypps.append(k1v)
+        r_mid = r + half
+        y2, v2 = y + half * v, v + half * k1v
+        k2v = -2.0 * v2 / r_mid - source(max(y2, 0.0))
+        y3, v3 = y + half * v2, v + half * k2v
+        k3v = -2.0 * v3 / r_mid - source(max(y3, 0.0))
         r += h
+        y4, v4 = y + h * v3, v + h * k3v
+        k4v = -2.0 * v4 / r - source(max(y4, 0.0))
+        y_new = y + sixth * (v + 2 * v2 + 2 * v3 + v4)
+        v_new = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
         rs.append(r)
         ys.append(y_new)
         vs.append(v_new)
@@ -437,6 +446,7 @@ def solve_profile_ode(source, y0, h):
         y, v = y_new, v_new
     else:
         raise InvalidArgumentError("profile did not reach its surface; extent too large")
+    ypps.append(-2.0 * v_new / r - source(max(y_new, 0.0)))
 
     rs = np.array(rs)
     ys = np.array(ys)
@@ -463,7 +473,4 @@ def solve_profile_ode(source, y0, h):
     r_zero = x
     _, yp_zero = val_der(x)
 
-    ypp = np.empty_like(rs)
-    ypp[1:] = -2.0 * vs[1:] / rs[1:] - source(np.maximum(ys[1:], 0.0))
-    ypp[0] = -s0 / 3.0  # series limit of y'' at the centre
-    return RadialOdeSolution(r=rs, y=ys, yp=vs, ypp=ypp, r_zero=float(r_zero), yp_zero=float(yp_zero))
+    return RadialOdeSolution(r=rs, y=ys, yp=vs, ypp=np.array(ypps), r_zero=float(r_zero), yp_zero=float(yp_zero))

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import special
+from scipy.special import cython_special
 
 from .numerics import (
     Grid1D,
@@ -119,20 +120,40 @@ class KingProfile:
     def fp_smooth(self, e):
         return self.amplitude * np.exp(self.e0 - np.asarray(e, dtype=float))
 
-    def rho_kernel(self, psi):
-        # int_0^W (e^s - 1)(W - s)^(1/2) ds = (4/15) W^(5/2) M(1, 7/2, W)
+    # The kernels c W^a M(1, b, W) of depth W >= 0, as (c, a, b):
+    # int_0^W (e^s - 1)(W - s)^(1/2) ds = (4/15) W^(5/2) M(1, 7/2, W)
+    _RHO = (4.0 / 15.0, 2.5, 3.5)
+    # int_0^W e^s (W - s)^(1/2) ds = (2/3) W^(3/2) M(1, 5/2, W)
+    _VQ = (2.0 / 3.0, 1.5, 2.5)
+    # int_0^W (e^s - 1)(W - s)^(3/2) ds = (4/35) W^(7/2) M(1, 9/2, W)
+    _KIN = (4.0 / 35.0, 3.5, 4.5)
+
+    def _kernel(self, psi, c, a, b):
         w = np.maximum(psi, 0.0)
-        return FOUR_PI_SQRT2 * self.amplitude * (4.0 / 15.0) * np.power(w, 2.5) * special.hyp1f1(1.0, 3.5, w)
+        return FOUR_PI_SQRT2 * self.amplitude * c * np.power(w, a) * special.hyp1f1(1.0, b, w)
+
+    def rho_kernel(self, psi):
+        return self._kernel(psi, *self._RHO)
 
     def vq_kernel(self, psi):
-        # int_0^W e^s (W - s)^(1/2) ds = (2/3) W^(3/2) M(1, 5/2, W)
-        w = np.maximum(psi, 0.0)
-        return FOUR_PI_SQRT2 * self.amplitude * (2.0 / 3.0) * np.power(w, 1.5) * special.hyp1f1(1.0, 2.5, w)
+        return self._kernel(psi, *self._VQ)
 
     def kin_kernel(self, psi):
-        # int_0^W (e^s - 1)(W - s)^(3/2) ds = (4/35) W^(7/2) M(1, 9/2, W)
-        w = np.maximum(psi, 0.0)
-        return FOUR_PI_SQRT2 * self.amplitude * (4.0 / 35.0) * np.power(w, 3.5) * special.hyp1f1(1.0, 4.5, w)
+        return self._kernel(psi, *self._KIN)
+
+    def _rho_source(self):
+        """rho_kernel on one float, returning a float: the source of the
+        profile solve. Same bits as the kernel: max(y, 0.0) gives NaN for NaN
+        as np.maximum does, the power stays np.power, and cython_special's
+        scalar hyp1f1, at a fifth of the ufunc's cost, gives the ufunc's bits."""
+        c, a, b = self._RHO
+        k = float(FOUR_PI_SQRT2 * self.amplitude * c)
+
+        def source(y):
+            w = max(y, 0.0)
+            return k * float(np.power(w, a)) * cython_special.hyp1f1(1.0, b, w)
+
+        return source
 
     def params(self):
         return {"e0": self.e0, "amplitude": self.amplitude}
@@ -423,13 +444,22 @@ def _profile_ode(source, y0):
     as in deep King models. Converged for depths up to KING_W0_MAX and
     POLYTROPE_Q_MAX, which the builders enforce.
 
-    The solve calls source on one float per RK4 stage and on arrays
-    elsewhere, so its power is np.power, whose bits do not depend on the kind
-    of its input: `**` on a float is libm's pow, which differs from np.power
-    in the last bit on about 5% of inputs."""
+    The solve calls source on floats only, and each source's power is
+    np.power, so that it keeps the bits of the array kernels: `**` on a float
+    is libm's pow, which differs from np.power in the last bit on about 5% of
+    inputs."""
     h = min(0.02, float(np.sqrt(6.0 * y0 / source(y0))) / 10.0)
     coarse = solve_profile_ode(source, y0, h)
     return solve_profile_ode(source, y0, coarse.r_zero / 6000)
+
+
+def _power_source(n):
+    """y -> max(y, 0)^n on one float, returning a float: the Lane-Emden
+    source of a polytrope's profile solve, n = q + 3/2. Same bits as the
+    array kernels' np.power(np.maximum(y, 0.0), n): max(y, 0.0) gives NaN for
+    NaN, and + 0.0 turns -0.0 into 0.0, whose odd power (n = 3 at q = 3/2)
+    would otherwise be -0.0."""
+    return lambda y: float(np.power(max(y, 0.0) + 0.0, n))
 
 
 def _check_positive(**params):
@@ -453,8 +483,7 @@ def _polytrope(q, psi0, grid_for):
             f"polytrope exponent q={q} above {POLYTROPE_Q_MAX}: the profile solve does not converge to 1e-5"
         )
     n_index = q + 1.5
-    source = lambda y: np.power(np.maximum(y, 0.0), n_index)
-    ode = _profile_ode(source, 1.0)
+    ode = _profile_ode(_power_source(n_index), 1.0)
     xi1, dtheta1 = ode.r_zero, ode.yp_zero
 
     c_q = FOUR_PI_SQRT2 * special.beta(q + 1.0, 1.5)
@@ -490,8 +519,7 @@ def _king(W0, grid_for):
             f"King depth W0={W0} below {KING_W0_MIN}: the coarse profile solve takes over 22000 steps;"
             " build the q = 1 polytrope of depth W0, which equals this model to about W0 / 5"
         )
-    source = KingProfile(e0=-1.0, amplitude=1.0).rho_kernel
-    ode = _profile_ode(source, W0)
+    ode = _profile_ode(KingProfile(e0=-1.0, amplitude=1.0)._rho_source(), W0)
     R_Q, dW1 = ode.r_zero, ode.yp_zero
     e0 = R_Q * dW1
     M = -4.0 * np.pi * R_Q**2 * dW1

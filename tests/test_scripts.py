@@ -56,3 +56,6 @@ def test_script_runs(script, args, outputs, tmp_path):
         assert table["pairs"] == 1 and table["input_digest_equal"] and table["fail_ratio_max"]["change"] == 0.0
         solve = table["metrics"]["solve_s"]
         assert solve["parent"]["iqr"] == 0.0 and solve["change_wins_of_1"] in (0, 1)
+        # one pair: the claim holds exactly when the change wins it
+        assert solve["claim_rule_met"] == (solve["change_wins_of_1"] == 1)
+        assert isinstance(solve["within_bound"], bool)

@@ -14,6 +14,7 @@ from vpstab.numerics import (
     jacobi_integral,
     make_1d_grid,
     power_eval,
+    solve_profile_ode,
 )
 from vpstab.poisson import field_energy
 from vpstab.spectral import coercivity_constant
@@ -25,6 +26,7 @@ from vpstab.steady_state import (
     KingProfile,
     PolytropeProfile,
     SteadyStateModel,
+    _power_source,
     build_king,
     build_polytrope,
     check_steady_state,
@@ -197,6 +199,54 @@ def test_kernels_match_the_plain_form_bit_for_bit():
                 assert _same_bits(kernel(psi), ref(psi))
                 for x in psi:
                     assert _same_bits(kernel(float(x)), ref(np.array([x]))[0]), (profile, x)
+
+
+def test_float_sources_match_the_plain_form_bit_for_bit():
+    # the sources of the profile solve, one float at a time, against the
+    # plain kernels on one-element arrays: King's rho kernel, and the
+    # Lane-Emden power at each polytrope kernel's exponent (q = 1/2 and 3/2
+    # give the odd powers 1 and 3, which keep the sign of -0.0). No King
+    # source gets +inf: scipy 1.17's hyp1f1(1, 3.5, inf) did not return within
+    # 12 s, and no depth the program reaches is infinite.
+    edges = [-0.0, -1e-300, -2.5, 0.0, 1e-300, 1e-8, 700.5, 710.0, 800.0]
+    psi = np.concatenate([edges, np.linspace(0.0, 20.0, 1001)])
+    pairs = [(KingProfile(e0=-1.0)._rho_source(), _plain_king_kernels()[0])]
+    pairs += [(_power_source(q + d), lambda x, n=q + d: np.clip(x, 0.0, None) ** n)
+              for q in (0.5, 1.0, 1.5, 3.45) for d in (0.5, 1.5, 2.5)]
+    with np.errstate(over="ignore"):  # the King kernel is inf at 800
+        for source, ref in pairs:
+            for x in psi:
+                got = source(float(x))
+                assert type(got) is float and _same_bits(got, ref(np.array([x]))[0]), x
+            assert np.isnan(source(float("nan")))
+
+
+def _float_only(source):
+    """source, raising on an argument that is not a float."""
+    def strict(y):
+        if type(y) is not float:
+            raise TypeError(f"source called on {type(y).__name__}")
+        return float(source(y))
+
+    return strict
+
+
+@pytest.mark.parametrize("source, y0", [(KingProfile(e0=-1.0).rho_kernel, 3.0),
+                                        (lambda y: np.power(np.maximum(y, 0.0), 2.5), 1.0)], ids=["king", "q-1"])
+def test_profile_solve_calls_its_source_on_floats_only(source, y0):
+    ref = solve_profile_ode(source, y0, 0.02)
+    ode = solve_profile_ode(_float_only(source), y0, 0.02)
+    for name in ("r", "y", "yp", "ypp", "r_zero", "yp_zero"):
+        assert _same_bits(getattr(ode, name), getattr(ref, name)), name
+
+
+def test_king_build_leaves_the_hyp1f1_ufunc_out_of_its_rk4_stages(monkeypatch):
+    # each RK4 stage calls cython_special's scalar hyp1f1; stages that called
+    # the ufunc made 24 191 calls of it per build
+    calls, ufunc = [], special.hyp1f1
+    monkeypatch.setattr(special, "hyp1f1", lambda *args: calls.append(1) or ufunc(*args))
+    king_model(3.0)
+    assert 0 < len(calls) < 10
 
 
 def test_polytrope_profile_validation():
