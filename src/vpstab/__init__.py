@@ -21,7 +21,6 @@ from .steady_state import (
     king_model,
     check_steady_state,
     phase_space_density,
-    default_phase_grid,
     PhaseSpaceDensity,
 )
 from .poisson import (

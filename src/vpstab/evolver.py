@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import InvalidArgumentError, make_1d_grid
+from .perturbations import calibrated_bump
 from .poisson import CellMoments, DegenerateInputError, field_energy, grad_distance2, solve_poisson_radial
 
 CHECKPOINT_MAGIC = b"VPSTABE1"
@@ -476,8 +477,6 @@ def stability_sweep(
     run raises its own exception here, after which the other children are
     terminated.
     """
-    from .perturbations import calibrated_bump
-
     dt = dt_frac * model.dynamical_time
     t_end = n_dynamical_times * model.dynamical_time
 

@@ -4,8 +4,9 @@ monotonicity / lower-bound diagnostics.
 The central chain is H(f) >= J_{f*}(phi_f) >= H(f-hat), where f-hat is the
 rearrangement of f with respect to its own field and
 J_{f*}(phi) = H(f^{*phi}) + 1/2 || grad phi - grad phi_{f^{*phi}} ||^2.
-All inequality tests use a tolerance tied to the measured self-consistency
-error of the run (see monotonicity_gaps), not an a-priori constant.
+monotonicity_gaps books its potential energies as node-shell Green pair
+energies (`poisson._shell_pair`); its inequality tests use a tolerance tied
+to the run's measured self-consistency error, not an a-priori constant.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ import numpy as np
 from .numerics import InvalidArgumentError, cosine_mesh, panel_rule
 from .poisson import (
     DegenerateInputError,
+    _shell_pair,
     field_energy,
     grad_distance2,
     potential_distance,
@@ -138,69 +140,43 @@ class MonotonicityReport:
         return 10.0 * max(self.self_error * max(abs(self.hamiltonian_f), 1.0), 1e-12)
 
 
-class _GreenForm:
-    """Symmetric discrete Green bilinear form on a radial grid.
-
-    I(rho1, rho2) = 1/2 int phi_1 rho_2 dx realized with the kernel
-    1/(4 pi max(r, s)), which is symmetric and positive definite; potential
-    energies booked through it satisfy the integration-by-parts identities at
-    machine precision, and coupling terms are nonnegative by construction.
-    """
-
-    def __init__(self, grid):
-        self.grid = grid
-        self.kernel = 1.0 / (4.0 * np.pi * np.maximum.outer(grid.nodes, grid.nodes))
-        self.cell_vol = 4.0 * np.pi * grid.sq_moments
-
-    def masses(self, rho):
-        return self.cell_vol * rho
-
-    def pair(self, rho1, rho2):
-        m1, m2 = self.masses(rho1), self.masses(rho2)
-        return -0.5 * float(m1 @ self.kernel @ m2)
-
-    def phi(self, rho):
-        return -(self.kernel @ self.masses(rho))
-
-
 def monotonicity_gaps(f: PhaseSpaceDensity) -> MonotonicityReport:
     """gap1 = H(f) - J_{f*}(phi_f) and gap2 = J_{f*}(phi_f) - H(f-hat).
 
-    Potential energies are booked through the symmetric discrete Green form,
-    so the decomposition H(f) = J_direct + pairing holds at machine precision
-    and the coupling (gap2) is nonnegative by construction. gap1 uses the
-    primitive-of-f* route for J, which carries no cell composition noise.
+    Potential energies are booked through one Green pair energy P of node
+    shells (`poisson._shell_pair`), so the decomposition
+    H(f) = J_direct + pairing holds at machine precision, the pairing's field
+    term being 2 P(f, f - f-hat), and the coupling (gap2) is a sum of squares,
+    nonnegative in floating point. gap1 uses the primitive-of-f* route for J,
+    which carries no cell composition noise.
     The spread between the two J routes is the run's quadrature self-error;
     sign assertions should use a tolerance proportional to it.
     """
     if f.mass() <= 0:
         raise DegenerateInputError("zero density")
     grid = f.grid.radial
-    green = _GreenForm(grid)
     rho_f = f.rho()
     pot_f = solve_poisson_radial(grid, rho_f)
-    h_f = f.kinetic() + green.pair(rho_f, rho_f)
-    mu = distribution_function(f)
-    fstar = schwarz_rearrangement(mu)
+    p_ff = _shell_pair(grid, rho_f, rho_f)
+    h_f = f.kinetic() + p_ff
+    fstar = schwarz_rearrangement(distribution_function(f))
     jac = JacobianMap(pot_f)
     fhat = generalized_rearrangement(fstar, jac, f.grid)
     rho_hat = fhat.rho()
-    h_hat = fhat.kinetic() + green.pair(rho_hat, rho_hat)
+    h_hat = fhat.kinetic() + _shell_pair(grid, rho_hat, rho_hat)
     delta = rho_f - rho_hat
-    coupling = -green.pair(delta, delta)
+    coupling = -_shell_pair(grid, delta, delta)
     j_direct = h_hat + coupling
-    j_refined = -green.pair(rho_f, rho_f) + _j0_energy_route(fstar, jac)
-    gap1 = h_f - j_refined
-    gap2 = coupling
+    j_refined = -p_ff + _j0_energy_route(fstar, jac)
     # pairing with the same discrete field keeps the identity exact
     e_kin = float(np.sum(f.measure * 0.5 * f.grid.speeds.nodes[None, :] ** 2 * (f.values - fhat.values)))
-    pairing = e_kin + float(np.dot(green.phi(rho_f), green.cell_vol * delta))
+    pairing = e_kin + 2.0 * _shell_pair(grid, rho_f, delta)
     identity_residual = abs((h_f - j_direct) - pairing)
     scale = max(abs(h_f), abs(h_hat), 1e-300)
     self_error = (abs(j_direct - j_refined) + identity_residual) / scale
     return MonotonicityReport(
-        gap1=gap1,
-        gap2=gap2,
+        gap1=h_f - j_refined,
+        gap2=coupling,
         pairing=pairing,
         identity_residual=identity_residual,
         hamiltonian_f=h_f,

@@ -8,15 +8,13 @@ that preserve the spatial density.
 
 import numpy as np
 
-from .numerics import Grid1D, InvalidArgumentError, PhaseSpaceGrid
-from .steady_state import PhaseSpaceDensity
+from .numerics import Grid1D, InvalidArgumentError, PhaseSpaceGrid, make_1d_grid, make_grids
+from .steady_state import PhaseSpaceDensity, phase_space_density
 
 
-def padded_phase_density(model, n_r=200, n_u=100):
-    """Steady-state density on a grid padded beyond the support (radius by
+def padded_phase_density(model, n_r, n_u):
+    """Steady state on an n_r x n_u grid padded beyond the support (radius by
     5%, speed by 15%), so that rearrangements of nearby densities still fit."""
-    from .steady_state import make_grids, phase_space_density
-
     u_max = float(model.u_escape(np.array([0.0]))[0])
     grid = make_grids(model.R_Q * 1.05, n_r, u_max * 1.15, n_u)
     return phase_space_density(model, grid=grid)
@@ -49,8 +47,6 @@ def calibrated_bump(model, eta, seed):
 
     Returns the density and value_fn(r, u), the same density at any phase
     point (the exact carried value for sample_particles)."""
-    from .steady_state import phase_space_density
-
     if not np.isfinite(eta):
         raise InvalidArgumentError(f"eta must be finite, got {eta}")
     f0 = phase_space_density(model)
@@ -84,8 +80,6 @@ def equal_measure_speed_grid(r_max, n_r, u_max, n_u) -> PhaseSpaceGrid:
     (u^3 spacing), so every cell in a fixed radial column carries the same
     phase-space measure and value permutations within a column are exactly
     measure preserving."""
-    from .steady_state import make_1d_grid
-
     e = u_max * (np.arange(n_u + 1) / n_u) ** (1.0 / 3.0)
     a, b = e[:-1], e[1:]
     nodes = np.sqrt((b**3 - a**3) / (3.0 * (b - a)))
@@ -101,8 +95,6 @@ def equimeasurable_scramble(model, n_r, n_u, size, seed) -> PhaseSpaceDensity:
     (and the same spatial density) as the sampled steady state, so its
     symmetric rearrangement is unchanged while the energy ordering is broken.
     """
-    from .steady_state import phase_space_density
-
     rng = np.random.default_rng(seed)
     u_max = float(model.u_escape(np.array([0.0]))[0])
     grid = equal_measure_speed_grid(model.R_Q * 1.02, n_r, u_max * 1.05, n_u)
@@ -135,10 +127,12 @@ def velocity_squeeze(model, f0: PhaseSpaceDensity, gamma) -> PhaseSpaceDensity:
     return f0.with_values(values)
 
 
-def ensemble(model, n_cases, seed, n_r=200, n_u=100):
-    """Seeded mix of the three families, yielding (label, density) pairs."""
+def ensemble(model, n_cases, seed):
+    """Seeded mix of the three families, yielding (label, density) pairs:
+    bumps and squeezes of the padded 200 x 100 steady state (a fixed grid),
+    and scrambles on a 50 x 25 equal-measure grid."""
     rng = np.random.default_rng(seed)
-    base = padded_phase_density(model, n_r=n_r, n_u=n_u)
+    base = padded_phase_density(model, 200, 100)
     for k in range(n_cases):
         fam = k % 3
         if fam == 0:
@@ -148,7 +142,7 @@ def ensemble(model, n_cases, seed, n_r=200, n_u=100):
             size = rng.uniform(0.02, 0.3)
             yield (
                 f"scramble(size={size:.3f})",
-                equimeasurable_scramble(model, max(n_r // 4, 24), max(n_u // 4, 24), size, rng.integers(2**31)),
+                equimeasurable_scramble(model, 50, 25, size, rng.integers(2**31)),
             )
         else:
             gamma = rng.uniform(0.9, 1.1)

@@ -7,14 +7,17 @@ handled at evaluation time through |x - z|, and the gradient distance between
 recentred fields has one quadrature, a cached spherical product rule over all
 of R^3 (`grad_distance2_shifted`).
 
-The radial Green solve needs the running moments int_0^r rho s^2 ds and
-int_0^r rho s ds, and the data picks how they are read. Node samples of rho
-get the moments of their PCHIP (Fritsch & Carlson 1980), with its slopes and
-the per-piece coefficients of both moments computed here in closed form and
-the running sums kept in the constant terms of one two-column PPoly; a
-CellMoments, a density constant per cell such as the evolver's shell mesh,
-gets its exact edge-cumulative moments. Either way a set of radii costs one
-interval search for both moments.
+A radial density is discretised three ways here. The radial Green solve
+needs the running moments int_0^r rho s^2 ds and int_0^r rho s ds, and the
+data picks how they are read. Node samples of rho get the moments of their
+PCHIP (Fritsch & Carlson 1980), with its slopes and the per-piece
+coefficients of both moments computed here in closed form and the running
+sums kept in the constant terms of one two-column PPoly; a CellMoments, a
+density constant per cell such as the evolver's shell mesh, gets its exact
+edge-cumulative moments. Either way a set of radii costs one interval search
+for both moments. The third, `_shell_pair`, reads node samples as thin
+shells at the nodes and books their Green pair energy from enclosed masses
+in O(n), with no potential (criterion 2's monotonicity gaps).
 """
 
 from dataclasses import dataclass
@@ -281,6 +284,20 @@ def solve_poisson_radial(grid, rho):
         return branchwise(r, r < grid.x_max, dphi_inner, dphi_outer)
 
     return PotentialX(grid, M, float(-tot1), phi_fn, dphi_fn)
+
+
+def _shell_pair(grid, rho1, rho2):
+    """Green pair energy -1/2 m1^T K m2, K = 1/(4 pi max(r, s)), of node
+    samples read as shells of mass m = 4 pi sq_moments rho at the nodes. By
+    Abel summation over the enclosed masses M it is -1/(8 pi) sum_k
+    (1/r_k - 1/r_{k+1}) M1_k M2_k (1/r_{n+1} = 0), in O(n): the shells' field
+    energy between adjacent nodes, with weights nonnegative in floating point,
+    so a self-pair is minus a sum of squares."""
+    inv_r = 1.0 / grid.nodes
+    w = inv_r - np.append(inv_r[1:], 0.0)
+    vol = FOUR_PI * grid.sq_moments
+    M1, M2 = np.cumsum(vol * rho1), np.cumsum(vol * rho2)
+    return -float((w * M1 * M2).sum()) / (2.0 * FOUR_PI)
 
 
 def field_energy(pot):

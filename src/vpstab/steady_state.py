@@ -616,18 +616,16 @@ class PhaseSpaceDensity:
         return float(np.sum(self.measure * np.abs(self.values - other.values)))
 
 
-def default_phase_grid(model, n_r=400, n_u=200):
-    """Grid exactly covering the phase-space support of the model."""
-    u_max = float(model.u_escape(np.array([0.0]))[0])
-    return make_grids(model.R_Q, n_r, u_max, n_u)
-
-
-def phase_space_density(model, grid=None, n_r=400, n_u=200):
-    """Sample Q = F(u^2/2 + phi_Q(r)) on the phase grid."""
-    if grid is None:
-        grid = default_phase_grid(model, n_r=n_r, n_u=n_u)
-    truncated = False
+def phase_space_density(model, grid=None, n_r=None, n_u=None):
+    """Sample Q = F(u^2/2 + phi_Q(r)) on the phase grid: the given grid, or
+    else the n_r x n_u grid (400 x 200 by default) exactly covering the
+    model's support. A grid comes without sizes."""
     u_needed = float(model.u_escape(np.array([0.0]))[0])
+    if grid is None:
+        grid = make_grids(model.R_Q, 400 if n_r is None else n_r, u_needed, 200 if n_u is None else n_u)
+    elif n_r is not None or n_u is not None:
+        raise InvalidArgumentError("pass a phase grid or its sizes, not both")
+    truncated = False
     if grid.radial.x_max < model.R_Q * (1 - 1e-12) or grid.speeds.x_max < u_needed * (1 - 1e-12):
         warnings.warn("phase grid does not cover the model support; density truncated")
         truncated = True

@@ -102,22 +102,22 @@ def test_transport_pairing_identities(king, king_phase, rng):
     rep = hamiltonian(king_phase)
     assert transport_pairing(king_phase, king_phase, rep.pot) == 0.0
     # full reconstitution identity for random pairs, with energies booked
-    # through the same symmetric Green form used by monotonicity_gaps
-    from vpstab.functionals import _GreenForm
+    # through the same node-shell Green pair energy used by monotonicity_gaps
+    from vpstab.poisson import _shell_pair
 
     base = padded_phase_density(king, n_r=120, n_u=60)
-    green = _GreenForm(base.grid.radial)
+    grid = base.grid.radial
     for _ in range(5):
         f = bump_perturbation(base, rng.uniform(0.05, 0.3), rng.integers(2**31))
         g = bump_perturbation(base, rng.uniform(0.05, 0.3), rng.integers(2**31))
         rho_f, rho_g = f.rho(), g.rho()
-        h_f = f.kinetic() + green.pair(rho_f, rho_f)
-        h_g = g.kinetic() + green.pair(rho_g, rho_g)
-        coupling = -green.pair(rho_f - rho_g, rho_f - rho_g)
+        h_f = f.kinetic() + _shell_pair(grid, rho_f, rho_f)
+        h_g = g.kinetic() + _shell_pair(grid, rho_g, rho_g)
+        coupling = -_shell_pair(grid, rho_f - rho_g, rho_f - rho_g)
         kin = float(
             np.sum(f.measure * 0.5 * f.grid.speeds.nodes[None, :] ** 2 * (f.values - g.values))
         )
-        pairing = kin + float(np.dot(green.phi(rho_f), green.cell_vol * (rho_f - rho_g)))
+        pairing = kin + 2.0 * _shell_pair(grid, rho_f, rho_f - rho_g)
         assert h_f == pytest.approx(h_g + coupling + pairing, abs=1e-10 * abs(h_f))
 
 

@@ -477,3 +477,46 @@ def test_shifted_distance_does_not_depend_on_the_blas_thread_count(king, serial_
     with serial_blas():
         serial = [grad_distance2_shifted(a, b) for a, b in pairs]
     assert np.array(default).tobytes() == np.array(serial).tobytes()
+
+
+def _dense_pair(grid, rho1, rho2):
+    """The node-shell Green pair energy through the dense kernel
+    1/(4 pi max(r, s)) on node masses: the O(n^2) oracle."""
+    kernel = 1.0 / (4.0 * np.pi * np.maximum.outer(grid.nodes, grid.nodes))
+    m1, m2 = 4.0 * np.pi * grid.sq_moments * rho1, 4.0 * np.pi * grid.sq_moments * rho2
+    return -0.5 * float(m1 @ kernel @ m2)
+
+
+def test_shell_pair_matches_the_dense_kernel(king, rng):
+    from vpstab.perturbations import ensemble
+    from vpstab.poisson import _shell_pair
+
+    pairs = []
+    # criterion 2's densities, against themselves and against a signed field
+    for _, f in ensemble(king, 45, seed=99):
+        grid, rho = f.grid.radial, f.rho()
+        pairs += [(grid, rho, rho), (grid, rho, rho * rng.uniform(-1.0, 1.0, grid.n))]
+    for n in (16, 100, 400):
+        grid = make_1d_grid(rng.uniform(0.5, 5.0), n)
+        pairs += [(grid, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)) for _ in range(10)]
+    assert len(pairs) == 120
+    for grid, rho1, rho2 in pairs:
+        got, want = _shell_pair(grid, rho1, rho2), _dense_pair(grid, rho1, rho2)
+        assert abs(got - want) <= 1e-13 * max(abs(got), abs(want))
+        assert _shell_pair(grid, rho2, rho1) == pytest.approx(got, rel=1e-13)
+
+
+def test_shell_self_pair_is_a_sum_of_squares(rng):
+    # -1/(8 pi) sum_k (1/r_k - 1/r_{k+1}) M_k^2 over the enclosed masses M;
+    # the coupling -P(delta, delta) is nonnegative exactly, not up to rounding
+    from vpstab.poisson import _shell_pair
+
+    grid = make_1d_grid(2.0, 200)
+    w = -np.diff(np.append(1.0 / grid.nodes, 0.0))
+    assert np.all(w >= 0.0)
+    for _ in range(1000):
+        delta = rng.normal(size=grid.n) * rng.uniform(1e-8, 1e2)
+        M = np.cumsum(4.0 * np.pi * grid.sq_moments * delta)
+        self_pair = _shell_pair(grid, delta, delta)
+        assert self_pair == pytest.approx(-float((w * M * M).sum()) / (8.0 * np.pi), rel=1e-14)
+        assert -self_pair >= 0.0

@@ -478,6 +478,19 @@ def test_phase_space_density_truncation_warns(king):
     assert f.truncated
 
 
+def test_phase_space_density_takes_a_grid_or_its_sizes(king):
+    from vpstab.numerics import make_grids
+
+    grid = make_grids(king.R_Q, 32, float(king.u_escape(np.array([0.0]))[0]), 32)
+    for sizes in ({"n_r": 32}, {"n_u": 32}, {"n_r": 32, "n_u": 32}):
+        with pytest.raises(InvalidArgumentError, match="not both"):
+            phase_space_density(king, grid=grid, **sizes)
+    # a zero size reaches make_1d_grid's check instead of reading as "not given"
+    for sizes in ({"n_r": 0}, {"n_u": 0}):
+        with pytest.raises(InvalidArgumentError, match="at least 16 cells"):
+            phase_space_density(king, **sizes)
+
+
 def test_energy_monotonicity_inside_support(king):
     f = phase_space_density(king, n_r=100, n_u=50)
     phi = king.phi_fn(f.grid.radial.nodes)
