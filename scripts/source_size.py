@@ -5,14 +5,39 @@
 - the option count: keyword parameters with defaults (keyword-only ones
   included), plus one for each `**kwargs`, summed over the public functions,
   the public methods and every `__init__` of the package. A name is public
-  when it does not start with an underscore.
+  when it does not start with an underscore;
+- the import footprint: the peak resident set (`ru_maxrss`) of a fresh
+  Python process after `import vpstab` from SRC_DIR, and the public scipy
+  subpackages that import loads.
 
 Usage: python scripts/source_size.py [SRC_DIR]   (default: the repo's src/)
 """
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+# run in a fresh interpreter, with SRC_DIR first on the path
+_FOOTPRINT = """
+import json, resource, sys
+sys.path.insert(0, sys.argv[1])
+import vpstab
+print(json.dumps({
+    "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "scipy": sorted(name[6:] for name, mod in sys.modules.items()
+                    if name.startswith("scipy.") and name.count(".") == 1
+                    and not name[6:].startswith("_") and hasattr(mod, "__path__")),
+}))
+"""
+
+
+def import_footprint(src):
+    """(peak RSS in MB, scipy subpackages) of a fresh `import vpstab`."""
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(src)], capture_output=True, text=True, check=True)
+    figures = json.loads(out.stdout)
+    return figures["rss_mb"], figures["scipy"]
 
 
 def _options(fn):
@@ -55,6 +80,9 @@ def main(argv):
     print(f"exported names: {len(exported)}")
     print("  " + ", ".join(exported))
     print(f"options: {options}")
+    rss_mb, scipy_packages = import_footprint(src)
+    print(f"import vpstab peak rss MB: {rss_mb:.1f}")
+    print(f"import vpstab loads scipy: {', '.join(scipy_packages)}")
 
 
 if __name__ == "__main__":

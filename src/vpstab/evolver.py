@@ -62,7 +62,7 @@ from .numerics import InvalidArgumentError, make_1d_grid
 from .perturbations import calibrated_bump
 from .poisson import CellMoments, DegenerateInputError, field_energy, grad_distance2, solve_poisson_radial
 
-CHECKPOINT_MAGIC = b"VPSTABE1"
+CHECKPOINT_MAGIC = b"VPSTABE2"
 FIELD_N = 256
 FIELD_FACTOR = 3.0
 ABORT_ENERGY_JUMP = 0.2
@@ -102,25 +102,23 @@ class ParticleEnsemble:
 
     def save(self, path, time=0.0):
         header = struct.pack("<8sdq", CHECKPOINT_MAGIC, time, self.n)
-        body = np.stack([self.r, self.v_r, self.ell, self.weight, self.f0], axis=1)
+        body = np.stack([self.r, self.v_r, self.ell, self.weight, self.f0, self.volume], axis=1)
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(body.astype("<f8").tobytes())
 
     @staticmethod
     def load(path):
+        """The ensemble and time that `save` wrote. A file with another
+        magic, such as the five-column format VPSTABE1 that rebuilt each
+        volume as weight / f0, is rejected."""
         with open(path, "rb") as fh:
             magic, time, n = struct.unpack("<8sdq", fh.read(24))
             if magic != CHECKPOINT_MAGIC:
                 raise InvalidArgumentError("not an ensemble checkpoint")
-            body = np.frombuffer(fh.read(n * 5 * 8), dtype="<f8").reshape(n, 5)
-        r, v_r, ell, weight, f0 = body.T
-        volume = np.where(f0 > 0, weight / np.where(f0 > 0, f0, 1.0), 0.0)
-        ens = ParticleEnsemble(
-            r=r.copy(), v_r=v_r.copy(), ell=ell.copy(), weight=weight.copy(),
-            f0=f0.copy(), volume=volume,
-        )
-        return ens, time
+            body = np.frombuffer(fh.read(n * 6 * 8), dtype="<f8").reshape(n, 6)
+        r, v_r, ell, weight, f0, volume = (col.copy() for col in body.T)
+        return ParticleEnsemble(r=r, v_r=v_r, ell=ell, weight=weight, f0=f0, volume=volume), time
 
 
 def sample_particles(f, n_particles, seed, value_fn):
@@ -148,31 +146,49 @@ def sample_particles(f, n_particles, seed, value_fn):
         cdf = np.cumsum(frac) / frac.sum()
         extra = np.searchsorted(cdf, pos)
         np.add.at(base, extra, 1)
-    counts = base
-    idx = np.repeat(np.arange(mass_c.size), counts)
-    i_r, j_u = np.unravel_index(idx, f.values.shape)
-
-    re3 = grid.radial.edges**3
-    ue3 = grid.speeds.edges**3
-    xi = rng.uniform(size=idx.size)
-    r = np.cbrt(re3[i_r] + xi * (re3[i_r + 1] - re3[i_r]))
-    xi = rng.uniform(size=idx.size)
-    u = np.cbrt(ue3[j_u] + xi * (ue3[j_u + 1] - ue3[j_u]))
-    cos_a = rng.uniform(-1.0, 1.0, size=idx.size)
-    v_r = u * cos_a
-    ell = r**2 * u**2 * (1.0 - cos_a**2)
-
+    idx = np.repeat(np.arange(mass_c.size), base)
     # importance weight mu_c / E[n_c], not mu_c / n_c: cells that happen to
     # draw no particle are compensated in expectation, keeping the total
     # mass estimator unbiased under refinement
-    volume = (f.measure.ravel()[idx]) / expect[idx]
-    f0 = value_fn(r, u)
+    volume = f.measure.ravel()[idx]
+    volume /= expect[idx]
+    i_r, j_u = np.unravel_index(idx, f.values.shape)
+    del idx, expect
+
+    # each array is computed in place once its inputs are read, in the order
+    # of operations of its formula (a product or sum in swapped operand
+    # order has the same bits); the index arrays go once read
+    def in_cell(e3, i):
+        """cbrt(e3[i] + xi * (e3[i + 1] - e3[i])) with xi drawn here: a
+        point of the r^2 (or u^2) measure within each cell i."""
+        x, lo = e3[i + 1], e3[i]
+        x -= lo
+        x *= rng.uniform(size=x.size)
+        x += lo
+        return np.cbrt(x, out=x)
+
+    r = in_cell(grid.radial.edges**3, i_r)
+    del i_r
+    u = in_cell(grid.speeds.edges**3, j_u)
+    del j_u
+    cos_a = rng.uniform(-1.0, 1.0, size=r.size)
+    v_r = u * cos_a
+    # ell = r**2 * u**2 * (1.0 - cos_a**2)
+    ell = r**2
+    ell *= u**2
+    np.square(cos_a, out=cos_a)
+    np.subtract(1.0, cos_a, out=cos_a)
+    ell *= cos_a
+    del cos_a
+
+    f0 = np.asarray(value_fn(r, u))
+    del u
     weight = volume * f0
     keep = weight > 0
-    return ParticleEnsemble(
-        r=r[keep], v_r=v_r[keep], ell=ell[keep], weight=weight[keep],
-        f0=np.asarray(f0)[keep], volume=volume[keep],
-    )
+    if not keep.all():
+        r, v_r, ell = r[keep], v_r[keep], ell[keep]
+        weight, f0, volume = weight[keep], f0[keep], volume[keep]
+    return ParticleEnsemble(r=r, v_r=v_r, ell=ell, weight=weight, f0=f0, volume=volume)
 
 
 class _Binner:

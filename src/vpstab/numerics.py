@@ -4,7 +4,9 @@
 program builds uniform ones), tensor phase-space grids, composite Gauss
 rules over panels, Gauss rules for endpoint-singular integrands, the turning
 radius of a potential, symmetric tridiagonal eigensolves, Hermite
-evaluation of ODE output, and a scope that runs BLAS on one thread.
+evaluation of ODE output, the monotone cubic interpolant (PCHIP) as a
+piecewise polynomial with scipy's bits, and a scope that runs BLAS on one
+thread.
 """
 
 import ctypes
@@ -365,6 +367,112 @@ def power_eval(x_nodes, coef, x, derivative=False):
         out += j * coef[j].take(idx)
     out /= h
     return out
+
+
+@dataclass(frozen=True)
+class PiecewisePoly:
+    """Piecewise polynomial on the breaks x: on [x_i, x_i+1] it is
+    sum_j c[j, i] (t - x_i)^(k-1-j), highest degree first, as in scipy's
+    PPoly, and its values have the bits of PPoly's. Outside the breaks the
+    end pieces are extrapolated."""
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, t):
+        return self.at(*self.locate(np.asarray(t, dtype=float)))
+
+    def locate(self, t):
+        """The piece i of each t, searchsorted(x, t, "right") - 1 clipped to
+        the table, and the offset s = t - x_i. Points sorted ascending, more
+        than there are breaks, are counted in one pass instead: the breaks
+        are searched among the points."""
+        x = self.x
+        if t.ndim == 1 and t.size > x.size and (t[1:] >= t[:-1]).all():
+            # the points from the first at or above x_j to the first at or
+            # above x_j+1 lie in piece j
+            bounds = np.empty(x.size + 2, dtype=np.intp)
+            bounds[0], bounds[1:-1], bounds[-1] = 0, t.searchsorted(x), t.size
+            i = np.repeat(np.arange(-1, x.size), np.diff(bounds))
+        else:
+            i = x.searchsorted(t, "right") - 1
+        i = np.minimum(np.maximum(i, 0), x.size - 2)
+        return i, t - x[i]
+
+    def at(self, i, s):
+        """Values at offsets s into pieces i, summed from the constant term
+        up, each power of s by repeated multiplication (scipy's
+        evaluate_poly1)."""
+        c = self.c.take(i, axis=1)
+        out = c[-1] + 0.0  # scipy's sum starts at 0.0, which turns -0.0 into +0.0
+        z = s
+        for j in range(c.shape[0] - 2, -1, -1):
+            out += c[j] * z
+            if j:
+                z = z * s
+        return out
+
+    def antiderivative(self):
+        """The antiderivative that is 0 at x_0, by scipy's recurrence: each
+        piece's constant is the previous piece's value at its right end,
+        summed term by term from the constant up. One sequential cumsum over
+        the terms of all pieces, in that order, gives the same bits."""
+        k = self.c.shape[0]
+        c = np.empty((k + 1, self.c.shape[1]))
+        c[:-1] = self.c / np.arange(k, 0, -1.0)[:, None]
+        h = np.diff(self.x)[:-1]
+        terms = np.zeros((h.size + 1, k))
+        z = h
+        for j in range(k):
+            terms[1:, j] = c[k - 1 - j, :-1] * z
+            z = z * h
+        c[-1] = np.cumsum(terms.ravel())[k - 1 :: k]
+        return PiecewisePoly(self.x, c)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """The end slope of a PCHIP from its first two intervals h0, h1 and
+    secants m0, m1 (counted from the end): the one-sided three-point
+    estimate, set to 0 when its sign differs from m0's, and to 3 m0 when m0
+    and m1 differ in sign and it exceeds 3 |m0| in size."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x, y):
+    """Node slopes of the monotone cubic interpolant through (x, y) (PCHIP,
+    Fritsch & Carlson 1980) by scipy's PchipInterpolator formulas: 0 where
+    the adjacent secants differ in sign or one is 0, else their weighted
+    harmonic mean, and `_pchip_end_slope` at both ends. Also the intervals
+    and the secants."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d, h, m
+
+
+def pchip(x, y):
+    """The PCHIP of (x, y) (at least 3 strictly increasing nodes) as a
+    PiecewisePoly whose coefficients are those of scipy's
+    PchipInterpolator, bit for bit: the Hermite cubic of each piece formed
+    as scipy's CubicHermiteSpline forms it."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dydx, h, m = _pchip_slopes(x, y)
+    c = dydx[:-1]
+    t = (c + dydx[1:] - 2 * m) / h
+    return PiecewisePoly(x, np.stack([t / h, (m - c) / h - t, c, y[:-1]]))
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ of R^3 (`grad_distance2_shifted`).
 A radial density is discretised three ways here. The radial Green solve
 needs the running moments int_0^r rho s^2 ds and int_0^r rho s ds, and the
 data picks how they are read. Node samples of rho get the moments of their
-PCHIP (Fritsch & Carlson 1980), with its slopes and the per-piece
+PCHIP (Fritsch & Carlson 1980, `numerics.pchip`), with the per-piece
 coefficients of both moments computed here in closed form and the running
-sums kept in the constant terms of one two-column PPoly; a CellMoments, a
-density constant per cell such as the evolver's shell mesh, gets its exact
-edge-cumulative moments. Either way a set of radii costs one interval search
-for both moments. The third, `_shell_pair`, reads node samples as thin
+sums kept in the constant terms of two PiecewisePoly on the same breaks; a
+CellMoments, a density constant per cell such as the evolver's shell mesh,
+gets its exact edge-cumulative moments. Either way a set of radii costs one
+interval search for both moments. The third, `_shell_pair`, reads node samples as thin
 shells at the nodes and books their Green pair energy from enclosed masses
 in O(n), with no potential (criterion 2's monotonicity gaps).
 """
@@ -24,9 +24,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PPoly
 
-from .numerics import Grid1D, InvalidArgumentError, _read_only, branchwise, gl_points, make_1d_grid, panel_rule
+from .numerics import (
+    Grid1D,
+    InvalidArgumentError,
+    PiecewisePoly,
+    _read_only,
+    branchwise,
+    gl_points,
+    make_1d_grid,
+    panel_rule,
+    pchip,
+)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -47,52 +56,18 @@ def _center_value(r, v):
     return ym - b * xm
 
 
-def _pchip_end_slope(h0, h1, m0, m1):
-    """The end slope of a PCHIP from its first two intervals h0, h1 and
-    secants m0, m1 (counted from the end): the one-sided three-point
-    estimate, set to 0 when its sign differs from m0's, and to 3 m0 when m0
-    and m1 differ in sign and it exceeds 3 |m0| in size."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_slopes(x, y):
-    """Node slopes of the monotone cubic interpolant through (x, y) (PCHIP,
-    Fritsch & Carlson 1980) by scipy's PchipInterpolator formulas: 0 where
-    the adjacent secants differ in sign or one is 0, else their weighted
-    harmonic mean, and `_pchip_end_slope` at both ends. Also the intervals
-    and the secants."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    d = np.empty_like(y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return d, h, m
-
-
 def _moment_spline(x, y):
     """The running moments int_0^r p s^2 ds and int_0^r p s ds of the PCHIP
-    p of (x, y) (x[0] = 0), as one PPoly with two trailing columns, [..., 0]
-    and [..., 1]; past x[-1] the last piece is extrapolated.
+    p of (x, y) (x[0] = 0), as two PiecewisePoly on the breaks x; past x[-1]
+    the last piece is extrapolated.
 
     On piece i, with t = s - x_i, p = a t^3 + b t^2 + c t + d, and the two
     integrands are polynomials in t with closed-form coefficients. The
-    constant terms carry the running sums of the pieces' integrals."""
-    dydx, h, m = _pchip_slopes(x, y)
-    # the Hermite cubic of each piece, as scipy's CubicHermiteSpline forms it
-    xi, d, c = x[:-1], y[:-1], dydx[:-1]
-    t = (c + dydx[1:] - 2 * m) / h
-    a = t / h
-    b = (m - c) / h - t
+    constant terms carry the running sums of the pieces' integrals. The
+    first moment is of degree 5: its t^6 row is 0 and is left out, which
+    drops a term + 0 from each value and so leaves its bits."""
+    a, b, c, d = pchip(x, y).c
+    xi, h = x[:-1], np.diff(x)
     x2 = xi * xi
     coef = np.empty((7, xi.size, 2))
     sq, lin = coef[..., 0], coef[..., 1]
@@ -117,7 +92,7 @@ def _moment_spline(x, y):
         total = (total + row) * hc
     coef[6, 0] = 0.0
     np.cumsum(total[:-1], axis=0, out=coef[6, 1:])
-    return PPoly.construct_fast(coef, x)
+    return PiecewisePoly(x, coef[..., 0]), PiecewisePoly(x, coef[1:, :, 1])
 
 
 @dataclass(frozen=True)
@@ -248,11 +223,11 @@ def solve_poisson_radial(grid, rho):
     else:
         rho = _checked_density(grid, rho)
         rho0 = _center_value(grid.nodes, rho)
-        spline = _moment_spline(np.concatenate([[0.0], grid.nodes]), np.concatenate([[rho0], rho]))
+        sq, lin = _moment_spline(np.concatenate([[0.0], grid.nodes]), np.concatenate([[rho0], rho]))
 
         def moments(r):
-            m = spline(np.clip(r, 0.0, grid.x_max))
-            return m[..., 0], m[..., 1]
+            i, s = sq.locate(np.clip(r, 0.0, grid.x_max))
+            return sq.at(i, s), lin.at(i, s)
 
         sq_max, tot1 = (float(v) for v in moments(grid.x_max))
         M = _checked_mass(FOUR_PI * sq_max)

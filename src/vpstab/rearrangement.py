@@ -15,15 +15,14 @@ import csv
 from dataclasses import dataclass
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 from .numerics import (
     InvalidArgumentError,
     OutOfRangeError,
     _read_only,
-    branchwise,
     cosine_mesh,
     exterior_power_tail,
+    pchip,
     turning_point_rule,
     turning_radius,
 )
@@ -217,7 +216,7 @@ class ModelRearrangement:
         self.breaks = t
         self._v = np.clip(vals, 0.0, None)
         _read_only(self.breaks, self._v)
-        self._interp = PchipInterpolator(t, self._v)
+        self._interp = pchip(t, self._v)
         self._G = self._interp.antiderivative()
         self._Gtot = float(self._G(model.L0))
 
@@ -235,12 +234,16 @@ class ModelRearrangement:
     def value(self, t):
         """Q*(t), the interpolant evaluated only below L0 and 0 from there."""
         t = np.asarray(t, dtype=float)
-        return branchwise(
-            t, t < self.L0, lambda x: np.clip(self._interp(np.clip(x, 0.0, self.L0)), 0.0, None), np.zeros_like
-        )
+        return self._value_with_rank(t, np.asarray(self.breaks.searchsorted(t, "right")))
 
     def _value_with_rank(self, t, rank):
-        return self.value(t)
+        """Q*(t) for points t with rank breaks at or below each: the piece
+        of the interpolant is rank - 1, with no search."""
+        inside = t < self.L0
+        piece = np.minimum(np.maximum(rank[inside] - 1, 0), self.breaks.size - 2)
+        out = np.zeros(t.shape)
+        out[inside] = np.clip(self._interp.at(piece, np.clip(t[inside], 0.0, None) - self.breaks[piece]), 0.0, None)
+        return out
 
     def primitive(self, s):
         s = np.asarray(s, dtype=float)
@@ -275,8 +278,8 @@ class JacobianMap:
         self._a_tab = a_vals[keep]
         self._ap_tab = ap_vals[keep]
         _read_only(self._e_tab, self._a_tab, self._ap_tab)
-        self._a_interp = PchipInterpolator(self._e_tab, self._a_tab)
-        self._ap_interp = PchipInterpolator(self._e_tab, self._ap_tab)
+        self._a_interp = pchip(self._e_tab, self._a_tab)
+        self._ap_interp = pchip(self._e_tab, self._ap_tab)
 
     # --- direct quadrature -------------------------------------------------
     def _sublevel_integral(self, e, *powers):

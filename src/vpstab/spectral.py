@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .numerics import (
@@ -715,6 +715,9 @@ def modulation_shift(field, model, seed=None):
 
     def objective(z):
         return grad_distance2_shifted(field, RadialField3D.of(ref, z))
+
+    # imported where it is called: no other path of the package loads it
+    from scipy import optimize
 
     z0 = np.asarray(seed, dtype=float) if seed is not None else field.barycenter()
     res = optimize.minimize(

@@ -56,13 +56,18 @@ def dirichlet_solves(monkeypatch):
 
 def _plain_value(profile, t):
     """A rearrangement profile's value by the plain form: a search per point
-    for a step profile, the interpolant at every point for Q*."""
+    for a step profile; for Q*, scipy's PchipInterpolator through its table
+    (breaks, _v) at every point, clipped to [0, L0] and to nonnegative
+    values, and 0 from L0 on."""
+    from scipy.interpolate import PchipInterpolator
+
     from vpstab.rearrangement import MonotoneRearrangement
 
     if isinstance(profile, MonotoneRearrangement):
         idx = np.searchsorted(profile.breaks, t, side="right")
         return np.concatenate([profile.step_values, [0.0]])[idx]
-    return np.where(t < profile.L0, np.clip(profile._interp(np.clip(t, 0.0, profile.L0)), 0.0, None), 0.0)
+    interp = PchipInterpolator(profile.breaks, profile._v)
+    return np.where(t < profile.L0, np.clip(interp(np.clip(t, 0.0, profile.L0)), 0.0, None), 0.0)
 
 
 def _plain_l1_distance(p, q):
@@ -151,6 +156,34 @@ def pchip_potential():
     """The spline potential that solve_poisson_radial must match to
     rounding: `_pchip_potential`."""
     return _pchip_potential
+
+
+@pytest.fixture(scope="session")
+def pchip_branch_densities():
+    """(grid, rho) by name: densities on a uniform 64-cell grid of [0, 1]
+    whose PCHIP takes each slope branch: a flat run (zero secants), secants
+    of both signs, and a right end whose three-point estimate is clamped to
+    0 (its sign differs from the end secant's) or to 3x the end secant (the
+    last two secants differ in sign and the estimate exceeds that)."""
+    from vpstab.numerics import make_1d_grid
+
+    grid = make_1d_grid(1.0, 64)
+    smooth = np.exp(-4.0 * grid.nodes**2)
+    clamp0, clamp3 = smooth.copy(), smooth.copy()
+    clamp0[-3:] = [0.0, 1.0, 1.01]
+    clamp3[-3:] = [1.0, 0.0, 0.1]
+    rhos = {
+        "flat run": np.minimum(smooth, 0.7),
+        "sign change": 1.2 + np.sin(9.0 * grid.nodes),
+        "end clamp to 0": clamp0,
+        "end clamp to 3 m0": clamp3,
+    }
+    # the end estimate (3 m0 - m1) / 2 on the uniform grid, before its clamp
+    m0, m1 = (np.diff(clamp0[-3:]) / grid.weights[-1])[::-1]
+    assert np.sign((3 * m0 - m1) / 2) != np.sign(m0)
+    m0, m1 = (np.diff(clamp3[-3:]) / grid.weights[-1])[::-1]
+    assert np.sign(m0) != np.sign(m1) and abs((3 * m0 - m1) / 2) > 3 * abs(m0)
+    return {name: (grid, rho) for name, rho in rhos.items()}
 
 
 @pytest.fixture()

@@ -1,6 +1,7 @@
 import contextlib
 import multiprocessing
 import signal
+import struct
 import time
 from types import SimpleNamespace
 
@@ -30,6 +31,68 @@ def _q_fn(model):
 @pytest.fixture(scope="module")
 def king_f(king):
     return phase_space_density(king, n_r=200, n_u=100)
+
+
+def _plain_sample(f, n_particles, seed, value_fn):
+    """sample_particles in its plain form: every expression written out
+    whole, and the kept particles copied out of all six arrays."""
+    rng = np.random.default_rng(seed)
+    grid = f.grid
+    mass_c = (f.measure * f.values).ravel()
+    total = mass_c.sum()
+    expect = n_particles * mass_c / total
+    base = np.floor(expect).astype(int)
+    frac = expect - base
+    short = n_particles - base.sum()
+    if short > 0:
+        pos = (rng.uniform() + np.arange(short)) / short
+        cdf = np.cumsum(frac) / frac.sum()
+        extra = np.searchsorted(cdf, pos)
+        np.add.at(base, extra, 1)
+    idx = np.repeat(np.arange(mass_c.size), base)
+    i_r, j_u = np.unravel_index(idx, f.values.shape)
+    re3 = grid.radial.edges**3
+    ue3 = grid.speeds.edges**3
+    xi = rng.uniform(size=idx.size)
+    r = np.cbrt(re3[i_r] + xi * (re3[i_r + 1] - re3[i_r]))
+    xi = rng.uniform(size=idx.size)
+    u = np.cbrt(ue3[j_u] + xi * (ue3[j_u + 1] - ue3[j_u]))
+    cos_a = rng.uniform(-1.0, 1.0, size=idx.size)
+    v_r = u * cos_a
+    ell = r**2 * u**2 * (1.0 - cos_a**2)
+    volume = (f.measure.ravel()[idx]) / expect[idx]
+    f0 = value_fn(r, u)
+    weight = volume * f0
+    keep = weight > 0
+    return ParticleEnsemble(
+        r=r[keep], v_r=v_r[keep], ell=ell[keep], weight=weight[keep],
+        f0=np.asarray(f0)[keep], volume=volume[keep],
+    )
+
+
+def _sampler_cases(king, king_f):
+    q_fn = _q_fn(king)
+    bump, bump_fn = calibrated_bump(king, 0.02, seed=11)
+    holes = king_f.values.copy()
+    holes[::3] = 0.0
+    return {
+        "Q": (king_f, q_fn),
+        "bump eta=0.02": (bump, bump_fn),
+        "zero cells": (king_f.with_values(holes), q_fn),
+        # a carried value of 0 drops the particle: the kept arrays are copies
+        "zero values": (king_f, lambda r, u: np.where(r < 0.5 * king.R_Q, q_fn(r, u), 0.0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["Q", "bump eta=0.02", "zero cells", "zero values"])
+def test_sampler_matches_its_plain_form(king, king_f, case):
+    f, value_fn = _sampler_cases(king, king_f)[case]
+    for seed in (1, 2):
+        ens, plain = sample_particles(f, 20_000, seed, value_fn), _plain_sample(f, 20_000, seed, value_fn)
+        for name in ("r", "v_r", "ell", "weight", "f0", "volume"):
+            assert getattr(ens, name).tobytes() == getattr(plain, name).tobytes(), (case, seed, name)
+    if case == "zero values":
+        assert 0 < ens.n < 20_000
 
 
 def test_sampler_mass_and_determinism(king, king_f):
@@ -214,8 +277,20 @@ def test_checkpoint_roundtrip(tmp_path, king, king_f):
     assert np.array_equal(loaded.ell, ens.ell)
     assert np.array_equal(loaded.weight, ens.weight)
     assert np.array_equal(loaded.f0, ens.f0)
-    # fixed-width little-endian layout: header + 5 doubles per particle
-    assert path.stat().st_size == 24 + ens.n * 5 * 8
+    # the sampled volume itself, which weight / f0 misses by an ulp on some
+    # particles
+    assert np.array_equal(loaded.volume, ens.volume)
+    # fixed-width little-endian layout: header + 6 doubles per particle
+    assert path.stat().st_size == 24 + ens.n * 6 * 8
+
+
+def test_checkpoint_rejects_the_five_column_format(tmp_path, king, king_f):
+    ens = sample_particles(king_f, 100, seed=6, value_fn=_q_fn(king))
+    path = tmp_path / "old.ckpt"
+    body = np.stack([ens.r, ens.v_r, ens.ell, ens.weight, ens.f0], axis=1)
+    path.write_bytes(struct.pack("<8sdq", b"VPSTABE1", 0.0, ens.n) + body.astype("<f8").tobytes())
+    with pytest.raises(InvalidArgumentError):
+        ParticleEnsemble.load(path)
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.01, 0.01, 0.02])

@@ -493,3 +493,99 @@ def test_cosine_mesh_keeps_each_callers_mesh_bit_for_bit(caller, king, monkeypat
     # the bits of each inline form it replaced
     meshes, inline = caller(king, monkeypatch)
     assert any(same_bits(mesh, inline) for mesh in meshes)
+
+
+def _pchip_tables(king, poly, pchip_branch_densities):
+    """(x, y) tables by name: Q*'s 2048-point table and the Jacobian's a and
+    a' tables for King W0 = 3 and q = 1, and the PCHIP slope branches."""
+    tables = {}
+    for label, model in (("king W0=3", king), ("polytrope q=1", poly)):
+        jac = model.rearrangement.jac
+        tables[f"Q* {label}"] = (model.rearrangement.breaks, model.rearrangement._v)
+        tables[f"a {label}"] = (jac._e_tab, jac._a_tab)
+        tables[f"a' {label}"] = (jac._e_tab, jac._ap_tab)
+    for name, (grid, rho) in pchip_branch_densities.items():
+        tables[name] = (grid.nodes, rho)
+    return tables
+
+
+@pytest.mark.parametrize("name", [
+    "Q* king W0=3", "a king W0=3", "a' king W0=3", "Q* polytrope q=1", "a polytrope q=1", "a' polytrope q=1",
+    "flat run", "sign change", "end clamp to 0", "end clamp to 3 m0",
+])
+def test_pchip_has_scipys_bits(name, king, poly, pchip_branch_densities, same_bits):
+    # scipy is the oracle: the coefficients of PchipInterpolator, its values
+    # and those of its PPoly antiderivative, byte for byte
+    from scipy.interpolate import PchipInterpolator
+
+    from vpstab.numerics import pchip
+
+    x, y = _pchip_tables(king, poly, pchip_branch_densities)[name]
+    ours, scipys = pchip(x, y), PchipInterpolator(x, y)
+    ours_g, scipys_g = ours.antiderivative(), scipys.antiderivative()
+    assert same_bits(ours.c, scipys.c)
+    assert same_bits(ours_g.c, scipys_g.c)
+    lo, hi, span = x[0], x[-1], x[-1] - x[0]
+    mids = 0.5 * (x[:-1] + x[1:])
+    points = {
+        "breaks": x,
+        "midpoints": mids,
+        "ends": np.array([lo, hi, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)]),
+        "outside": np.array([lo - span, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), hi + span]),
+        "nan": np.array([np.nan, mids[0], np.nan]),
+        # sorted and longer than the table: the counted interval search
+        "dense line": np.linspace(lo - 0.1 * span, hi + 0.1 * span, 3 * x.size + 1),
+        "unsorted 2-d": np.random.default_rng(7).uniform(lo - 0.1 * span, hi + 0.1 * span, (40, 50)),
+        "0-d": np.array(mids[1]),
+    }
+    for kind, t in points.items():
+        assert same_bits(ours(t), scipys(t)), kind
+        assert same_bits(ours_g(t), scipys_g(t)), kind
+
+
+def test_a_run_loads_neither_scipy_interpolate_nor_optimize():
+    # in a fresh process: the import, a lower-bound check, a coercivity
+    # constant and a 5-step evolution load scipy.interpolate and
+    # scipy.optimize at no point (modulation_shift imports optimize when it
+    # is called)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import vpstab
+
+    script = """
+import sys
+import numpy as np
+import vpstab
+from vpstab.evolver import evolve, sample_particles
+from vpstab.functionals import stability_lower_bound
+from vpstab.perturbations import bump_perturbation, padded_phase_density
+from vpstab.spectral import coercivity_constant
+from vpstab.steady_state import king_model, phase_space_density
+
+def loaded():
+    return [name for name in ("scipy.interpolate", "scipy.optimize") if name in sys.modules]
+
+seen = {"import": loaded()}
+model = king_model(3.0, n_r=400)
+c0 = coercivity_constant(model)
+seen["coercivity_constant"] = loaded()
+f = bump_perturbation(padded_phase_density(model, n_r=150, n_u=80), 0.01, seed=1)
+stability_lower_bound(f, model, c0, shift=np.zeros(3))
+seen["stability_lower_bound"] = loaded()
+q_fn = lambda r, u: model.profile.evaluate(0.5 * u**2 + model.phi_fn(r))
+ens = sample_particles(phase_space_density(model, n_r=100, n_u=50), 2000, seed=1, value_fn=q_fn)
+dt = 0.01 * model.dynamical_time
+evolve(ens, model, dt=dt, t_end=5 * dt)
+seen["evolve"] = loaded()
+print(seen)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(vpstab.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(
+        {"import": [], "coercivity_constant": [], "stability_lower_bound": [], "evolve": []}
+    )

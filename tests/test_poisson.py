@@ -326,36 +326,11 @@ def test_solved_potential_matches_the_where_form_bit_for_bit(king, method, monke
         assert same_bits(fast[kind][1], pot.dphi_fn(r)), kind
 
 
-def _pchip_branch_densities():
-    """Densities on a uniform 64-cell grid of [0, 1] whose PCHIP takes each
-    slope branch: a flat run (zero secants), secants of both signs, and a
-    right end whose three-point estimate is clamped to 0 (its sign differs
-    from the end secant's) or to 3x the end secant (the last two secants
-    differ in sign and the estimate exceeds that)."""
-    grid = make_1d_grid(1.0, 64)
-    smooth = np.exp(-4.0 * grid.nodes**2)
-    clamp0, clamp3 = smooth.copy(), smooth.copy()
-    clamp0[-3:] = [0.0, 1.0, 1.01]
-    clamp3[-3:] = [1.0, 0.0, 0.1]
-    rhos = {
-        "flat run": np.minimum(smooth, 0.7),
-        "sign change": 1.2 + np.sin(9.0 * grid.nodes),
-        "end clamp to 0": clamp0,
-        "end clamp to 3 m0": clamp3,
-    }
-    # the end estimate (3 m0 - m1) / 2 on the uniform grid, before its clamp
-    m0, m1 = (np.diff(clamp0[-3:]) / grid.weights[-1])[::-1]
-    assert np.sign((3 * m0 - m1) / 2) != np.sign(m0)
-    m0, m1 = (np.diff(clamp3[-3:]) / grid.weights[-1])[::-1]
-    assert np.sign(m0) != np.sign(m1) and abs((3 * m0 - m1) / 2) > 3 * abs(m0)
-    return {name: [(grid, rho)] for name, rho in rhos.items()}
-
-
 @pytest.fixture(scope="module")
-def spline_densities(king, poly, ball_grid):
+def spline_densities(king, poly, ball_grid, pchip_branch_densities):
     """(grid, rho) lists by name: the King W0 = 3 and 6 and q = 1 polytrope
     profiles, the uniform ball, 20 bumps of King W0 = 3 on the lower bound's
-    padded 150 x 80 grid, and `_pchip_branch_densities`."""
+    padded 150 x 80 grid, and `pchip_branch_densities`."""
     from vpstab.perturbations import bump_perturbation, padded_phase_density
     from vpstab.steady_state import king_model
 
@@ -369,7 +344,7 @@ def spline_densities(king, poly, ball_grid):
         "polytrope q=1": [(poly.grid, poly.rho)],
         "uniform ball": [(ball_grid, np.where(ball_grid.nodes < 1.0, 2.0, 0.0))],
         "20 bumps": [(f.grid.radial, f.rho()) for f in bumps],
-        **_pchip_branch_densities(),
+        **{name: [pair] for name, pair in pchip_branch_densities.items()},
     }
 
 
@@ -387,6 +362,23 @@ def test_spline_solve_matches_scipys_pchip_construction(spline_densities, pchip_
         assert np.max(np.abs(pot.dphi_fn(r) - dphi)) <= 1e-14 * np.max(np.abs(dphi))
         assert abs(pot.M - M) <= 1e-14 * M
         assert abs(pot.min_phi - min_phi) <= 1e-14 * abs(min_phi)
+
+
+@pytest.mark.parametrize("name", ["king W0=3", "20 bumps", "flat run", "end clamp to 3 m0"])
+def test_moment_splines_have_the_bits_of_one_two_column_ppoly(spline_densities, name, same_bits):
+    # the two moments as separate polynomials, the first without its zero
+    # t^6 row, read as scipy's PPoly of both columns stacked reads them
+    from scipy.interpolate import PPoly
+
+    from vpstab.poisson import _center_value, _moment_spline
+
+    for grid, rho in spline_densities[name]:
+        x = np.concatenate([[0.0], grid.nodes])
+        sq, lin = _moment_spline(x, np.concatenate([[_center_value(grid.nodes, rho)], rho]))
+        both = PPoly.construct_fast(np.stack([sq.c, np.vstack([np.zeros((1, lin.c.shape[1])), lin.c])], axis=-1), x)
+        r = np.concatenate([np.linspace(0.0, grid.x_max, 4001), x, grid.edges])
+        i, s = sq.locate(r)
+        assert same_bits(np.stack([sq.at(i, s), lin.at(i, s)], axis=-1), both(r))
 
 
 def test_center_value_is_the_least_squares_fit():

@@ -48,6 +48,10 @@ def test_script_runs(script, args, outputs, tmp_path):
         assert int(figures["src lines"]) > 0
         # the option and name counts only fall; a change that raises one says why in CHANGES.md
         assert int(figures["options"]) <= 42 and int(figures["exported names"]) <= 46
+        # a fresh import loads neither scipy.interpolate nor scipy.optimize
+        assert float(figures["import vpstab peak rss MB"]) > 0
+        loaded = figures["import vpstab loads scipy"].split(", ")
+        assert "linalg" in loaded and "interpolate" not in loaded and "optimize" not in loaded
     if script == "run_spectral_report.py":
         rows = (tmp_path / outputs[0]).read_text().splitlines()
         assert rows[0] == "k,index,eigenvalue,dirichlet_normalized" and len(rows) == 1 + 2 * 2
