@@ -384,18 +384,9 @@ class PiecewisePoly:
 
     def locate(self, t):
         """The piece i of each t, searchsorted(x, t, "right") - 1 clipped to
-        the table, and the offset s = t - x_i. Points sorted ascending, more
-        than there are breaks, are counted in one pass instead: the breaks
-        are searched among the points."""
+        the table, and the offset s = t - x_i."""
         x = self.x
-        if t.ndim == 1 and t.size > x.size and (t[1:] >= t[:-1]).all():
-            # the points from the first at or above x_j to the first at or
-            # above x_j+1 lie in piece j
-            bounds = np.empty(x.size + 2, dtype=np.intp)
-            bounds[0], bounds[1:-1], bounds[-1] = 0, t.searchsorted(x), t.size
-            i = np.repeat(np.arange(-1, x.size), np.diff(bounds))
-        else:
-            i = x.searchsorted(t, "right") - 1
+        i = x.searchsorted(t, "right") - 1
         i = np.minimum(np.maximum(i, 0), x.size - 2)
         return i, t - x[i]
 

@@ -20,6 +20,7 @@ from .numerics import (
     InvalidArgumentError,
     OutOfRangeError,
     _read_only,
+    branchwise,
     cosine_mesh,
     exterior_power_tail,
     pchip,
@@ -234,16 +235,12 @@ class ModelRearrangement:
     def value(self, t):
         """Q*(t), the interpolant evaluated only below L0 and 0 from there."""
         t = np.asarray(t, dtype=float)
-        return self._value_with_rank(t, np.asarray(self.breaks.searchsorted(t, "right")))
+        return branchwise(
+            t, t < self.L0, lambda x: np.clip(self._interp(np.clip(x, 0.0, self.L0)), 0.0, None), np.zeros_like
+        )
 
     def _value_with_rank(self, t, rank):
-        """Q*(t) for points t with rank breaks at or below each: the piece
-        of the interpolant is rank - 1, with no search."""
-        inside = t < self.L0
-        piece = np.minimum(np.maximum(rank[inside] - 1, 0), self.breaks.size - 2)
-        out = np.zeros(t.shape)
-        out[inside] = np.clip(self._interp.at(piece, np.clip(t[inside], 0.0, None) - self.breaks[piece]), 0.0, None)
-        return out
+        return self.value(t)
 
     def primitive(self, s):
         s = np.asarray(s, dtype=float)

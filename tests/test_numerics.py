@@ -533,7 +533,6 @@ def test_pchip_has_scipys_bits(name, king, poly, pchip_branch_densities, same_bi
         "ends": np.array([lo, hi, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)]),
         "outside": np.array([lo - span, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), hi + span]),
         "nan": np.array([np.nan, mids[0], np.nan]),
-        # sorted and longer than the table: the counted interval search
         "dense line": np.linspace(lo - 0.1 * span, hi + 0.1 * span, 3 * x.size + 1),
         "unsorted 2-d": np.random.default_rng(7).uniform(lo - 0.1 * span, hi + 0.1 * span, (40, 50)),
         "0-d": np.array(mids[1]),
