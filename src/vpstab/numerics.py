@@ -394,13 +394,16 @@ class PiecewisePoly:
         """Values at offsets s into pieces i, summed from the constant term
         up, each power of s by repeated multiplication (scipy's
         evaluate_poly1)."""
-        c = self.c.take(i, axis=1)
-        out = c[-1] + 0.0  # scipy's sum starts at 0.0, which turns -0.0 into +0.0
-        z = s
+        c = self.c
+        out = c[-1].take(i)
+        out += 0.0  # scipy's sum starts at 0.0, which turns -0.0 into +0.0
+        z = s.copy()
         for j in range(c.shape[0] - 2, -1, -1):
-            out += c[j] * z
+            term = c[j].take(i)
+            term *= z
+            out += term
             if j:
-                z = z * s
+                z *= s
         return out
 
     def antiderivative(self):

@@ -69,8 +69,8 @@ def _moment_spline(x, y):
     a, b, c, d = pchip(x, y).c
     xi, h = x[:-1], np.diff(x)
     x2 = xi * xi
-    coef = np.empty((7, xi.size, 2))
-    sq, lin = coef[..., 0], coef[..., 1]
+    coef = np.empty((2, 7, xi.size))
+    sq, lin = coef
     # p s^2 = a t^5 + (b + 2ax) t^4 + (c + 2bx + ax^2) t^3 + ..., integrated
     sq[0] = a / 6
     sq[1] = (b + 2 * a * xi) / 5
@@ -86,13 +86,12 @@ def _moment_spline(x, y):
     lin[4] = (d + c * xi) / 2
     lin[5] = d * xi
     # each piece's integral by Horner at t = h, summed into the constants
-    hc = h[:, None]
-    total = coef[0] * hc
-    for row in coef[1:6]:
-        total = (total + row) * hc
-    coef[6, 0] = 0.0
-    np.cumsum(total[:-1], axis=0, out=coef[6, 1:])
-    return PiecewisePoly(x, coef[..., 0]), PiecewisePoly(x, coef[1:, :, 1])
+    total = coef[:, 0] * h
+    for j in range(1, 6):
+        total = (total + coef[:, j]) * h
+    coef[:, 6, 0] = 0.0
+    np.cumsum(total[:, :-1], axis=1, out=coef[:, 6, 1:])
+    return PiecewisePoly(x, sq), PiecewisePoly(x, lin[1:])
 
 
 @dataclass(frozen=True)

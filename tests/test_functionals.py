@@ -339,7 +339,7 @@ def test_stability_lower_bound_matches_the_plain_form_bit_for_bit(king, monkeypa
         return np.array([(r.lhs, r.rhs, r.slack, r.reliable) for r in reps]).tobytes()
 
     fast = report_bits(dataclasses.replace(king))
-    for module in (steady_state, poisson):
+    for module in (steady_state, poisson, rearrangement):
         monkeypatch.setattr(module, "branchwise", plain_forms.branchwise)
     monkeypatch.setattr(rearrangement, "l1_distance", plain_forms.l1_distance)
     monkeypatch.setattr(functionals, "potential_distance", plain_forms.potential_distance)
