@@ -14,7 +14,11 @@ Per workload and end-to-end metric the table holds each side's q1, median,
 q3 and IQR over the seeds, the ratio of the medians, the median paired ratio
 (change over parent, per seed) and the number of seeds on which the change is
 better in the metric's direction; per workload also whether every pair had
-equal input digests and each side's highest fail ratio.
+equal input digests, each side's highest fail ratio, and each side's median
+over its runs of max/min of the run's set-up samples (`setup_s_samples` in
+the report). Near 1, a run's set-ups took equal times; well above 1, the
+machine changed speed within the run, which can move `setup_s` without any
+change to the set-up code.
 
 Each metric also gets two verdicts:
 - `claim_rule_met`: the change wins at least nine tenths of the pairs (ties
@@ -61,6 +65,10 @@ def summarize(runs, metrics):
         "pairs": n,
         "input_digest_equal": all(r["parent"][0]["input_digest"] == r["change"][0]["input_digest"] for r in runs),
         "fail_ratio_max": {side: max(r[side][0]["fail_ratio"] for r in runs) for side in SIDES},
+        "setup_max_over_min_median": {
+            side: round(float(np.median([max(s) / min(s) for s in (r[side][0]["setup_s_samples"] for r in runs)])), 4)
+            for side in SIDES
+        },
         "metrics": {},
     }
     for name, (direction, bound) in metrics.items():

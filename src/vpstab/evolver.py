@@ -11,26 +11,36 @@ energies, which that flow conserves.
 In self-consistent mode the field is rebuilt every step on a uniform radial
 mesh of spacing h (FIELD_N = 256 cells out to FIELD_FACTOR = 3 support
 radii), a spherical-shell particle-mesh scheme (Henon 1971, Ap&SS 13,
-284). The mesh is indexed by arithmetic on s = r / h, never by a search, and
-s is computed once per step for both the deposit and the force: the
-cloud-in-cell deposit takes node floor(s - 1/2), bins both node shares by
-that node with np.bincount and adds the upper one shifted a node up; the
-density, optionally averaged over a trailing window as particle-mesh noise
-control, is solved straight into its edge-cumulative cell moments
-(poisson.CellMoments); and the force at each particle is m(r) / (4 pi r^2)
-read in cell floor(s) against edge cubes built once, with the exact monopole
-exterior. A full PotentialX is built only at record steps, where the field
-energy and the potential distance need it, from the step's CellMoments; a
-relative Hamiltonian jump beyond ABORT_ENERGY_JUMP = 0.2 there aborts the run.
+284). The mesh is indexed by arithmetic on s = r / h, never by a search: the
+cloud-in-cell deposit takes node floor(s - 1/2) and adds both node shares of
+each particle, in particle order, to a lower-share and an upper-share
+accumulator, the upper one read a node up; the density, optionally averaged
+over a trailing window as particle-mesh noise control, is solved straight
+into its edge-cumulative cell moments (poisson.CellMoments); and the force
+at each particle is m(r) / (4 pi r^2) read in cell floor(s) against edge
+cubes built once, with the exact monopole exterior. A full PotentialX is
+built only at record steps, where the field energy and the potential
+distance need it, from the step's CellMoments; a relative Hamiltonian jump
+beyond ABORT_ENERGY_JUMP = 0.2 there aborts the run.
 
-The step is written for few passes over the particle arrays with every
-expression rounded as in its plain form (tests/test_evolver.py holds that
-form and checks equality bit for bit): in-place chains, one dt/2 phi'(r)
-array for both kicks of a step, and masks built only when a bound is
-crossed.
+A step is one pass over fixed blocks of PARTICLE_BLOCK = 25 000 consecutive
+particles, so that a block's arrays stay in a 2 MB cache through the pass:
+for each block it reads the force from the last field solve, subtracts the
+half kicks still owed (the closing one of the last step and the opening one
+of this step, one after the other), drifts, reflects and deposits. Then the
+field is solved once. Only a record step takes a second pass, the closing
+half kick, before the record. The block's work arrays are allocated once per
+run and reused. A 100k-particle step takes about 2.9 ms on a 2-core x86 box
+with 2 MB of L2 per core, against 3.4 ms unblocked (medians of 15 runs of
+300 steps). Every per-particle expression is rounded as in its plain form
+(tests/test_evolver.py holds that form and checks equality bit for bit, also
+with blocks of 512 particles), and a node's deposit sums in particle order
+across the blocks, as one np.bincount over all particles would.
 
 Every sum over the particles (the kinetic energy, the fixed-field
-Hamiltonian, the orbital distance) is a numpy pairwise sum, never a BLAS dot
+Hamiltonian, the orbital distance) is a numpy pairwise sum over one
+full-length array of per-particle terms, written block by block, never a
+sum of block sums (which would change the last bits) and never a BLAS dot
 product: OpenBLAS splits a dot of more than about 10 000 elements across its
 threads, which makes the last bits depend on the thread count and leaves a
 helper thread spinning on a core that the other forked runs need.
@@ -68,6 +78,13 @@ FIELD_FACTOR = 3.0
 ABORT_ENERGY_JUMP = 0.2
 MASS_TOL = 1e-6  # conservation_report's bounds on the relative drifts
 HAMILTONIAN_TOL = 1e-3
+PARTICLE_BLOCK = 25_000  # particles per block of every particle-sized pass
+
+
+def _blocks(n):
+    """Slices of PARTICLE_BLOCK consecutive particles covering range(n), the
+    last one ragged."""
+    return [slice(start, min(start + PARTICLE_BLOCK, n)) for start in range(0, n, PARTICLE_BLOCK)]
 
 
 @dataclass
@@ -89,13 +106,12 @@ class ParticleEnsemble:
     def mass(self):
         return float(self.weight.sum())
 
-    def speed(self):
-        r_floor = np.clip(self.r, 1e-12, None)
-        return np.sqrt(self.v_r**2 + self.ell / r_floor**2)
-
     def kinetic(self):
-        r_floor = np.clip(self.r, 1e-12, None)
-        return float(0.5 * (self.weight * (self.v_r**2 + self.ell / r_floor**2)).sum())
+        terms = np.empty(self.n)
+        for b in _blocks(self.n):
+            r_floor = np.clip(self.r[b], 1e-12, None)
+            np.multiply(self.weight[b], self.v_r[b] ** 2 + self.ell[b] / r_floor**2, out=terms[b])
+        return float(0.5 * terms.sum())
 
     def casimir(self, G):
         return float((self.volume * G(self.f0)).sum())
@@ -126,7 +142,9 @@ def sample_particles(f, n_particles, seed, value_fn):
     drawn from the r^2 u^2 measure within each cell, isotropic pitch angles.
 
     value_fn(r, u) supplies the carried density exactly at each particle
-    (e.g. the steady-state profile). Deterministic for a fixed seed.
+    (e.g. the steady-state profile). It must be pointwise, each value
+    depending on its own (r, u) only: it is called on blocks of at most
+    PARTICLE_BLOCK particles. Deterministic for a fixed seed.
     """
     if n_particles < 1:
         raise InvalidArgumentError("need at least one particle")
@@ -181,7 +199,9 @@ def sample_particles(f, n_particles, seed, value_fn):
     ell *= cos_a
     del cos_a
 
-    f0 = np.asarray(value_fn(r, u))
+    f0 = np.empty(r.size)
+    for b in _blocks(r.size):
+        f0[b] = value_fn(r[b], u[b])
     del u
     weight = volume * f0
     keep = weight > 0
@@ -195,42 +215,51 @@ class _Binner:
     """The uniform field mesh, indexed by arithmetic on s = r / h: the
     cloud-in-cell deposit of particle mass onto its nodes, normalized by the
     exact shell volumes, and the force of a cells density at the particles.
-    The caller computes s = r * inv_h once per step and hands it to both."""
+    Both take a block of at most `size` particles with s = r * inv_h, which
+    they overwrite, and work in arrays allocated here once."""
 
-    def __init__(self, grid):
+    def __init__(self, grid, size):
         self.grid = grid
         self.volumes = 4.0 * np.pi * grid.sq_moments
         self.inv_h = grid.n / grid.x_max
         e = grid.edges
         self.edges3 = e * e * e
+        self.index = np.empty(size, dtype=np.intp)
+        self.work = np.empty(size)
 
-    def density(self, ens, s):
-        """Cloud-in-cell node densities of ens at s = ens.r * inv_h. Node k
-        sits at s = k + 1/2; the upper shares are binned by the lower node
-        and added one node up, which sums each node in particle order."""
+    def density(self, weight, s, shares):
+        """Add the cloud-in-cell shares of particles of the given weights at
+        s to shares = (lower, upper), both binned by the lower node, in
+        particle order: blocks added one after another sum each node as one
+        np.bincount over all of them would. Node k sits at s = k + 1/2."""
         n = self.grid.n
+        idx = self.index[: s.size]
         # clipping before the cast makes truncation the floor, and sends
         # particles past either end node to it whole
-        x = s - 0.5
-        idx = np.clip(x, 0.0, n - 2).astype(np.intp)
+        x = np.subtract(s, 0.5, out=s)
+        np.clip(x, 0.0, n - 2, out=idx, casting="unsafe")
         x -= idx
         t = np.clip(x, 0.0, 1.0, out=x)
-        lower = 1.0 - t
-        lower *= ens.weight
-        t *= ens.weight
-        rho = np.bincount(idx, lower, minlength=n)
-        upper = np.bincount(idx, t, minlength=n)
-        rho[1:] += upper[:-1]
+        lower = np.subtract(1.0, t, out=self.work[: s.size])
+        lower *= weight
+        t *= weight
+        np.add.at(shares[0], idx, lower)
+        np.add.at(shares[1], idx, t)
+
+    def nodes(self, shares):
+        """The node densities of the deposited shares: each upper share is
+        added one node up, after the lower shares of that node."""
+        rho = shares[0]
+        rho[1:] += shares[1, :-1]
         rho /= self.volumes
         return rho
 
-    def dphi(self, cells, r, s):
-        """phi'(r) = m(r) / (4 pi r^2) of a cells density at radii r (with
-        s = r * inv_h), zero below 1e-12 x_max. Past the mesh the radius is
-        clipped to x_max, where m = M: the exact monopole exterior
-        M / (4 pi r^2). m(r) is CellMoments.cum_sq in cell floor(s), the
-        same operations in the same order, run in place against the edge
-        cubes built once."""
+    def dphi(self, cells, r, s, out):
+        """phi'(r) = m(r) / (4 pi r^2) of a cells density at radii r, written
+        to out, zero below 1e-12 x_max. Past the mesh the radius is clipped to
+        x_max, where m = M: the exact monopole exterior M / (4 pi r^2). m(r)
+        is CellMoments.cum_sq in cell floor(s), the same operations in the
+        same order, run in place against the edge cubes built once."""
         x_max = self.grid.x_max
         tiny = 1e-12 * x_max
         lo, hi = r.min(), r.max()
@@ -238,13 +267,15 @@ class _Binner:
         # below tiny s truncates to 0 and past x_max it reaches n - 1, the
         # cells of the clipped radius; with i in range, "wrap" is the
         # cheapest take mode and never wraps
-        i = np.clip(s.astype(np.intp), 0, self.grid.n - 1)
-        rs2 = rs * rs
-        out = rs2 * rs
-        out -= self.edges3.take(i, mode="wrap")
-        out *= cells.rho.take(i, mode="wrap")
+        i = self.index[: r.size]
+        np.copyto(i, s, casting="unsafe")
+        np.clip(i, 0, self.grid.n - 1, out=i)
+        rs2 = np.multiply(rs, rs, out=self.work[: r.size])
+        np.multiply(rs2, rs, out=out)
+        out -= self.edges3.take(i, mode="wrap", out=s)
+        out *= cells.rho.take(i, mode="wrap", out=s)
         out /= 3.0
-        out += cells.edge_cum_sq.take(i, mode="wrap")
+        out += cells.edge_cum_sq.take(i, mode="wrap", out=s)
         out /= rs2 if hi <= x_max else np.maximum(r, tiny) ** 2
         if lo < tiny:
             out[r < tiny] = 0.0
@@ -287,14 +318,16 @@ def orbital_distance(ens, model):
     estimated along characteristics: each particle compares its carried value
     with the steady-state value at its current phase-space point, plus the
     correction for steady-state mass missed by the moving support."""
-    u = ens.speed()
-    e = 0.5 * u**2 + model.phi_fn(ens.r)
-    q_here = model.profile.evaluate(e)
-    w = 1.0 + u**2
-    main = float((ens.volume * (w * np.abs(ens.f0 - q_here))).sum())
-    covered = float((ens.volume * (w * q_here)).sum())
+    main, covered = np.empty(ens.n), np.empty(ens.n)
+    for b in _blocks(ens.n):
+        r = ens.r[b]
+        u = np.sqrt(ens.v_r[b] ** 2 + ens.ell[b] / np.clip(r, 1e-12, None) ** 2)
+        q_here = model.profile.evaluate(0.5 * u**2 + model.phi_fn(r))
+        w = 1.0 + u**2
+        np.multiply(ens.volume[b], w * np.abs(ens.f0[b] - q_here), out=main[b])
+        np.multiply(ens.volume[b], w * q_here, out=covered[b])
     q_total = model.M + 2.0 * model.kinetic
-    return main + max(0.0, q_total - covered)
+    return float(main.sum()) + max(0.0, q_total - float(covered.sum()))
 
 
 def evolve(ens, model, dt, t_end, cadence=None, field_average=1, field=None):
@@ -305,8 +338,9 @@ def evolve(ens, model, dt, t_end, cadence=None, field_average=1, field=None):
     field=None rebuilds the field every step from the binned density,
     averaged over the last field_average steps (a standard particle-mesh
     noise control; 1 disables it). A potential instead (any object with
-    phi_fn and dphi_fn, such as model.potential()) is a fixed field: the
-    record books the one-particle energies K + sum w phi(r) and a potential
+    pointwise phi_fn and dphi_fn, such as model.potential(), called on
+    blocks of at most PARTICLE_BLOCK radii) is a fixed field: the record
+    books the one-particle energies K + sum w phi(r) and a potential
     distance of 0, and field_average must be 1. Particles reflect at the grid
     edge (logged) and pass through the centre exactly (free flight). A sudden
     relative Hamiltonian jump beyond ABORT_ENERGY_JUMP aborts the run.
@@ -322,61 +356,87 @@ def evolve(ens, model, dt, t_end, cadence=None, field_average=1, field=None):
         warnings.warn("time step exceeds a tenth of the central dynamical time")
     cadence = cadence if cadence is not None else max(1, int(round(0.5 * model.dynamical_time / dt)))
     grid = make_1d_grid(FIELD_FACTOR * model.R_Q, FIELD_N)
-    binner = _Binner(grid)
+    x_max = grid.x_max
+    blocks = _blocks(ens.n)
+    size = min(PARTICLE_BLOCK, ens.n)
+    binner = _Binner(grid, size)
+    # s = r * inv_h, the kick, and the drift's terms, for one block
+    work = np.empty((4, size))
     ref_pot = model.potential()
     diag = TrajectoryDiagnostics()
     rho_buf = deque()
     rho_sum = np.zeros(FIELD_N)
     half_dt = 0.5 * dt
+    dt2 = dt**2
     r_floor = 1e-14 * model.R_Q
     arg_floor = 1e-28 * model.R_Q**2
 
-    def field_state():
-        """Cell moments of the field at the current positions (None for a
-        fixed field) and the half-step velocity change dt/2 phi'(r) there,
-        which the kicks subtract; the centrifugal term is integrated exactly
-        in the drift."""
+    def deposit(b, shares):
+        r = ens.r[b]
+        binner.density(ens.weight[b], np.multiply(r, binner.inv_h, out=work[0, : r.size]), shares)
+
+    def solve(shares):
+        """Cell moments of the deposited density, averaged over the window."""
         nonlocal rho_sum
-        if field is not None:
-            return None, half_dt * field.dphi_fn(ens.r)
-        s = ens.r * binner.inv_h
-        rho = binner.density(ens, s)
+        rho = binner.nodes(shares)
         rho_buf.append(rho)
         rho_sum = rho_sum + rho
         if len(rho_buf) > field_average:
             rho_sum = rho_sum - rho_buf.popleft()
-        cells = CellMoments.of(grid, rho_sum / len(rho_buf))
-        return cells, half_dt * binner.dphi(cells, ens.r, s)
+        return CellMoments.of(grid, rho_sum / len(rho_buf))
 
-    def free_drift(tau):
+    def kick(b, times):
+        """Subtract the half-step velocity change dt/2 phi'(r), read from the
+        last field solve (cells) or the fixed field, `times` times over from
+        block b; the centrifugal term is integrated exactly in the drift."""
+        r, v = ens.r[b], ens.v_r[b]
+        s, k = work[:2, : r.size]
+        if field is None:
+            np.multiply(r, binner.inv_h, out=s)
+            binner.dphi(cells, r, s, out=k)
+            k *= half_dt
+        else:
+            np.multiply(field.dphi_fn(r), half_dt, out=k)
+        for _ in range(times):
+            v -= k
+
+    def drift(b):
         # exact straight-line flight in 3D expressed radially: never reaches
-        # r = 0 for l > 0, flips v_r smoothly for l = 0
-        r0 = np.maximum(ens.r, r_floor)
-        v = ens.v_r
-        b = r0 * v
-        r0sq = r0 * r0
-        speed2 = v * v
-        speed2 += ens.ell / r0sq
-        # r1^2 = r0^2 + (2 b) tau + speed2 (tau^2), summed in that order
-        arg = b * 2.0
-        arg *= tau
+        # r = 0 for l > 0, flips v_r smoothly for l = 0; r and v_r are
+        # overwritten once read
+        r, v = ens.r[b], ens.v_r[b]
+        w0, bv, r0sq, speed2 = work[:, : r.size]
+        r0 = np.maximum(r, r_floor, out=w0)
+        np.multiply(r0, v, out=bv)
+        np.multiply(r0, r0, out=r0sq)
+        np.multiply(v, v, out=speed2)
+        speed2 += np.divide(ens.ell[b], r0sq, out=w0)
+        # r1^2 = r0^2 + (2 b) dt + speed2 (dt^2), summed in that order
+        arg = np.multiply(bv, 2.0, out=w0)
+        arg *= dt
         arg += r0sq
-        arg += speed2 * tau**2
-        r1 = np.sqrt(np.maximum(arg, arg_floor, out=arg), out=arg)
-        v1 = speed2 * tau
-        v1 += b
+        arg += np.multiply(speed2, dt2, out=r0sq)
+        r1 = np.sqrt(np.maximum(arg, arg_floor, out=arg), out=r)
+        v1 = np.multiply(speed2, dt, out=v)
+        v1 += bv
         v1 /= r1
-        ens.v_r = v1
-        ens.r = r1
+        if r1.max() > x_max:
+            above = r1 > x_max
+            diag.reflections += int(above.sum())
+            r1[above] = 2.0 * x_max - r1[above]
+            v1[above] *= -1.0
 
-    def record(t, cells):
+    def record(t):
         if field is None:
             pot = solve_poisson_radial(grid, cells)
             ham = ens.kinetic() - field_energy(pot)
             pdist = float(np.sqrt(grad_distance2(pot, ref_pot, n=FIELD_N)))
         else:
             # fixed field: the flow conserves the summed one-particle energies
-            ham = ens.kinetic() + float((ens.weight * field.phi_fn(ens.r)).sum())
+            terms = np.empty(ens.n)
+            for b in blocks:
+                np.multiply(ens.weight[b], field.phi_fn(ens.r[b]), out=terms[b])
+            ham = ens.kinetic() + float(terms.sum())
             pdist = 0.0
         diag.times.append(t)
         diag.hamiltonian.append(ham)
@@ -384,22 +444,33 @@ def evolve(ens, model, dt, t_end, cadence=None, field_average=1, field=None):
         diag.orbital.append(orbital_distance(ens, model))
         diag.potential_dist.append(pdist)
 
-    cells, kick = field_state()
-    record(0.0, cells)
+    cells = None
+    if field is None:
+        shares = np.zeros((2, FIELD_N))
+        for b in blocks:
+            deposit(b, shares)
+        cells = solve(shares)
+    record(0.0)
     h0 = diag.hamiltonian[0]
     n_steps = int(round(t_end / dt))
+    # half kicks owed at the last field: this step's opening one, and the
+    # last step's closing one unless its record took it
+    owed = 1
     for step in range(1, n_steps + 1):
-        ens.v_r -= kick
-        free_drift(dt)
-        if ens.r.max() > grid.x_max:
-            above = ens.r > grid.x_max
-            diag.reflections += int(above.sum())
-            ens.r[above] = 2.0 * grid.x_max - ens.r[above]
-            ens.v_r[above] *= -1.0
-        cells, kick = field_state()
-        ens.v_r -= kick
+        shares = np.zeros((2, FIELD_N))
+        for b in blocks:
+            kick(b, owed)
+            drift(b)
+            if field is None:
+                deposit(b, shares)
+        if field is None:
+            cells = solve(shares)
+        owed = 2
         if step % cadence == 0 or step == n_steps:
-            record(step * dt, cells)
+            for b in blocks:
+                kick(b, 1)
+            owed = 1
+            record(step * dt)
             if abs(diag.hamiltonian[-1] - h0) > ABORT_ENERGY_JUMP * max(abs(h0), 1e-300):
                 diag.aborted = True
                 warnings.warn("energy jump detected; aborting evolution")

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from vpstab import evolver
 from vpstab.evolver import (
     ParticleEnsemble,
     _Binner,
@@ -93,6 +94,52 @@ def test_sampler_matches_its_plain_form(king, king_f, case):
             assert getattr(ens, name).tobytes() == getattr(plain, name).tobytes(), (case, seed, name)
     if case == "zero values":
         assert 0 < ens.n < 20_000
+
+
+def test_sampler_calls_value_fn_in_blocks(king, monkeypatch):
+    # 20k particles in 40 blocks of 512, the last one ragged: value_fn sees
+    # no more than a block at a time and f0 keeps the whole-array bits
+    monkeypatch.setattr(evolver, "PARTICLE_BLOCK", 512)
+    f, value_fn = calibrated_bump(king, 0.02, seed=11)
+    sizes = []
+
+    def counting_fn(r, u):
+        sizes.append(r.size)
+        return value_fn(r, u)
+
+    ens, plain = sample_particles(f, 20_000, 3, counting_fn), _plain_sample(f, 20_000, 3, value_fn)
+    for name in ("r", "v_r", "ell", "weight", "f0", "volume"):
+        assert getattr(ens, name).tobytes() == getattr(plain, name).tobytes(), name
+    assert sizes == [512] * 39 + [20_000 - 39 * 512]
+
+
+def _plain_kinetic(ens):
+    r_floor = np.clip(ens.r, 1e-12, None)
+    return float(0.5 * (ens.weight * (ens.v_r**2 + ens.ell / r_floor**2)).sum())
+
+
+def _plain_orbital_distance(ens, model):
+    u = np.sqrt(ens.v_r**2 + ens.ell / np.clip(ens.r, 1e-12, None) ** 2)
+    q_here = model.profile.evaluate(0.5 * u**2 + model.phi_fn(ens.r))
+    w = 1.0 + u**2
+    main = float((ens.volume * (w * np.abs(ens.f0 - q_here))).sum())
+    covered = float((ens.volume * (w * q_here)).sum())
+    return main + max(0.0, model.M + 2.0 * model.kinetic - covered)
+
+
+def test_blocked_sums_match_their_plain_forms(king, monkeypatch):
+    # the per-particle terms are written block by block into one array and
+    # summed whole: the pairwise sum of the plain form, bit for bit (on this
+    # seed a sum of the block sums differs from it in each of the three)
+    monkeypatch.setattr(evolver, "PARTICLE_BLOCK", 512)
+    f, value_fn = calibrated_bump(king, 0.02, seed=11)
+    ens = sample_particles(f, 20_000, 4, value_fn)
+    assert ens.n > 20 * 512
+    assert ens.kinetic() == _plain_kinetic(ens)
+    assert orbital_distance(ens, king) == _plain_orbital_distance(ens, king) > 0.0
+    # the fixed-field record's potential energy, at t = 0 of a run without steps
+    diag = evolve(ens, king, dt=0.01 * king.dynamical_time, t_end=0.0, field=king.potential())
+    assert diag.hamiltonian == [_plain_kinetic(ens) + float((ens.weight * king.phi_fn(ens.r)).sum())]
 
 
 def test_sampler_mass_and_determinism(king, king_f):
@@ -353,11 +400,23 @@ def _reference_deposit(grid, ens):
     return mass / (4.0 * np.pi * grid.sq_moments)
 
 
+def _binner_density(binner, ens, block):
+    """The binner's node densities of ens, deposited in blocks of `block`
+    particles."""
+    shares = np.zeros((2, binner.grid.n))
+    for start in range(0, ens.n, block):
+        b = slice(start, start + block)
+        binner.density(ens.weight[b], ens.r[b] * binner.inv_h, shares)
+    return binner.nodes(shares)
+
+
 def test_binner_density_matches_searchsorted_deposit(rng):
     grid = make_1d_grid(2.7, 256)
     ens = _mesh_cloud(grid, rng)
-    binner = _Binner(grid)
-    rho = binner.density(ens, ens.r * binner.inv_h)
+    binner = _Binner(grid, ens.n)
+    rho = _binner_density(binner, ens, 1000)
+    # blocks sum each node in particle order, as one deposit of all does
+    assert rho.tobytes() == _binner_density(binner, ens, ens.n).tobytes()
     ref = _reference_deposit(grid, ens)
     np.testing.assert_allclose(rho, ref, rtol=1e-13, atol=0.0)
     volumes = 4.0 * np.pi * grid.sq_moments
@@ -368,9 +427,9 @@ def test_binner_density_matches_searchsorted_deposit(rng):
 
 def test_binner_force_matches_cells_potential(rng):
     grid = make_1d_grid(2.7, 256)
-    binner = _Binner(grid)
     cloud = _mesh_cloud(grid, rng)
-    rho = binner.density(cloud, cloud.r * binner.inv_h)
+    binner = _Binner(grid, 10_000)
+    rho = _binner_density(binner, cloud, cloud.n)
     x_max = grid.x_max
     r = np.concatenate([
         rng.uniform(0.0, 1.2 * x_max, 5000),
@@ -379,7 +438,7 @@ def test_binner_force_matches_cells_potential(rng):
         [0.0, 1e-14 * x_max, 0.999e-12 * x_max, 1e-12 * x_max, x_max, 1.5 * x_max, 40.0 * x_max],
     ])
     cells = CellMoments.of(grid, rho)
-    force = binner.dphi(cells, r, r * binner.inv_h)
+    force = binner.dphi(cells, r, r * binner.inv_h, out=np.empty(r.size))
     ref = solve_poisson_radial(grid, cells).dphi_fn(r)
     np.testing.assert_allclose(force, ref, rtol=1e-13, atol=0.0)
     assert np.all(force[r < 1e-12 * x_max] == 0.0)
@@ -477,15 +536,17 @@ def _reference_evolve(ens, model, dt, t_end, cadence, field_average=1, field=Non
 
 
 def _edge_ensemble(king, king_f, dt):
-    """2k sampled particles, with particle 0 on a radial orbit that crosses
-    x_max in the first step and particle 1 at rest below 1e-12 x_max."""
+    """2k sampled particles, with the last one on a radial orbit that crosses
+    x_max in the first step and the one before it at rest below 1e-12 x_max:
+    with blocks of 512 both sit in the last, ragged block, whose force reads
+    take _Binner.dphi's clipped branch while the other blocks' do not."""
     from vpstab.evolver import FIELD_FACTOR
 
     ens = sample_particles(king_f, 2_000, seed=21, value_fn=_q_fn(king))
     x_max = FIELD_FACTOR * king.R_Q
-    ens.ell[:2] = 0.0
-    ens.v_r[0], ens.r[0] = 1.0, x_max - 0.5 * dt
-    ens.v_r[1], ens.r[1] = 0.0, 1e-13 * x_max
+    ens.ell[-2:] = 0.0
+    ens.v_r[-1], ens.r[-1] = 1.0, x_max - 0.5 * dt
+    ens.v_r[-2], ens.r[-2] = 0.0, 1e-13 * x_max
     return ens
 
 
@@ -499,10 +560,12 @@ def _edge_ensemble(king, king_f, dt):
     ],
     ids=["field_average_1", "field_average_3", "frozen", "external_dphi"],
 )
-def test_evolve_bit_identical_to_plain_reference(king, king_f, mode):
+def test_evolve_bit_identical_to_plain_reference(king, king_f, mode, monkeypatch):
     # field=king.potential() evaluates king.phi_fn and king.dphi_fn, the
     # frozen field of the two-flag form; "external" is any object with both
     assert king.potential().phi_fn == king.phi_fn and king.potential().dphi_fn == king.dphi_fn
+    # 2k particles in four blocks, the last one ragged
+    monkeypatch.setattr(evolver, "PARTICLE_BLOCK", 512)
     mode = dict(mode)
     if mode.get("field") == "model":
         mode["field"] = king.potential()
