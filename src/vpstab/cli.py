@@ -274,7 +274,7 @@ def cmd_rearrange(args):
 def cmd_shift(args):
     from .poisson import PotentialX, RadialField3D
     from .spectral import modulation_shift
-    from .numerics import Grid1D
+    from .numerics import Grid1D, InvalidArgumentError, pchip
     from .steady_state import SteadyStateModel, _require
 
     cfg, digest = _resolved_config(args)
@@ -285,16 +285,16 @@ def cmd_shift(args):
     if doc.get("use_model_potential"):
         pot = model.potential()
     else:
-        from scipy.interpolate import PchipInterpolator
-
         _require(doc, ("r", "phi", "M"), f"potential file {args.potential}")
         r = np.asarray(doc["r"], dtype=float)
         phi = np.asarray(doc["phi"], dtype=float)
         M = float(doc["M"])
-        interp = PchipInterpolator(r, phi)
-        dinterp = interp.derivative()
+        if r.ndim != 1 or r.size < 2 or phi.shape != r.shape or not np.all(np.isfinite(r)):
+            raise InvalidArgumentError("potential table needs finite r and phi lists of one length, at least 2")
         edges = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [r[-1]]])
-        grid = Grid1D(nodes=r, edges=edges)
+        grid = Grid1D(nodes=r, edges=edges)  # r positive and strictly increasing
+        interp = pchip(r, phi)
+        dinterp = interp.derivative()
         pot = PotentialX.from_callable(
             grid,
             lambda x: np.where(x < r[-1], interp(np.clip(x, r[0], r[-1])), -M / (4 * np.pi * np.clip(x, 1e-300, None))),

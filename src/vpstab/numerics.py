@@ -175,14 +175,16 @@ def branchwise(x, inside, inner, outer):
     (a 0-d x always is), so its result keeps that formula's own shape and
     type; otherwise the result has the shape of x. Each element goes through
     the same operations as in the np.where form, so it has the same bits."""
-    if inside.all():
+    k = np.count_nonzero(inside)
+    if k == inside.size:
         return inner(x)
-    outside = ~inside
-    if outside.all():
+    if k == 0:
         return outer(x)
+    # a prefix along the first axis, as of an ascending x, is two slices
+    head, rest = (slice(k), slice(k, None)) if inside[:k].all() else (inside, ~inside)
     out = np.empty(x.shape)
-    out[inside] = inner(x[inside])
-    out[outside] = outer(x[outside])
+    out[head] = inner(x[head])
+    out[rest] = outer(x[rest])
     return out
 
 
@@ -384,11 +386,20 @@ class PiecewisePoly:
 
     def locate(self, t):
         """The piece i of each t, searchsorted(x, t, "right") - 1 clipped to
-        the table, and the offset s = t - x_i."""
+        the table, and the offset s = t - x_i. A 1-d t in ascending order
+        without NaN (t[0] <= t[-1] turns away a single one) is counted by
+        `_count_pieces`, one search per break instead of one per point."""
         x = self.x
-        i = x.searchsorted(t, "right") - 1
-        i = np.minimum(np.maximum(i, 0), x.size - 2)
+        if t.ndim == 1 and t.size and t[0] <= t[-1] and (t[1:] >= t[:-1]).all():
+            i = self._count_pieces(t)
+        else:
+            i = np.minimum(np.maximum(x.searchsorted(t, "right") - 1, 0), x.size - 2)
         return i, t - x[i]
+
+    def _count_pieces(self, t):
+        """Pieces of ascending t: interior break x_j lies at or below the points
+        from t.searchsorted(x_j) on, so point k's piece counts those indices <= k."""
+        return np.bincount(t.searchsorted(self.x[1:-1]), minlength=t.size + 1)[:-1].cumsum()
 
     def at(self, i, s):
         """Values at offsets s into pieces i, summed from the constant term
@@ -405,6 +416,11 @@ class PiecewisePoly:
             if j:
                 z *= s
         return out
+
+    def derivative(self):
+        """The derivative, by scipy's PPoly.derivative recurrence: row j of the
+        k rows times k - 1 - j, and the constant row dropped."""
+        return PiecewisePoly(self.x, self.c[:-1] * np.arange(self.c.shape[0] - 1, 0, -1.0)[:, None])
 
     def antiderivative(self):
         """The antiderivative that is 0 at x_0, by scipy's recurrence: each
@@ -441,10 +457,12 @@ def _pchip_slopes(x, y):
     """Node slopes of the monotone cubic interpolant through (x, y) (PCHIP,
     Fritsch & Carlson 1980) by scipy's PchipInterpolator formulas: 0 where
     the adjacent secants differ in sign or one is 0, else their weighted
-    harmonic mean, and `_pchip_end_slope` at both ends. Also the intervals
-    and the secants."""
+    harmonic mean, and `_pchip_end_slope` at both ends (on 2 nodes, the
+    secant). Also the intervals and the secants."""
     h = np.diff(x)
     m = np.diff(y) / h
+    if x.size == 2:
+        return np.full(2, m[0]), h, m
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
@@ -457,7 +475,7 @@ def _pchip_slopes(x, y):
 
 
 def pchip(x, y):
-    """The PCHIP of (x, y) (at least 3 strictly increasing nodes) as a
+    """The PCHIP of (x, y) (at least 2 strictly increasing nodes) as a
     PiecewisePoly whose coefficients are those of scipy's
     PchipInterpolator, bit for bit: the Hermite cubic of each piece formed
     as scipy's CubicHermiteSpline forms it."""

@@ -66,29 +66,29 @@ def _moment_spline(x, y):
     constant terms carry the running sums of the pieces' integrals. The
     first moment is of degree 5: its t^6 row is 0 and is left out, which
     drops a term + 0 from each value and so leaves its bits."""
-    a, b, c, d = pchip(x, y).c
+    p = pchip(x, y).c  # the rows a, b, c, d
     xi, h = x[:-1], np.diff(x)
-    x2 = xi * xi
+    px, px2, twopx = p * xi, p * (xi * xi), 2 * p * xi
     coef = np.empty((2, 7, xi.size))
     sq, lin = coef
-    # p s^2 = a t^5 + (b + 2ax) t^4 + (c + 2bx + ax^2) t^3 + ..., integrated
-    sq[0] = a / 6
-    sq[1] = (b + 2 * a * xi) / 5
-    sq[2] = (c + 2 * b * xi + a * x2) / 4
-    sq[3] = (d + 2 * c * xi + b * x2) / 3
-    sq[4] = (2 * d * xi + c * x2) / 2
-    sq[5] = d * x2
-    # p s = a t^4 + (b + ax) t^3 + (c + bx) t^2 + (d + cx) t + dx, integrated
+    # p s^2 = a t^5 + (b + 2ax) t^4 + (c + 2bx + ax^2) t^3 + (d + 2cx + bx^2) t^2 + (2dx + cx^2) t + dx^2
+    sq[0] = p[0]
+    np.add(p[1:], twopx[:3], out=sq[1:4])
+    sq[2:4] += px2[:2]
+    np.add(twopx[3], px2[2], out=sq[4])
+    sq[5] = px2[3]
+    # p s = a t^4 + (b + ax) t^3 + (c + bx) t^2 + (d + cx) t + dx
     lin[0] = 0.0
-    lin[1] = a / 5
-    lin[2] = (b + a * xi) / 4
-    lin[3] = (c + b * xi) / 3
-    lin[4] = (d + c * xi) / 2
-    lin[5] = d * xi
+    lin[1] = p[0]
+    np.add(p[1:], px[:3], out=lin[2:5])
+    lin[5] = px[3]
+    # integrated: row j of each divided by 6 - j
+    coef[:, :6] /= np.arange(6.0, 0.0, -1.0)[:, None]
     # each piece's integral by Horner at t = h, summed into the constants
     total = coef[:, 0] * h
     for j in range(1, 6):
-        total = (total + coef[:, j]) * h
+        total += coef[:, j]
+        total *= h
     coef[:, 6, 0] = 0.0
     np.cumsum(total[:, :-1], axis=1, out=coef[:, 6, 1:])
     return PiecewisePoly(x, sq), PiecewisePoly(x, lin[1:])
@@ -214,37 +214,38 @@ def solve_poisson_radial(grid, rho):
         tot1 = float(cells.edge_cum_lin[-1])
         M = cells.M
 
-        def moments(r):
+        def locate(r):
             r = np.clip(r, 0.0, grid.x_max)
-            i = np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
-            return cells.cum_sq(r, i), cells.cum_lin(r, i)
+            return r, np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
+
+        cum_sq, cum_lin = cells.cum_sq, cells.cum_lin
 
     else:
         rho = _checked_density(grid, rho)
         rho0 = _center_value(grid.nodes, rho)
         sq, lin = _moment_spline(np.concatenate([[0.0], grid.nodes]), np.concatenate([[rho0], rho]))
 
-        def moments(r):
-            i, s = sq.locate(np.clip(r, 0.0, grid.x_max))
-            return sq.at(i, s), lin.at(i, s)
+        def locate(r):
+            return sq.locate(np.clip(r, 0.0, grid.x_max))
 
-        sq_max, tot1 = (float(v) for v in moments(grid.x_max))
+        cum_sq, cum_lin = sq.at, lin.at
+        sq_max, tot1 = (float(moment(*locate(grid.x_max))) for moment in (cum_sq, cum_lin))
         M = _checked_mass(FOUR_PI * sq_max)
 
     # each formula is evaluated only on its own side of the grid's edge
-    # (`branchwise`); dphi is 0 below tiny
+    # (`branchwise`); dphi reads the s^2 moment alone, and is 0 below tiny
     tiny = 1e-12 * grid.x_max
 
     def phi_inner(r):
-        sq, lin = moments(r)
-        return -sq / np.clip(r, 1e-300, None) - (tot1 - lin)
+        at = locate(r)
+        return -cum_sq(*at) / np.clip(r, 1e-300, None) - (tot1 - cum_lin(*at))
 
     def phi_outer(r):
         return -M / (FOUR_PI * np.clip(r, 1e-300, None))
 
     def dphi_inner(r):
         rs = np.clip(r, tiny, None)
-        return np.where(r < tiny, 0.0, moments(rs)[0] / rs**2)
+        return np.where(r < tiny, 0.0, cum_sq(*locate(rs)) / rs**2)
 
     def dphi_outer(r):
         return M / (FOUR_PI * np.clip(r, tiny, None) ** 2)

@@ -78,16 +78,19 @@ def _ascending_order(vals):
     positives take numpy's default sort, which is not stable but is faster
     and gives the stable order when no two of them are equal; with a tie
     they take the stable sort."""
-    neg = np.flatnonzero(vals < 0.0)
+    zeros = np.flatnonzero(vals == 0.0)
     pos = np.flatnonzero(vals > 0.0)
     keys = vals[pos]
     order = np.argsort(keys)
     ranked = keys[order]
     if np.any(ranked[1:] == ranked[:-1]):
         order = np.argsort(keys, kind="stable")
+    if zeros.size + pos.size == vals.size:  # no negatives and no NaN
+        return np.concatenate([zeros, pos[order]])
+    neg = np.flatnonzero(vals < 0.0)
     return np.concatenate([
         neg[np.argsort(vals[neg], kind="stable")],
-        np.flatnonzero(vals == 0.0),
+        zeros,
         pos[order],
         np.flatnonzero(np.isnan(vals)),
     ])
@@ -161,17 +164,17 @@ class MonotoneRearrangement:
 
 
 def _merged_breaks(a, b):
-    """The sorted union t of 0 and the sorted break arrays a and b, with the
-    number of breaks of a and of b at or below each t_k, from one stable
-    merge: up to the last copy of t_k it holds the 0 (when t_k >= 0), the
-    breaks of b counted along it, and the rest from a."""
+    """The sorted union t of 0 and the sorted nonnegative break arrays a and
+    b, with the number of breaks of a and of b at or below each t_k, from one
+    stable merge of [0, a, b]: the copies of t_k end in the last one from b,
+    else from [0, a], whose own index counts its array's breaks up to t_k."""
     merged = np.concatenate([[0.0], a, b])
     order = np.argsort(merged, kind="stable")
     s = merged[order]
     ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))
-    t = s[ends]
-    rank_b = np.cumsum(order > a.size)[ends]
-    return t, ends + 1 - rank_b - (t >= 0.0), rank_b
+    last = order[ends]
+    rank_b = np.where(last > a.size, last - a.size, ends - last)
+    return s[ends], ends - rank_b, rank_b
 
 
 def l1_distance(p, q):
@@ -179,15 +182,17 @@ def l1_distance(p, q):
     or ModelRearrangement): the midpoint rule on the union of their breaks,
     exact when both are steps and second order against a smooth profile.
 
-    The count of a step profile's breaks at or below t_k is the index of its
-    value on the cell [t_k, t_k+1], so no midpoint is searched for."""
+    The merge counts each profile's breaks at or below every midpoint: the
+    index of a step profile's value there, or one more than the piece of
+    Q*'s interpolant. So no midpoint is searched for."""
     t, rank_p, rank_q = _merged_breaks(p.breaks, q.breaks)
     mids = 0.5 * (t[:-1] + t[1:])
     # the midpoint of two adjacent floats can round up onto t_k+1
     up = mids == t[1:]
-    vp = p._value_with_rank(mids, np.where(up, rank_p[1:], rank_p[:-1]))
-    vq = q._value_with_rank(mids, np.where(up, rank_q[1:], rank_q[:-1]))
-    return float((np.diff(t) * np.abs(vp - vq)).sum())
+    rp, rq = rank_p[:-1], rank_q[:-1]
+    if up.any():
+        rp, rq = np.where(up, rank_p[1:], rp), np.where(up, rank_q[1:], rq)
+    return float((np.diff(t) * np.abs(p._value_with_rank(mids, rp) - q._value_with_rank(mids, rq))).sum())
 
 
 def schwarz_rearrangement(mu: DistributionFunction) -> MonotoneRearrangement:
@@ -240,7 +245,13 @@ class ModelRearrangement:
         )
 
     def _value_with_rank(self, t, rank):
-        return self.value(t)
+        """`value` at ascending t >= 0 with rank breaks at or below each:
+        piece rank - 1 of the interpolant below L0, 0 from there."""
+        below = t.searchsorted(self.L0)
+        i = rank[:below] - 1
+        out = np.zeros(t.shape)
+        out[:below] = np.clip(self._interp.at(i, t[:below] - self.breaks[i]), 0.0, None)
+        return out
 
     def primitive(self, s):
         s = np.asarray(s, dtype=float)

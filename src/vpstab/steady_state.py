@@ -600,7 +600,7 @@ class PhaseSpaceDensity:
         return float(np.sum(self.measure * self.values))
 
     def kinetic(self):
-        return float(np.sum(self.measure * self.values * 0.5 * self.grid.speeds.nodes**2))
+        return float(np.sum(self.measure * self.values * (0.5 * self.grid.speeds.nodes**2)))
 
     def rho(self):
         """Radial density profile: 4 pi int f u^2 du per radial node."""

@@ -196,6 +196,52 @@ def test_shift_on_tabulated_potential(model_file, tmp_path):
     assert np.linalg.norm(np.array(doc["z"]) - [0.1, 0, 0]) <= 1e-4
 
 
+def _scipy_shift_doc(model, table):
+    """z and the residuals for a potential table by the scipy form: the
+    PchipInterpolator of (r, phi) and its PPoly derivative inside the table,
+    the monopole law past it."""
+    from scipy.interpolate import PchipInterpolator
+
+    from vpstab.numerics import Grid1D
+    from vpstab.poisson import PotentialX, RadialField3D
+    from vpstab.spectral import modulation_shift
+
+    r, phi, M = np.asarray(table["r"]), np.asarray(table["phi"]), table["M"]
+    interp = PchipInterpolator(r, phi)
+    dinterp = interp.derivative()
+    grid = Grid1D(nodes=r, edges=np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [r[-1]]]))
+    pot = PotentialX.from_callable(
+        grid,
+        lambda x: np.where(x < r[-1], interp(np.clip(x, r[0], r[-1])), -M / (4 * np.pi * np.clip(x, 1e-300, None))),
+        lambda x: np.where(x < r[-1], dinterp(np.clip(x, r[0], r[-1])), M / (4 * np.pi * np.clip(x, 1e-300, None) ** 2)),
+        M,
+    )
+    z, resid = modulation_shift(RadialField3D.of(pot, table["center"]), model)
+    return {"z": z.tolist(), "orthogonality_residuals": resid.tolist()}
+
+
+def test_shift_tables_match_scipys_pchip(model_file, tmp_path):
+    # scipy is the oracle: a tabulated potential read through numerics.pchip
+    # gives the z and residuals of scipy's PchipInterpolator to the last
+    # byte, for the model's own table and for a table of two nodes
+    from vpstab.steady_state import SteadyStateModel
+
+    model = SteadyStateModel.load(model_file)
+    r = np.asarray(model.grid.nodes)
+    tables = {
+        "model": {"r": r.tolist(), "phi": model.phi_fn(r).tolist(), "M": model.M, "center": [0.1, 0.0, 0.0]},
+        "two nodes": {"r": [0.5, 1.5], "phi": [-1.0, -0.5], "M": 2.0, "center": [0.05, 0.0, 0.0]},
+    }
+    for name, table in tables.items():
+        pot_file, out = tmp_path / f"{name}.json", tmp_path / f"{name}-shift.json"
+        pot_file.write_text(json.dumps(table))
+        assert main(["shift", "--model", str(model_file), "--potential", str(pot_file), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        want = _scipy_shift_doc(model, table)
+        assert json.dumps([doc["z"], doc["orthogonality_residuals"]]) == json.dumps(
+            [want["z"], want["orthogonality_residuals"]]), name
+
+
 def test_check_rebuild_propagates_other_errors(model_file, tmp_path, monkeypatch):
     import vpstab.steady_state
 
@@ -316,6 +362,14 @@ def _potential_without_r(tmp, model):
     return ["shift", "--model", model, "--potential", str(tmp / "pot.json"), "--out", str(tmp / "o.json")]
 
 
+def _potential_table(r, phi):
+    def argv(tmp, model):
+        (tmp / "pot.json").write_text(json.dumps({"r": r, "phi": phi, "M": 1.0}))
+        return ["shift", "--model", model, "--potential", str(tmp / "pot.json"), "--out", str(tmp / "o.json")]
+
+    return argv
+
+
 def _evolve(dt_frac):
     def argv(tmp, model):
         return ["evolve", "--model", model, "--dt-frac", dt_frac, "--t-dyn", "0.1", "--n", "1000",
@@ -331,9 +385,12 @@ def _no_seeds(tmp, model):
 @pytest.mark.parametrize(
     "make_argv",
     [_bad_config_json, _config_not_an_object, _config_dt_frac_zero, _model_without_params,
-     _potential_without_r, _evolve("0"), _evolve("-0.01"), _no_seeds],
+     _potential_without_r, _potential_table([1.0], [-1.0]), _potential_table([1.0, 0.5, 2.0], [-1.0, -0.8, -0.5]),
+     _potential_table([0.5, 1.0], [-1.0, -0.8, -0.5]), _potential_table([0.5, float("inf")], [-1.0, -0.5]),
+     _evolve("0"), _evolve("-0.01"), _no_seeds],
     ids=["config-not-json", "config-not-object", "config-dt-frac-zero", "model-without-params",
-         "potential-without-r", "dt-frac-zero", "dt-frac-negative", "seeds-zero"],
+         "potential-without-r", "potential-one-node", "potential-unsorted", "potential-lengths-differ",
+         "potential-infinite-r", "dt-frac-zero", "dt-frac-negative", "seeds-zero"],
 )
 def test_bad_input_exits_2(make_argv, model_file, tmp_path):
     assert _exit_code(make_argv(tmp_path, str(model_file))) == 2

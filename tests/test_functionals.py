@@ -344,3 +344,52 @@ def test_stability_lower_bound_matches_the_plain_form_bit_for_bit(king, monkeypa
     monkeypatch.setattr(rearrangement, "l1_distance", plain_forms.l1_distance)
     monkeypatch.setattr(functionals, "potential_distance", plain_forms.potential_distance)
     assert report_bits(dataclasses.replace(king)) == fast
+
+
+def test_lower_bound_reads_qstar_through_the_merge_ranks_and_counts_the_scan(king, monkeypatch):
+    # one stability_lower_bound call, with PiecewisePoly.locate and its
+    # counting path wrapped: Q*'s interpolant is never located inside
+    # l1_distance, whose merge already ranked each midpoint among Q*'s
+    # breaks, and the 8192-point sup-norm scan of phi_f is counted, not
+    # searched for point by point
+    import vpstab.functionals as functionals
+    import vpstab.rearrangement as rearrangement
+    from vpstab.numerics import PiecewisePoly
+
+    f = bump_perturbation(padded_phase_density(king, n_r=150, n_u=80), 0.01, 7)
+    qstar = king.rearrangement._interp
+    stability_lower_bound(f, king, 1.0, shift=np.zeros(3))  # builds the model's caches
+    phase, calls = ["other"], []
+    locate, count = PiecewisePoly.locate, PiecewisePoly._count_pieces
+
+    def counted_locate(self, t):
+        calls.append(("locate", phase[0], self is qstar, np.shape(t)))
+        return locate(self, t)
+
+    def counted_count(self, t):
+        calls.append(("count", phase[0], self is qstar, t.shape))
+        return count(self, t)
+
+    def within(name, fn):
+        def wrapper(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = "other"
+
+        return wrapper
+
+    monkeypatch.setattr(PiecewisePoly, "locate", counted_locate)
+    monkeypatch.setattr(PiecewisePoly, "_count_pieces", counted_count)
+    monkeypatch.setattr(rearrangement, "l1_distance", within("l1", rearrangement.l1_distance))
+    monkeypatch.setattr(functionals, "potential_distance", within("distance", functionals.potential_distance))
+    stability_lower_bound(f, king, 1.0, shift=np.zeros(3))
+
+    assert not [c for c in calls if c[1] == "l1"]
+    assert not [c for c in calls if c[2]]
+    # the scan's points inside f's grid make one ascending set, counted
+    r_max = max(f.grid.radial.x_max, king.potential().r_max)
+    inside = int(np.count_nonzero(np.linspace(0.0, r_max, 8192) < f.grid.radial.x_max))
+    distance = [c[0] for c in calls if c[1] == "distance" and c[3] == (inside,)]
+    assert distance == ["locate", "count"]

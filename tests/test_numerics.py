@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -506,16 +506,18 @@ def _pchip_tables(king, poly, pchip_branch_densities):
         tables[f"a' {label}"] = (jac._e_tab, jac._ap_tab)
     for name, (grid, rho) in pchip_branch_densities.items():
         tables[name] = (grid.nodes, rho)
+    # two nodes, where scipy's PCHIP is the secant line
+    tables["two nodes"] = (np.array([0.5, 1.5]), np.array([-1.0, -0.5]))
     return tables
 
 
 @pytest.mark.parametrize("name", [
     "Q* king W0=3", "a king W0=3", "a' king W0=3", "Q* polytrope q=1", "a polytrope q=1", "a' polytrope q=1",
-    "flat run", "sign change", "end clamp to 0", "end clamp to 3 m0",
+    "flat run", "sign change", "end clamp to 0", "end clamp to 3 m0", "two nodes",
 ])
 def test_pchip_has_scipys_bits(name, king, poly, pchip_branch_densities, same_bits):
     # scipy is the oracle: the coefficients of PchipInterpolator, its values
-    # and those of its PPoly antiderivative, byte for byte
+    # and those of its PPoly antiderivative and derivative, byte for byte
     from scipy.interpolate import PchipInterpolator
 
     from vpstab.numerics import pchip
@@ -523,8 +525,10 @@ def test_pchip_has_scipys_bits(name, king, poly, pchip_branch_densities, same_bi
     x, y = _pchip_tables(king, poly, pchip_branch_densities)[name]
     ours, scipys = pchip(x, y), PchipInterpolator(x, y)
     ours_g, scipys_g = ours.antiderivative(), scipys.antiderivative()
+    ours_d, scipys_d = ours.derivative(), scipys.derivative()
     assert same_bits(ours.c, scipys.c)
     assert same_bits(ours_g.c, scipys_g.c)
+    assert same_bits(ours_d.c, scipys_d.c)
     lo, hi, span = x[0], x[-1], x[-1] - x[0]
     mids = 0.5 * (x[:-1] + x[1:])
     points = {
@@ -535,11 +539,88 @@ def test_pchip_has_scipys_bits(name, king, poly, pchip_branch_densities, same_bi
         "nan": np.array([np.nan, mids[0], np.nan]),
         "dense line": np.linspace(lo - 0.1 * span, hi + 0.1 * span, 3 * x.size + 1),
         "unsorted 2-d": np.random.default_rng(7).uniform(lo - 0.1 * span, hi + 0.1 * span, (40, 50)),
-        "0-d": np.array(mids[1]),
+        "0-d": np.array(mids[-1]),
     }
     for kind, t in points.items():
         assert same_bits(ours(t), scipys(t)), kind
         assert same_bits(ours_g(t), scipys_g(t)), kind
+        assert same_bits(ours_d(t), scipys_d(t)), kind
+
+
+def _searched_pieces(x, t):
+    """The pieces and offsets of PiecewisePoly.locate by its search form."""
+    i = np.clip(x.searchsorted(t, "right") - 1, 0, x.size - 2)
+    return i, t - x[i]
+
+
+def _bytes_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _breaks_and_ascending_points(draw):
+    """Strictly increasing breaks, and ascending points drawn from the
+    breaks themselves and from a span reaching past both ends, with
+    repeats."""
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    x = np.sort(np.array(draw(st.lists(finite, min_size=2, max_size=40, unique=True))))
+    span = x[-1] - x[0]
+    point = st.one_of(st.sampled_from(x.tolist()), st.floats(x[0] - span, x[-1] + span))
+    t = np.sort(np.array(draw(st.lists(point, min_size=1, max_size=80)), dtype=float))
+    return x, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_breaks_and_ascending_points())
+@example(case=(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, 1.0, 2.0, 2.0, 2.0])))  # on breaks, repeated
+@example(case=(np.array([0.0, 1.0, 2.0]), np.array([-5.0, -1.0, 0.0, 2.0, 7.0])))  # below and above the breaks
+@example(case=(np.array([0.0, 0.5, 1.0, 2.0, 4.0]), np.array([0.7])))  # one point, fewer than the breaks
+@example(case=(np.array([0.0, 0.5, 1.0, 2.0, 4.0]), np.array([4.0, 9.0])))  # only the last piece
+def test_locate_counts_ascending_points_as_the_search_does(case):
+    # the piece of each ascending point, from a count of the breaks below
+    # it, equals the search form's piece byte for byte, and so does locate
+    from vpstab.numerics import PiecewisePoly
+
+    x, t = case
+    pp = PiecewisePoly(x, np.zeros((1, x.size - 1)))
+    i, s = _searched_pieces(x, t)
+    assert _bytes_equal(pp._count_pieces(t), i)
+    got_i, got_s = pp.locate(t)
+    assert _bytes_equal(got_i, i) and _bytes_equal(got_s, s)
+
+
+def test_locate_counts_only_ascending_1d_points_without_nan(monkeypatch, same_bits):
+    # the input alone picks the path: a 1-d ascending t without NaN is
+    # counted, anything else is searched for point by point; both give the
+    # search form's pieces and offsets
+    from vpstab.numerics import PiecewisePoly
+
+    x = np.array([0.0, 1.0, 2.0, 3.0])
+    pp = PiecewisePoly(x, np.zeros((1, 3)))
+    counted = []
+    count = PiecewisePoly._count_pieces
+    monkeypatch.setattr(PiecewisePoly, "_count_pieces", lambda self, t: counted.append(t.size) or count(self, t))
+    cases = {
+        "ascending": (np.array([-1.0, 0.0, 0.0, 1.5, 3.0, 9.0]), True),
+        "one point": (np.array([2.5]), True),
+        "infinite ends": (np.array([-np.inf, 1.0, np.inf]), True),
+        "unsorted": (np.array([1.5, 0.5, 2.5]), False),
+        "descending": (np.array([2.5, 1.5]), False),
+        "one NaN": (np.array([np.nan]), False),
+        "NaN first": (np.array([np.nan, 1.0, 2.0]), False),
+        "NaN inside": (np.array([0.5, np.nan, 2.0]), False),
+        "NaN last": (np.array([0.5, 1.0, np.nan]), False),
+        "2-d": (np.linspace(0.0, 3.0, 6).reshape(2, 3), False),
+        "0-d": (np.array(1.5), False),
+        "empty": (np.zeros(0), False),
+    }
+    for name, (t, counts) in cases.items():
+        counted.clear()
+        i, s = pp.locate(t)
+        want_i, want_s = _searched_pieces(x, t)
+        assert same_bits(i, want_i) and i.dtype == want_i.dtype, name
+        assert same_bits(s, want_s), name
+        assert counted == ([t.size] if counts else []), name
 
 
 def test_a_run_loads_neither_scipy_interpolate_nor_optimize():

@@ -326,6 +326,47 @@ def test_solved_potential_matches_the_where_form_bit_for_bit(king, method, monke
         assert same_bits(fast[kind][1], pot.dphi_fn(r)), kind
 
 
+@pytest.mark.parametrize("method", ["spline", "cells"])
+def test_dphi_from_the_sq_moment_alone_matches_the_two_moment_form(king, method, radius_kinds, same_bits):
+    # dphi_fn reads the s^2 moment alone; the form that evaluated both
+    # moments at each radius and kept the first gives the same bytes, for
+    # node samples and for a CellMoments (the evolver records' path)
+    from vpstab.poisson import FOUR_PI, _center_value, _moment_spline
+
+    grid = king.grid
+    x_max, tiny = grid.x_max, 1e-12 * grid.x_max
+    if method == "spline":
+        rho = king.rho
+        sq, lin = _moment_spline(np.concatenate([[0.0], grid.nodes]),
+                                 np.concatenate([[_center_value(grid.nodes, rho)], rho]))
+
+        def moments(r):
+            i, s = sq.locate(np.clip(r, 0.0, x_max))
+            return sq.at(i, s), lin.at(i, s)
+
+    else:
+        rho = cells = CellMoments.of(grid, king.rho)
+
+        def moments(r):
+            r = np.clip(r, 0.0, x_max)
+            i = np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
+            return cells.cum_sq(r, i), cells.cum_lin(r, i)
+
+    pot = solve_poisson_radial(grid, rho)
+
+    def two_moment_dphi(r):
+        r = np.asarray(r, dtype=float)
+        rs = np.clip(r, tiny, None)
+        inner = np.where(r < tiny, 0.0, moments(rs)[0] / rs**2)
+        return np.where(r < x_max, inner, pot.M / (FOUR_PI * rs**2))
+
+    kinds = radius_kinds(x_max, king.R_Q)
+    kinds["nodes"] = grid.nodes
+    kinds["below tiny"] = np.array([0.0, 0.5e-12, 1e-12, 2e-12]) * x_max
+    for kind, r in kinds.items():
+        assert same_bits(np.asarray(pot.dphi_fn(r)), two_moment_dphi(r)), kind
+
+
 @pytest.fixture(scope="module")
 def spline_densities(king, poly, ball_grid, pchip_branch_densities):
     """(grid, rho) lists by name: the King W0 = 3 and 6 and q = 1 polytrope
