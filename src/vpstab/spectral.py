@@ -15,17 +15,16 @@ with V(r) = int |F'(e)| dv. The translation modes phi_Q'(r) span the kernel
 constant is the smallest Dirichlet-normalized eigenvalue away from them.
 
 On the uniform grid in w = r h every sector is a tridiagonal pencil, and the
-k = 0 projector term is kept as a factor U with at most n_e columns, so no
-dense n x n matrix enters a solve. U's rows vanish past the radial quadrature,
-which ends at R_Q: about n/6 of the n rows on the default [0, 6 R_Q] box are
-its support. The lowest eigenvalues come from shift-invert Lanczos: a LAPACK
-LU (gttrf) of the shifted tridiagonal, plus the Woodbury identity for U U^T.
-The Woodbury capacitance I + U^T K^{-1} U is built on U's support alone: the
-exterior block enters only through one Schur-complement corner entry.
-Shift-invert finds the eigenvalues nearest the shift; a Sylvester inertia
-count (the LDL^T pivots of the tridiagonal, and for k = 0 Haynsworth's count
-over the capacitance matrix) certifies that none lies below it, and
-CoercivityError is raised otherwise.
+k = 0 projector term is a factor U with at most n_e columns, so no dense
+n x n matrix enters a solve. U and V vanish past R_Q, on about 5/6 of the
+rows of the default [0, 6 R_Q] box, and those rows enter a solve on the
+support through one Schur-complement corner entry. The Dirichlet-normalized
+sectors k >= 1 thus reduce to tridiagonal eigenproblems on V's support,
+solved by LAPACK bisection. The other spectra come from shift-invert Lanczos:
+a LAPACK LU (gttrf) of the shifted tridiagonal, plus for k = 0 the Woodbury
+identity for U U^T. A Sylvester inertia count (the LDL^T pivots of the
+tridiagonal, and for k = 0 Haynsworth's count over the capacitance matrix)
+certifies that no eigenvalue lies below the shift (CoercivityError if one does).
 
 A discretisation is named by (model, n). Each spectrum is solved only where
 it is read: harmonic_operator_spectrum solves the standard sector problem
@@ -266,10 +265,27 @@ class _SectorMatrices:
         return u @ u.T
 
     def dirichlet_eigenvalues(self, k, n_eigs):
-        """Lowest n_eigs eigenvalues of the pencil A_k x = lambda N_k x. The
-        shift is -1: a stable model's Dirichlet-normalized spectrum lies
-        above 0 except for the translation mode near 0."""
-        return self._shift_invert(k, n_eigs, -1.0, dirichlet=True)[0]
+        """Lowest n_eigs eigenvalues of the pencil A_k x = lambda N_k x; for
+        k = 0, where U U^T fills the support block, by shift-invert at -1 (a
+        stable model's spectrum lies above 0 but for the translation mode).
+        For k >= 1, A_k - lambda T_k = (1 - lambda) T_k - V with V > 0 on m
+        leading rows and 0 after them reduces to V_s x = (1 - lambda) S x, S
+        T_k's support block with its Schur corner: lambda = 1 - 1/nu for the
+        eigenvalues nu of M = V_s^{-1/2} S V_s^{-1/2}, and 1 (n - m times). M,
+        a diagonal congruence of the diagonally dominant S, has them to high
+        relative accuracy by bisection (Barlow & Demmel 1990, SIAM J. Numer.
+        Anal. 27, 762). CoercivityError if V is not so, or if n_eigs > m."""
+        if k == 0:
+            return self._shift_invert(0, n_eigs, -1.0, dirichlet=True)[0]
+        m = np.count_nonzero(self.V > 0)
+        v = self.V[:m]
+        if not (0 < m < self.n and np.all(v > 0) and not np.any(self.V[m:])):
+            raise CoercivityError(f"sector k={k}: V is not positive on a leading block of rows and 0 after it")
+        if n_eigs > m:
+            raise CoercivityError(f"sector k={k}: {n_eigs} eigenvalues asked, but only {m} lie below 1")
+        d, e = self.dirichlet_tridiag(k)
+        s_diag = _support_block(d, e, m, k, 0.0)  # T_rr is A_rr at the shift 0
+        return 1.0 - 1.0 / _bisection_eigenvalues(s_diag / v, e[: m - 1] / np.sqrt(v[:-1] * v[1:]), n_eigs)
 
     def radial_eigenpairs(self, n_eigs):
         """Lowest eigenpairs of A_0 = T_0 - diag(V) + U U^T. The shift lies 1
@@ -335,27 +351,38 @@ class _SectorMatrices:
         """C = I + U^T K^{-1} U for the shifted k = 0 tridiagonal K = (dk, ek).
 
         U vanishes past its first n_s rows, so only the support block
-        (K^{-1})_ss enters. K couples the support block s to the exterior
-        block r through one entry e = ek[n_s - 1], and the Schur complement
-        gives (K^{-1})_ss = (K_ss - e^2 g e_last e_last^T)^{-1} exactly, with
-        g = (K_rr^{-1})_00, whenever K_rr is nonsingular (CoercivityError
-        otherwise). V and U vanish on the exterior, so at a Dirichlet shift
-        K_rr = (1 - sigma) T_rr, positive definite for every sigma < 1 (2 T_rr
-        at the shift -1 in use), and at the standard shift K_rr = T_rr - sigma,
-        where sigma lies 1 below the spectrum of T_0 - V and so, by Cauchy
-        interlacing, below that of T_rr: positive definite as well. One
-        solve of K_rr gives g, and one tridiagonal solve on the n_s support
-        rows with n_e right-hand sides gives (K^{-1})_ss U_s.
+        (K^{-1})_ss enters: the inverse of the Schur complement of the
+        exterior block r (_support_block), which exists whenever K_rr is
+        nonsingular (CoercivityError otherwise). V and U vanish on the
+        exterior, so at a Dirichlet shift K_rr = (1 - sigma) T_rr, positive
+        definite for every sigma < 1 (2 T_rr at the shift -1 in use), and at
+        the standard shift K_rr = T_rr - sigma, where sigma lies 1 below the
+        spectrum of T_0 - V and so, by Cauchy interlacing, below that of T_rr:
+        positive definite as well. One tridiagonal solve on the n_s support
+        rows with n_e right-hand sides then gives (K^{-1})_ss U_s.
         """
         u, n_s = self._projector_factor
         u_s = u[:n_s]
-        unit = np.zeros(self.n - n_s)
-        unit[0] = 1.0
-        g = _tridiag_solver(dk[n_s:], ek[n_s:], 0, sigma)(unit)[0]
-        d_s = dk[:n_s].copy()
-        d_s[-1] -= ek[n_s - 1] ** 2 * g
-        x = _tridiag_solver(d_s, ek[: n_s - 1], 0, sigma)(u_s)
+        x = _tridiag_solver(_support_block(dk, ek, n_s, 0, sigma), ek[: n_s - 1], 0, sigma)(u_s)
         return np.eye(u.shape[1]) + u_s.T @ x
+
+
+def _support_block(d, e, s, k, sigma):
+    """Diagonal of the Schur complement K_ss - e[s - 1]^2 g e_last e_last^T,
+    g = (K_rr^{-1})_00, of K = (d, e) on its s leading rows, which meet the
+    exterior rows r through e[s - 1] alone (its off-diagonal is e[:s - 1]);
+    CoercivityError if K_rr is exactly singular."""
+    g = _tridiag_solver(d[s:], e[s:], k, sigma)(np.eye(1, d.size - s)[0])[0]  # K_rr^{-1} e_0, first entry
+    d_s = d[:s].copy()
+    d_s[-1] -= e[s - 1] ** 2 * g
+    return d_s
+
+
+def _bisection_eigenvalues(d, e, n_eigs):
+    """n_eigs lowest eigenvalues of the tridiagonal (d, e) by LAPACK bisection
+    (dstebz) at LAPACK's full-accuracy tolerance: MRRR (stemr) loses digits."""
+    return linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, n_eigs - 1),
+                                   lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
 
 
 def _tridiag_matvec(d, e):
@@ -455,7 +482,9 @@ def harmonic_operator_spectrum(model, k, n_eigs=6, n=800):
 def coercivity_constant(model, n=800):
     """Smallest Dirichlet-normalized eigenvalue of the Hessian away from the
     translation kernel, on the n-point grid of _SectorMatrices(model, n):
-    min over the radial sector, the second k=1 mode, and the k=2 sector.
+    min over the radial sector, the second k=1 mode, and the k=2 sector:
+    k = 1 and 2 by bisection of their tridiagonal reduction to V's support,
+    k = 0, whose projector term has none, by shift-invert Lanczos.
     No sector k > 2 has a lower one: for c < 1, A_k - c T_k = (1 - c) T_k - V,
     and T_k increases with k in the Loewner order (T_{k+1} - T_k =
     diag(2(k + 1)/r^2)), so A_k - c T_k is positive semidefinite for every
@@ -511,7 +540,8 @@ def compactness_ratio(model, n=400, r_max_factor=6.0):
     sm = _SectorMatrices(model, n=n, r_max_factor=r_max_factor)
     K = np.diag(sm.V) - sm.projector_correction()
     Nmat = sm.dirichlet_matrix(0)
-    vals = linalg.eigh(K, Nmat, eigvals_only=True)
+    with serial_blas():  # threaded, it is slower and its bits depend on the thread count
+        vals = linalg.eigh(K, Nmat, eigvals_only=True)
     sv = np.sort(np.abs(vals))[::-1]
     return float(sv[19] / sv[0])
 

@@ -43,14 +43,13 @@ def dirichlet_solves(monkeypatch):
     from vpstab.spectral import _SectorMatrices
 
     solves = []
-    shift_invert = _SectorMatrices._shift_invert
+    dirichlet_eigenvalues = _SectorMatrices.dirichlet_eigenvalues
 
-    def counted(self, k, n_eigs, sigma, dirichlet):
-        if dirichlet:
-            solves.append((self.n, k))
-        return shift_invert(self, k, n_eigs, sigma, dirichlet)
+    def counted(self, k, n_eigs):
+        solves.append((self.n, k))
+        return dirichlet_eigenvalues(self, k, n_eigs)
 
-    monkeypatch.setattr(_SectorMatrices, "_shift_invert", counted)
+    monkeypatch.setattr(_SectorMatrices, "dirichlet_eigenvalues", counted)
     return solves
 
 

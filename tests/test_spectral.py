@@ -17,6 +17,7 @@ from vpstab.spectral import (
     smooth_bump_direction,
     taylor_remainder,
 )
+from vpstab.steady_state import king_model, polytrope_model
 
 
 def test_effective_potential_support_and_values(king):
@@ -238,6 +239,12 @@ def test_coercivity_pure_laplacian(king):
 
 def test_compactness_proxy(king):
     assert compactness_ratio(king, n=400, r_max_factor=10.0) <= 1e-2
+
+
+def test_compactness_ratio_does_not_depend_on_the_blas_thread_count(king, serial_blas, same_bits):
+    threaded = compactness_ratio(king)
+    with serial_blas():
+        assert same_bits(compactness_ratio(king), threaded)
 
 
 def test_hormander_model_residual(king):
@@ -522,6 +529,70 @@ def test_inertia_certificate_rejects_a_shift_above_the_lowest_eigenvalue(king):
         for count, sigma in ((1, 0.5 * (lows[0] + lows[1])), (2, 0.5 * (lows[1] + lows[2]))):
             with pytest.raises(CoercivityError, match=f"{count} eigenvalue"):
                 sm._shift_invert(k, 1, sigma, dirichlet=True)
+
+
+@pytest.fixture(scope="module")
+def deep():
+    return {"king-12": king_model(12.0), "q-3.45": polytrope_model(3.45)}
+
+
+@pytest.mark.parametrize("which", ["king-12", "q-3.45"])
+def test_bisected_sectors_match_dense_eigh_where_they_set_c0(which, deep):
+    # deep models, whose c0 at n = 400 comes from the k = 1 (King) or the
+    # k = 2 (polytrope) sector
+    from scipy import linalg
+
+    from vpstab.spectral import _SectorMatrices
+
+    model = deep[which]
+    sm = _SectorMatrices(model, n=400)
+    lows = {}
+    for k in (1, 2, 3):
+        A, N = _dense_sector(sm, k, 0.0)
+        lows[k] = linalg.eigh(A, N, eigvals_only=True, subset_by_index=(0, 2))
+        np.testing.assert_allclose(sm.dirichlet_eigenvalues(k, 3), lows[k], rtol=1e-10, atol=1e-13)
+    c0 = coercivity_constant(model, n=400)
+    assert c0 < sm.dirichlet_eigenvalues(0, 1)[0]
+    assert c0 == pytest.approx(min(lows[1][1], lows[2][0]), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [800, 1600, 3200])
+@pytest.mark.parametrize("which", ["king", "poly"])
+def test_coercivity_constant_keeps_the_lanczos_bits_where_k0_sets_it(which, n, request, same_bits):
+    # the minimum over the three sectors with every one solved by
+    # shift-invert Lanczos at the shift -1
+    from vpstab.spectral import _SectorMatrices
+
+    model = request.getfixturevalue(which)
+    sm = _SectorMatrices(model, n=n)
+    lanczos = [sm._shift_invert(k, n_eigs, -1.0, dirichlet=True)[0][-1] for k, n_eigs in ((0, 1), (1, 2), (2, 1))]
+    assert same_bits(coercivity_constant(model, n=n), float(min(lanczos)))
+
+
+def test_bisected_sectors_need_v_positive_on_a_leading_block_and_zero_after(king):
+    from vpstab.spectral import CoercivityError, _SectorMatrices
+
+    sm = _SectorMatrices(king, n=400)
+    m = np.count_nonzero(sm.V > 0)
+    gap, tail, negative = sm.V.copy(), sm.V.copy(), sm.V.copy()
+    gap[m // 2] = 0.0
+    tail[m + 5] = 1e-3
+    negative[m + 5] = -1e-3
+    for v in (gap, tail, negative, np.zeros(sm.n), np.ones(sm.n)):
+        sm.V = v
+        with pytest.raises(CoercivityError, match="V is not positive on a leading block"):
+            sm.dirichlet_eigenvalues(1, 2)
+
+
+def test_bisected_sectors_have_one_eigenvalue_below_1_per_support_row(king):
+    from vpstab.spectral import CoercivityError, _SectorMatrices
+
+    sm = _SectorMatrices(king, n=400)
+    m = np.count_nonzero(sm.V > 0)
+    vals = sm.dirichlet_eigenvalues(2, m)
+    assert vals.size == m and np.all(vals < 1.0)
+    with pytest.raises(CoercivityError, match=f"{m + 1} eigenvalues asked, but only {m}"):
+        sm.dirichlet_eigenvalues(2, m + 1)
 
 
 def test_ldl_inertia_count_matches_eigenvalues():
