@@ -271,36 +271,53 @@ def cmd_rearrange(args):
     return 0
 
 
-def cmd_shift(args):
-    from .poisson import PotentialX, RadialField3D
-    from .spectral import modulation_shift
+def _finite_entry(doc, key, where):
+    """doc[key] as a float array, InvalidArgumentError unless all finite."""
+    from .numerics import InvalidArgumentError
+
+    values = np.asarray(doc[key], dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError(f"{where}: {key} must hold finite numbers only")
+    return values
+
+
+def _table_potential(doc, where):
+    """The PCHIP of a table's phi on r (clamped below r[0]), continued past
+    r[-1] by `poisson.monopole_continued` with the table's mass M > 0."""
     from .numerics import Grid1D, InvalidArgumentError, pchip
+    from .poisson import PotentialX, monopole_continued
+    from .steady_state import _require
+
+    _require(doc, ("r", "phi", "M"), where)
+    r, phi, M = (_finite_entry(doc, key, where) for key in ("r", "phi", "M"))
+    if r.ndim != 1 or r.size < 2 or phi.shape != r.shape:
+        raise InvalidArgumentError("potential table needs finite r and phi lists of one length, at least 2")
+    if M.ndim != 0 or not M > 0:
+        raise InvalidArgumentError(f"{where}: M must be a positive number")
+    edges = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [r[-1]]])
+    grid = Grid1D(nodes=r, edges=edges)  # r positive and strictly increasing
+    interp = pchip(r, phi)
+    dinterp = interp.derivative()
+    clip = lambda x: np.clip(x, r[0], r[-1])
+    phi_fn, dphi_fn = monopole_continued(r[-1], float(M), lambda x: interp(clip(x)), lambda x: dinterp(clip(x)))
+    return PotentialX.from_callable(grid, phi_fn, dphi_fn, float(M))
+
+
+def cmd_shift(args):
+    from .numerics import InvalidArgumentError
+    from .poisson import RadialField3D
+    from .spectral import modulation_shift
     from .steady_state import SteadyStateModel, _require
 
     cfg, digest = _resolved_config(args)
     model = SteadyStateModel.load(args.model)
+    where = f"potential file {args.potential}"
     with open(args.potential) as fh:
-        doc = _require(json.load(fh), (), f"potential file {args.potential}")
-    center = np.asarray(doc.get("center", [0.0, 0.0, 0.0]), dtype=float)
-    if doc.get("use_model_potential"):
-        pot = model.potential()
-    else:
-        _require(doc, ("r", "phi", "M"), f"potential file {args.potential}")
-        r = np.asarray(doc["r"], dtype=float)
-        phi = np.asarray(doc["phi"], dtype=float)
-        M = float(doc["M"])
-        if r.ndim != 1 or r.size < 2 or phi.shape != r.shape or not np.all(np.isfinite(r)):
-            raise InvalidArgumentError("potential table needs finite r and phi lists of one length, at least 2")
-        edges = np.concatenate([[0.0], 0.5 * (r[1:] + r[:-1]), [r[-1]]])
-        grid = Grid1D(nodes=r, edges=edges)  # r positive and strictly increasing
-        interp = pchip(r, phi)
-        dinterp = interp.derivative()
-        pot = PotentialX.from_callable(
-            grid,
-            lambda x: np.where(x < r[-1], interp(np.clip(x, r[0], r[-1])), -M / (4 * np.pi * np.clip(x, 1e-300, None))),
-            lambda x: np.where(x < r[-1], dinterp(np.clip(x, r[0], r[-1])), M / (4 * np.pi * np.clip(x, 1e-300, None) ** 2)),
-            M,
-        )
+        doc = _require(json.load(fh), (), where)
+    center = _finite_entry(doc, "center", where) if "center" in doc else np.zeros(3)
+    if center.shape != (3,):
+        raise InvalidArgumentError(f"{where}: center must be 3 finite numbers")
+    pot = model.potential() if doc.get("use_model_potential") else _table_potential(doc, where)
     field = RadialField3D.of(pot, center)
     z, resid = modulation_shift(field, model)
     doc = {

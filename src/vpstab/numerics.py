@@ -225,14 +225,15 @@ def _jacobi_rule(n, alpha, beta):
         return _read_only(*special.roots_jacobi(n, alpha, beta))
 
 
-def jacobi_integral(g, lo, hi, alpha, beta, n=80):
-    """Integral over [lo, hi] of (hi - e)^alpha (e - lo)^beta g(e) de.
+def jacobi_integral(g, lo, hi, alpha, beta):
+    """Integral over [lo, hi] of (hi - e)^alpha (e - lo)^beta g(e) de, by the
+    80-point Gauss-Jacobi rule.
 
     Endpoint powers are absorbed into the rule, so g only needs to be smooth.
     """
     if hi <= lo:
         return 0.0
-    x, w = _jacobi_rule(n, alpha, beta)
+    x, w = _jacobi_rule(80, alpha, beta)
     half = 0.5 * (hi - lo)
     e = lo + half * (x + 1.0)
     return float(half ** (alpha + beta + 1.0) * np.dot(w, g(e)))
@@ -279,10 +280,11 @@ def turning_point_integral(phi, e, r_turn, p):
     return float(np.dot(w, np.clip(e - phi(r), 0.0, None) ** p * r**2))
 
 
-def exterior_power_tail(mass, e, r_start, p):
-    """Integral over [r_start, r_e] of (e + mass/(4 pi r))^p r^2 dr for e < 0,
+def exterior_power_tail(mass, e, r_start, p, k):
+    """Integral over [r_start, r_e] of (e + mass/(4 pi r))^p r^k dr for e < 0,
     with r_e = mass / (4 pi |e|) the exterior turning radius; elementwise
-    for an array of e, and 0 where r_e <= r_start.
+    for an array of e, and 0 where r_e <= r_start: the phase-volume tail of
+    a potential continued by `poisson.monopole_continued` (k = 2 for a(e)).
 
     Substituting r = r_e t turns the integrand into an incomplete Beta kernel.
     """
@@ -291,9 +293,9 @@ def exterior_power_tail(mass, e, r_start, p):
         raise InvalidArgumentError("tail defined for e < 0")
     r_e = mass / (4.0 * np.pi) / (-e)
     t0 = np.minimum(r_start / r_e, 1.0)
-    a, b = 3.0 - p, p + 1.0  # integrand t^(2-p) (1-t)^p after factoring |e|^p
+    a, b = k + 1 - p, p + 1.0  # integrand t^(k-p) (1-t)^p after factoring |e|^p
     rem = special.beta(a, b) * (1.0 - special.betainc(a, b, t0))
-    out = r_e**3 * (-e) ** p * rem
+    out = r_e ** (k + 1) * (-e) ** p * rem
     return float(out) if out.ndim == 0 else out
 
 

@@ -96,11 +96,8 @@ def _moment_spline(x, y):
 
 @dataclass(frozen=True)
 class PotentialX:
-    """Radial potential with its exterior monopole continuation.
-
-    phi_fn / dphi_fn evaluate phi and phi' for any r >= 0 (the exterior is
-    exactly -M/(4 pi r)).
-    """
+    """Radial potential: phi_fn / dphi_fn evaluate phi and phi' for any
+    r >= 0, past the matter through `monopole_continued`."""
 
     grid: Grid1D
     M: float
@@ -138,13 +135,37 @@ class PotentialX:
 
     @staticmethod
     def from_model(model):
-        return PotentialX.from_callable(model.grid, model.phi_fn, model.dphi_fn, model.M)
+        """The model's potential: e0 - psi and -psi' of its interior solution
+        below R_Q, continued by `monopole_continued`."""
+        R_Q, e0, psi, dpsi = model.R_Q, model.e0, model.interior.psi, model.interior.dpsi
+        phi_fn, dphi_fn = monopole_continued(
+            R_Q, model.M, lambda r: e0 - psi(np.clip(r, 0.0, R_Q)), lambda r: -dpsi(np.clip(r, 0.0, R_Q))
+        )
+        return PotentialX.from_callable(model.grid, phi_fn, dphi_fn, model.M)
 
     @staticmethod
     def from_callable(grid, phi_fn, dphi_fn, M):
         """Wrap analytic callables (e.g. a perturbed potential)."""
         phi0 = float(phi_fn(np.array([0.0]))[0])
         return PotentialX(grid, M, phi0, phi_fn, dphi_fn)
+
+
+def monopole_continued(edge, M, inner, dinner):
+    """phi_fn and dphi_fn of a potential: the laws inner and dinner below
+    edge > 0, and from edge on the field of mass M outside its support,
+    -M/(4 pi r) and M/(4 pi r^2). Each law is evaluated only on its own side
+    (`branchwise`), so a 0-d r keeps the shape of the law that covers it."""
+    outer, douter = (lambda x: -M / (FOUR_PI * x)), (lambda x: M / (FOUR_PI * x**2))
+
+    def phi_fn(r):
+        r = np.asarray(r, dtype=float)
+        return branchwise(r, r < edge, inner, outer)
+
+    def dphi_fn(r):
+        r = np.asarray(r, dtype=float)
+        return branchwise(r, r < edge, dinner, douter)
+
+    return phi_fn, dphi_fn
 
 
 def _checked_density(grid, rho):
@@ -198,8 +219,8 @@ class CellMoments:
 def solve_poisson_radial(grid, rho):
     """Potential of a nonnegative compactly supported radial density.
 
-    Green representation phi(r) = -m(r)/(4 pi r) - int_r^rmax rho s ds with the
-    exact monopole continuation outside the grid. The data picks the
+    Green representation phi(r) = -m(r)/(4 pi r) - int_r^rmax rho s ds on
+    the grid, continued past x_max by `monopole_continued`. The data picks the
     discretisation: node samples rho on grid are read as the monotone cubic
     (PCHIP) interpolant through (0, rho0) and the nodes, integrated exactly
     against s^2 and s (4th order, `_moment_spline`); a CellMoments built on
@@ -232,32 +253,18 @@ def solve_poisson_radial(grid, rho):
         sq_max, tot1 = (float(moment(*locate(grid.x_max))) for moment in (cum_sq, cum_lin))
         M = _checked_mass(FOUR_PI * sq_max)
 
-    # each formula is evaluated only on its own side of the grid's edge
-    # (`branchwise`); dphi reads the s^2 moment alone, and is 0 below tiny
+    # dphi reads the s^2 moment alone, and is 0 below tiny
     tiny = 1e-12 * grid.x_max
 
     def phi_inner(r):
         at = locate(r)
         return -cum_sq(*at) / np.clip(r, 1e-300, None) - (tot1 - cum_lin(*at))
 
-    def phi_outer(r):
-        return -M / (FOUR_PI * np.clip(r, 1e-300, None))
-
     def dphi_inner(r):
         rs = np.clip(r, tiny, None)
         return np.where(r < tiny, 0.0, cum_sq(*locate(rs)) / rs**2)
 
-    def dphi_outer(r):
-        return M / (FOUR_PI * np.clip(r, tiny, None) ** 2)
-
-    def phi_fn(r):
-        r = np.asarray(r, dtype=float)
-        return branchwise(r, r < grid.x_max, phi_inner, phi_outer)
-
-    def dphi_fn(r):
-        r = np.asarray(r, dtype=float)
-        return branchwise(r, r < grid.x_max, dphi_inner, dphi_outer)
-
+    phi_fn, dphi_fn = monopole_continued(grid.x_max, M, phi_inner, dphi_inner)
     return PotentialX(grid, M, float(-tot1), phi_fn, dphi_fn)
 
 

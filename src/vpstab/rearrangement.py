@@ -14,7 +14,6 @@ turning-point rule and an exact incomplete-Beta tail.
 import csv
 from dataclasses import dataclass
 import numpy as np
-from scipy import special
 
 from .numerics import (
     InvalidArgumentError,
@@ -212,7 +211,6 @@ class ModelRearrangement:
     """
 
     def __init__(self, model):
-        self.model = model
         self.jac = JacobianMap(model.potential())
         self.L0 = model.L0
         t = cosine_mesh(0.0, model.L0, 2048)
@@ -308,7 +306,7 @@ class JacobianMap:
         for out, p in zip(outs, powers):
             total = np.sum(gap**p * wr2, axis=1)
             if np.any(ext):
-                total[ext] += exterior_power_tail(pot.M, ea[ext], pot.r_max, p)
+                total[ext] += exterior_power_tail(pot.M, ea[ext], pot.r_max, p, 2)
             out[active] = total
         return outs
 
@@ -433,15 +431,10 @@ def path_derivative_a(pot, pot_tilde, lam, e):
 
     r, w = turning_point_rule(float(turning_radius(phi_lam, dphi_lam, e, r_max)), 64, 64)
     integral = np.dot(w, np.clip(e - phi_lam(r), 0.0, None) ** 0.5 * h_fn(r) * r**2)
-    # both exterior laws are monopoles: h = -dM/(4 pi r) past r_max, up to the
-    # exterior turning radius r_e
-    r_e = M_lam / FOUR_PI / (-e)
+    # both exterior laws are monopoles: h = -dbeta/r past r_max, up to the
+    # exterior turning radius
     dbeta = (pot_tilde.M - pot.M) / FOUR_PI
-    if r_e > r_max and abs(dbeta) > 0:
-        # r = r_e t turns (e + beta/r)^{1/2} r into t^(1/2)(1-t)^(1/2), a Beta(3/2, 3/2) kernel
-        t0 = r_max / r_e
-        rem = special.beta(1.5, 1.5) * (1.0 - special.betainc(1.5, 1.5, t0))
-        integral += -dbeta * r_e**2 * (-e) ** 0.5 * rem
+    integral -= dbeta * exterior_power_tail(M_lam, e, r_max, 0.5, 1)
     return -FOUR_PI_SQRT2 * FOUR_PI * float(integral)
 
 

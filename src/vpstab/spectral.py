@@ -135,13 +135,12 @@ class Direction:
     extent: float
 
 
-def smooth_bump_direction(model, center_frac=0.5, width_frac=0.25, amplitude=None):
-    """C^inf radial bump supported in [0, 2 R_Q], normalized to a fraction of
-    the central potential depth unless an amplitude is given."""
+def smooth_bump_direction(model, center_frac=0.5, width_frac=0.25):
+    """C^inf radial bump supported in [0, 2 R_Q], of amplitude -0.1 |phi(0)|."""
     R = 2.0 * model.R_Q
     r0 = center_frac * model.R_Q
     s = width_frac * model.R_Q
-    amp = amplitude if amplitude is not None else -0.1 * abs(model.phi_center)
+    amp = -0.1 * abs(model.phi_center)
 
     def window(r):
         x = np.asarray(r, dtype=float) / R
@@ -533,11 +532,11 @@ def coercivity_ladder(model):
     )
 
 
-def compactness_ratio(model, n=400, r_max_factor=6.0):
+def compactness_ratio(model, r_max_factor=6.0):
     """Decay of the nonlocal (negative) part of the Hessian: ratio of the
     20th to the largest Dirichlet-normalized singular value in the radial
-    sector."""
-    sm = _SectorMatrices(model, n=n, r_max_factor=r_max_factor)
+    sector, on 400 grid points."""
+    sm = _SectorMatrices(model, n=400, r_max_factor=r_max_factor)
     K = np.diag(sm.V) - sm.projector_correction()
     Nmat = sm.dirichlet_matrix(0)
     with serial_blas():  # threaded, it is slower and its bits depend on the thread count
@@ -667,8 +666,6 @@ def taylor_remainder(model, direction: Direction, epsilons):
     a_base = qstar.jac.a(np.clip(e_nodes, None, -1e-300))
 
     def delta_j(eps):
-        if eps == 0.0:
-            return 0.0
         da = _delta_phase_volume(pot, direction, eps, e_nodes)
         dg = qstar.primitive(a_base + da) - qstar.primitive(a_base)
         return eps * cross + 0.5 * eps**2 * grad2 - float(np.dot(e_weights, dg))
@@ -756,8 +753,8 @@ def modulation_shift(field, model, seed=None):
         method="Nelder-Mead",
         options={"xatol": 1e-7 * max(model.R_Q, 1.0), "fatol": 1e-14, "maxiter": 600},
     )
-    if not res.success and res.fun > 1e-6:
-        raise ModulationError(f"no aligned translate found: {res.message}")
+    if not np.isfinite(res.fun) or not res.success and res.fun > 1e-6:
+        raise ModulationError(f"no aligned translate found: {res.message} (objective {res.fun})")
     z = res.x
 
     # orthogonality residuals: -int rho_Q(x) [grad phi](x + z) dx, normalized;

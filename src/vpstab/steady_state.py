@@ -26,7 +26,6 @@ from .numerics import (
     Grid1D,
     InvalidArgumentError,
     PhaseSpaceGrid,
-    branchwise,
     make_1d_grid,
     make_grids,
     solve_profile_ode,
@@ -217,26 +216,13 @@ class SteadyStateModel:
         # exterior psi = e0 + M/(4 pi r) < 0 is clipped to zero: F vanishes there
         return out
 
-    # phi_fn and dphi_fn evaluate the interior solution only at r < R_Q and
-    # the exterior law only elsewhere (`branchwise`). The interior's dense
-    # output is at least 1-d, so a 0-d r gives shape (1,) on either side.
+    # the laws of the model's potential (`PotentialX.from_model`), at least
+    # 1-d as the interior's dense output is, so a 0-d r gives shape (1,)
     def phi_fn(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.atleast_1d(branchwise(
-            r,
-            r < self.R_Q,
-            lambda x: self.e0 - self.interior.psi(np.clip(x, 0.0, self.R_Q)),
-            lambda x: -self.M / (4.0 * np.pi * np.maximum(x, self.R_Q)),
-        ))
+        return np.atleast_1d(self._potential.phi_fn(r))
 
     def dphi_fn(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.atleast_1d(branchwise(
-            r,
-            r < self.R_Q,
-            lambda x: -self.interior.dpsi(np.clip(x, 0.0, self.R_Q)),
-            lambda x: self.M / (4.0 * np.pi * np.maximum(x, self.R_Q) ** 2),
-        ))
+        return np.atleast_1d(self._potential.dphi_fn(r))
 
     def rho_fn(self, r):
         return self.profile.rho_kernel(self.psi_fn(r))
@@ -370,22 +356,19 @@ def _require(doc, keys, what):
 
 
 def _finish_model(profile, interior, grid_for, R_Q, M, meta):
-    from .poisson import field_energy
+    from .poisson import field_energy, monopole_continued
 
     grid = grid_for(R_Q)
     if grid.x_max < R_Q:
         raise InvalidArgumentError(f"grid extent {grid.x_max} smaller than support radius {R_Q}")
     e0 = profile.e0
-    phi = np.where(
-        grid.nodes < R_Q,
-        e0 - np.clip(interior.psi(np.clip(grid.nodes, 0.0, R_Q)), 0.0, None),
-        -M / (4.0 * np.pi * grid.nodes),
-    )
+    # the table reads psi clipped at 0, as the rule below does, and no phi'
+    phi_inside = lambda r: e0 - np.clip(interior.psi(r), 0.0, None)
+    phi = monopole_continued(R_Q, M, lambda r: phi_inside(np.clip(r, 0.0, R_Q)), None)[0](grid.nodes)
     psi = np.clip(e0 - phi, 0.0, None)
     rho = profile.rho_kernel(np.where(grid.nodes < R_Q, psi, 0.0))
 
     # the rule's nodes lie inside (0, R_Q), where phi = e0 - psi
-    phi_inside = lambda r: e0 - np.clip(interior.psi(r), 0.0, None)
     L0 = (8.0 * np.pi * np.sqrt(2.0) / 3.0) * 4.0 * np.pi * turning_point_integral(phi_inside, e0, R_Q, 1.5)
     kin_density = profile.kin_kernel(np.where(grid.nodes < R_Q, psi, 0.0))
     kinetic = 4.0 * np.pi * grid.integrate_sq(kin_density)

@@ -196,6 +196,33 @@ def test_shift_on_tabulated_potential(model_file, tmp_path):
     assert np.linalg.norm(np.array(doc["z"]) - [0.1, 0, 0]) <= 1e-4
 
 
+def _bad_table(model, entry):
+    """A 200-row table of the model's potential with one entry made unusable."""
+    r = np.linspace(0.01, 2.0, 200) * model.R_Q
+    table = {"r": r.tolist(), "phi": model.phi_fn(r).tolist(), "M": model.M, "center": [0.01, 0.0, 0.0]}
+    if entry == "phi":
+        table["phi"][57] = float("nan")
+    elif entry == "center":
+        table["center"] = [0.01, 0.0]
+    else:
+        table["M"] = {"M nan": float("nan"), "M negative": -1.0, "M zero": 0.0}[entry]
+    return table
+
+
+@pytest.mark.parametrize("entry", ["phi", "M nan", "M negative", "M zero", "center"])
+def test_shift_rejects_an_unusable_table_naming_the_entry(model_file, tmp_path, capsys, entry):
+    # before, a NaN in phi or M printed NaN residuals and exited 0, M = -1
+    # exited 0 with a result, and a 2-number center failed in numpy
+    from vpstab.steady_state import SteadyStateModel
+
+    pot_file, out = tmp_path / "table.json", tmp_path / "shift.json"
+    pot_file.write_text(json.dumps(_bad_table(SteadyStateModel.load(model_file), entry)))
+    assert main(["shift", "--model", str(model_file), "--potential", str(pot_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{entry.split()[0]} must" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def _scipy_shift_doc(model, table):
     """z and the residuals for a potential table by the scipy form: the
     PchipInterpolator of (r, phi) and its PPoly derivative inside the table,

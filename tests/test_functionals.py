@@ -326,7 +326,6 @@ def test_stability_lower_bound_matches_the_plain_form_bit_for_bit(king, monkeypa
     import vpstab.functionals as functionals
     import vpstab.poisson as poisson
     import vpstab.rearrangement as rearrangement
-    import vpstab.steady_state as steady_state
     from vpstab.spectral import coercivity_constant
 
     c0 = coercivity_constant(king)
@@ -339,7 +338,8 @@ def test_stability_lower_bound_matches_the_plain_form_bit_for_bit(king, monkeypa
         return np.array([(r.lhs, r.rhs, r.slack, r.reliable) for r in reps]).tobytes()
 
     fast = report_bits(dataclasses.replace(king))
-    for module in (steady_state, poisson, rearrangement):
+    # a model's laws are its potential's, which poisson's branchwise picks
+    for module in (poisson, rearrangement):
         monkeypatch.setattr(module, "branchwise", plain_forms.branchwise)
     monkeypatch.setattr(rearrangement, "l1_distance", plain_forms.l1_distance)
     monkeypatch.setattr(functionals, "potential_distance", plain_forms.potential_distance)
@@ -393,3 +393,10 @@ def test_lower_bound_reads_qstar_through_the_merge_ranks_and_counts_the_scan(kin
     inside = int(np.count_nonzero(np.linspace(0.0, r_max, 8192) < f.grid.radial.x_max))
     distance = [c[0] for c in calls if c[1] == "distance" and c[3] == (inside,)]
     assert distance == ["locate", "count"]
+
+
+def test_transport_pairing_rejects_densities_on_different_grids(king, king_pot):
+    f = phase_space_density(king, n_r=40, n_u=20)
+    g = phase_space_density(king, n_r=41, n_u=20)
+    with pytest.raises(InvalidArgumentError, match="different grids"):
+        transport_pairing(f, g, king_pot)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from vpstab.numerics import (
+    Grid1D,
     InvalidArgumentError,
     OutOfRangeError,
     eig_tridiag,
@@ -400,19 +401,21 @@ def test_turning_point_integral_vs_quad():
 
 
 def test_exterior_power_tail_vs_quad():
+    # the tail of a(e) and a'(e) (r^2) and of path_derivative_a (r^1)
     mass, e, r0 = 7.0, -0.05, 2.0
     beta = mass / (4 * np.pi)
     r_e = beta / (-e)
-    exact = quad(lambda r: (e + beta / r) ** 1.5 * r**2, r0, r_e, epsabs=1e-13)[0]
-    assert exterior_power_tail(mass, e, r0, 1.5) == pytest.approx(exact, rel=1e-10)
-    # elementwise over an array of energies; the last turns inside r0
-    energies = np.array([e, -0.02, -0.3])
-    tails = exterior_power_tail(mass, energies, r0, 1.5)
-    assert tails.shape == (3,) and tails[2] == 0.0
-    for got, ek in zip(tails, energies):
-        assert got == pytest.approx(exterior_power_tail(mass, float(ek), r0, 1.5), rel=1e-15)
-    with pytest.raises(InvalidArgumentError):
-        exterior_power_tail(mass, np.array([e, 0.0]), r0, 1.5)
+    for p, k in ((1.5, 2), (0.5, 2), (0.5, 1)):
+        exact = quad(lambda r: (e + beta / r) ** p * r**k, r0, r_e, epsabs=1e-13)[0]
+        assert exterior_power_tail(mass, e, r0, p, k) == pytest.approx(exact, rel=1e-10)
+        # elementwise over an array of energies; the last turns inside r0
+        energies = np.array([e, -0.02, -0.3])
+        tails = exterior_power_tail(mass, energies, r0, p, k)
+        assert tails.shape == (3,) and tails[2] == 0.0
+        for got, ek in zip(tails, energies):
+            assert got == pytest.approx(exterior_power_tail(mass, float(ek), r0, p, k), rel=1e-15)
+        with pytest.raises(InvalidArgumentError):
+            exterior_power_tail(mass, np.array([e, 0.0]), r0, p, k)
 
 
 def test_profile_ode_lane_emden_analytic():
@@ -669,3 +672,20 @@ print(seen)
     assert proc.stdout.strip() == str(
         {"import": [], "coercivity_constant": [], "stability_lower_bound": [], "evolve": []}
     )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Grid1D(nodes=np.array([0.0, 1.0]), edges=np.array([0.0, 0.5, 1.5])),
+        lambda: Grid1D(nodes=np.array([-0.5, 1.0]), edges=np.array([0.0, 0.5, 1.5])),
+        lambda: eig_tridiag(np.ones(3), np.zeros(2), 0),
+        lambda: eig_tridiag(np.ones(3), np.zeros(2), 4),
+        lambda: solve_profile_ode(lambda y: 0.0, 1.0, 1e-2),
+        lambda: solve_profile_ode(lambda y: -1.0, 1.0, 1e-2),
+    ],
+    ids=["grid-zero-node", "grid-negative-node", "eig-k-zero", "eig-k-past-n", "ode-zero-source", "ode-negative-source"],
+)
+def test_numerics_input_guards_raise(call):
+    with pytest.raises(InvalidArgumentError):
+        call()

@@ -441,29 +441,27 @@ def test_center_value_is_the_least_squares_fit():
         assert abs(_center_value(r, v) - expected) <= 1e-13 * max(abs(expected), np.max(np.abs(v[:3])))
 
 
-def test_potential_distance_samples_the_reference_once(king, monkeypatch):
+def test_potential_distance_samples_the_reference_once(king, king_pot):
     # against a model's potential, the second distance reads the samples of
-    # the first: the reference is not evaluated again
+    # the first: the reference's laws are not evaluated again
     import dataclasses
 
     from vpstab.functionals import hamiltonian
     from vpstab.perturbations import bump_perturbation, padded_phase_density
-    from vpstab.steady_state import SteadyStateModel
 
     calls = []
 
     def counted(name):
-        method = getattr(SteadyStateModel, name)
+        law = getattr(king_pot, name)
 
-        def wrapper(self, r):
+        def wrapper(r):
             calls.append(name)
-            return method(self, r)
+            return law(r)
 
         return wrapper
 
-    for name in ("phi_fn", "dphi_fn"):
-        monkeypatch.setattr(SteadyStateModel, name, counted(name))
-    pot_q = dataclasses.replace(king).potential()
+    # a fresh copy of the model's potential, with no samples kept yet
+    pot_q = dataclasses.replace(king_pot, phi_fn=counted("phi_fn"), dphi_fn=counted("dphi_fn"))
     base = padded_phase_density(king, n_r=150, n_u=80)
     pot_f, pot_g = (hamiltonian(bump_perturbation(base, 0.01, seed)).pot for seed in (7, 8))
     calls.clear()
@@ -553,3 +551,163 @@ def test_shell_self_pair_is_a_sum_of_squares(rng):
         self_pair = _shell_pair(grid, delta, delta)
         assert self_pair == pytest.approx(-float((w * M * M).sum()) / (8.0 * np.pi), rel=1e-14)
         assert -self_pair >= 0.0
+
+
+def _parent_model_laws(model):
+    """A model's phi and phi' as they were written before the exterior law
+    had one copy: the interior solution below R_Q, -M/(4 pi max(r, R_Q)) and
+    its derivative from R_Q on, at least 1-d."""
+    from vpstab.numerics import branchwise
+
+    R_Q, M, e0, interior = model.R_Q, model.M, model.e0, model.interior
+
+    def phi(r):
+        r = np.asarray(r, dtype=float)
+        return np.atleast_1d(branchwise(
+            r, r < R_Q,
+            lambda x: e0 - interior.psi(np.clip(x, 0.0, R_Q)),
+            lambda x: -M / (4.0 * np.pi * np.maximum(x, R_Q)),
+        ))
+
+    def dphi(r):
+        r = np.asarray(r, dtype=float)
+        return np.atleast_1d(branchwise(
+            r, r < R_Q,
+            lambda x: -interior.dpsi(np.clip(x, 0.0, R_Q)),
+            lambda x: M / (4.0 * np.pi * np.maximum(x, R_Q) ** 2),
+        ))
+
+    return phi, dphi
+
+
+def _parent_green_laws(grid, rho):
+    """solve_poisson_radial's phi and phi' as they were written before the
+    exterior law had one copy, for node samples and for a CellMoments."""
+    from vpstab.numerics import branchwise
+    from vpstab.poisson import FOUR_PI, _center_value, _moment_spline
+
+    if isinstance(rho, CellMoments):
+        cells, M, tot1 = rho, rho.M, float(rho.edge_cum_lin[-1])
+
+        def locate(r):
+            r = np.clip(r, 0.0, grid.x_max)
+            return r, np.clip(np.searchsorted(grid.edges, r) - 1, 0, grid.n - 1)
+
+        cum_sq, cum_lin = cells.cum_sq, cells.cum_lin
+    else:
+        rho = np.clip(rho, 0.0, None)
+        sq, lin = _moment_spline(np.concatenate([[0.0], grid.nodes]),
+                                 np.concatenate([[_center_value(grid.nodes, rho)], rho]))
+
+        def locate(r):
+            return sq.locate(np.clip(r, 0.0, grid.x_max))
+
+        cum_sq, cum_lin = sq.at, lin.at
+        sq_max, tot1 = (float(moment(*locate(grid.x_max))) for moment in (cum_sq, cum_lin))
+        M = FOUR_PI * sq_max
+    tiny = 1e-12 * grid.x_max
+
+    def phi_inner(r):
+        at = locate(r)
+        return -cum_sq(*at) / np.clip(r, 1e-300, None) - (tot1 - cum_lin(*at))
+
+    def dphi_inner(r):
+        rs = np.clip(r, tiny, None)
+        return np.where(r < tiny, 0.0, cum_sq(*locate(rs)) / rs**2)
+
+    def phi(r):
+        r = np.asarray(r, dtype=float)
+        return branchwise(r, r < grid.x_max, phi_inner, lambda x: -M / (FOUR_PI * np.clip(x, 1e-300, None)))
+
+    def dphi(r):
+        r = np.asarray(r, dtype=float)
+        return branchwise(r, r < grid.x_max, dphi_inner, lambda x: M / (FOUR_PI * np.clip(x, tiny, None) ** 2))
+
+    return phi, dphi
+
+
+def _parent_table_laws(r, phi, M):
+    """`vpstab shift`'s table potential as it was written before the exterior
+    law had one copy: both laws at every radius, picked by np.where."""
+    from vpstab.numerics import pchip
+
+    interp = pchip(r, phi)
+    dinterp = interp.derivative()
+    return (
+        lambda x: np.where(x < r[-1], interp(np.clip(x, r[0], r[-1])), -M / (4 * np.pi * np.clip(x, 1e-300, None))),
+        lambda x: np.where(x < r[-1], dinterp(np.clip(x, r[0], r[-1])), M / (4 * np.pi * np.clip(x, 1e-300, None) ** 2)),
+    )
+
+
+def _edge_radii(R, x_max):
+    """0, 1e-12 x_max (where the Green solve's phi' starts), R and x_max with
+    one ulp either side of each, and a geometric line out to 1e3 R."""
+    tiny = 1e-12 * x_max
+    near = [0.0, 0.5 * tiny]
+    for a in (tiny, R, x_max):
+        near += [np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)]
+    return {
+        "edges": np.array(near),
+        "out to 1e3 R": np.geomspace(1e-14 * R, 1e3 * R, 4001),
+        "0-d at x_max": np.array(x_max),
+        "float at 1e3 R": 1e3 * R,
+    }
+
+
+@pytest.fixture(scope="module")
+def continued_models(king):
+    import dataclasses
+
+    from vpstab.steady_state import king_model, polytrope_model
+
+    models = {"king 3": king, "king 12": king_model(12.0), "q 1": polytrope_model(1.0), "q 3.45": polytrope_model(3.45)}
+    models["king 3, e0 - 0.25"] = dataclasses.replace(king, e0=king.e0 - 0.25)
+    return models
+
+
+@pytest.mark.parametrize("name", ["king 3", "king 12", "q 1", "q 3.45", "king 3, e0 - 0.25"])
+def test_monopole_continued_keeps_the_parent_laws_bit_for_bit(continued_models, name, radius_kinds, same_bits):
+    # every continued potential reads -M/(4 pi r) and M/(4 pi r^2) from
+    # poisson.monopole_continued; each gives the bytes of the laws it
+    # replaced, on both sides of its edge and at the edge's neighbours
+    from vpstab.cli import _table_potential
+
+    model = continued_models[name]
+    grid = model.grid
+    radii = {**radius_kinds(model.R_Q, grid.x_max), **_edge_radii(model.R_Q, grid.x_max)}
+    pot, (phi, dphi) = model.potential(), _parent_model_laws(model)
+    cases = [("model", model.phi_fn, model.dphi_fn, phi, dphi)]
+    # the potential's 0-d result is that of the law that covers it: (1,)
+    # inside, as the interior's dense output is at least 1-d, and 0-d outside
+    cases.append(("potential", lambda r: np.atleast_1d(pot.phi_fn(r)), lambda r: np.atleast_1d(pot.dphi_fn(r)),
+                  phi, dphi))
+    for kind, rho in (("spline", model.rho), ("cells", CellMoments.of(grid, model.rho))):
+        green = solve_poisson_radial(grid, rho)
+        cases.append((kind, green.phi_fn, green.dphi_fn, *_parent_green_laws(grid, rho)))
+    r_tab = grid.nodes[::2]
+    table = {"r": r_tab, "phi": model.phi_fn(r_tab), "M": model.M}
+    tab = _table_potential(table, "table")
+    cases.append(("table", tab.phi_fn, tab.dphi_fn, *_parent_table_laws(r_tab, table["phi"], model.M)))
+    radii.update({f"table {k}": v for k, v in _edge_radii(r_tab[-1], r_tab[-1]).items()})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for label, new_phi, new_dphi, old_phi, old_dphi in cases:
+            for kind, r in radii.items():
+                assert same_bits(new_phi(r), old_phi(r)), (label, kind)
+                assert same_bits(new_dphi(r), old_dphi(r)), (label, kind)
+    assert np.shape(pot.phi_fn(np.array(2.0 * model.R_Q))) == () and np.shape(pot.phi_fn(0.5 * model.R_Q)) == (1,)
+    # the model's table: psi clipped at 0 inside, -M/(4 pi r) from R_Q on
+    nodes = grid.nodes
+    table_phi = np.where(nodes < model.R_Q, model.e0 - np.clip(model.interior.psi(np.clip(nodes, 0.0, model.R_Q)),
+                                                                0.0, None), -model.M / (4.0 * np.pi * nodes))
+    if name != "king 3, e0 - 0.25":  # a copy keeps the table of the model it copies
+        assert same_bits(model.phi, table_phi)
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [(lambda n: np.ones(n - 1), "shape"), (lambda n: np.full(n, -1.0), "nonnegative")],
+    ids=["wrong-shape", "negative"],
+)
+def test_solve_rejects_a_density_it_cannot_read(ball_grid, rho, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        solve_poisson_radial(ball_grid, rho(ball_grid.n))

@@ -390,6 +390,34 @@ def test_path_derivative_matches_central_difference(king, king_pot):
     assert errs[-1] <= 1e-4 * abs(analytic)
 
 
+@pytest.mark.parametrize("ratio", [5.0, 15.0, 50.0])
+def test_path_derivative_exterior_tail_matches_central_difference(king_pot, ratio):
+    # unequal masses with the turning radius r_e = ratio * r_max far past the
+    # grid, so most of the derivative is the exterior tail: the analytic
+    # value against the central quotient of a_lambda(e) = a_direct of the
+    # mixed potential, second order in the step
+    from vpstab.poisson import PotentialX
+
+    doubled = PotentialX.from_callable(
+        king_pot.grid, lambda r: 2.0 * king_pot.phi_fn(r), lambda r: 2.0 * king_pot.dphi_fn(r), 2.0 * king_pot.M
+    )
+    lam = 0.5
+    e = -(1.0 + lam) * king_pot.M / (4 * np.pi * ratio * king_pot.r_max)
+    analytic = path_derivative_a(king_pot, doubled, lam, e)
+
+    def a_lam(lmb):
+        mixed = PotentialX.from_callable(
+            king_pot.grid,
+            lambda r: (1 - lmb) * king_pot.phi_fn(r) + lmb * doubled.phi_fn(r),
+            lambda r: (1 - lmb) * king_pot.dphi_fn(r) + lmb * doubled.dphi_fn(r),
+            (1 - lmb) * king_pot.M + lmb * doubled.M,
+        )
+        return float(JacobianMap(mixed).a_direct(np.array([e]))[0])
+
+    errs = [abs((a_lam(lam + h) - a_lam(lam - h)) / (2 * h) - analytic) / abs(analytic) for h in (1e-2, 5e-3)]
+    assert errs[1] <= 1e-5 and errs[0] / errs[1] > 3.0
+
+
 def test_kinetic_energy_bound_calibrated(king, rng):
     # kinetic energy of the rearranged density controlled by field and norms
     from vpstab.perturbations import bump_perturbation, padded_phase_density

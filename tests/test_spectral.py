@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 from vpstab.numerics import InvalidArgumentError
 from vpstab.poisson import RadialField3D, solve_poisson_radial
 from vpstab.spectral import (
+    Direction,
     coercivity_constant,
     compactness_ratio,
     hardy_check,
@@ -238,7 +239,7 @@ def test_coercivity_pure_laplacian(king):
 
 
 def test_compactness_proxy(king):
-    assert compactness_ratio(king, n=400, r_max_factor=10.0) <= 1e-2
+    assert compactness_ratio(king, r_max_factor=10.0) <= 1e-2
 
 
 def test_compactness_ratio_does_not_depend_on_the_blas_thread_count(king, serial_blas, same_bits):
@@ -343,7 +344,8 @@ def test_taylor_remainder_bump(king):
 
 def test_taylor_rejects_inadmissible(king):
     # a perturbation large enough to push the potential positive is refused
-    d = smooth_bump_direction(king, 0.5, 0.3, amplitude=20.0 * abs(king.phi_center))
+    bump = smooth_bump_direction(king, 0.5, 0.3)  # amplitude -0.1 |phi(0)|
+    d = Direction(h=lambda r: -200.0 * bump.h(r), dh=lambda r: -200.0 * bump.dh(r), extent=bump.extent)
     with pytest.raises(InvalidArgumentError, match="admissible class"):
         taylor_remainder(king, d, (0.5, 0.25))
 
@@ -369,6 +371,18 @@ def test_hardy_control(king, rng):
         lhs, rhs = hardy_check(king, d)
         assert lhs >= rhs * (1 - 1e-9)
         assert rhs > 0
+
+
+def test_modulation_shift_rejects_a_non_finite_objective(king, monkeypatch):
+    # a field with a NaN in its gradient makes every objective value NaN, and
+    # the failure guard res.fun > 1e-6 is false for NaN: before, a shift came
+    # back. The distance is replaced by its NaN, so the 3000 evaluations that
+    # Nelder-Mead spends before its iteration cap cost nothing
+    import vpstab.spectral as spectral
+
+    monkeypatch.setattr(spectral, "grad_distance2_shifted", lambda field, ref: float("nan"))
+    with pytest.raises(spectral.ModulationError, match="objective nan"):
+        modulation_shift(RadialField3D.of(king.potential(), (0.01, 0.0, 0.0)), king)
 
 
 def test_modulation_identity(king):

@@ -34,6 +34,8 @@ from vpstab.steady_state import (
     phase_space_density,
     polytrope_model,
     radial_laplacian,
+    recipe_model,
+    support_grid,
 )
 
 
@@ -680,3 +682,25 @@ def test_model_potential_matches_the_where_form_bit_for_bit(king, poly, radius_k
         for kind, r in radius_kinds(model.R_Q, model.grid.x_max).items():
             assert same_bits(model.phi_fn(r), _where_phi(model, r)), kind
             assert same_bits(model.dphi_fn(r), _where_dphi(model, r)), kind
+
+
+def _non_numeric_entry(doc):
+    doc["L0"] = "not a number"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda king: build_king(3.0, make_1d_grid(0.1 * king.R_Q, 50)),
+        lambda king: SteadyStateModel.from_json([1, 2]),
+        lambda king: SteadyStateModel.from_json(dict(king.to_json(), format="another-format")),
+        lambda king: SteadyStateModel.from_json(_non_numeric_entry(king.to_json())),
+        lambda king: recipe_model("plummer", {}, support_grid(100)),
+    ],
+    ids=["grid-ends-before-support", "document-not-an-object", "document-not-a-model", "non-numeric-entry",
+         "unknown-kind"],
+)
+def test_model_input_guards_raise(king, call):
+    with pytest.raises(InvalidArgumentError):
+        call(king)
