@@ -8,7 +8,9 @@ checkout, the parent first on even-indexed seeds and the change first on odd
 ones, so neither side always takes the second (warmer) slot. The workloads
 default to those of the change's BENCHMARK.json and the seconds to its
 `run_seconds`. Each run's last line gives the end-to-end metrics and the line
-before it the report (input digest, fail ratio).
+before it the report (input digest, fail ratio). Then, per workload, `--trace 1` runs
+once in each checkout on the first seed, to show in which layer a change
+appears.
 
 Per workload and end-to-end metric the table holds each side's q1, median,
 q3 and IQR over the seeds, the ratio of the medians, the median paired ratio
@@ -18,7 +20,8 @@ equal input digests, each side's highest fail ratio, and each side's median
 over its runs of max/min of the run's set-up samples (`setup_s_samples` in
 the report). Near 1, a run's set-ups took equal times; well above 1, the
 machine changed speed within the run, which can move `setup_s` without any
-change to the set-up code.
+change to the set-up code. Per workload `per_layer` holds the traced runs'
+metrics as {name: {parent, change}}, null where one side has no such name.
 
 Each metric also gets two verdicts:
 - `claim_rule_met`: the change wins at least nine tenths of the pairs (ties
@@ -40,10 +43,10 @@ import numpy as np
 SIDES = ("parent", "change")
 
 
-def run_once(checkout, workload, seed, seconds):
-    """(report, result) of one `perfbench/run.py --trace 0` in a checkout."""
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """(report, result) of one `perfbench/run.py --trace 0|1` in a checkout."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -114,14 +117,23 @@ def main(argv=None):
             print(f"seed {seed} {workload}: " + ", ".join(
                 f"{side} solve_s {pair[side][1]['metrics']['solve_s']['value']:.4f}" for side in SIDES), flush=True)
 
+    per_layer = {}
+    for workload in workloads:
+        traced = {side: run_once(checkouts[side], workload, args.seeds[0], seconds, trace=1)[1]["metrics"]
+                  for side in SIDES}
+        names = sorted(set(traced["parent"]) | set(traced["change"]))
+        per_layer[workload] = {name: {side: traced[side].get(name, {}).get("value") for side in SIDES}
+                               for name in names}
+
     env = runs[workloads[0]][0]["change"][0]["environment"]
     doc = {
         "environment": {key: env[key] for key in ("python", "numpy", "scipy", "blas_numpy", "nproc")},
         "procedure": (f"perfbench/run.py --seconds {seconds} --trace 0 in each checkout; parent and change "
                       "alternated per seed (parent first on even-indexed seeds), the workloads in the order "
-                      f"{', '.join(workloads)} per seed; written by scripts/bench_pairs.py"),
+                      f"{', '.join(workloads)} per seed; then --trace 1 once per side and workload on "
+                      f"seed {args.seeds[0]} for per_layer; written by scripts/bench_pairs.py"),
         "held_out_seeds": args.seeds,
-        "workloads": {w: summarize(runs[w], metrics) for w in workloads},
+        "workloads": {w: {**summarize(runs[w], metrics), "per_layer": per_layer[w]} for w in workloads},
     }
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -275,7 +275,10 @@ def _finite_entry(doc, key, where):
     """doc[key] as a float array, InvalidArgumentError unless all finite."""
     from .numerics import InvalidArgumentError
 
-    values = np.asarray(doc[key], dtype=float)
+    try:
+        values = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):  # an object, a string, a ragged list
+        values = np.nan
     if not np.all(np.isfinite(values)):
         raise InvalidArgumentError(f"{where}: {key} must hold finite numbers only")
     return values

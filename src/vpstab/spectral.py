@@ -19,12 +19,12 @@ k = 0 projector term is a factor U with at most n_e columns, so no dense
 n x n matrix enters a solve. U and V vanish past R_Q, on about 5/6 of the
 rows of the default [0, 6 R_Q] box, and those rows enter a solve on the
 support through one Schur-complement corner entry. The Dirichlet-normalized
-sectors k >= 1 thus reduce to tridiagonal eigenproblems on V's support,
-solved by LAPACK bisection. The other spectra come from shift-invert Lanczos:
-a LAPACK LU (gttrf) of the shifted tridiagonal, plus for k = 0 the Woodbury
-identity for U U^T. A Sylvester inertia count (the LDL^T pivots of the
-tridiagonal, and for k = 0 Haynsworth's count over the capacitance matrix)
-certifies that no eigenvalue lies below the shift (CoercivityError if one does).
+sectors thus reduce to pencils on V's support: k >= 1 solved by LAPACK
+bisection, k = 0 by regular-mode Lanczos. The standard k = 0 spectrum comes
+from shift-invert Lanczos: a LAPACK LU (gttrf) of the shifted tridiagonal
+and the Woodbury identity for U U^T. A Sylvester inertia count (the LDL^T
+pivots of the tridiagonal and Haynsworth's count over the capacitance
+matrix) certifies that no eigenvalue lies below the shift (CoercivityError).
 
 A discretisation is named by (model, n). Each spectrum is solved only where
 it is read: harmonic_operator_spectrum solves the standard sector problem
@@ -264,25 +264,39 @@ class _SectorMatrices:
         return u @ u.T
 
     def dirichlet_eigenvalues(self, k, n_eigs):
-        """Lowest n_eigs eigenvalues of the pencil A_k x = lambda N_k x; for
-        k = 0, where U U^T fills the support block, by shift-invert at -1 (a
-        stable model's spectrum lies above 0 but for the translation mode).
-        For k >= 1, A_k - lambda T_k = (1 - lambda) T_k - V with V > 0 on m
-        leading rows and 0 after them reduces to V_s x = (1 - lambda) S x, S
-        T_k's support block with its Schur corner: lambda = 1 - 1/nu for the
-        eigenvalues nu of M = V_s^{-1/2} S V_s^{-1/2}, and 1 (n - m times). M,
-        a diagonal congruence of the diagonally dominant S, has them to high
-        relative accuracy by bisection (Barlow & Demmel 1990, SIAM J. Numer.
-        Anal. 27, 762). CoercivityError if V is not so, or if n_eigs > m."""
+        """Lowest n_eigs eigenvalues of the pencil A_k x = lambda N_k x.
+        A_k - lambda T_k = (1 - lambda) T_k - V (+ U U^T for k = 0), and V and
+        U vanish past m leading rows: eliminating the others leaves
+        (V_s - U_s U_s^T) x = (1 - lambda) S x, where S is T_k's support block
+        with its Schur corner, and the eigenvalue 1 (n - m times). For k = 0, m
+        also covers U's rows, and ARPACK's regular mode for a positive definite
+        right side (Users' Guide 3.2) gives the largest mu = 1 - lambda, with
+        one LU of S as M^-1; CoercivityError if n_eigs >= m. For k >= 1, V > 0
+        on the m rows, and lambda = 1 - 1/nu for the eigenvalues nu of
+        M = V_s^{-1/2} S V_s^{-1/2}. M, a diagonal congruence of the
+        diagonally dominant S, has them to high relative accuracy by bisection
+        (Barlow & Demmel 1990, SIAM J. Numer. Anal. 27, 762). CoercivityError
+        if V is not so, or if n_eigs > m."""
+        d, e = self.dirichlet_tridiag(k)
         if k == 0:
-            return self._shift_invert(0, n_eigs, -1.0, dirichlet=True)[0]
+            u, n_s = self._projector_factor
+            m = max(n_s, int(np.flatnonzero(self.V).max(initial=-1)) + 1)
+            if n_eigs >= m:
+                raise CoercivityError(f"sector k=0: {n_eigs} eigenvalues asked, but Lanczos gives {m - 1} at most")
+            u_s, v, s_diag, e_s = u[:m], self.V[:m], _support_block(d, e, m, 0, 0.0), e[: m - 1]
+            with serial_blas():
+                op = LinearOperator((m, m), matvec=lambda x: v * x - u_s @ (u_s.T @ x), dtype=float)
+                mass = LinearOperator((m, m), matvec=_tridiag_matvec(s_diag, e_s), dtype=float)
+                mass_inv = LinearOperator((m, m), matvec=_tridiag_solver(s_diag, e_s, 0, 0.0), dtype=float)
+                v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+                mu = eigsh(op, k=n_eigs, M=mass, Minv=mass_inv, which="LA", v0=v0, return_eigenvectors=False)
+            return np.sort(1.0 - mu)
         m = np.count_nonzero(self.V > 0)
         v = self.V[:m]
-        if not (0 < m < self.n and np.all(v > 0) and not np.any(self.V[m:])):
+        if not (m > 0 and np.all(v > 0) and not np.any(self.V[m:])):
             raise CoercivityError(f"sector k={k}: V is not positive on a leading block of rows and 0 after it")
         if n_eigs > m:
             raise CoercivityError(f"sector k={k}: {n_eigs} eigenvalues asked, but only {m} lie below 1")
-        d, e = self.dirichlet_tridiag(k)
         s_diag = _support_block(d, e, m, k, 0.0)  # T_rr is A_rr at the shift 0
         return 1.0 - 1.0 / _bisection_eigenvalues(s_diag / v, e[: m - 1] / np.sqrt(v[:-1] * v[1:]), n_eigs)
 
@@ -292,72 +306,61 @@ class _SectorMatrices:
         below the spectrum, as U U^T is positive; a shift as close as that
         keeps the Lanczos iteration short."""
         floor = eig_tridiag(*self.sector_tridiag(0), 1)[0][0]
-        return self._shift_invert(0, n_eigs, floor - 1.0, dirichlet=False)
+        return self._shift_invert(n_eigs, floor - 1.0)
 
-    def _shift_invert(self, k, n_eigs, sigma, dirichlet):
-        """Eigenpairs of sector k nearest sigma by shift-invert Lanczos, with
-        a Sylvester inertia certificate that no eigenvalue lies below sigma,
+    def _shift_invert(self, n_eigs, sigma):
+        """Eigenpairs of A_0 nearest sigma by shift-invert Lanczos, with a
+        Sylvester inertia certificate that no eigenvalue lies below sigma,
         so they are the lowest ones (CoercivityError otherwise).
 
-        K = A_k - sigma N (N = T_k, or the identity for the standard problem)
-        is tridiagonal and factored once by LAPACK (_tridiag_solver). For
-        k = 0 the shifted operator is K + U U^T: its inverse is applied by
-        the Woodbury identity, (K + U U^T)^{-1} x = y - K^{-1} U C^{-1} U^T y
-        with y = K^{-1} x, two tridiagonal solves per Lanczos step. The
-        capacitance C = I + U^T K^{-1} U comes from U's support rows alone
-        (_capacitance), and the negative count of K + U U^T is
+        The shifted operator is K + U U^T, K = T_0 - diag(V) - sigma a
+        tridiagonal factored once by LAPACK (_tridiag_solver). Its inverse is
+        applied by the Woodbury identity, (K + U U^T)^{-1} x = y - K^{-1} U
+        C^{-1} U^T y with y = K^{-1} x, two tridiagonal solves per Lanczos
+        step. The capacitance C = I + U^T K^{-1} U comes from U's support rows
+        alone (_capacitance), and the negative count of K + U U^T is
         neg(K) - neg(C) by Haynsworth's inertia additivity. C is symmetric
         but indefinite when K is, so one Bunch-Kaufman LDL^T serves both its
         solve and its count. The solve runs on one BLAS thread: its BLAS calls
         are many and small (ARPACK's level-2 updates, the capacitance solves).
         """
         with serial_blas():
-            dn, e = self.dirichlet_tridiag(k)
-            da = dn - self.V
-            if dirichlet:
-                dk, ek = da - sigma * dn, (1.0 - sigma) * e
-                mass = LinearOperator((self.n, self.n), matvec=_tridiag_matvec(dn, e), dtype=float)
-            else:
-                dk, ek = da - sigma, e
-                mass = None
-            solve = _tridiag_solver(dk, ek, k, sigma)
-            below = _negative_pivots(dk, ek)
-            if k == 0:
-                u, n_s = self._projector_factor
-                u_s = u[:n_s]
-                ldl, ipiv, neg = _ldl_factor(self._capacitance(dk, ek, sigma), k, sigma)
-                below -= neg
-                solve_k, padded = solve, np.zeros(self.n)
-
-                def solve(x):
-                    y = solve_k(x)
-                    padded[:n_s] = u_s @ linalg.lapack.dsytrs(ldl, ipiv, u_s.T @ y[:n_s], lower=1)[0]
-                    return y - solve_k(padded)
-
+            d, e = self.sector_tridiag(0)
+            dk = d - sigma
+            solve_k = _tridiag_solver(dk, e, 0, sigma)
+            u, n_s = self._projector_factor
+            u_s = u[:n_s]
+            ldl, ipiv, neg = _ldl_factor(self._capacitance(dk, e, sigma), 0, sigma)
+            below = _negative_pivots(dk, e) - neg
             if below:
                 raise CoercivityError(
-                    f"sector k={k}: {below} eigenvalue(s) below the shift {sigma}, out of reach of the shift-invert solve"
+                    f"sector k=0: {below} eigenvalue(s) below the shift {sigma}, out of reach of the shift-invert solve"
                 )
+            padded = np.zeros(self.n)
+
+            def solve(x):
+                y = solve_k(x)
+                padded[:n_s] = u_s @ linalg.lapack.dsytrs(ldl, ipiv, u_s.T @ y[:n_s], lower=1)[0]
+                return y - solve_k(padded)
+
             op = LinearOperator((self.n, self.n), matvec=solve, dtype=float)
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, self.n)
             # shift-invert mode never applies A itself: op stands in for it
             # (shape and dtype only)
-            vals, vecs = eigsh(op, k=n_eigs, M=mass, sigma=sigma, OPinv=op, v0=v0)
+            vals, vecs = eigsh(op, k=n_eigs, sigma=sigma, OPinv=op, v0=v0)
             order = np.argsort(vals)
             return vals[order], vecs[:, order]
 
     def _capacitance(self, dk, ek, sigma):
-        """C = I + U^T K^{-1} U for the shifted k = 0 tridiagonal K = (dk, ek).
+        """C = I + U^T K^{-1} U for the shifted standard k = 0 tridiagonal K = (dk, ek).
 
         U vanishes past its first n_s rows, so only the support block
         (K^{-1})_ss enters: the inverse of the Schur complement of the
         exterior block r (_support_block), which exists whenever K_rr is
         nonsingular (CoercivityError otherwise). V and U vanish on the
-        exterior, so at a Dirichlet shift K_rr = (1 - sigma) T_rr, positive
-        definite for every sigma < 1 (2 T_rr at the shift -1 in use), and at
-        the standard shift K_rr = T_rr - sigma, where sigma lies 1 below the
+        exterior, so K_rr = T_rr - sigma, where sigma lies 1 below the
         spectrum of T_0 - V and so, by Cauchy interlacing, below that of T_rr:
-        positive definite as well. One tridiagonal solve on the n_s support
+        K_rr is positive definite. One tridiagonal solve on the n_s support
         rows with n_e right-hand sides then gives (K^{-1})_ss U_s.
         """
         u, n_s = self._projector_factor
@@ -369,11 +372,12 @@ class _SectorMatrices:
 def _support_block(d, e, s, k, sigma):
     """Diagonal of the Schur complement K_ss - e[s - 1]^2 g e_last e_last^T,
     g = (K_rr^{-1})_00, of K = (d, e) on its s leading rows, which meet the
-    exterior rows r through e[s - 1] alone (its off-diagonal is e[:s - 1]);
-    CoercivityError if K_rr is exactly singular."""
-    g = _tridiag_solver(d[s:], e[s:], k, sigma)(np.eye(1, d.size - s)[0])[0]  # K_rr^{-1} e_0, first entry
+    exterior rows r through e[s - 1] alone (its off-diagonal is e[:s - 1]),
+    or d when r is empty; CoercivityError if K_rr is exactly singular."""
     d_s = d[:s].copy()
-    d_s[-1] -= e[s - 1] ** 2 * g
+    if s < d.size:
+        g = _tridiag_solver(d[s:], e[s:], k, sigma)(np.eye(1, d.size - s)[0])[0]  # K_rr^{-1} e_0, first entry
+        d_s[-1] -= e[s - 1] ** 2 * g
     return d_s
 
 
@@ -481,9 +485,9 @@ def harmonic_operator_spectrum(model, k, n_eigs=6, n=800):
 def coercivity_constant(model, n=800):
     """Smallest Dirichlet-normalized eigenvalue of the Hessian away from the
     translation kernel, on the n-point grid of _SectorMatrices(model, n):
-    min over the radial sector, the second k=1 mode, and the k=2 sector:
-    k = 1 and 2 by bisection of their tridiagonal reduction to V's support,
-    k = 0, whose projector term has none, by shift-invert Lanczos.
+    min over the radial sector, the second k=1 mode, and the k=2 sector,
+    each reduced to V's support (dirichlet_eigenvalues): k = 0 by Lanczos
+    with the support block S as the right side, k = 1 and 2 by bisection.
     No sector k > 2 has a lower one: for c < 1, A_k - c T_k = (1 - c) T_k - V,
     and T_k increases with k in the Loewner order (T_{k+1} - T_k =
     diag(2(k + 1)/r^2)), so A_k - c T_k is positive semidefinite for every
@@ -747,6 +751,9 @@ def modulation_shift(field, model, seed=None):
     from scipy import optimize
 
     z0 = np.asarray(seed, dtype=float) if seed is not None else field.barycenter()
+    f0 = objective(z0)
+    if not np.isfinite(f0):  # a NaN start: Nelder-Mead would run to its iteration cap
+        raise ModulationError(f"no aligned translate found: objective {f0} at the start {z0.tolist()}")
     res = optimize.minimize(
         objective,
         z0,

@@ -202,17 +202,25 @@ def _bad_table(model, entry):
     table = {"r": r.tolist(), "phi": model.phi_fn(r).tolist(), "M": model.M, "center": [0.01, 0.0, 0.0]}
     if entry == "phi":
         table["phi"][57] = float("nan")
+    elif entry == "phi objects":
+        table["phi"] = [{"a": 1}] * r.size
+    elif entry == "r string":
+        table["r"] = "abc"
     elif entry == "center":
         table["center"] = [0.01, 0.0]
+    elif entry == "M object":
+        table["M"] = {"x": 1}
     else:
         table["M"] = {"M nan": float("nan"), "M negative": -1.0, "M zero": 0.0}[entry]
     return table
 
 
-@pytest.mark.parametrize("entry", ["phi", "M nan", "M negative", "M zero", "center"])
+@pytest.mark.parametrize("entry", ["phi", "phi objects", "r string", "M nan", "M negative", "M zero", "M object", "center"])
 def test_shift_rejects_an_unusable_table_naming_the_entry(model_file, tmp_path, capsys, entry):
     # before, a NaN in phi or M printed NaN residuals and exited 0, M = -1
-    # exited 0 with a result, and a 2-number center failed in numpy
+    # exited 0 with a result, and a 2-number center failed in numpy; an
+    # object entry exited 1 with a TypeError traceback, and a string entry
+    # exited 2 with numpy's message, which did not name it
     from vpstab.steady_state import SteadyStateModel
 
     pot_file, out = tmp_path / "table.json", tmp_path / "shift.json"

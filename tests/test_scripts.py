@@ -64,3 +64,6 @@ def test_script_runs(script, args, outputs, tmp_path):
         # one pair: the claim holds exactly when the change wins it
         assert solve["claim_rule_met"] == (solve["change_wins_of_1"] == 1)
         assert isinstance(solve["within_bound"], bool)
+        # one traced run per side places a change by layer
+        layer = table["per_layer"]["spectral.coercivity_s.n800"]
+        assert sorted(layer) == ["change", "parent"] and all(value > 0 for value in layer.values())

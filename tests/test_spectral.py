@@ -376,13 +376,20 @@ def test_hardy_control(king, rng):
 def test_modulation_shift_rejects_a_non_finite_objective(king, monkeypatch):
     # a field with a NaN in its gradient makes every objective value NaN, and
     # the failure guard res.fun > 1e-6 is false for NaN: before, a shift came
-    # back. The distance is replaced by its NaN, so the 3000 evaluations that
-    # Nelder-Mead spends before its iteration cap cost nothing
+    # back, and then Nelder-Mead ran to its 600-iteration cap (about 3000
+    # objective calls) before the guard on its result fired. The objective
+    # at the start now fails it after one call
+    import dataclasses
+
     import vpstab.spectral as spectral
 
-    monkeypatch.setattr(spectral, "grad_distance2_shifted", lambda field, ref: float("nan"))
+    calls = []
+    distance = spectral.grad_distance2_shifted
+    monkeypatch.setattr(spectral, "grad_distance2_shifted", lambda field, ref: calls.append(1) or distance(field, ref))
+    nan_pot = dataclasses.replace(king.potential(), dphi_fn=lambda r: np.full(np.shape(r), np.nan))
     with pytest.raises(spectral.ModulationError, match="objective nan"):
-        modulation_shift(RadialField3D.of(king.potential(), (0.01, 0.0, 0.0)), king)
+        modulation_shift(RadialField3D.of(nan_pot, (0.01, 0.0, 0.0)), king)
+    assert len(calls) == 1
 
 
 def test_modulation_identity(king):
@@ -533,16 +540,16 @@ def test_radial_sector_matches_dense_eigh_at_n1600(which, request):
 
 
 def test_inertia_certificate_rejects_a_shift_above_the_lowest_eigenvalue(king):
+    # the standard k = 0 problem keeps the shift-invert solve and its count
     from vpstab.spectral import CoercivityError, _SectorMatrices
 
     sm = _SectorMatrices(king, n=400)
-    for k in (0, 1, 2):
-        lows = sm.dirichlet_eigenvalues(k, 3)
-        # just below the lowest eigenvalue the certificate holds
-        sm._shift_invert(k, 1, lows[0] - 1e-3, dirichlet=True)
-        for count, sigma in ((1, 0.5 * (lows[0] + lows[1])), (2, 0.5 * (lows[1] + lows[2]))):
-            with pytest.raises(CoercivityError, match=f"{count} eigenvalue"):
-                sm._shift_invert(k, 1, sigma, dirichlet=True)
+    lows = sm.radial_eigenpairs(3)[0]
+    # just below the lowest eigenvalue the certificate holds
+    sm._shift_invert(1, lows[0] - 1e-3)
+    for count, sigma in ((1, 0.5 * (lows[0] + lows[1])), (2, 0.5 * (lows[1] + lows[2]))):
+        with pytest.raises(CoercivityError, match=f"{count} eigenvalue"):
+            sm._shift_invert(1, sigma)
 
 
 @pytest.fixture(scope="module")
@@ -570,17 +577,113 @@ def test_bisected_sectors_match_dense_eigh_where_they_set_c0(which, deep):
     assert c0 == pytest.approx(min(lows[1][1], lows[2][0]), rel=1e-10)
 
 
+def _support_oracle(sm):
+    """Lowest three eigenvalues of the k = 0 Dirichlet pencil by a dense eigh
+    of its reduction to the first m rows, with the exterior rows eliminated
+    by a dense solve: (V_s - U_s U_s^T) x = (1 - lambda) S x."""
+    from scipy import linalg
+
+    u, n_s = sm._projector_factor
+    m = max(n_s, int(np.flatnonzero(sm.V)[-1]) + 1)
+    T = sm.dirichlet_matrix(0)
+    S = T[:m, :m].copy()
+    if m < sm.n:
+        S[-1, -1] -= T[m - 1, m] ** 2 * np.linalg.solve(T[m:, m:], np.eye(sm.n - m)[:, 0])[0]
+    mu = linalg.eigh(np.diag(sm.V[:m]) - u[:m] @ u[:m].T, S, eigvals_only=True, subset_by_index=(m - 3, m - 1))
+    return np.sort(1.0 - mu)
+
+
 @pytest.mark.parametrize("n", [800, 1600, 3200])
 @pytest.mark.parametrize("which", ["king", "poly"])
 def test_coercivity_constant_keeps_the_lanczos_bits_where_k0_sets_it(which, n, request, same_bits):
-    # the minimum over the three sectors with every one solved by
-    # shift-invert Lanczos at the shift -1
+    # c0 is the minimum of the three sector values, in bits, and k = 0 sets it
+    # for these models, to the dense oracle of the support pencil
     from vpstab.spectral import _SectorMatrices
 
     model = request.getfixturevalue(which)
     sm = _SectorMatrices(model, n=n)
-    lanczos = [sm._shift_invert(k, n_eigs, -1.0, dirichlet=True)[0][-1] for k, n_eigs in ((0, 1), (1, 2), (2, 1))]
-    assert same_bits(coercivity_constant(model, n=n), float(min(lanczos)))
+    lows = [sm.dirichlet_eigenvalues(k, n_eigs)[-1] for k, n_eigs in ((0, 1), (1, 2), (2, 1))]
+    c0 = coercivity_constant(model, n=n)
+    assert same_bits(c0, float(min(lows))) and c0 == lows[0]
+    assert c0 == pytest.approx(_support_oracle(sm)[0], rel=1e-11, abs=0)
+
+
+@pytest.fixture(scope="module")
+def king9():
+    return king_model(9.0)
+
+
+@pytest.mark.parametrize("n", [800, 1600, 3200])
+@pytest.mark.parametrize("which", ["king", "king9", "poly"])
+def test_radial_dirichlet_sector_matches_dense_eigh_of_the_support_and_the_full_pencil(which, n, request):
+    from scipy import linalg
+
+    from vpstab.spectral import _SectorMatrices
+
+    model = request.getfixturevalue(which)
+    sm = _SectorMatrices(model, n=n)
+    vals = sm.dirichlet_eigenvalues(0, 3)
+    np.testing.assert_allclose(vals, _support_oracle(sm), rtol=1e-11, atol=0)
+    if n <= 1600:
+        u = sm.projector_factor()
+        A, N = _dense_sector(sm, 0, u @ u.T)
+        np.testing.assert_allclose(vals, linalg.eigh(A, N, eigvals_only=True, subset_by_index=(0, 2)), rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("which", ["king", "poly"])
+def test_radial_dirichlet_sector_does_not_depend_on_the_blas_thread_count(which, request, serial_blas, same_bits):
+    from vpstab.spectral import _SectorMatrices
+
+    sm = _SectorMatrices(request.getfixturevalue(which), n=1600)
+    threaded = sm.dirichlet_eigenvalues(0, 3)
+    with serial_blas():
+        assert same_bits(sm.dirichlet_eigenvalues(0, 3), threaded)
+
+
+@pytest.mark.parametrize("v_scale, u_scale", [(2.0, 1.0), (4.0, 1.0), (1.0, 3.0)])
+def test_radial_dirichlet_sector_solves_an_indefinite_pencil(king, v_scale, u_scale, monkeypatch):
+    # with V doubled or quadrupled the k = 0 pencil has a negative eigenvalue
+    # (-3.822 and -12.957): the shift-invert solve at -1 used to refuse it
+    # ("eigenvalue(s) below the shift"); c0 <= 0 is still refused. With U
+    # tripled, mu = 1 - lambda reaches -34.7, far larger in magnitude than
+    # the largest mu, which sets the lowest lambda
+    from scipy import linalg
+
+    from vpstab.spectral import CoercivityError, _SectorMatrices
+    from vpstab.steady_state import SteadyStateModel
+
+    sm = _SectorMatrices(king, n=400)
+    sm.V = v_scale * sm.V
+    u, n_s = sm._projector_factor
+    sm._projector_factor = (u_scale * u, n_s)
+    u = sm.projector_factor()
+    gvals = linalg.eigh(*_dense_sector(sm, 0, u @ u.T), eigvals_only=True)
+    assert gvals[0] < -1.0 if v_scale > 1.0 else gvals[-1] > 30.0
+    np.testing.assert_allclose(sm.dirichlet_eigenvalues(0, 3), gvals[:3], rtol=1e-11, atol=0)
+    if v_scale > 1.0:
+        vq_fn = SteadyStateModel.vq_fn
+        monkeypatch.setattr(SteadyStateModel, "vq_fn", lambda self, r: v_scale * vq_fn(self, r))
+        with pytest.raises(CoercivityError, match="nonpositive"):
+            coercivity_constant(king, n=400)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_sectors_solve_a_support_that_fills_the_grid(king, k):
+    # on [0, R_Q] V is positive on every row and the exterior block is empty:
+    # S is T_k itself. Before, k = 0 failed in LAPACK's dgttrf wrapper and
+    # k >= 1 was refused as if V had no leading positive block
+    from scipy import linalg
+
+    from vpstab.spectral import CoercivityError, _SectorMatrices
+
+    sm = _SectorMatrices(king, n=400, r_max_factor=1.0)
+    assert np.all(sm.V > 0)
+    u = sm.projector_factor()
+    gvals = linalg.eigh(*_dense_sector(sm, k, u @ u.T), eigvals_only=True, subset_by_index=(0, 2))
+    np.testing.assert_allclose(sm.dirichlet_eigenvalues(k, 3), gvals, rtol=1e-10, atol=1e-13)
+    if k == 0:  # ARPACK gives at most one fewer than the support's rows
+        with pytest.raises(CoercivityError, match="400 eigenvalues asked, but Lanczos gives 399 at most"):
+            sm.dirichlet_eigenvalues(0, 400)
 
 
 def test_bisected_sectors_need_v_positive_on_a_leading_block_and_zero_after(king):
@@ -592,7 +695,7 @@ def test_bisected_sectors_need_v_positive_on_a_leading_block_and_zero_after(king
     gap[m // 2] = 0.0
     tail[m + 5] = 1e-3
     negative[m + 5] = -1e-3
-    for v in (gap, tail, negative, np.zeros(sm.n), np.ones(sm.n)):
+    for v in (gap, tail, negative, np.zeros(sm.n)):
         sm.V = v
         with pytest.raises(CoercivityError, match="V is not positive on a leading block"):
             sm.dirichlet_eigenvalues(1, 2)
