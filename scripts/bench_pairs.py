@@ -20,8 +20,12 @@ equal input digests, each side's highest fail ratio, and each side's median
 over its runs of max/min of the run's set-up samples (`setup_s_samples` in
 the report). Near 1, a run's set-ups took equal times; well above 1, the
 machine changed speed within the run, which can move `setup_s` without any
-change to the set-up code. Per workload `per_layer` holds the traced runs'
-metrics as {name: {parent, change}}, null where one side has no such name.
+change to the set-up code. Per workload `setup_s_pooled` pools every run's
+set-up samples per side: each side's spread over all of them and the ratio of
+the two pooled medians, which a run's median of 6 set-ups hides when the
+machine changes speed within runs. Per workload `per_layer` holds the traced
+runs' metrics as {name: {parent, change}}, null where one side has no such
+name.
 
 Each metric also gets two verdicts:
 - `claim_rule_met`: the change wins at least nine tenths of the pairs (ties
@@ -73,6 +77,11 @@ def summarize(runs, metrics):
             for side in SIDES
         },
         "metrics": {},
+    }
+    pooled = {side: np.concatenate([r[side][0]["setup_s_samples"] for r in runs]) for side in SIDES}
+    table["setup_s_pooled"] = {
+        **{side: spread(pooled[side]) for side in SIDES},
+        "median_change_over_parent": round(float(np.median(pooled["change"]) / np.median(pooled["parent"])), 4),
     }
     for name, (direction, bound) in metrics.items():
         values = {side: np.array([r[side][1]["metrics"][name]["value"] for r in runs]) for side in SIDES}

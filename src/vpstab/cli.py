@@ -221,8 +221,10 @@ def cmd_check(args):
         "report": report,
     }
     out = args.out or f"check_{args.suite}.json"
+    # strict JSON: a non-finite value (the order of a non-monotone ladder) is null
+    doc = json.loads(json.dumps(doc, default=float), parse_constant=lambda _: None)
     with open(out, "w") as fh:
-        json.dump(doc, fh, indent=1, default=float)
+        json.dump(doc, fh, indent=1, allow_nan=False)
     _emit_config(cfg, digest, out + ".config.json")
     print(f"{args.suite}: {'PASS' if passed else 'FAIL'} (report: {out})")
     return 0 if passed else 1

@@ -516,12 +516,12 @@ def solve_profile_ode(source, y0, h):
     Starts from a series expansion at r = 2h (removes the coordinate
     singularity), marches until y crosses zero, and refines the crossing on the
     final interval with Hermite/Newton steps. source(y) maps a float to a
-    float and vanishes for y <= 0; the solve calls it on floats only.
+    float and clamps its own argument (S(y) = 0 for y <= 0); it gets floats only.
 
     A model's build makes about 24 000 RK4 stages, nearly all of its time,
     so each stage is float arithmetic and one source call, every expression
     rounded as in the textbook form with the slope
-    rhs(r, y, v) = (v, -2 v / r - S(max(y, 0))). Each node's y'' is the k1
+    rhs(r, y, v) = (v, -2 v / r - S(y)). Each node's y'' is the k1
     stage taken there; the second node and the last take one call more.
     """
     y0 = float(y0)
@@ -543,21 +543,21 @@ def solve_profile_ode(source, y0, h):
     ys = [y0, y_h, y]
     vs = [0.0, v_h, v]
     # y'' at the centre is the series limit -S(y0) / 3
-    ypps = [-s0 / 3.0, -2.0 * v_h / h - source(max(y_h, 0.0))]
+    ypps = [-s0 / 3.0, -2.0 * v_h / h - source(y_h)]
     r = r0
     half, sixth = h / 2, h / 6
     for _ in range(2_000_000):
         # stage i's slope is (k_i y, k_i v), with k1y = v, k2y = v2, k3y = v3, k4y = v4
-        k1v = -2.0 * v / r - source(max(y, 0.0))
+        k1v = -2.0 * v / r - source(y)
         ypps.append(k1v)
         r_mid = r + half
         y2, v2 = y + half * v, v + half * k1v
-        k2v = -2.0 * v2 / r_mid - source(max(y2, 0.0))
+        k2v = -2.0 * v2 / r_mid - source(y2)
         y3, v3 = y + half * v2, v + half * k2v
-        k3v = -2.0 * v3 / r_mid - source(max(y3, 0.0))
+        k3v = -2.0 * v3 / r_mid - source(y3)
         r += h
         y4, v4 = y + h * v3, v + h * k3v
-        k4v = -2.0 * v4 / r - source(max(y4, 0.0))
+        k4v = -2.0 * v4 / r - source(y4)
         y_new = y + sixth * (v + 2 * v2 + 2 * v3 + v4)
         v_new = v + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
         rs.append(r)
@@ -568,7 +568,7 @@ def solve_profile_ode(source, y0, h):
         y, v = y_new, v_new
     else:
         raise InvalidArgumentError("profile did not reach its surface; extent too large")
-    ypps.append(-2.0 * v_new / r - source(max(y_new, 0.0)))
+    ypps.append(-2.0 * v_new / r - source(y_new))
 
     rs = np.array(rs)
     ys = np.array(ys)

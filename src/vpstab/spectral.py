@@ -520,12 +520,12 @@ def coercivity_ladder(model):
     Every rung uses the model's energy mesh (n_e = 256, n_q = 96), which sets
     a floor: for King W0 = 3 the steps shrink by 4 from 800 to 3200 (order
     1.99), by 6 from 3200 to 6400, and from 6400 to 12800 c0 turns back, so
-    the ladder stops at 3200. When the rungs are not monotone the order and
-    extrapolation are nan.
+    the ladder stops at 3200. When the rungs are not monotone (steps of
+    unequal sign, or 0) the order and extrapolation are nan.
     """
     c0 = tuple(coercivity_constant(model, n=m) for m in LADDER_RUNGS)
     d1, d2 = c0[1] - c0[0], c0[2] - c0[1]
-    order = float(np.log2(d1 / d2))
+    order = float(np.log2(d1 / d2)) if d1 * d2 > 0 else float("nan")
     richardson = c0[2] + d2 / (2.0**order - 1.0)
     return CoercivityLadder(
         n=LADDER_RUNGS,

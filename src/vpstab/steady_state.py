@@ -13,6 +13,7 @@ kernel), so exterior potentials are -M/(4 pi r).
 """
 
 import json
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
@@ -119,17 +120,22 @@ class KingProfile:
     def fp_smooth(self, e):
         return self.amplitude * np.exp(self.e0 - np.asarray(e, dtype=float))
 
-    # The kernels c W^a M(1, b, W) of depth W >= 0, as (c, a, b):
+    # The kernels c W^(m + 1/2) M(1, b, W) of depth W >= 0, as (c, m, b):
     # int_0^W (e^s - 1)(W - s)^(1/2) ds = (4/15) W^(5/2) M(1, 7/2, W)
-    _RHO = (4.0 / 15.0, 2.5, 3.5)
+    _RHO = (4.0 / 15.0, 2, 3.5)
     # int_0^W e^s (W - s)^(1/2) ds = (2/3) W^(3/2) M(1, 5/2, W)
-    _VQ = (2.0 / 3.0, 1.5, 2.5)
+    _VQ = (2.0 / 3.0, 1, 2.5)
     # int_0^W (e^s - 1)(W - s)^(3/2) ds = (4/35) W^(7/2) M(1, 9/2, W)
-    _KIN = (4.0 / 35.0, 3.5, 4.5)
+    _KIN = (4.0 / 35.0, 3, 4.5)
 
-    def _kernel(self, psi, c, a, b):
+    def _kernel(self, psi, c, m, b):
+        """The power W^(m + 1/2) as sqrt(W) * W * ... * W from the left: sqrt and
+        products are correctly rounded, so `_rho_source` repeats its bits."""
         w = np.maximum(psi, 0.0)
-        return FOUR_PI_SQRT2 * self.amplitude * c * np.power(w, a) * special.hyp1f1(1.0, b, w)
+        power = np.sqrt(w)
+        for _ in range(m):
+            power = power * w
+        return FOUR_PI_SQRT2 * self.amplitude * c * power * special.hyp1f1(1.0, b, w)
 
     def rho_kernel(self, psi):
         return self._kernel(psi, *self._RHO)
@@ -141,16 +147,17 @@ class KingProfile:
         return self._kernel(psi, *self._KIN)
 
     def _rho_source(self):
-        """rho_kernel on one float, returning a float: the source of the
-        profile solve. Same bits as the kernel: max(y, 0.0) gives NaN for NaN
-        as np.maximum does, the power stays np.power, and cython_special's
-        scalar hyp1f1, at a fifth of the ufunc's cost, gives the ufunc's bits."""
-        c, a, b = self._RHO
+        """rho_kernel on one float, returning a float, with no numpy call: the
+        source of the profile solve. Same bits as the kernel: max(y, 0.0) gives
+        NaN for NaN as np.maximum does and + 0.0 turns -0.0 into 0.0, W^(5/2)
+        is math.sqrt(W) * W * W, and cython_special's scalar hyp1f1, at a
+        fifth of the ufunc's cost, gives the ufunc's bits."""
+        c, _, b = self._RHO  # m = 2
         k = float(FOUR_PI_SQRT2 * self.amplitude * c)
 
         def source(y):
-            w = max(y, 0.0)
-            return k * float(np.power(w, a)) * cython_special.hyp1f1(1.0, b, w)
+            w = max(y, 0.0) + 0.0
+            return k * (math.sqrt(w) * w * w) * cython_special.hyp1f1(1.0, b, w)
 
         return source
 
@@ -427,10 +434,10 @@ def _profile_ode(source, y0):
     as in deep King models. Converged for depths up to KING_W0_MAX and
     POLYTROPE_Q_MAX, which the builders enforce.
 
-    The solve calls source on floats only, and each source's power is
-    np.power, so that it keeps the bits of the array kernels: `**` on a float
-    is libm's pow, which differs from np.power in the last bit on about 5% of
-    inputs."""
+    The solve calls source on floats only, and each source clamps its own
+    argument and keeps the bits of its array kernel: King's power is
+    sqrt(W) * W * W, a polytrope's np.power (`**` on a float is libm's pow,
+    which differs from np.power in the last bit on about 5% of inputs)."""
     h = min(0.02, float(np.sqrt(6.0 * y0 / source(y0))) / 10.0)
     coarse = solve_profile_ode(source, y0, h)
     return solve_profile_ode(source, y0, coarse.r_zero / 6000)

@@ -93,6 +93,23 @@ def test_check_spectrum(model_file, tmp_path, dirichlet_solves):
     assert ladder["error_estimate"] <= abs(ladder["c0"][-1] - ladder["c0"][-2])
 
 
+def test_check_spectrum_report_is_strict_json_when_the_ladder_has_no_order(tmp_path):
+    # q = 3.45's ladder is not monotone, so its order and extrapolation are
+    # not numbers: the report holds null there, and its k = 1 gate fails
+    model, out = tmp_path / "q345.json", tmp_path / "spec.json"
+    assert main(["build", "--kind", "polytrope", "--q", "3.45", "--out", str(model)]) == 0
+    assert main(["check", "--model", str(model), "--suite", "spectrum", "--out", str(out)]) == 1
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert not doc["passed"]
+    ladder = doc["report"]["ladder"]
+    assert ladder["order"] is None and ladder["richardson"] is None and ladder["error_estimate"] is None
+    assert all(c0 > 0 for c0 in ladder["c0"])
+
+
 def test_evolve_short_run_outputs(model_file, tmp_path):
     prefix = str(tmp_path / "run")
     code = main(["evolve", "--model", str(model_file), "--eta", "0.01",

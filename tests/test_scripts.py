@@ -59,6 +59,10 @@ def test_script_runs(script, args, outputs, tmp_path):
         table = json.loads((tmp_path / outputs[0]).read_text())["workloads"]["spectrum"]
         assert table["pairs"] == 1 and table["input_digest_equal"] and table["fail_ratio_max"]["change"] == 0.0
         assert all(table["setup_max_over_min_median"][side] >= 1.0 for side in ("parent", "change"))
+        # every run's set-up samples, pooled per side
+        pooled = table["setup_s_pooled"]
+        assert all(0.0 < pooled[side]["q1"] <= pooled[side]["median"] <= pooled[side]["q3"] for side in ("parent", "change"))
+        assert pooled["median_change_over_parent"] > 0.0
         solve = table["metrics"]["solve_s"]
         assert solve["parent"]["iqr"] == 0.0 and solve["change_wins_of_1"] in (0, 1)
         # one pair: the claim holds exactly when the change wins it

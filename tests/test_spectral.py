@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -470,6 +472,20 @@ def _loop_projector(sm):
     return (c * dinv[None, :]) * dinv[:, None] / (4 * np.pi * sm.dr)
 
 
+def _rayleigh_eigenpairs(A, count):
+    """The `count` lowest eigenpairs of the symmetric A: dense eigh's
+    eigenvectors, and as values their Rayleigh quotients in long double.
+    Dense eigh's values are off by about eps ||A|| (1e-10 of the lowest at
+    n = 800, where ||A|| is 7.9e4); a quotient's error is second order in
+    its vector's."""
+    from scipy import linalg
+
+    vecs = linalg.eigh(A, subset_by_index=(0, count - 1))[1]
+    v = vecs.astype(np.longdouble)
+    quotients = np.sum(v * (A.astype(np.longdouble) @ v), axis=0) / np.sum(v * v, axis=0)
+    return quotients.astype(float), vecs
+
+
 @pytest.mark.parametrize("n", [400, 800])
 @pytest.mark.parametrize("which", ["king", "poly"])
 def test_structured_solves_match_dense_eigh(which, n, request):
@@ -492,7 +508,7 @@ def test_structured_solves_match_dense_eigh(which, n, request):
         np.testing.assert_allclose(sm.dirichlet_eigenvalues(k, 3), gvals, rtol=1e-10, atol=1e-13)
         lows[k] = gvals
         if k == 0:
-            vals, vecs = linalg.eigh(A, subset_by_index=(0, 2))
+            vals, vecs = _rayleigh_eigenpairs(A, 3)
             np.testing.assert_allclose(rep.eigenvalues, vals, rtol=1e-10)
             signs = np.sign(np.sum(rep.eigenvectors * vecs, axis=0))
             np.testing.assert_allclose(rep.eigenvectors * signs, vecs, rtol=0, atol=1e-8)
@@ -535,7 +551,7 @@ def test_radial_sector_matches_dense_eigh_at_n1600(which, request):
     A, N = _dense_sector(sm, 0, u @ u.T)
     gvals = linalg.eigh(A, N, eigvals_only=True, subset_by_index=(0, 2))
     np.testing.assert_allclose(sm.dirichlet_eigenvalues(0, 3), gvals, rtol=1e-10)
-    vals = linalg.eigh(A, eigvals_only=True, subset_by_index=(0, 2))
+    vals = _rayleigh_eigenpairs(A, 3)[0]
     np.testing.assert_allclose(sm.radial_eigenpairs(3)[0], vals, rtol=1e-10)
 
 
@@ -757,6 +773,18 @@ def test_sector_spectrum_solves_no_dirichlet_pencil(king, dirichlet_solves):
     assert dirichlet_solves == []
     coercivity_constant(king, n=400)
     assert dirichlet_solves == [(400, 0), (400, 1), (400, 2)]
+
+
+def test_non_monotone_ladder_has_no_order_and_warns_nothing(deep):
+    # q = 3.45's rungs (0.5752, 0.2695, 0.3601) turn back: the steps differ in
+    # sign, so the ladder takes no logarithm of their ratio
+    from vpstab.spectral import coercivity_ladder
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ladder = coercivity_ladder(deep["q-3.45"])
+    assert ladder.c0[1] < ladder.c0[0] and ladder.c0[1] < ladder.c0[2]
+    assert np.isnan(ladder.order) and np.isnan(ladder.richardson) and np.isnan(ladder.error_estimate)
 
 
 @pytest.mark.parametrize("which", ["king", "poly"])

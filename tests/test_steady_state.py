@@ -1,11 +1,14 @@
 import dataclasses
+import functools
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 from scipy.integrate import quad
+from scipy.special import cython_special
 
 from vpstab.numerics import (
     InvalidArgumentError,
@@ -84,18 +87,39 @@ def _rk4_oracle(source, y0, h):
     return r_zero, v_zero
 
 
-# The profile solve in its plain form: kernels with np.clip and `**`, and a
-# fresh one-element array for each RK4 stage. The builders call each kernel
-# on one float per stage; they must reproduce this form bit for bit.
+# The profile solve in its plain form: kernels with np.clip, King's power
+# W^(m + 1/2) as np.sqrt(W) times m factors W from the left and a
+# polytrope's as `**`, and a fresh one-element array for each RK4 stage. The
+# builders call each kernel on one float per stage; they must reproduce this
+# form bit for bit.
 def _plain_king_kernels():
-    def kernel(c, a, b):
+    def kernel(c, m, b):
         def evaluate(psi):
             w = np.clip(np.asarray(psi, dtype=float), 0.0, None)
-            return FOUR_PI_SQRT2 * 1.0 * c * w**a * special.hyp1f1(1.0, b, w)
+            power = functools.reduce(np.multiply, [w] * m, np.sqrt(w))
+            return FOUR_PI_SQRT2 * 1.0 * c * power * special.hyp1f1(1.0, b, w)
 
         return evaluate
 
-    return kernel(4.0 / 15.0, 2.5, 3.5), kernel(2.0 / 3.0, 1.5, 2.5), kernel(4.0 / 35.0, 3.5, 4.5)
+    return kernel(4.0 / 15.0, 2, 3.5), kernel(2.0 / 3.0, 1, 2.5), kernel(4.0 / 35.0, 3, 4.5)
+
+
+# The King kernel as model files were written before the power became
+# sqrt(W) * W^m: np.power on arrays and on each float of the profile solve.
+def _np_power_king_kernel(self, psi, c, m, b):
+    w = np.maximum(psi, 0.0)
+    return FOUR_PI_SQRT2 * self.amplitude * c * np.power(w, m + 0.5) * special.hyp1f1(1.0, b, w)
+
+
+def _np_power_king_source(self):
+    c, m, b = self._RHO
+    k = float(FOUR_PI_SQRT2 * self.amplitude * c)
+
+    def source(y):
+        w = max(y, 0.0)
+        return k * float(np.power(w, m + 0.5)) * cython_special.hyp1f1(1.0, b, w)
+
+    return source
 
 
 def _plain_polytrope_kernels(q):
@@ -203,6 +227,32 @@ def test_kernels_match_the_plain_form_bit_for_bit():
                     assert _same_bits(kernel(float(x)), ref(np.array([x]))[0]), (profile, x)
 
 
+def test_king_kernels_take_the_same_bits_on_floats_and_arrays():
+    # each King kernel in float arithmetic (math.sqrt, float products and
+    # cython_special's scalar hyp1f1: the form of the profile solve's source)
+    # against the array kernel. The power sqrt(W) * W^m lies within 4.5e-16
+    # of np.power's W^(m + 1/2), and differs from it on 25-41% of the depths.
+    edges = [-0.0, -1e-300, -2.5, 0.0, 1e-300, 1e-8, 700.5, 710.0, 800.0]
+    psi = np.concatenate([edges, np.linspace(0.0, 20.0, 1001)])
+    profile = KingProfile(e0=-1.0)
+    kernels = (profile.rho_kernel, profile.vq_kernel, profile.kin_kernel)
+    for kernel, (c, m, b) in zip(kernels, (profile._RHO, profile._VQ, profile._KIN)):
+        with np.errstate(over="ignore"):  # the kernels are inf at 800
+            array_form = kernel(psi)
+        powers = []
+        for x, ref in zip(psi, array_form):
+            w = max(float(x), 0.0) + 0.0
+            power = math.sqrt(w)
+            for _ in range(m):
+                power = power * w
+            powers.append(power)
+            got = float(FOUR_PI_SQRT2 * c) * power * cython_special.hyp1f1(1.0, b, w)
+            assert _same_bits(got, ref), (m, x)
+        powers, np_powers = np.array(powers), np.power(np.maximum(psi, 0.0), m + 0.5)
+        assert np.all(np.abs(powers - np_powers) <= 4.5e-16 * np_powers), m
+        assert 0.1 < np.mean(powers != np_powers) < 0.5, m
+
+
 def test_float_sources_match_the_plain_form_bit_for_bit():
     # the sources of the profile solve, one float at a time, against the
     # plain kernels on one-element arrays: King's rho kernel, and the
@@ -243,12 +293,30 @@ def test_profile_solve_calls_its_source_on_floats_only(source, y0):
 
 
 def test_king_build_leaves_the_hyp1f1_ufunc_out_of_its_rk4_stages(monkeypatch):
-    # each RK4 stage calls cython_special's scalar hyp1f1; stages that called
-    # the ufunc made 24 191 calls of it per build
+    # each RK4 stage calls cython_special's scalar hyp1f1 and no numpy
+    # function; stages that called the ufunc made 24 191 calls of it per
+    # build, and stages that took np.power as many calls of that
     calls, ufunc = [], special.hyp1f1
+    powers, power = [], np.power
     monkeypatch.setattr(special, "hyp1f1", lambda *args: calls.append(1) or ufunc(*args))
+    monkeypatch.setattr(np, "power", lambda *args, **kw: powers.append(1) or power(*args, **kw))
     king_model(3.0)
     assert 0 < len(calls) < 10
+    assert powers == []
+
+
+@pytest.mark.parametrize("W0", [1e-3, 3.0, 12.0])
+def test_model_file_written_with_the_np_power_kernel_still_loads(W0, monkeypatch):
+    # a file of the np.power kernel holds numbers a few 1e-13 from today's
+    # rebuild, inside the load check's 1e-12 of scale
+    with monkeypatch.context() as patch:
+        patch.setattr(KingProfile, "_kernel", _np_power_king_kernel)
+        patch.setattr(KingProfile, "_rho_source", _np_power_king_source)
+        doc = json.loads(json.dumps(king_model(W0).to_json()))
+    model = SteadyStateModel.from_json(doc)
+    assert model.R_Q != doc["R_Q"] or model.M != doc["M"]
+    for name in ("R_Q", "M", "kinetic", "hamiltonian"):
+        assert getattr(model, name) == pytest.approx(doc[name], rel=1e-12, abs=0), name
 
 
 def test_polytrope_profile_validation():
