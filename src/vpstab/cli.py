@@ -273,25 +273,12 @@ def cmd_rearrange(args):
     return 0
 
 
-def _finite_entry(doc, key, where):
-    """doc[key] as a float array, InvalidArgumentError unless all finite."""
-    from .numerics import InvalidArgumentError
-
-    try:
-        values = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError):  # an object, a string, a ragged list
-        values = np.nan
-    if not np.all(np.isfinite(values)):
-        raise InvalidArgumentError(f"{where}: {key} must hold finite numbers only")
-    return values
-
-
 def _table_potential(doc, where):
     """The PCHIP of a table's phi on r (clamped below r[0]), continued past
     r[-1] by `poisson.monopole_continued` with the table's mass M > 0."""
     from .numerics import Grid1D, InvalidArgumentError, pchip
     from .poisson import PotentialX, monopole_continued
-    from .steady_state import _require
+    from .steady_state import _finite_entry, _require
 
     _require(doc, ("r", "phi", "M"), where)
     r, phi, M = (_finite_entry(doc, key, where) for key in ("r", "phi", "M"))
@@ -312,7 +299,7 @@ def cmd_shift(args):
     from .numerics import InvalidArgumentError
     from .poisson import RadialField3D
     from .spectral import modulation_shift
-    from .steady_state import SteadyStateModel, _require
+    from .steady_state import SteadyStateModel, _finite_entry, _require
 
     cfg, digest = _resolved_config(args)
     model = SteadyStateModel.load(args.model)
@@ -387,13 +374,21 @@ def make_parser(overrides=None):
     s.add_argument("--potential", required=True)
     s.add_argument("--out")
     s.set_defaults(func=cmd_shift)
-    if overrides:
-        for sp in sub.choices.values():
+    for sp in sub.choices.values():
+        for a in (a for a in sp._actions if a.dest in overrides):
             # argparse runs a flag's type on a string default: a config value
-            # is checked as the same flag on the command line would be
-            types = {a.dest: a.type for a in sp._actions}
-            sp.set_defaults(**{k: v if types[k] is None else str(v) for k, v in overrides.items() if k in types})
+            # is checked as the same flag on the command line would be. A
+            # flag without a type takes a string, or null where its default is
+            v = overrides[a.dest]
+            if a.type is None and not (isinstance(v, str) or v is a.default is None):
+                sp.set_defaults(func=_refuse, refusal=f"config {a.dest} must be a string, not {v!r}")
+            sp.set_defaults(**{a.dest: v if a.type is None else str(v)})
     return p
+
+
+def _refuse(args):
+    """The subcommand of an unusable config value: an input error (exit 2)."""
+    raise ValueError(args.refusal)
 
 
 def main(argv=None):

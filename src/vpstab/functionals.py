@@ -189,7 +189,6 @@ class LowerBoundReport:
     lhs: float
     rhs: float
     slack: float
-    shift: np.ndarray
     reliable: bool
 
 
@@ -220,4 +219,4 @@ def stability_lower_bound(f: PhaseSpaceDensity, model, c0, shift) -> LowerBoundR
     rhs = c0 * d_grad**2
 
     reliable = bool(d_inf + d_grad < 0.5 * abs(model.phi_center))
-    return LowerBoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, shift=shift, reliable=reliable)
+    return LowerBoundReport(lhs=lhs, rhs=rhs, slack=lhs - rhs, reliable=reliable)

@@ -45,6 +45,8 @@ class Grid1D:
     sq_moments: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.nodes.ndim != 1 or self.nodes.size == 0 or self.edges.shape != (self.nodes.size + 1,):
+            raise InvalidArgumentError("a grid needs a non-empty 1-d list of nodes and one edge more")
         a, b = self.edges[:-1], self.edges[1:]
         object.__setattr__(self, "weights", b - a)
         object.__setattr__(self, "sq_moments", (b**3 - a**3) / 3.0)

@@ -60,6 +60,7 @@ from .poisson import (
 
 FOUR_PI = 4.0 * np.pi
 LADDER_RUNGS = (800, 1600, 3200)  # coercivity_ladder's grids
+MESH_ENERGIES, MESH_RADII = 256, 96  # energy_mesh's energies, and radial nodes per energy
 SQRT2 = np.sqrt(2.0)
 
 
@@ -93,18 +94,18 @@ class EnergyMesh:
         return 16.0 * np.pi**2 * SQRT2 * self.denom
 
 
-def energy_mesh(model, n_e=256, n_q=96):
-    """Energy mesh of the projector; `model.energy_mesh` keeps the default."""
+def energy_mesh(model):
+    """Energy mesh of the projector; `model.energy_mesh` keeps it."""
     profile = model.profile
     lo = model.phi_center
     hi = model.e0
-    x, w = _jacobi_rule(n_e, profile.fp_cusp, 0.0)
+    x, w = _jacobi_rule(MESH_ENERGIES, profile.fp_cusp, 0.0)
     half = 0.5 * (hi - lo)
     e = lo + half * (x + 1.0)
     w_fp = half ** (profile.fp_cusp + 1.0) * w * profile.fp_smooth(e)
 
     r_turn = turning_radius(model.phi_fn, model.dphi_fn, e, model.R_Q)
-    r_nodes, w_geom = turning_point_rule(r_turn, n_q // 2, n_q // 2)
+    r_nodes, w_geom = turning_point_rule(r_turn, MESH_RADII // 2, MESH_RADII // 2)
     phi_at = model.phi_fn(r_nodes.ravel()).reshape(r_nodes.shape)
     half_pow = np.sqrt(np.clip(e[:, None] - phi_at, 0.0, None))
     r_weights = w_geom * half_pow * r_nodes**2
@@ -203,15 +204,15 @@ class _SectorMatrices:
     form N_k = T_k, where T_k is the tridiagonal -d^2/dr^2 + k(k+1)/r^2; the
     radial sector adds the projector term U U^T to A_0. The public solvers
     use n points on [0, 6 R_Q] and the model's energy mesh; a wider box
-    (compactness_ratio) or another mesh is set here.
+    (compactness_ratio) is set here.
     """
 
-    def __init__(self, model, n=800, r_max_factor=6.0, mesh=None):
+    def __init__(self, model, n=800, r_max_factor=6.0):
         self.n = n
         self.dr = r_max_factor * model.R_Q / (n + 1)
         self.r = self.dr * np.arange(1, n + 1)
         self.V = model.vq_fn(self.r)
-        self.mesh = mesh if mesh is not None else model.energy_mesh
+        self.mesh = model.energy_mesh
 
     def dirichlet_tridiag(self, k):
         d = 2.0 / self.dr**2 + k * (k + 1) / self.r**2
@@ -517,7 +518,7 @@ def coercivity_ladder(model):
     3200), with the observed order of the three rungs and the Richardson
     extrapolation at that order.
 
-    Every rung uses the model's energy mesh (n_e = 256, n_q = 96), which sets
+    Every rung uses the model's energy mesh (MESH_ENERGIES = 256), which sets
     a floor: for King W0 = 3 the steps shrink by 4 from 800 to 3200 (order
     1.99), by 6 from 3200 to 6400, and from 6400 to 12800 c0 turns back, so
     the ladder stops at 3200. When the rungs are not monotone (steps of

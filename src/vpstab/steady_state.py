@@ -1,7 +1,7 @@
 """Nonincreasing spherical steady states Q = F(|v|^2/2 + phi_Q).
 
-Two families are built: generalized polytropes F(e) = A (e0 - e)_+^q with
-0 < q < 7/2, and the King profile F(e) = A (exp(e0 - e) - 1)_+. Both reduce
+Two families are built: generalized polytropes F(e) = (e0 - e)_+^q with
+0 < q < 7/2, and the King profile F(e) = (exp(e0 - e) - 1)_+. Both reduce
 the self-consistent Poisson problem to a single radial ODE for the depth
 variable psi = e0 - phi, integrated with fixed-step RK4 plus a series start.
 A model evaluates psi through that ODE's dense output. A model file is a
@@ -42,11 +42,10 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class PolytropeProfile:
-    """F(e) = amplitude * (e0 - e)_+^q, with F' singular at the cutoff for q < 1."""
+    """F(e) = (e0 - e)_+^q, with F' singular at the cutoff for q < 1."""
 
     q: float
     e0: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.q < 3.5:
@@ -55,7 +54,7 @@ class PolytropeProfile:
     kind = "polytrope"
 
     def evaluate(self, e):
-        return self.amplitude * np.clip(self.e0 - np.asarray(e, dtype=float), 0.0, None) ** self.q
+        return np.clip(self.e0 - np.asarray(e, dtype=float), 0.0, None) ** self.q
 
     # cutoff factorizations F = (e0-e)^a * smooth, |F'| = (e0-e)^b * smooth,
     # consumed by Gauss-Jacobi rules so integrable cusps cost no accuracy
@@ -64,44 +63,40 @@ class PolytropeProfile:
         return self.q
 
     def f_smooth(self, e):
-        return np.full_like(np.asarray(e, dtype=float), self.amplitude)
+        return np.ones_like(np.asarray(e, dtype=float))
 
     @property
     def fp_cusp(self):
         return self.q - 1.0
 
     def fp_smooth(self, e):
-        return np.full_like(np.asarray(e, dtype=float), self.q * self.amplitude)
+        return np.full_like(np.asarray(e, dtype=float), self.q)
 
     # closed-form kernels in psi = e0 - phi >= 0
     def rho_kernel(self, psi):
-        c = FOUR_PI_SQRT2 * special.beta(self.q + 1.0, 1.5) * self.amplitude
+        c = FOUR_PI_SQRT2 * special.beta(self.q + 1.0, 1.5)
         return c * np.power(np.maximum(psi, 0.0), self.q + 1.5)
 
     def vq_kernel(self, psi):
-        c = FOUR_PI_SQRT2 * self.q * special.beta(self.q, 1.5) * self.amplitude
+        c = FOUR_PI_SQRT2 * self.q * special.beta(self.q, 1.5)
         return c * np.power(np.maximum(psi, 0.0), self.q + 0.5)
 
     def kin_kernel(self, psi):
-        c = FOUR_PI_SQRT2 * special.beta(self.q + 1.0, 2.5) * self.amplitude
+        c = FOUR_PI_SQRT2 * special.beta(self.q + 1.0, 2.5)
         return c * np.power(np.maximum(psi, 0.0), self.q + 2.5)
-
-    def params(self):
-        return {"q": self.q, "e0": self.e0, "amplitude": self.amplitude}
 
 
 @dataclass(frozen=True)
 class KingProfile:
-    """F(e) = amplitude * (exp(e0 - e) - 1)_+."""
+    """F(e) = (exp(e0 - e) - 1)_+."""
 
     e0: float
-    amplitude: float = 1.0
 
     kind = "king"
 
     def evaluate(self, e):
         w = self.e0 - np.asarray(e, dtype=float)
-        return self.amplitude * np.where(w > 0, np.expm1(np.clip(w, None, 700.0)), 0.0)
+        return np.where(w > 0, np.expm1(np.clip(w, None, 700.0)), 0.0)
 
     @property
     def f_cusp(self):
@@ -110,15 +105,14 @@ class KingProfile:
     def f_smooth(self, e):
         w = np.atleast_1d(self.e0 - np.asarray(e, dtype=float))
         wsafe = np.where(w == 0, 1.0, w)
-        out = np.where(w == 0, 1.0, np.expm1(wsafe) / wsafe)
-        return self.amplitude * out
+        return np.where(w == 0, 1.0, np.expm1(wsafe) / wsafe)
 
     @property
     def fp_cusp(self):
         return 0.0
 
     def fp_smooth(self, e):
-        return self.amplitude * np.exp(self.e0 - np.asarray(e, dtype=float))
+        return np.exp(self.e0 - np.asarray(e, dtype=float))
 
     # The kernels c W^(m + 1/2) M(1, b, W) of depth W >= 0, as (c, m, b):
     # int_0^W (e^s - 1)(W - s)^(1/2) ds = (4/15) W^(5/2) M(1, 7/2, W)
@@ -135,7 +129,7 @@ class KingProfile:
         power = np.sqrt(w)
         for _ in range(m):
             power = power * w
-        return FOUR_PI_SQRT2 * self.amplitude * c * power * special.hyp1f1(1.0, b, w)
+        return FOUR_PI_SQRT2 * c * power * special.hyp1f1(1.0, b, w)
 
     def rho_kernel(self, psi):
         return self._kernel(psi, *self._RHO)
@@ -153,16 +147,13 @@ class KingProfile:
         is math.sqrt(W) * W * W, and cython_special's scalar hyp1f1, at a
         fifth of the ufunc's cost, gives the ufunc's bits."""
         c, _, b = self._RHO  # m = 2
-        k = float(FOUR_PI_SQRT2 * self.amplitude * c)
+        k = float(FOUR_PI_SQRT2 * c)
 
         def source(y):
             w = max(y, 0.0) + 0.0
             return k * (math.sqrt(w) * w * w) * cython_special.hyp1f1(1.0, b, w)
 
         return source
-
-    def params(self):
-        return {"e0": self.e0, "amplitude": self.amplitude}
 
 
 @dataclass(frozen=True)
@@ -266,7 +257,7 @@ class SteadyStateModel:
 
     @cached_property
     def energy_mesh(self):
-        """The default spectral.energy_mesh."""
+        """spectral.energy_mesh of the model."""
         from .spectral import energy_mesh
 
         return energy_mesh(self)
@@ -286,9 +277,8 @@ class SteadyStateModel:
     def to_json(self):
         return {
             "format": "vpstab-model",
-            "version": 1,
+            "version": 2,
             "kind": self.profile.kind,
-            "params": self.profile.params(),
             "e0": self.e0,
             "M": self.M,
             "R_Q": self.R_Q,
@@ -311,22 +301,24 @@ class SteadyStateModel:
     def from_json(doc):
         """The model a to_json document describes. The document is a recipe:
         its `kind` and `meta` rebuild the model (recipe_model) on the grid of
-        its `r` and `edges`, and every stored number must equal the rebuilt
-        one to 1e-12 of that entry's scale (its largest magnitude: about
-        |phi(0)| for `phi`). InvalidArgumentError if the document is not a
-        model, lacks an entry, holds a recipe that does not build, or
-        disagrees with its rebuild."""
+        its `r` and `edges`, and every stored number of _CHECKED must equal
+        the rebuilt one to 1e-12 of that entry's scale (its largest
+        magnitude: about |phi(0)| for `phi`); other entries, such as the
+        profile-parameter block of a version-1 file, are not read.
+        InvalidArgumentError if the document is not a model, lacks an entry,
+        holds a recipe that does not build, or disagrees with its rebuild."""
         if not isinstance(doc, dict) or doc.get("format") != "vpstab-model":
             raise InvalidArgumentError("not a model document")
-        _require(doc, ("kind", "params", "meta", "r", "edges") + _CHECKED, "model document")
-        grid = Grid1D(nodes=np.asarray(doc["r"], dtype=float), edges=np.asarray(doc["edges"], dtype=float))
+        _require(doc, ("kind", "meta", "r", "edges") + _CHECKED, "model document")
+        r, edges = (_finite_entry(doc, key, "model document") for key in ("r", "edges"))
+        try:
+            grid = Grid1D(nodes=r, edges=edges)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"model document: r and edges: {exc}") from None
         model = recipe_model(doc["kind"], doc["meta"], lambda _r: grid)
         built = model.to_json()
-        params = _require(doc["params"], built["params"], "model params")
-        pairs = [(k, doc[k], built[k]) for k in _CHECKED]
-        pairs += [(f"params.{k}", params[k], v) for k, v in built["params"].items()]
-        for key, stored, rebuilt in pairs:
-            if not _agrees(stored, rebuilt):
+        for key in _CHECKED:
+            if not _agrees(doc[key], built[key]):
                 raise InvalidArgumentError(f"model entry {key} differs from the model its recipe builds")
         return model
 
@@ -360,6 +352,17 @@ def _require(doc, keys, what):
     if missing:
         raise InvalidArgumentError(f"{what} lacks {', '.join(missing)}")
     return doc
+
+
+def _finite_entry(doc, key, where):
+    """doc[key] as a float array, InvalidArgumentError unless all finite."""
+    try:
+        values = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):  # an object, a string, a ragged list
+        values = np.nan
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError(f"{where}: {key} must hold finite numbers only")
+    return values
 
 
 def _finish_model(profile, interior, grid_for, R_Q, M, meta):
@@ -482,7 +485,7 @@ def _polytrope(q, psi0, grid_for):
     M = 4.0 * np.pi * psi0 * alpha * xi1**2 * abs(dtheta1)
     e0 = -psi0 * xi1 * abs(dtheta1)
 
-    profile = PolytropeProfile(q=q, e0=e0, amplitude=1.0)
+    profile = PolytropeProfile(q=q, e0=e0)
     interior = InteriorSolution(ode=ode, r_scale=alpha, y_scale=psi0)
     meta = {"q": q, "depth": psi0, "xi1": xi1}
     return _finish_model(profile, interior, grid_for, R_Q, M, meta)
@@ -509,11 +512,11 @@ def _king(W0, grid_for):
             f"King depth W0={W0} below {KING_W0_MIN}: the coarse profile solve takes over 22000 steps;"
             " build the q = 1 polytrope of depth W0, which equals this model to about W0 / 5"
         )
-    ode = _profile_ode(KingProfile(e0=-1.0, amplitude=1.0)._rho_source(), W0)
+    ode = _profile_ode(KingProfile(e0=-1.0)._rho_source(), W0)
     R_Q, dW1 = ode.r_zero, ode.yp_zero
     e0 = R_Q * dW1
     M = -4.0 * np.pi * R_Q**2 * dW1
-    profile = KingProfile(e0=e0, amplitude=1.0)
+    profile = KingProfile(e0=e0)
     interior = InteriorSolution(ode=ode)
     meta = {"W0": W0}
     return _finish_model(profile, interior, grid_for, R_Q, M, meta)
@@ -544,7 +547,7 @@ def recipe_model(kind, params, grid_for):
     """The model of kind "king" or "polytrope" built from the recipe entries
     of params on the grid grid_for(R_Q); InvalidArgumentError for another
     kind, or for an entry that is missing or that the builder rejects."""
-    if kind not in _RECIPES:
+    if not isinstance(kind, str) or kind not in _RECIPES:
         raise InvalidArgumentError(f"unknown model kind {kind!r}")
     build, names = _RECIPES[kind]
     _require(params, names, f"{kind} model")
@@ -577,7 +580,6 @@ class PhaseSpaceDensity:
 
     grid: PhaseSpaceGrid
     values: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -615,11 +617,9 @@ def phase_space_density(model, grid=None, n_r=None, n_u=None):
         grid = make_grids(model.R_Q, 400 if n_r is None else n_r, u_needed, 200 if n_u is None else n_u)
     elif n_r is not None or n_u is not None:
         raise InvalidArgumentError("pass a phase grid or its sizes, not both")
-    truncated = False
     if grid.radial.x_max < model.R_Q * (1 - 1e-12) or grid.speeds.x_max < u_needed * (1 - 1e-12):
         warnings.warn("phase grid does not cover the model support; density truncated")
-        truncated = True
     phi = model.phi_fn(grid.radial.nodes)
     e = 0.5 * grid.speeds.nodes[None, :] ** 2 + phi[:, None]
     values = model.profile.evaluate(e)
-    return PhaseSpaceDensity(grid=grid, values=values, truncated=truncated)
+    return PhaseSpaceDensity(grid=grid, values=values)

@@ -320,32 +320,56 @@ def _scale_phi5(doc):
     doc["phi"][5] *= 1 + 1e-9
 
 
+def _set(entry, make):
+    def edit(doc):
+        doc[entry] = make(doc)
+
+    return edit
+
+
+# each edit with the entry that the error message must name
 _EDITS = {
-    "w0-negative": _set_meta("W0", -1.0),
-    "w0-nan": _set_meta("W0", float("nan")),
-    "w0-string": _set_meta("W0", "3"),
-    "no-meta": _drop_meta,
-    "phi5-scaled": _scale_phi5,
+    "w0-negative": ("W0", _set_meta("W0", -1.0)),
+    "w0-nan": ("W0", _set_meta("W0", float("nan"))),
+    "w0-string": ("W0", _set_meta("W0", "3")),
+    "no-meta": ("meta", _drop_meta),
+    "phi5-scaled": ("phi", _scale_phi5),
+    "r-object": ("r", _set("r", lambda doc: {"x": 1})),
+    "r-objects": ("r", _set("r", lambda doc: [{"a": 1}])),
+    "r-null": ("r", _set("r", lambda doc: None)),
+    "r-empty": ("r", _set("r", lambda doc: [])),
+    "r-2d": ("r", _set("r", lambda doc: [doc["r"]])),
+    "edges-null": ("edges", _set("edges", lambda doc: None)),
+    "edges-empty": ("edges", _set("edges", lambda doc: [])),
+    "edges-short": ("edges", _set("edges", lambda doc: doc["edges"][:-1])),
+    "kind-list": ("kind", _set("kind", lambda doc: ["king"])),
+    "kind-object": ("kind", _set("kind", lambda doc: {"a": 1})),
 }
 
 
-@pytest.mark.parametrize("command", ["check", "evolve"])
+@pytest.mark.parametrize("command", ["check", "evolve", "rearrange"])
 @pytest.mark.parametrize("edit", sorted(_EDITS))
 def test_edited_model_file_exits_2(edit, command, model_file, tmp_path, capsys):
     # a model file is a recipe checked against its tables: a recipe that does
-    # not build, or a table the rebuild does not reproduce, is an input error
+    # not build, or a table the rebuild does not reproduce, is an input error.
+    # Before, an object r or kind and null or empty edges exited 1 with a
+    # traceback, and a null, empty or 2-d r or edges of the wrong length
+    # exited 2 with numpy's message, which named no entry
     doc = json.loads(model_file.read_text())
-    _EDITS[edit](doc)
+    entry, change = _EDITS[edit]
+    change(doc)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     argv = {
         "check": ["check", "--model", str(path), "--suite", "fixedpoint", "--out", str(tmp_path / "o.json")],
         "evolve": ["evolve", "--model", str(path), "--eta", "0", "--t-dyn", "0.2", "--n", "2000",
                    "--out-prefix", str(tmp_path / "run")],
+        "rearrange": ["rearrange", "--model", str(path), "--out-prefix", str(tmp_path / "tables")],
     }[command]
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "o.json").exists() and not (tmp_path / "run_series.csv").exists()
+    err = capsys.readouterr().err
+    assert re.search(rf"error: .*\b{entry}\b", err) and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
 
 
 @pytest.mark.parametrize("flags", [["--kind", "king", "--w0", "nan"], ["--kind", "king", "--w0", "inf"],
@@ -402,13 +426,6 @@ def _config_dt_frac_zero(tmp, model):
             "--out-prefix", str(tmp / "run")]
 
 
-def _model_without_params(tmp, model):
-    doc = json.loads(open(model).read())
-    del doc["params"]
-    (tmp / "m.json").write_text(json.dumps(doc))
-    return ["check", "--model", str(tmp / "m.json"), "--suite", "fixedpoint", "--out", str(tmp / "o.json")]
-
-
 def _potential_without_r(tmp, model):
     (tmp / "pot.json").write_text(json.dumps({"phi": [-1.0, -0.5], "M": 1.0}))
     return ["shift", "--model", model, "--potential", str(tmp / "pot.json"), "--out", str(tmp / "o.json")]
@@ -436,17 +453,59 @@ def _no_seeds(tmp, model):
 
 @pytest.mark.parametrize(
     "make_argv",
-    [_bad_config_json, _config_not_an_object, _config_dt_frac_zero, _model_without_params,
+    [_bad_config_json, _config_not_an_object, _config_dt_frac_zero,
      _potential_without_r, _potential_table([1.0], [-1.0]), _potential_table([1.0, 0.5, 2.0], [-1.0, -0.8, -0.5]),
      _potential_table([0.5, 1.0], [-1.0, -0.8, -0.5]), _potential_table([0.5, float("inf")], [-1.0, -0.5]),
      _evolve("0"), _evolve("-0.01"), _no_seeds],
-    ids=["config-not-json", "config-not-object", "config-dt-frac-zero", "model-without-params",
+    ids=["config-not-json", "config-not-object", "config-dt-frac-zero",
          "potential-without-r", "potential-one-node", "potential-unsorted", "potential-lengths-differ",
          "potential-infinite-r", "dt-frac-zero", "dt-frac-negative", "seeds-zero"],
 )
 def test_bad_input_exits_2(make_argv, model_file, tmp_path):
     assert _exit_code(make_argv(tmp_path, str(model_file))) == 2
     assert not (tmp_path / "o.json").exists() and not (tmp_path / "run_series.csv").exists()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_check_reads_a_model_file_of_either_version(version, model_file, tmp_path):
+    # version 2 writes no `params`; the block of a version-1 file, which
+    # repeated e0 and the profile amplitude 1.0, is not read
+    doc = json.loads(model_file.read_text())
+    assert doc["version"] == 2 and "params" not in doc
+    if version == 1:
+        doc.update(version=1, params={"e0": doc["e0"], "amplitude": 1.0})
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    assert main(["check", "--model", str(tmp_path / "m.json"), "--suite", "fixedpoint", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["passed"]
+
+
+@pytest.mark.parametrize("command, key, value", [("check", "out", 7), ("check", "out", [1]),
+                                                 ("evolve", "out_prefix", {"a": 1}), ("build", "out", None)],
+                         ids=["out-number", "out-list", "out-prefix-object", "build-out-null"])
+def test_config_value_of_a_path_flag_that_is_not_a_string_exits_2(command, key, value, model_file, tmp_path,
+                                                                  capsys, monkeypatch):
+    # before, {"out": 7} made check open file descriptor 7 and {"out": [1]}
+    # ended in a TypeError: a config value of a flag without a type was used
+    # as it came
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    argv = {
+        "check": ["check", "--model", str(model_file), "--suite", "fixedpoint"],
+        "evolve": ["evolve", "--model", str(model_file), "--t-dyn", "0.1", "--n", "1000"],
+        "build": ["build", "--kind", "king"],
+    }[command]
+    assert main(["--config", "cfg.json", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"config {key} must be a string" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_config_null_keeps_a_path_flag_whose_default_is_none(model_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": None}))
+    assert main(["--config", "cfg.json", "check", "--model", str(model_file), "--suite", "fixedpoint"]) == 0
+    assert json.loads((tmp_path / "check_fixedpoint.json").read_text())["passed"]
 
 
 @pytest.mark.parametrize("flag, value", [("--field-average", "0"), ("--field-average", "-2"), ("--eta", "nan")],

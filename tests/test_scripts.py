@@ -31,8 +31,9 @@ def _run(script, args, cwd):
         ("source_size.py", [], []),
         ("bench_pairs.py", ["--parent", str(ROOT), "--change", str(ROOT), "--workloads", "spectrum",
                             "--seeds", "1", "--seconds", "1", "--out", "bench.json"], ["bench.json"]),
+        ("model_box.py", [], []),
     ],
-    ids=["spectral-report", "stability-sweep", "source-size", "bench-pairs"],
+    ids=["spectral-report", "stability-sweep", "source-size", "bench-pairs", "model-box"],
 )
 def test_script_runs(script, args, outputs, tmp_path):
     proc = _run(script, args, tmp_path)
@@ -47,11 +48,17 @@ def test_script_runs(script, args, outputs, tmp_path):
         figures = dict(line.split(": ") for line in proc.stdout.splitlines() if not line.startswith(" "))
         assert int(figures["src lines"]) > 0
         # the option and name counts only fall; a change that raises one says why in CHANGES.md
-        assert int(figures["options"]) <= 39 and int(figures["exported names"]) <= 46
+        assert int(figures["options"]) <= 36 and int(figures["exported names"]) <= 46
         # a fresh import loads neither scipy.interpolate nor scipy.optimize
         assert float(figures["import vpstab peak rss MB"]) > 0
         loaded = figures["import vpstab loads scipy"].split(", ")
         assert "linalg" in loaded and "interpolate" not in loaded and "optimize" not in loaded
+    if script == "model_box.py":
+        box = json.loads(proc.stdout)
+        assert list(box) == [f"king W0={w0}" for w0 in ("0.001", "1", "3", "6", "9", "12")] + [
+            f"polytrope q={q}" for q in ("0.5", "1", "2", "3", "3.4", "3.45")]
+        # the ROADMAP's model-box table reads 1.000241 for King W0 = 3
+        assert f"{box['king W0=3']['virial_2K_over_W']:.6f}" == "1.000241"
     if script == "run_spectral_report.py":
         rows = (tmp_path / outputs[0]).read_text().splitlines()
         assert rows[0] == "k,index,eigenvalue,dirichlet_normalized" and len(rows) == 1 + 2 * 2

@@ -749,18 +749,16 @@ def test_energy_mesh_and_projector_factor_are_built_once(king, monkeypatch):
     model = dataclasses.replace(king)
     calls = []
     build = spectral.energy_mesh
-    monkeypatch.setattr(spectral, "energy_mesh", lambda m, *a, **kw: calls.append((a, kw)) or build(m, *a, **kw))
+    monkeypatch.setattr(spectral, "energy_mesh", lambda m: calls.append(m) or build(m))
     for k in (0, 1, 2):
         harmonic_operator_spectrum(model, k, n_eigs=1, n=200)
     coercivity_constant(model, n=200)
     hessian_form(smooth_bump_direction(model), model)
     project_energy(lambda r: np.ones_like(r), model)
-    assert calls == [((), {})]  # one default mesh
-    # the sector matrices use an explicit mesh as given
-    mesh = build(model, n_e=64, n_q=32)
-    assert spectral._SectorMatrices(model, n=200, mesh=mesh).mesh is mesh
+    assert len(calls) == 1 and calls[0] is model  # one mesh, the model's
     # one projector factor per sector set, shared by the k = 0 solves
     sm = spectral._SectorMatrices(model, n=200)
+    assert sm.mesh is model.energy_mesh
     u = sm.projector_factor()
     sm.radial_eigenpairs(1)
     sm.dirichlet_eigenvalues(0, 1)

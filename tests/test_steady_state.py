@@ -108,12 +108,12 @@ def _plain_king_kernels():
 # sqrt(W) * W^m: np.power on arrays and on each float of the profile solve.
 def _np_power_king_kernel(self, psi, c, m, b):
     w = np.maximum(psi, 0.0)
-    return FOUR_PI_SQRT2 * self.amplitude * c * np.power(w, m + 0.5) * special.hyp1f1(1.0, b, w)
+    return FOUR_PI_SQRT2 * c * np.power(w, m + 0.5) * special.hyp1f1(1.0, b, w)
 
 
 def _np_power_king_source(self):
     c, m, b = self._RHO
-    k = float(FOUR_PI_SQRT2 * self.amplitude * c)
+    k = float(FOUR_PI_SQRT2 * c)
 
     def source(y):
         w = max(y, 0.0)
@@ -544,8 +544,7 @@ def test_phase_space_density_truncation_warns(king):
 
     small = make_grids(0.5 * king.R_Q, 32, 1.0, 32)
     with pytest.warns(UserWarning):
-        f = phase_space_density(king, grid=small)
-    assert f.truncated
+        phase_space_density(king, grid=small)
 
 
 def test_phase_space_density_takes_a_grid_or_its_sizes(king):
@@ -697,17 +696,39 @@ def test_reloaded_model_is_bit_identical(build, tmp_path):
         assert np.array_equal(getattr(loaded, name)(r), getattr(model, name)(r)), name
 
 
-@pytest.mark.parametrize("entry", ["phi", "rho", "hamiltonian", "params"])
+@pytest.mark.parametrize("entry", ["phi", "rho", "hamiltonian", "e0"])
 def test_model_document_that_disagrees_with_its_recipe_is_rejected(king, entry):
     doc = king.to_json()
-    if entry == "params":
-        doc["params"]["e0"] *= 1 + 1e-9
-    elif entry == "hamiltonian":
-        doc["hamiltonian"] *= 1 + 1e-9
+    if entry in ("hamiltonian", "e0"):
+        doc[entry] *= 1 + 1e-9
     else:
         doc[entry][5] *= 1 + 1e-9
     with pytest.raises(InvalidArgumentError, match=entry):
         SteadyStateModel.from_json(doc)
+
+
+def _version_1(doc, model):
+    """doc as a version-1 file held it: with a `params` block repeating e0,
+    a polytrope's q and the profile amplitude 1.0."""
+    params = {"q": model.meta["q"]} if "q" in model.meta else {}
+    return dict(doc, version=1, params={**params, "e0": model.e0, "amplitude": 1.0})
+
+
+@pytest.mark.parametrize("build", [lambda: king_model(1e-3), lambda: king_model(3.0), lambda: king_model(12.0),
+                                   lambda: polytrope_model(1.0), lambda: polytrope_model(3.45)],
+                         ids=["king1e-3", "king3", "king12", "poly1", "poly3.45"])
+def test_model_document_of_either_version_loads(build):
+    # version 2 writes no `params`; a version-1 file's block is not read, so
+    # the file loads when its tables agree, and its e0 is still checked
+    model = build()
+    doc = json.loads(json.dumps(model.to_json()))
+    assert doc["version"] == 2 and "params" not in doc
+    for stored in (doc, _version_1(doc, model)):
+        assert SteadyStateModel.from_json(stored).to_json() == doc
+    tampered = _version_1(doc, model)
+    tampered["e0"] *= 1 + 1e-9
+    with pytest.raises(InvalidArgumentError, match="e0"):
+        SteadyStateModel.from_json(tampered)
 
 
 def test_coercivity_constant_is_homology_invariant():
@@ -718,7 +739,7 @@ def test_coercivity_constant_is_homology_invariant():
     assert c0[0] == pytest.approx(c0[1], rel=1e-11, abs=0)
 
 
-@pytest.mark.parametrize("drop", ["params", "phi0", "meta"])
+@pytest.mark.parametrize("drop", ["edges", "phi0", "meta"])
 def test_model_document_without_an_entry_is_rejected(king, drop):
     doc = king.to_json()
     del doc[drop]
