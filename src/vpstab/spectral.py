@@ -21,10 +21,9 @@ rows of the default [0, 6 R_Q] box, and those rows enter a solve on the
 support through one Schur-complement corner entry. The Dirichlet-normalized
 sectors thus reduce to pencils on V's support: k >= 1 solved by LAPACK
 bisection, k = 0 by regular-mode Lanczos. The standard k = 0 spectrum comes
-from shift-invert Lanczos: a LAPACK LU (gttrf) of the shifted tridiagonal
-and the Woodbury identity for U U^T. A Sylvester inertia count (the LDL^T
-pivots of the tridiagonal and Haynsworth's count over the capacitance
-matrix) certifies that no eigenvalue lies below the shift (CoercivityError).
+from shift-invert Lanczos at 0, with A_0 factored on the same support (a
+LAPACK LU of the exterior tridiagonal, a Bunch-Kaufman LDL^T of the dense
+support block), whose pivots certify that A_0 > 0 (CoercivityError).
 
 A discretisation is named by (model, n). Each spectrum is solved only where
 it is read: harmonic_operator_spectrum solves the standard sector problem
@@ -280,8 +279,7 @@ class _SectorMatrices:
         if V is not so, or if n_eigs > m."""
         d, e = self.dirichlet_tridiag(k)
         if k == 0:
-            u, n_s = self._projector_factor
-            m = max(n_s, int(np.flatnonzero(self.V).max(initial=-1)) + 1)
+            u, m = self._projector_factor[0], self._radial_support()
             if n_eigs >= m:
                 raise CoercivityError(f"sector k=0: {n_eigs} eigenvalues asked, but Lanczos gives {m - 1} at most")
             u_s, v, s_diag, e_s = u[:m], self.V[:m], _support_block(d, e, m, 0, 0.0), e[: m - 1]
@@ -301,49 +299,28 @@ class _SectorMatrices:
         s_diag = _support_block(d, e, m, k, 0.0)  # T_rr is A_rr at the shift 0
         return 1.0 - 1.0 / _bisection_eigenvalues(s_diag / v, e[: m - 1] / np.sqrt(v[:-1] * v[1:]), n_eigs)
 
+    def _radial_support(self):
+        """m = max(n_s, 1 + the last row where V != 0): V and U vanish past these rows."""
+        return max(self._projector_factor[1], int(np.flatnonzero(self.V).max(initial=-1)) + 1)
+
     def radial_eigenpairs(self, n_eigs):
-        """Lowest eigenpairs of A_0 = T_0 - diag(V) + U U^T. The shift lies 1
-        below the lowest eigenvalue of the tridiagonal T_0 - diag(V), hence
-        below the spectrum, as U U^T is positive; a shift as close as that
-        keeps the Lanczos iteration short."""
-        floor = eig_tridiag(*self.sector_tridiag(0), 1)[0][0]
-        return self._shift_invert(n_eigs, floor - 1.0)
+        """Lowest eigenpairs of A_0 = T_0 - diag(V) + U U^T by shift-invert at
+        0: Lanczos converges at the rate lambda_1 / lambda_2 (about 1/4, the
+        low modes being box modes), and the count certifies A_0 > 0, which (as
+        T_0 > 0) holds exactly when the k = 0 Dirichlet pencil is positive."""
+        return self._shift_invert(n_eigs, 0.0)
 
     def _shift_invert(self, n_eigs, sigma):
-        """Eigenpairs of A_0 nearest sigma by shift-invert Lanczos, with a
-        Sylvester inertia certificate that no eigenvalue lies below sigma,
-        so they are the lowest ones (CoercivityError otherwise).
-
-        The shifted operator is K + U U^T, K = T_0 - diag(V) - sigma a
-        tridiagonal factored once by LAPACK (_tridiag_solver). Its inverse is
-        applied by the Woodbury identity, (K + U U^T)^{-1} x = y - K^{-1} U
-        C^{-1} U^T y with y = K^{-1} x, two tridiagonal solves per Lanczos
-        step. The capacitance C = I + U^T K^{-1} U comes from U's support rows
-        alone (_capacitance), and the negative count of K + U U^T is
-        neg(K) - neg(C) by Haynsworth's inertia additivity. C is symmetric
-        but indefinite when K is, so one Bunch-Kaufman LDL^T serves both its
-        solve and its count. The solve runs on one BLAS thread: its BLAS calls
-        are many and small (ARPACK's level-2 updates, the capacitance solves).
-        """
+        """Eigenpairs of A_0 nearest sigma by shift-invert Lanczos on one BLAS
+        thread (its BLAS calls are many and small), with a Sylvester inertia
+        certificate that no eigenvalue lies below sigma, so they are the
+        lowest ones (CoercivityError otherwise)."""
         with serial_blas():
-            d, e = self.sector_tridiag(0)
-            dk = d - sigma
-            solve_k = _tridiag_solver(dk, e, 0, sigma)
-            u, n_s = self._projector_factor
-            u_s = u[:n_s]
-            ldl, ipiv, neg = _ldl_factor(self._capacitance(dk, e, sigma), 0, sigma)
-            below = _negative_pivots(dk, e) - neg
+            solve, below = self._shifted_solver(sigma)
             if below:
                 raise CoercivityError(
                     f"sector k=0: {below} eigenvalue(s) below the shift {sigma}, out of reach of the shift-invert solve"
                 )
-            padded = np.zeros(self.n)
-
-            def solve(x):
-                y = solve_k(x)
-                padded[:n_s] = u_s @ linalg.lapack.dsytrs(ldl, ipiv, u_s.T @ y[:n_s], lower=1)[0]
-                return y - solve_k(padded)
-
             op = LinearOperator((self.n, self.n), matvec=solve, dtype=float)
             v0 = np.random.default_rng(0).uniform(-1.0, 1.0, self.n)
             # shift-invert mode never applies A itself: op stands in for it
@@ -352,22 +329,40 @@ class _SectorMatrices:
             order = np.argsort(vals)
             return vals[order], vecs[:, order]
 
-    def _capacitance(self, dk, ek, sigma):
-        """C = I + U^T K^{-1} U for the shifted standard k = 0 tridiagonal K = (dk, ek).
+    def _shifted_solver(self, sigma):
+        """(solve, neg): b -> (A_0 - sigma)^{-1} b, and the number of negative
+        eigenvalues of A_0 - sigma. The m support rows (_radial_support) meet
+        the exterior rows r through t = e[m - 1]. Eliminating r factors T_rr -
+        sigma by LAPACK's LU (_tridiag_solver) and the dense Schur complement
+        S = T_ss - V_s - sigma + U_s U_s^T, its corner from _support_block, by
+        Bunch-Kaufman (_ldl_factor): a solve is y = (T_rr - sigma)^{-1} b_r,
+        one dsytrs for x_s, and x_r = y - t x_s[-1] z, z = (T_rr - sigma)^{-1}
+        e_0. neg = neg(T_rr - sigma) + neg(S) by Haynsworth's additivity."""
+        d, e = self.sector_tridiag(0)
+        m = self._radial_support()
+        u_s = self._projector_factor[0][:m]
+        s = u_s @ u_s.T
+        s[np.diag_indices(m)] += _support_block(d - sigma, e, m, 0, sigma)
+        s[np.arange(1, m), np.arange(m - 1)] += e[: m - 1]  # dsytrf reads the lower triangle
+        ldl, ipiv, neg = _ldl_factor(s, 0, sigma)
 
-        U vanishes past its first n_s rows, so only the support block
-        (K^{-1})_ss enters: the inverse of the Schur complement of the
-        exterior block r (_support_block), which exists whenever K_rr is
-        nonsingular (CoercivityError otherwise). V and U vanish on the
-        exterior, so K_rr = T_rr - sigma, where sigma lies 1 below the
-        spectrum of T_0 - V and so, by Cauchy interlacing, below that of T_rr:
-        K_rr is positive definite. One tridiagonal solve on the n_s support
-        rows with n_e right-hand sides then gives (K^{-1})_ss U_s.
-        """
-        u, n_s = self._projector_factor
-        u_s = u[:n_s]
-        x = _tridiag_solver(_support_block(dk, ek, n_s, 0, sigma), ek[: n_s - 1], 0, sigma)(u_s)
-        return np.eye(u.shape[1]) + u_s.T @ x
+        def solve_s(b_s):
+            return linalg.lapack.dsytrs(ldl, ipiv, b_s, lower=1)[0]
+
+        if m == self.n:  # no exterior rows
+            return solve_s, neg
+        d_r, e_r = d[m:] - sigma, e[m:]
+        solve_r = _tridiag_solver(d_r, e_r, 0, sigma)
+        t, z = e[m - 1], solve_r(np.eye(1, self.n - m)[0])
+
+        def solve(b):
+            y = solve_r(b[m:])
+            b_s = b[:m].copy()
+            b_s[-1] -= t * y[0]
+            x_s = solve_s(b_s)
+            return np.concatenate([x_s, y - t * x_s[-1] * z])
+
+        return solve, neg + _negative_pivots(d_r, e_r)
 
 
 def _support_block(d, e, s, k, sigma):
@@ -428,9 +423,9 @@ def _negative_pivots(d, e):
 
 
 def _ldl_factor(c, k, sigma):
-    """Bunch-Kaufman LDL^T of the dense symmetric capacitance matrix (LAPACK
-    dsytrf, lower): the factor and pivots for dsytrs, and the number of
-    negative eigenvalues, read from the 1x1 and 2x2 blocks of D."""
+    """Bunch-Kaufman LDL^T of a dense symmetric matrix, read from its lower
+    triangle (LAPACK dsytrf, lower): the factor and pivots for dsytrs, and the
+    number of negative eigenvalues, read from the 1x1 and 2x2 blocks of D."""
     # the blocked factorization, with the workspace LAPACK asks for: the
     # unblocked default stalls for up to ~0.4 s in threaded level-2 BLAS
     lwork = int(linalg.lapack.dsytrf_lwork(c.shape[0], lower=1)[0])
@@ -456,10 +451,10 @@ def harmonic_operator_spectrum(model, k, n_eigs=6, n=800):
 
     k >= 1 reduces to a symmetric tridiagonal problem via w = r h; the radial
     sector (k = 0) adds the low-rank projector term and is solved by
-    shift-invert with the Woodbury identity. For k = 1 the report also holds
-    the alignment of the ground state with the translation mode r phi'. The
-    Dirichlet-normalized spectrum is not solved here: coercivity_constant
-    and coercivity_ladder read it.
+    shift-invert at 0 (radial_eigenpairs; CoercivityError unless A_0 > 0).
+    For k = 1 the report also holds the alignment of the ground state with
+    the translation mode r phi'. The Dirichlet-normalized spectrum is not
+    solved here: coercivity_constant and coercivity_ladder read it.
     """
     sm = _SectorMatrices(model, n=n)
     if k == 0:

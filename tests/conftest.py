@@ -53,6 +53,32 @@ def dirichlet_solves(monkeypatch):
     return solves
 
 
+@pytest.fixture()
+def shift_invert_applications(monkeypatch):
+    """A list that gains, for each shift-invert Lanczos solve run while the
+    test runs, the number of times ARPACK applied its operator OPinv."""
+    from scipy.sparse.linalg import LinearOperator
+
+    import vpstab.spectral as spectral
+
+    applications = []
+    eigsh = spectral.eigsh
+
+    def counted(a, *args, OPinv=None, **kwargs):
+        if OPinv is None:  # not shift-invert mode
+            return eigsh(a, *args, **kwargs)
+        applications.append(0)
+
+        def matvec(x):
+            applications[-1] += 1
+            return OPinv.matvec(x)
+
+        return eigsh(a, *args, OPinv=LinearOperator(OPinv.shape, matvec=matvec, dtype=OPinv.dtype), **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", counted)
+    return applications
+
+
 def _plain_value(profile, t):
     """A rearrangement profile's value by the plain form: a search per point
     for a step profile; for Q*, scipy's PchipInterpolator through its table

@@ -59,6 +59,8 @@ def test_script_runs(script, args, outputs, tmp_path):
             f"polytrope q={q}" for q in ("0.5", "1", "2", "3", "3.4", "3.45")]
         # the ROADMAP's model-box table reads 1.000241 for King W0 = 3
         assert f"{box['king W0=3']['virial_2K_over_W']:.6f}" == "1.000241"
+        # and `vpstab check --suite spectrum` reads k0_lowest 0.302713 for it
+        assert f"{box['king W0=3']['k0_standard_n800']:.6f}" == "0.302713"
     if script == "run_spectral_report.py":
         rows = (tmp_path / outputs[0]).read_text().splitlines()
         assert rows[0] == "k,index,eigenvalue,dirichlet_normalized" and len(rows) == 1 + 2 * 2

@@ -486,8 +486,10 @@ def _rayleigh_eigenpairs(A, count):
     return quotients.astype(float), vecs
 
 
-@pytest.mark.parametrize("n", [400, 800])
-@pytest.mark.parametrize("which", ["king", "poly"])
+@pytest.mark.parametrize(
+    "which, n",
+    [("king", 400), ("king", 800), ("poly", 400), ("poly", 800), ("king9", 800), ("q345", 800)],
+)
 def test_structured_solves_match_dense_eigh(which, n, request):
     from scipy import linalg
 
@@ -517,11 +519,12 @@ def test_structured_solves_match_dense_eigh(which, n, request):
 
 
 @pytest.mark.parametrize("which", ["king", "poly"])
-def test_support_capacitance_matches_the_dense_one(which, request):
-    # U and V vanish past the first n_s rows, and the capacitance built from
-    # those rows (with the Schur corner of the exterior block) is the dense
-    # I + U^T K^{-1} U, for the Dirichlet and the standard shift
-    from vpstab.numerics import eig_tridiag
+def test_support_block_solve_matches_the_dense_one(which, request):
+    # U and V vanish past the first n_s rows, and the solve by the dense
+    # support block (with the Schur corner of the exterior block) and the
+    # exterior tridiagonal is the dense solve of A_0 - sigma: at the shift 0
+    # of radial_eigenpairs, below the spectrum, and between lambda_1 and
+    # lambda_2, where A_0 - sigma is indefinite
     from vpstab.spectral import _SectorMatrices
 
     model = request.getfixturevalue(which)
@@ -530,13 +533,15 @@ def test_support_capacitance_matches_the_dense_one(which, request):
     assert sm.projector_factor() is u and n_s < sm.n
     assert np.all(u[n_s:] == 0.0) and np.any(u[n_s - 1] != 0.0)
     assert np.all(sm.V[n_s:] == 0.0)
-    A, N = _dense_sector(sm, 0, 0.0)
-    floor = eig_tridiag(*sm.sector_tridiag(0), 1)[0][0]
-    for sigma, mass in ((-1.0, N), (floor - 1.0, np.eye(sm.n))):
-        K = A - sigma * mass
-        dense = np.eye(u.shape[1]) + u.T @ np.linalg.solve(K, u)
-        cap = sm._capacitance(np.diag(K), np.diag(K, 1), sigma)
-        assert np.max(np.abs(cap - dense)) <= 1e-12 * np.max(np.abs(dense))
+    A = _dense_sector(sm, 0, u @ u.T)[0]
+    lows = np.linalg.eigvalsh(A)[:2]
+    b = np.random.default_rng(3).standard_normal((sm.n, 3))
+    for sigma, negative in ((0.0, 0), (-1.0, 0), (0.5 * (lows[0] + lows[1]), 1)):
+        solve, neg = sm._shifted_solver(sigma)
+        assert neg == negative
+        for col in b.T:
+            dense = np.linalg.solve(A - sigma * np.eye(sm.n), col)
+            assert np.linalg.norm(solve(col) - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("which", ["king", "poly"])
@@ -571,6 +576,22 @@ def test_inertia_certificate_rejects_a_shift_above_the_lowest_eigenvalue(king):
 @pytest.fixture(scope="module")
 def deep():
     return {"king-12": king_model(12.0), "q-3.45": polytrope_model(3.45)}
+
+
+@pytest.fixture(scope="module")
+def q345(deep):
+    return deep["q-3.45"]
+
+
+@pytest.mark.parametrize("n_eigs", [1, 2, 3])
+@pytest.mark.parametrize("which", ["king", "king9", "q345"])
+def test_radial_standard_solve_takes_at_most_two_lanczos_cycles(which, n_eigs, request, shift_invert_applications):
+    # shift-invert at 0 converges at the rate lambda_1 / lambda_2 for every
+    # model: two cycles at ARPACK's ncv = 20. The shift below the spectrum of
+    # T_0 - V took 51-88 applications for King W0 = 3, 1431-7055 for W0 = 9
+    # and 2741-14273 for q = 3.45
+    harmonic_operator_spectrum(request.getfixturevalue(which), 0, n_eigs=n_eigs)
+    assert len(shift_invert_applications) == 1 and shift_invert_applications[0] <= 42
 
 
 @pytest.mark.parametrize("which", ["king-12", "q-3.45"])
@@ -660,9 +681,10 @@ def test_radial_dirichlet_sector_does_not_depend_on_the_blas_thread_count(which,
 def test_radial_dirichlet_sector_solves_an_indefinite_pencil(king, v_scale, u_scale, monkeypatch):
     # with V doubled or quadrupled the k = 0 pencil has a negative eigenvalue
     # (-3.822 and -12.957): the shift-invert solve at -1 used to refuse it
-    # ("eigenvalue(s) below the shift"); c0 <= 0 is still refused. With U
-    # tripled, mu = 1 - lambda reaches -34.7, far larger in magnitude than
-    # the largest mu, which sets the lowest lambda
+    # ("eigenvalue(s) below the shift"); c0 <= 0 is still refused, and so is
+    # the standard problem, whose certificate at the shift 0 counts A_0's
+    # negative eigenvalues. With U tripled, mu = 1 - lambda reaches -34.7,
+    # far larger in magnitude than the largest mu, which sets the lowest lambda
     from scipy import linalg
 
     from vpstab.spectral import CoercivityError, _SectorMatrices
@@ -673,10 +695,14 @@ def test_radial_dirichlet_sector_solves_an_indefinite_pencil(king, v_scale, u_sc
     u, n_s = sm._projector_factor
     sm._projector_factor = (u_scale * u, n_s)
     u = sm.projector_factor()
-    gvals = linalg.eigh(*_dense_sector(sm, 0, u @ u.T), eigvals_only=True)
+    A, N = _dense_sector(sm, 0, u @ u.T)
+    gvals = linalg.eigh(A, N, eigvals_only=True)
     assert gvals[0] < -1.0 if v_scale > 1.0 else gvals[-1] > 30.0
     np.testing.assert_allclose(sm.dirichlet_eigenvalues(0, 3), gvals[:3], rtol=1e-11, atol=0)
     if v_scale > 1.0:
+        count = np.count_nonzero(np.linalg.eigvalsh(A) < 0)
+        with pytest.raises(CoercivityError, match=rf"sector k=0: {count} eigenvalue\(s\) below the shift 0.0"):
+            sm.radial_eigenpairs(1)
         vq_fn = SteadyStateModel.vq_fn
         monkeypatch.setattr(SteadyStateModel, "vq_fn", lambda self, r: v_scale * vq_fn(self, r))
         with pytest.raises(CoercivityError, match="nonpositive"):
@@ -686,8 +712,9 @@ def test_radial_dirichlet_sector_solves_an_indefinite_pencil(king, v_scale, u_sc
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_sectors_solve_a_support_that_fills_the_grid(king, k):
     # on [0, R_Q] V is positive on every row and the exterior block is empty:
-    # S is T_k itself. Before, k = 0 failed in LAPACK's dgttrf wrapper and
-    # k >= 1 was refused as if V had no leading positive block
+    # S is T_k itself, and the standard k = 0 solve eliminates no rows.
+    # Before, k = 0 failed in LAPACK's dgttrf wrapper and k >= 1 was refused
+    # as if V had no leading positive block
     from scipy import linalg
 
     from vpstab.spectral import CoercivityError, _SectorMatrices
@@ -695,9 +722,11 @@ def test_sectors_solve_a_support_that_fills_the_grid(king, k):
     sm = _SectorMatrices(king, n=400, r_max_factor=1.0)
     assert np.all(sm.V > 0)
     u = sm.projector_factor()
-    gvals = linalg.eigh(*_dense_sector(sm, k, u @ u.T), eigvals_only=True, subset_by_index=(0, 2))
+    A, N = _dense_sector(sm, k, u @ u.T)
+    gvals = linalg.eigh(A, N, eigvals_only=True, subset_by_index=(0, 2))
     np.testing.assert_allclose(sm.dirichlet_eigenvalues(k, 3), gvals, rtol=1e-10, atol=1e-13)
     if k == 0:  # ARPACK gives at most one fewer than the support's rows
+        np.testing.assert_allclose(sm.radial_eigenpairs(3)[0], _rayleigh_eigenpairs(A, 3)[0], rtol=1e-10)
         with pytest.raises(CoercivityError, match="400 eigenvalues asked, but Lanczos gives 399 at most"):
             sm.dirichlet_eigenvalues(0, 400)
 
